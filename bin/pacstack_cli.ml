@@ -12,7 +12,6 @@ module Report = Pacstack_report.Report
 module Plans = Pacstack_report.Plans
 module Fuzz_driver = Pacstack_fuzz.Driver
 module Inject_engine = Pacstack_inject.Engine
-module Mega = Pacstack_inject.Mega
 module Fleet = Pacstack_fleet.Fleet
 module Fleet_arrival = Pacstack_fleet.Arrival
 module Obs = Pacstack_obs.Obs
@@ -444,9 +443,8 @@ let inject_cmd =
       value & flag
       & info [ "mega" ]
           ~doc:
-            "Mega-campaign mode: fold each shard into constant-size streaming statistics \
-             (memory O(shards), not O(faults)), report silent rates as Wilson 95% \
-             intervals, and compact the checkpoint manifest as it grows.")
+            "Deprecated, no effect: every campaign folds its shards into constant-size \
+             statistics. Accepted for one release.")
   in
   let isolation =
     Arg.(
@@ -465,23 +463,25 @@ let inject_cmd =
       & opt (some float) None
       & info [ "shard-timeout" ] ~docv:"SECONDS"
           ~doc:
-            "Wall-clock deadline per shard attempt (process isolation only): a shard \
-             past it is SIGKILLed, retried and eventually quarantined.")
+            "Wall-clock deadline per shard attempt (requires $(b,--isolation process)): \
+             a shard past it is SIGKILLed, retried and eventually quarantined.")
   in
   let shard_faults =
     Arg.(
-      value & opt int 512
+      value
+      & opt (some int) None
       & info [ "shard-faults" ]
-          ~doc:"Faults per shard in $(b,--mega) mode (default 512).")
+          ~doc:
+            "Deprecated, no effect: the shard layout derives from $(b,--faults). \
+             Accepted for one release.")
   in
   let compact_every =
     Arg.(
       value & opt int 256
       & info [ "compact-every" ]
           ~doc:
-            "In $(b,--mega) mode with $(b,--resume): rewrite the manifest as one merged \
-             statistics line whenever this many uncompacted shard lines accumulate \
-             (default 256).")
+            "With $(b,--resume): rewrite the manifest as one merged statistics line \
+             whenever this many uncompacted shard lines accumulate (default 256).")
   in
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress events on stderr.")
@@ -489,6 +489,9 @@ let inject_cmd =
   let action faults workers seed scheme pac_bits resume gate no_gate mega isolation
       shard_timeout shard_faults compact_every trace quiet =
     with_campaign_signals @@ fun () ->
+    if mega then prerr_endline "pacstack: --mega is deprecated and has no effect";
+    if Option.is_some shard_faults then
+      prerr_endline "pacstack: --shard-faults is deprecated and has no effect";
     if faults < 1 then begin
       Printf.eprintf "pacstack: --faults must be >= 1\n";
       1
@@ -497,16 +500,16 @@ let inject_cmd =
       Printf.eprintf "pacstack: --pac-bits must be in [1, 16]\n";
       1
     end
-    else if shard_faults < 1 then begin
-      Printf.eprintf "pacstack: --shard-faults must be >= 1\n";
-      1
-    end
     else if compact_every < 1 then begin
       Printf.eprintf "pacstack: --compact-every must be >= 1\n";
       1
     end
     else if (match shard_timeout with Some t -> t <= 0.0 | None -> false) then begin
       Printf.eprintf "pacstack: --shard-timeout must be > 0\n";
+      1
+    end
+    else if Option.is_some shard_timeout && isolation <> Campaign.Processes then begin
+      Printf.eprintf "pacstack: --shard-timeout requires --isolation process\n";
       1
     end
     else begin
@@ -520,18 +523,21 @@ let inject_cmd =
       let policy =
         { Campaign.default_policy with isolation; shard_timeout_s = shard_timeout }
       in
-      let gate_name = Scheme.to_string gate in
-      let print_quarantines (outcome : _ Campaign.outcome) =
-        List.iter
-          (fun (q : Campaign.quarantine) ->
-            Printf.printf "quarantined shard %d (%s) after %d attempts: %s\n"
-              q.Campaign.shard q.Campaign.label q.Campaign.attempts q.Campaign.error)
-          outcome.Campaign.quarantined
+      let totals, _ =
+        Plans.inject_execute ?schemes ~pac_bits ~faults ~policy ~compact_every ~workers ~seed
+          ~checkpoint:resume ~progress Format.std_formatter
       in
-      let print_reproducers rs =
+      let gate_name = Scheme.to_string gate in
+      let offenders =
+        List.filter
+          (fun (r : Inject_engine.reproducer) -> String.equal r.Inject_engine.scheme gate_name)
+          totals.Inject_engine.silents
+      in
+      if no_gate || offenders = [] then 0
+      else begin
         Printf.printf "silent corruption under %s — JSON reproducers:\n" gate_name;
         List.iter
-          (fun (r : Inject_engine.reproducer) ->
+          (fun r ->
             let json =
               match Inject_engine.reproducer_to_json r with
               | Json.Obj fields ->
@@ -544,63 +550,17 @@ let inject_cmd =
               | other -> other
             in
             print_endline (Json.to_string json))
-          rs
-      in
-      if mega then begin
-        let plan = Plans.mega_plan ?schemes ~pac_bits ~faults ~shard_faults ~seed () in
-        let outcome =
-          Campaign.run ~workers ~progress ~policy
-            ?checkpoint:(Option.map (fun path -> (path, Plans.mega_codec)) resume)
-            ?compaction:
-              (Option.map (fun _ -> Plans.mega_compaction ~keep:compact_every) resume)
-            plan
-        in
-        let totals = Plans.mega_totals outcome in
-        Plans.pp_mega_table Format.std_formatter totals;
-        print_quarantines outcome;
-        let gate_silents =
-          match List.assoc_opt gate_name totals.Mega.cells with
-          | Some c -> c.Mega.silent
+          offenders;
+        let silent =
+          match List.assoc_opt gate_name totals.Inject_engine.cells with
+          | Some c -> c.Inject_engine.silent
           | None -> 0
         in
-        if no_gate || gate_silents = 0 then 0
-        else begin
-          print_reproducers
-            (List.filter
-               (fun (r : Inject_engine.reproducer) ->
-                 String.equal r.Inject_engine.scheme gate_name)
-               totals.Mega.repro);
-          let dropped = Mega.repro_dropped totals in
-          if dropped > 0 then
-            Printf.printf
-              "(%d further silent event(s) beyond the %d-reproducer retention cap)\n"
-              dropped Mega.repro_cap;
-          1
-        end
-      end
-      else begin
-        let plan = Plans.inject_plan ?schemes ~pac_bits ~faults ~seed () in
-        let outcome =
-          Campaign.run ~workers ~progress ~policy
-            ?checkpoint:(Option.map (fun path -> (path, Plans.inject_codec)) resume)
-            plan
-        in
-        let totals = Plans.inject_totals outcome in
-        Plans.pp_inject_table Format.std_formatter totals;
-        print_quarantines outcome;
-        let offenders =
-          if no_gate then []
-          else
-            List.filter
-              (fun (r : Inject_engine.reproducer) ->
-                String.equal r.Inject_engine.scheme gate_name)
-              totals.Inject_engine.silents
-        in
-        match offenders with
-        | [] -> 0
-        | rs ->
-          print_reproducers rs;
-          1
+        if silent > List.length offenders then
+          Printf.printf "(%d further silent event(s) beyond the %d-per-scheme reproducer cap)\n"
+            (silent - List.length offenders)
+            Inject_engine.repro_cap;
+        1
       end
     end
   in

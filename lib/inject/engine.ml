@@ -411,9 +411,36 @@ let run_fault cfg ~campaign_seed index =
 (* ------------------------------------------------------------------ *)
 (* Mergeable campaign statistics                                       *)
 
-type cell = { detected : int; benign : int; silent : int; latency_sum : int }
+(* Constant-size sufficient statistics. Each cell holds counters plus a
+   32-bucket log2 histogram of detection latencies, and each scheme
+   keeps the reproducers of its [repro_cap] smallest silent fault
+   indices, so a shard's summary is O(schemes x sites) however many
+   faults it ran. [merge] is associative AND commutative:
 
-let cell_zero = { detected = 0; benign = 0; silent = 0; latency_sum = 0 }
+   - counters and histograms add pointwise;
+   - "keep the K smallest per scheme" commutes with union: the K
+     smallest of a union are the K smallest of the per-part K smallest,
+     in any grouping or order.
+
+   Commutativity matters beyond worker-order independence: a campaign
+   resumed from a compacted checkpoint folds the merged blob before the
+   per-shard remainder, so fold order differs between an interrupted
+   and an uninterrupted run, and the totals are still bit-identical. *)
+
+let hist_buckets = 32
+let repro_cap = 32
+
+type cell = {
+  detected : int;
+  benign : int;
+  silent : int;
+  latency_sum : int;
+  latency_hist : int array;  (* log2 buckets; treated as immutable *)
+}
+
+let cell_zero =
+  { detected = 0; benign = 0; silent = 0; latency_sum = 0;
+    latency_hist = Array.make hist_buckets 0 }
 
 let cell_add a b =
   {
@@ -421,7 +448,33 @@ let cell_add a b =
     benign = a.benign + b.benign;
     silent = a.silent + b.silent;
     latency_sum = a.latency_sum + b.latency_sum;
+    latency_hist = Array.map2 ( + ) a.latency_hist b.latency_hist;
   }
+
+(* Bucket 0 holds latencies 0 and 1; bucket b >= 1 holds (2^(b-1), 2^b],
+   saturating at the last bucket. *)
+let bucket latency =
+  if latency <= 1 then 0
+  else begin
+    (* smallest b with 2^b >= latency, i.e. ceil(log2 latency) *)
+    let b = ref 0 and v = ref (latency - 1) in
+    while !v > 0 && !b < hist_buckets - 1 do
+      incr b;
+      v := !v lsr 1
+    done;
+    !b
+  end
+
+(* Bucket bounds for [Stats.weighted_percentile]: the histogram's tail
+   quantiles without retaining a single sample. *)
+let hist_bounds =
+  Array.init (hist_buckets + 1) (fun i -> if i = 0 then 0.0 else Float.of_int (1 lsl (i - 1)))
+
+let latency_percentile cell p =
+  if cell.detected = 0 then None
+  else
+    Some
+      (Pacstack_util.Stats.weighted_percentile ~bounds:hist_bounds ~counts:cell.latency_hist p)
 
 type reproducer = { fault : int; scheme : string; site : string }
 
@@ -430,7 +483,7 @@ type stats = {
   cells : (string * cell) list;  (** per scheme name, canonical order *)
   site_cells : ((string * string) * cell) list;
       (** per (site, scheme), site-major in Fault.all_sites order *)
-  silents : reproducer list;  (** sorted by (fault, scheme) *)
+  silents : reproducer list;  (** sorted by (fault, scheme), capped per scheme *)
 }
 
 let empty = { faults = 0; cells = []; site_cells = []; silents = [] }
@@ -461,8 +514,16 @@ let sort_site_cells cells =
       compare (site_rank sa, sa, scheme_rank na, na) (site_rank sb, sb, scheme_rank nb, nb))
     cells
 
-let sort_silents silents =
-  List.stable_sort (fun a b -> compare (a.fault, a.scheme) (b.fault, b.scheme)) silents
+(* The canonical reproducer list: sorted by (fault, scheme), keeping the
+   [repro_cap] smallest fault indices of each scheme. *)
+let cap_silents silents =
+  let kept = Hashtbl.create 16 in
+  List.filter
+    (fun r ->
+      let n = Option.value (Hashtbl.find_opt kept r.scheme) ~default:0 in
+      Hashtbl.replace kept r.scheme (n + 1);
+      n < repro_cap)
+    (List.stable_sort (fun a b -> compare (a.fault, a.scheme) (b.fault, b.scheme)) silents)
 
 let bump_cell cells name f =
   let found = List.mem_assoc name cells in
@@ -486,7 +547,13 @@ let add_result stats (r : result) =
   let bump c =
     match r.classification with
     | Detected { latency; _ } ->
-      { c with detected = c.detected + 1; latency_sum = c.latency_sum + latency }
+      let b = bucket latency in
+      {
+        c with
+        detected = c.detected + 1;
+        latency_sum = c.latency_sum + latency;
+        latency_hist = Array.mapi (fun i n -> if i = b then n + 1 else n) c.latency_hist;
+      }
     | Benign -> { c with benign = c.benign + 1 }
     | Silent -> { c with silent = c.silent + 1 }
   in
@@ -494,8 +561,7 @@ let add_result stats (r : result) =
   let site_cells = bump_site_cell stats.site_cells (site, name) bump in
   let silents =
     match r.classification with
-    | Silent ->
-      sort_silents ({ fault = r.spec.Fault.index; scheme = name; site } :: stats.silents)
+    | Silent -> cap_silents ({ fault = r.spec.Fault.index; scheme = name; site } :: stats.silents)
     | Detected _ | Benign -> stats.silents
   in
   { stats with cells; site_cells; silents }
@@ -513,13 +579,28 @@ let merge a b =
     faults = a.faults + b.faults;
     cells;
     site_cells;
-    silents = sort_silents (a.silents @ b.silents);
+    silents = cap_silents (a.silents @ b.silents);
   }
 
+(* Derived, not stored: keeps [merge] pointwise with no cross-field
+   invariant to maintain. *)
+let repro_dropped s =
+  List.fold_left (fun n (_, c) -> n + c.silent) 0 s.cells - List.length s.silents
+
 let run_range cfg ~campaign_seed ~first ~count =
+  if Obs.enabled () then
+    Obs.Metrics.register_histogram "inject.detect_latency" ~lo:0. ~hi:4096. ~buckets:20;
   let stats = ref empty in
   for i = first to first + count - 1 do
     let results = run_fault cfg ~campaign_seed i in
+    if Obs.enabled () then
+      List.iter
+        (fun r ->
+          match r.classification with
+          | Detected { latency; _ } ->
+            Obs.Metrics.observe "inject.detect_latency" (float_of_int latency)
+          | Benign | Silent -> ())
+        results;
     stats :=
       List.fold_left add_result { !stats with faults = !stats.faults + 1 } results
   done;
@@ -536,87 +617,100 @@ let reproducer_to_json r =
       ("site", Json.String r.site);
     ]
 
+let cell_fields c =
+  [
+    ("detected", Json.Int c.detected);
+    ("benign", Json.Int c.benign);
+    ("silent", Json.Int c.silent);
+    ("latency_sum", Json.Int c.latency_sum);
+    ("latency_hist", Json.List (List.map (fun n -> Json.Int n) (Array.to_list c.latency_hist)));
+  ]
+
 let stats_to_json s =
   Json.Obj
     [
       ("faults", Json.Int s.faults);
       ( "cells",
         Json.List
-          (List.map
-             (fun (n, c) ->
-               Json.Obj
-                 [
-                   ("scheme", Json.String n);
-                   ("detected", Json.Int c.detected);
-                   ("benign", Json.Int c.benign);
-                   ("silent", Json.Int c.silent);
-                   ("latency_sum", Json.Int c.latency_sum);
-                 ])
-             s.cells) );
+          (List.map (fun (n, c) -> Json.Obj (("scheme", Json.String n) :: cell_fields c)) s.cells)
+      );
       ( "site_cells",
         Json.List
           (List.map
              (fun ((site, n), c) ->
-               Json.Obj
-                 [
-                   ("site", Json.String site);
-                   ("scheme", Json.String n);
-                   ("detected", Json.Int c.detected);
-                   ("benign", Json.Int c.benign);
-                   ("silent", Json.Int c.silent);
-                   ("latency_sum", Json.Int c.latency_sum);
-                 ])
+               Json.Obj (("site", Json.String site) :: ("scheme", Json.String n) :: cell_fields c))
              s.site_cells) );
       ("silents", Json.List (List.map reproducer_to_json s.silents));
     ]
+
+(* A checkpoint line is trusted only if some campaign could have written
+   it: no negative count, a full-length histogram whose mass is the
+   detection count, and no scheme with more retained reproducers than
+   silents. Anything else decodes to [None], so the campaign re-runs the
+   shard as it would a torn line. *)
+let valid_cell c =
+  c.detected >= 0 && c.benign >= 0 && c.silent >= 0 && c.latency_sum >= 0
+  && Array.length c.latency_hist = hist_buckets
+  && Array.for_all (fun n -> n >= 0) c.latency_hist
+  && Array.fold_left ( + ) 0 c.latency_hist = c.detected
+
+let valid s =
+  let retained name = List.length (List.filter (fun r -> String.equal r.scheme name) s.silents) in
+  s.faults >= 0
+  && List.for_all (fun (_, c) -> valid_cell c) s.cells
+  && List.for_all (fun (_, c) -> valid_cell c) s.site_cells
+  && List.for_all (fun r -> List.mem_assoc r.scheme s.cells) s.silents
+  && List.for_all (fun (n, c) -> retained n <= c.silent) s.cells
 
 let stats_of_json j =
   let ( let* ) = Option.bind in
   let int k o = Option.bind (Json.member k o) Json.to_int in
   let str k o = Option.bind (Json.member k o) Json.to_str in
-  let* faults = int "faults" j in
-  let* cells = Option.bind (Json.member "cells" j) Json.to_list in
-  let* cells =
-    List.fold_left
-      (fun acc o ->
+  let list k o f =
+    let* items = Option.bind (Json.member k o) Json.to_list in
+    List.fold_right
+      (fun x acc ->
         let* acc = acc in
-        let* n = str "scheme" o in
-        let* detected = int "detected" o in
-        let* benign = int "benign" o in
-        let* silent = int "silent" o in
-        let* latency_sum = int "latency_sum" o in
-        Some (acc @ [ (n, { detected; benign; silent; latency_sum }) ]))
-      (Some []) cells
+        let* y = f x in
+        Some (y :: acc))
+      items (Some [])
   in
-  let* site_cells = Option.bind (Json.member "site_cells" j) Json.to_list in
+  let cell o =
+    let* detected = int "detected" o in
+    let* benign = int "benign" o in
+    let* silent = int "silent" o in
+    let* latency_sum = int "latency_sum" o in
+    let* hist = list "latency_hist" o Json.to_int in
+    Some { detected; benign; silent; latency_sum; latency_hist = Array.of_list hist }
+  in
+  let* faults = int "faults" j in
+  let* cells =
+    list "cells" j (fun o ->
+        let* n = str "scheme" o in
+        let* c = cell o in
+        Some (n, c))
+  in
   let* site_cells =
-    List.fold_left
-      (fun acc o ->
-        let* acc = acc in
+    list "site_cells" j (fun o ->
         let* site = str "site" o in
         let* n = str "scheme" o in
-        let* detected = int "detected" o in
-        let* benign = int "benign" o in
-        let* silent = int "silent" o in
-        let* latency_sum = int "latency_sum" o in
-        Some (acc @ [ ((site, n), { detected; benign; silent; latency_sum }) ]))
-      (Some []) site_cells
+        let* c = cell o in
+        Some ((site, n), c))
   in
-  let* silents = Option.bind (Json.member "silents" j) Json.to_list in
   let* silents =
-    List.fold_left
-      (fun acc o ->
-        let* acc = acc in
+    list "silents" j (fun o ->
         let* fault = int "fault" o in
         let* scheme = str "scheme" o in
         let* site = str "site" o in
-        Some (acc @ [ { fault; scheme; site } ]))
-      (Some []) silents
+        Some { fault; scheme; site })
   in
-  Some
-    {
-      faults;
-      cells = sort_cells cells;
-      site_cells = sort_site_cells site_cells;
-      silents = sort_silents silents;
-    }
+  let s = { faults; cells; site_cells; silents } in
+  if not (valid s) then None
+  else
+    Some
+      {
+        s with
+        cells = sort_cells cells;
+        site_cells = sort_site_cells site_cells;
+        silents = cap_silents silents;
+      }

@@ -51,34 +51,83 @@ val run_fault : config -> campaign_seed:int64 -> int -> result list
     on any worker. Ticks the {!Pacstack_campaign.Watchdog} once per
     scheme. *)
 
-(** {1 Mergeable campaign statistics} *)
+(** {1 Mergeable campaign statistics}
 
-type cell = { detected : int; benign : int; silent : int; latency_sum : int }
+    Constant-size sufficient statistics: a summary's size is bounded by
+    the scheme and site counts, not by the number of faults folded in,
+    so one type serves every campaign size. *)
+
+type cell = {
+  detected : int;
+  benign : int;
+  silent : int;
+  latency_sum : int;
+  latency_hist : int array;
+      (** {!hist_buckets} log2 buckets of detection latency: bucket 0
+          counts latencies <= 1, bucket [b >= 1] counts
+          [(2^(b-1), 2^b]], saturating at the last bucket. Treat as
+          immutable. *)
+}
+
+val hist_buckets : int
+(** 32 — covers any [int] latency. *)
+
+val bucket : int -> int
+(** The histogram bucket a latency lands in. *)
+
+val latency_percentile : cell -> float -> float option
+(** Tail quantile of the detection-latency histogram via
+    {!Pacstack_util.Stats.weighted_percentile}; [None] when the cell has
+    no detections. Accurate to one log2 bucket. *)
 
 type reproducer = { fault : int; scheme : string; site : string }
 (** Everything needed to replay a silent corruption:
     [run_fault cfg ~campaign_seed fault]. *)
 
+val repro_cap : int
+(** Max reproducers retained per scheme (32). *)
+
 type stats = {
-  faults : int;
-  cells : (string * cell) list;  (** per scheme name, canonical order *)
+  faults : int;  (** faults executed (each fault runs every scheme) *)
+  cells : (string * cell) list;  (** per scheme name, registry order *)
   site_cells : ((string * string) * cell) list;
       (** per (site name, scheme name), sorted by (site order in
           {!Fault.all_sites}, scheme order) — the long-format
           detection-rate table *)
-  silents : reproducer list;  (** sorted by (fault, scheme) *)
+  silents : reproducer list;
+      (** per scheme, the reproducers of the {!repro_cap} smallest
+          silent fault indices; sorted by (fault, scheme) *)
 }
 
 val empty : stats
+
 val add_result : stats -> result -> stats
+(** Folds one classification into the statistics in constant space (the
+    [faults] counter is the caller's to bump, as {!run_range} does). *)
 
 val merge : stats -> stats -> stats
-(** Associative and commutative up to the canonical orderings — shard
-    merge order cannot change the campaign result. *)
+(** Associative and commutative: counters and histograms add pointwise,
+    and keep-K-smallest-per-scheme truncation commutes with union — so
+    neither shard merge order nor a resume from a compacted checkpoint
+    can change the campaign result. *)
+
+val repro_dropped : stats -> int
+(** Silent events whose reproducers the per-scheme cap did not retain
+    (derived, not stored). *)
 
 val run_range : config -> campaign_seed:int64 -> first:int -> count:int -> stats
-(** Runs faults [first .. first + count - 1] — one campaign shard. *)
+(** Runs faults [first .. first + count - 1] — one campaign shard —
+    folding every result into the statistics as it happens; also feeds
+    detection latencies into the ["inject.detect_latency"]
+    {!Pacstack_obs.Obs} histogram when observability is enabled. *)
 
 val stats_to_json : stats -> Json.t
+
 val stats_of_json : Json.t -> stats option
+(** Inverse of {!stats_to_json}. Returns [None] for statistics no
+    campaign can produce — a negative count, a histogram of the wrong
+    length or whose mass is not [detected], more retained reproducers
+    than silents for a scheme — so a corrupted checkpoint line re-runs
+    its shard instead of poisoning the totals. *)
+
 val reproducer_to_json : reproducer -> Json.t

@@ -6,7 +6,6 @@ module Speclike = Pacstack_workloads.Speclike
 module Server = Pacstack_workloads.Server
 module Bruteforce = Pacstack_attacker.Bruteforce
 module Inject_engine = Pacstack_inject.Engine
-module Mega = Pacstack_inject.Mega
 module Stats = Pacstack_util.Stats
 module Fleet = Pacstack_fleet.Fleet
 module Fleet_arrival = Pacstack_fleet.Arrival
@@ -270,7 +269,10 @@ let fuzz_stats_json (s : Fuzz_driver.stats) =
 
 (* --- fault injection ------------------------------------------------------ *)
 
-let inject_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?(shards = 8) ~seed () =
+(* Shard = contiguous fault range. Up to 4096 faults that is 8 shards;
+   beyond, shards hold at most 512 faults, so a campaign's checkpoint
+   granularity and in-flight memory stay bounded however long it runs. *)
+let inject_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?shards ~seed () =
   let cfg =
     {
       Inject_engine.default_config with
@@ -279,7 +281,11 @@ let inject_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?(shards = 8) ~
       tamper;
     }
   in
-  let shards = max 1 (min shards faults) in
+  let shards =
+    match shards with
+    | Some n -> max 1 (min n faults)
+    | None -> max (min faults 8) ((faults + 511) / 512)
+  in
   let parts = Plan.split_trials ~trials:faults ~shards in
   let ranges =
     let lo = ref 0 in
@@ -300,43 +306,72 @@ let inject_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?(shards = 8) ~
 let inject_codec =
   { Checkpoint.encode = Inject_engine.stats_to_json; decode = Inject_engine.stats_of_json }
 
+let inject_compaction ~keep = { Checkpoint.merge = Inject_engine.merge; keep }
+
 let inject_totals outcome =
   Campaign.fold outcome ~init:Inject_engine.empty ~f:Inject_engine.merge
 
-let inject_stats_json (s : Inject_engine.stats) =
-  match Inject_engine.stats_to_json s with
-  | Json.Obj fields -> fields
-  | other -> [ ("stats", other) ]
+(* Every reported rate carries a Wilson 95% interval ((0, 1) for an
+   empty cell): at rare-event scales the point estimate alone (often
+   exactly 0) says nothing about what the sample size actually excludes. *)
+let cell_total (c : Inject_engine.cell) =
+  c.Inject_engine.detected + c.Inject_engine.benign + c.Inject_engine.silent
 
-(* Every reported rate carries a Wilson 95% interval: at rare-event
-   scales the point estimate alone (often exactly 0) says nothing about
-   what the sample size actually excludes. *)
-let wilson_ci ~successes ~trials =
-  if trials = 0 then (0.0, 1.0) else Stats.wilson ~successes ~trials
+let silent_rate (c : Inject_engine.cell) =
+  let total = cell_total c in
+  if total = 0 then 0.0 else float_of_int c.Inject_engine.silent /. float_of_int total
+
+let inject_stats_json (s : Inject_engine.stats) =
+  let rates =
+    List.map
+      (fun (name, (c : Inject_engine.cell)) ->
+        let lo, hi = Stats.wilson ~successes:c.Inject_engine.silent ~trials:(cell_total c) in
+        Json.Obj
+          [
+            ("scheme", Json.String name);
+            ("trials", Json.Int (cell_total c));
+            ("silent_rate", Json.Float (silent_rate c));
+            ("wilson_lo", Json.Float lo);
+            ("wilson_hi", Json.Float hi);
+          ])
+      s.Inject_engine.cells
+  in
+  (match Inject_engine.stats_to_json s with
+  | Json.Obj fields -> fields
+  | other -> [ ("stats", other) ])
+  @ [
+      ("silent_rates", Json.List rates);
+      ("repro_dropped", Json.Int (Inject_engine.repro_dropped s));
+    ]
 
 (* The detection-rate table: per scheme, how the campaign's faults
-   classified and how long detected corruption lived. *)
+   classified, the silent rate with its Wilson interval, and how long
+   detected corruption lived (mean, and p95 from the log2 histogram). *)
 let pp_inject_table fmt (s : Inject_engine.stats) =
-  Format.fprintf fmt "%-24s %9s %9s %9s %13s %23s %13s@." "scheme" "detected" "benign"
-    "silent" "silent-rate" "wilson-95%" "mean-latency";
+  Format.fprintf fmt "%-24s %9s %9s %9s %11s %25s %9s %9s@." "scheme" "detected" "benign"
+    "silent" "silent-rate" "wilson-95%" "mean-lat" "p95-lat";
   List.iter
     (fun (name, (c : Inject_engine.cell)) ->
-      let total = c.Inject_engine.detected + c.Inject_engine.benign + c.Inject_engine.silent in
-      let rate =
-        if total = 0 then 0.0 else float_of_int c.Inject_engine.silent /. float_of_int total
+      let lo, hi = Stats.wilson ~successes:c.Inject_engine.silent ~trials:(cell_total c) in
+      let mean, p95 =
+        match Inject_engine.latency_percentile c 95.0 with
+        | None -> ("-", "-")
+        | Some p95 ->
+          ( Printf.sprintf "%.1f"
+              (float_of_int c.Inject_engine.latency_sum /. float_of_int c.Inject_engine.detected),
+            Printf.sprintf "%.0f" p95 )
       in
-      let lo, hi = wilson_ci ~successes:c.Inject_engine.silent ~trials:total in
-      let latency =
-        if c.Inject_engine.detected = 0 then "-"
-        else
-          Printf.sprintf "%.1f"
-            (float_of_int c.Inject_engine.latency_sum /. float_of_int c.Inject_engine.detected)
-      in
-      Format.fprintf fmt "%-24s %9d %9d %9d %13.3f %23s %13s@." name c.Inject_engine.detected
-        c.Inject_engine.benign c.Inject_engine.silent rate
-        (Printf.sprintf "[%.4f, %.4f]" lo hi)
-        latency)
-    s.Inject_engine.cells
+      Format.fprintf fmt "%-24s %9d %9d %9d %11.3e %25s %9s %9s@." name c.Inject_engine.detected
+        c.Inject_engine.benign c.Inject_engine.silent (silent_rate c)
+        (Printf.sprintf "[%.3e, %.3e]" lo hi)
+        mean p95)
+    s.Inject_engine.cells;
+  let dropped = Inject_engine.repro_dropped s in
+  if dropped > 0 then
+    Format.fprintf fmt "(%d silent reproducer%s beyond the %d-per-scheme cap not retained)@."
+      dropped
+      (if dropped = 1 then "" else "s")
+      Inject_engine.repro_cap
 
 (* The long-format detection-rate table: every (injection site, scheme)
    cell, site-major, with the detection rate and its Wilson interval —
@@ -347,102 +382,17 @@ let pp_inject_site_table fmt (s : Inject_engine.stats) =
   let last_site = ref "" in
   List.iter
     (fun ((site, name), (c : Inject_engine.cell)) ->
-      let total = c.Inject_engine.detected + c.Inject_engine.benign + c.Inject_engine.silent in
+      let total = cell_total c in
       let rate =
         if total = 0 then 0.0 else float_of_int c.Inject_engine.detected /. float_of_int total
       in
-      let lo, hi = wilson_ci ~successes:c.Inject_engine.detected ~trials:total in
+      let lo, hi = Stats.wilson ~successes:c.Inject_engine.detected ~trials:total in
       if !last_site <> "" && !last_site <> site then Format.fprintf fmt "@.";
       last_site := site;
       Format.fprintf fmt "%-16s %-24s %9d %9d %9d %10.3f %23s@." site name
         c.Inject_engine.detected c.Inject_engine.benign c.Inject_engine.silent rate
         (Printf.sprintf "[%.4f, %.4f]" lo hi))
     s.Inject_engine.site_cells
-
-(* --- mega campaigns: streaming sufficient statistics ---------------------- *)
-
-let mega_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?(shard_faults = 512)
-    ~seed () =
-  if faults < 1 then invalid_arg "Plans.mega_plan: faults < 1";
-  if shard_faults < 1 then invalid_arg "Plans.mega_plan: shard_faults < 1";
-  let cfg =
-    {
-      Inject_engine.default_config with
-      pac_bits;
-      schemes = Option.value schemes ~default:Inject_engine.default_config.schemes;
-      tamper;
-    }
-  in
-  let shards = (faults + shard_faults - 1) / shard_faults in
-  let ranges =
-    Array.init shards (fun i ->
-        let lo = i * shard_faults in
-        (lo, min faults (lo + shard_faults)))
-  in
-  Plan.make ~name:"inject-mega" ~seed
-    ~shards:
-      (Array.map (fun (lo, hi) -> (Printf.sprintf "faults[%d,%d)" lo hi, hi - lo)) ranges)
-    ~run:(fun shard _rng ->
-      let lo, hi = ranges.(shard.Shard.index) in
-      Mega.run_range cfg ~campaign_seed:seed ~first:lo ~count:(hi - lo))
-
-let mega_codec = { Checkpoint.encode = Mega.to_json; decode = Mega.of_json }
-let mega_compaction ~keep = { Checkpoint.merge = Mega.merge; keep }
-let mega_totals outcome = Campaign.fold outcome ~init:Mega.empty ~f:Mega.merge
-
-let mega_stats_json (t : Mega.t) =
-  let rates =
-    List.map
-      (fun (name, (c : Mega.cell)) ->
-        let total = c.Mega.detected + c.Mega.benign + c.Mega.silent in
-        let lo, hi = wilson_ci ~successes:c.Mega.silent ~trials:total in
-        Json.Obj
-          [
-            ("scheme", Json.String name);
-            ("trials", Json.Int total);
-            ( "silent_rate",
-              Json.Float
-                (if total = 0 then 0.0
-                 else float_of_int c.Mega.silent /. float_of_int total) );
-            ("wilson_lo", Json.Float lo);
-            ("wilson_hi", Json.Float hi);
-          ])
-      t.Mega.cells
-  in
-  (match Mega.to_json t with
-  | Json.Obj fields -> fields
-  | other -> [ ("stats", other) ])
-  @ [
-      ("silent_rates", Json.List rates);
-      ("repro_dropped", Json.Int (Mega.repro_dropped t));
-    ]
-
-let pp_mega_table fmt (t : Mega.t) =
-  Format.fprintf fmt "%-24s %10s %10s %8s %11s %25s %12s@." "scheme" "detected" "benign"
-    "silent" "silent-rate" "wilson-95%" "p95-latency";
-  List.iter
-    (fun (name, (c : Mega.cell)) ->
-      let total = c.Mega.detected + c.Mega.benign + c.Mega.silent in
-      let rate =
-        if total = 0 then 0.0 else float_of_int c.Mega.silent /. float_of_int total
-      in
-      let lo, hi = wilson_ci ~successes:c.Mega.silent ~trials:total in
-      let p95 =
-        match Mega.latency_percentile c 95.0 with
-        | None -> "-"
-        | Some v -> Printf.sprintf "%.0f" v
-      in
-      Format.fprintf fmt "%-24s %10d %10d %8d %11.3e %25s %12s@." name c.Mega.detected
-        c.Mega.benign c.Mega.silent rate
-        (Printf.sprintf "[%.3e, %.3e]" lo hi)
-        p95)
-    t.Mega.cells;
-  let dropped = Mega.repro_dropped t in
-  if dropped > 0 then
-    Format.fprintf fmt "(%d silent reproducer%s beyond the %d-entry cap not retained)@."
-      dropped
-      (if dropped = 1 then "" else "s")
-      Mega.repro_cap
 
 let quarantine_json (outcome : _ Campaign.outcome) =
   ( "quarantined",
@@ -865,6 +815,31 @@ let fleet_entry =
     execute = fleet_execute Fleet.default;
   }
 
+(* --- fault injection runner ------------------------------------------------ *)
+
+let inject_execute ?schemes ?(pac_bits = 4) ?(faults = 120) ?policy ?(compact_every = 256)
+    ~workers ~seed ~checkpoint ~progress fmt =
+  let outcome =
+    Campaign.run ~workers ~progress ?policy
+      ?checkpoint:(with_checkpoint checkpoint inject_codec)
+      ?compaction:(Option.map (fun _ -> inject_compaction ~keep:compact_every) checkpoint)
+      (inject_plan ?schemes ~pac_bits ~faults ~seed ())
+  in
+  let totals = inject_totals outcome in
+  Format.fprintf fmt "inject: %d faults x %d schemes at pac_bits=%d, seed %Ld@."
+    totals.Inject_engine.faults
+    (List.length totals.Inject_engine.cells)
+    pac_bits seed;
+  pp_inject_table fmt totals;
+  pp_inject_site_table fmt totals;
+  List.iter
+    (fun (q : Campaign.quarantine) ->
+      Format.fprintf fmt "quarantined shard %d (%s) after %d attempts: %s@." q.Campaign.shard
+        q.Campaign.label q.Campaign.attempts q.Campaign.error)
+    outcome.Campaign.quarantined;
+  ( totals,
+    Json.Obj (outcome_header outcome @ inject_stats_json totals @ [ quarantine_json outcome ]) )
+
 let inject_entry =
   {
     name = "inject";
@@ -872,24 +847,7 @@ let inject_entry =
     default_seed = 7L;
     execute =
       (fun ~workers ~seed ~checkpoint ~progress fmt ->
-        let plan = inject_plan ~seed () in
-        let outcome =
-          Campaign.run ~workers ~progress
-            ?checkpoint:(with_checkpoint checkpoint inject_codec) plan
-        in
-        let totals = inject_totals outcome in
-        pp_inject_table fmt totals;
-        pp_inject_site_table fmt totals;
-        (match outcome.Campaign.quarantined with
-        | [] -> ()
-        | qs ->
-          Format.fprintf fmt "quarantined shards:@.";
-          List.iter
-            (fun (q : Campaign.quarantine) ->
-              Format.fprintf fmt "  shard %d (%s) after %d attempts: %s@." q.Campaign.shard
-                q.Campaign.label q.Campaign.attempts q.Campaign.error)
-            qs);
-        Json.Obj (outcome_header outcome @ inject_stats_json totals @ [ quarantine_json outcome ]));
+        snd (inject_execute ~workers ~seed ~checkpoint ~progress fmt));
   }
 
 let entries =

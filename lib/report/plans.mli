@@ -105,69 +105,63 @@ val inject_plan :
   seed:int64 ->
   unit ->
   Pacstack_inject.Engine.stats Plan.t
-(** Deterministic fault injection: each shard runs a contiguous fault
-    range (default 120 faults over 8 shards) under the given schemes
-    (default all six) at [pac_bits] (default 4, so the 2^-b collision
-    events of the reuse analysis are observable). Fault [i] depends only
-    on the campaign seed and [i] — identical at any worker count.
-    [tamper] is the test-only planted-fault hook of
+(** Deterministic fault injection: each shard folds a contiguous fault
+    range (default 120 faults) into constant-size
+    {!Pacstack_inject.Engine.stats}, under the given schemes (default
+    all) at [pac_bits] (default 4, so the 2^-b collision events of the
+    reuse analysis are observable). The shard count defaults to
+    [max (min faults 8) (ceil (faults / 512))]: 8 shards up to 4096
+    faults, at most 512 faults per shard beyond; [shards] overrides it.
+    Fault [i] depends only on the campaign seed and [i] — identical at
+    any worker count. [tamper] is the test-only planted-fault hook of
     {!Pacstack_inject.Engine.config}. *)
 
 val inject_codec : Pacstack_inject.Engine.stats Checkpoint.codec
+(** Checkpoint codec; corrupted lines decode to [None] and re-run (see
+    {!Pacstack_inject.Engine.stats_of_json}). *)
+
+val inject_compaction : keep:int -> Pacstack_inject.Engine.stats Checkpoint.compaction
+(** Checkpoint compaction policy: merge is
+    {!Pacstack_inject.Engine.merge} (associative and commutative, as
+    compaction requires). *)
 
 val inject_totals :
   Pacstack_inject.Engine.stats Campaign.outcome -> Pacstack_inject.Engine.stats
-(** Merge all shard statistics (quarantined shards contribute
-    nothing). *)
+(** Merge all shard statistics, including the compacted blob of a
+    resumed manifest (quarantined shards contribute nothing). *)
 
 val inject_stats_json : Pacstack_inject.Engine.stats -> (string * Json.t) list
+(** The merged statistics as JSON object fields, plus per-scheme
+    [silent_rates] with Wilson 95% bounds and the count of reproducers
+    dropped by the per-scheme cap. *)
 
 val pp_inject_table : Format.formatter -> Pacstack_inject.Engine.stats -> unit
-(** The per-scheme detection-rate table; silent rates carry Wilson 95%
-    intervals. *)
+(** The per-scheme detection-rate table: silent rates as Wilson 95%
+    intervals, mean and p95 detection latency. *)
 
 val pp_inject_site_table : Format.formatter -> Pacstack_inject.Engine.stats -> unit
 (** The long-format (injection site x scheme) detection-rate table with
     Wilson 95% intervals, site-major in {!Pacstack_inject.Fault.all_sites}
     order. *)
 
-(** {1 Mega campaigns (streaming sufficient statistics)} *)
-
-val mega_plan :
+val inject_execute :
   ?schemes:Pacstack_harden.Scheme.t list ->
   ?pac_bits:int ->
-  ?tamper:(Pacstack_machine.Machine.t -> unit) ->
   ?faults:int ->
-  ?shard_faults:int ->
+  ?policy:Campaign.policy ->
+  ?compact_every:int ->
+  workers:int ->
   seed:int64 ->
-  unit ->
-  Pacstack_inject.Mega.t Plan.t
-(** Like {!inject_plan} but each shard folds its contiguous fault range
-    into a constant-size {!Pacstack_inject.Mega.t} summary — memory is
-    O(shards), not O(faults), which is what makes 10^6+-fault campaigns
-    possible. [shard_faults] (default 512) is the faults-per-shard
-    granularity: shard count is [ceil (faults / shard_faults)]. Raises
-    [Invalid_argument] if [faults < 1] or [shard_faults < 1]. *)
-
-val mega_codec : Pacstack_inject.Mega.t Checkpoint.codec
-
-val mega_compaction : keep:int -> Pacstack_inject.Mega.t Checkpoint.compaction
-(** Checkpoint compaction policy for mega manifests: merge is
-    {!Pacstack_inject.Mega.merge} (associative and commutative, as
-    compaction requires). *)
-
-val mega_totals : Pacstack_inject.Mega.t Campaign.outcome -> Pacstack_inject.Mega.t
-(** Merge all shard summaries, including the compacted blob of a resumed
-    manifest. *)
-
-val mega_stats_json : Pacstack_inject.Mega.t -> (string * Json.t) list
-(** The merged summary as JSON object fields, plus per-scheme
-    [silent_rates] with Wilson 95% bounds and the count of reproducers
-    dropped by the retention cap. *)
-
-val pp_mega_table : Format.formatter -> Pacstack_inject.Mega.t -> unit
-(** The per-scheme table with silent rates as Wilson 95% intervals and
-    p95 detection latency from the log2 histogram sketch. *)
+  checkpoint:string option ->
+  progress:Progress.sink ->
+  Format.formatter ->
+  Pacstack_inject.Engine.stats * Json.t
+(** Runs the {!inject_plan} campaign, prints the per-scheme and
+    per-site tables and any quarantined shard, and returns the merged
+    statistics with their JSON — the shared engine behind the [inject]
+    subcommand, the [campaign inject] entry and [Report.injection]. A
+    [checkpoint] manifest is compacted whenever [compact_every]
+    (default 256) uncompacted shard lines accumulate. *)
 
 val quarantine_json : _ Campaign.outcome -> string * Json.t
 (** The outcome's quarantined shards as a JSON field. *)

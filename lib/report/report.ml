@@ -403,20 +403,9 @@ let confirm fmt =
 
 (* --- fault injection ---------------------------------------------------- *)
 
-let injection ?(seed = 7L) ?(workers = 1) ?(faults = 120) ?progress fmt =
+let injection ?(seed = 7L) ?(workers = 1) ?(faults = 120) ?(progress = Progress.null) fmt =
   section fmt "Fault injection: detection rate per scheme";
-  let plan = Plans.inject_plan ~faults ~seed () in
-  let outcome = Campaign.run ~workers ?progress plan in
-  let totals = Plans.inject_totals outcome in
-  Format.fprintf fmt "%d faults x %d schemes at pac_bits=4, seed %Ld@."
-    totals.Pacstack_inject.Engine.faults
-    (List.length totals.Pacstack_inject.Engine.cells)
-    seed;
-  Plans.pp_inject_table fmt totals;
-  Plans.pp_inject_site_table fmt totals;
-  match outcome.Campaign.quarantined with
-  | [] -> ()
-  | qs -> Format.fprintf fmt "quarantined shards: %d@." (List.length qs)
+  ignore (Plans.inject_execute ~faults ~workers ~seed ~checkpoint:None ~progress fmt)
 
 let fleet ?(seed = 7L) ?(workers = 1) ?(connections = 192) ?(progress = Progress.null) fmt =
   section fmt "Fleet simulation: per-scheme tail latency under open-loop load";

@@ -69,9 +69,11 @@ val sp_collisions : Format.formatter -> unit
 val injection :
   ?seed:int64 -> ?workers:int -> ?faults:int ->
   ?progress:Pacstack_campaign.Progress.sink -> Format.formatter -> unit
-(** Fault-injection campaign summary: per-scheme detected / benign /
-    silent counts with mean detection latency in cycles, at the
-    collision-observable PAC width. Identical for any worker count. *)
+(** Fault-injection campaign summary ({!Plans.inject_execute}):
+    per-scheme detected / benign / silent counts with Wilson intervals
+    and mean / p95 detection latency in cycles, then the per-site table,
+    at the collision-observable PAC width. Identical for any worker
+    count. *)
 
 val confirm : Format.formatter -> unit
 (** §7.3: the compatibility suite across all schemes. *)

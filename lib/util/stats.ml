@@ -121,7 +121,10 @@ let wilson ~successes ~trials =
     let denom = 1.0 +. (z2 /. n) in
     let centre = (p +. (z2 /. (2.0 *. n))) /. denom in
     let half = z /. denom *. sqrt (((p *. (1.0 -. p)) /. n) +. (z2 /. (4.0 *. n *. n))) in
-    (max 0.0 (centre -. half), min 1.0 (centre +. half))
+    (* at k = 0 and k = n the bounds are exactly 0 and 1; rounding in
+       centre -/+ half can land a hair inside and exclude the estimate *)
+    ( (if successes = 0 then 0.0 else max 0.0 (centre -. half)),
+      if successes = trials then 1.0 else min 1.0 (centre +. half) )
 
 let binomial_ci ~successes ~trials =
   if trials <= 0 then invalid_arg "Stats.binomial_ci";

@@ -418,7 +418,7 @@ let test_fail_fast_policy_aborts () =
     Alcotest.(check bool) "exception preserved" true
       (Printexc.to_string exn |> fun s -> contains s "fatal")
 
-(* --- Mega campaigns: hierarchical checkpoint compaction ------------------ *)
+(* --- hierarchical checkpoint compaction (inject campaigns) ---------------- *)
 
 (* The fork-based process pool and the SIGKILL crash-recovery e2e live
    in test_procpool.ml: OCaml 5 forbids Unix.fork in a process that has
@@ -426,20 +426,18 @@ let test_fail_fast_policy_aborts () =
    compaction tests below run at 1 worker (inline, no domains, no
    forks), so they stay here with the other checkpoint tests. *)
 
-let mega_fingerprint outcome = Plans.mega_totals outcome
-
 let test_compaction_resumes_identically () =
-  let plan () = Plans.mega_plan ~pac_bits:6 ~faults:24 ~shard_faults:4 ~seed:22L () in
+  let plan () = Plans.inject_plan ~pac_bits:6 ~faults:24 ~shards:6 ~seed:22L () in
   let uninterrupted = Campaign.run ~workers:1 (plan ()) in
   with_temp_checkpoint (fun path ->
       let compacted =
         Campaign.run
-          ~checkpoint:(path, Plans.mega_codec)
-          ~compaction:(Plans.mega_compaction ~keep:2)
+          ~checkpoint:(path, Plans.inject_codec)
+          ~compaction:(Plans.inject_compaction ~keep:2)
           (plan ())
       in
       Alcotest.(check bool) "compacted run = plain run" true
-        (mega_fingerprint compacted = mega_fingerprint uninterrupted);
+        (Plans.inject_totals compacted = Plans.inject_totals uninterrupted);
       (* the manifest has collapsed to the header plus merged statistics *)
       let lines = In_channel.with_open_text path In_channel.input_lines in
       Alcotest.(check bool) "manifest holds a merged line" true
@@ -448,29 +446,29 @@ let test_compaction_resumes_identically () =
         (List.length lines <= 3);
       let resumed =
         Campaign.run
-          ~checkpoint:(path, Plans.mega_codec)
-          ~compaction:(Plans.mega_compaction ~keep:2)
+          ~checkpoint:(path, Plans.inject_codec)
+          ~compaction:(Plans.inject_compaction ~keep:2)
           (plan ())
       in
       Alcotest.(check int) "every shard restored from the merged blob"
         (Plan.shard_count (plan ()))
         resumed.Campaign.resumed;
       Alcotest.(check bool) "resumed = uninterrupted" true
-        (mega_fingerprint resumed = mega_fingerprint uninterrupted))
+        (Plans.inject_totals resumed = Plans.inject_totals uninterrupted))
 
 (* A manifest truncated right after a compaction rename — merged line
    present, later per-shard appends lost — restores the covered shards
    and recomputes only the remainder, bit-identically. The merged blob
-   folds before the recomputed shards, which is why [Mega.merge] must be
+   folds before the recomputed shards, which is why [Engine.merge] must be
    commutative, not merely associative. *)
 let test_partial_compacted_manifest_resumes () =
-  let plan () = Plans.mega_plan ~pac_bits:6 ~faults:24 ~shard_faults:4 ~seed:23L () in
+  let plan () = Plans.inject_plan ~pac_bits:6 ~faults:24 ~shards:6 ~seed:23L () in
   let uninterrupted = Campaign.run ~workers:1 (plan ()) in
   with_temp_checkpoint (fun path ->
       let _ =
         Campaign.run
-          ~checkpoint:(path, Plans.mega_codec)
-          ~compaction:(Plans.mega_compaction ~keep:4)
+          ~checkpoint:(path, Plans.inject_codec)
+          ~compaction:(Plans.inject_compaction ~keep:4)
           (plan ())
       in
       let lines = In_channel.with_open_text path In_channel.input_lines in
@@ -482,13 +480,13 @@ let test_partial_compacted_manifest_resumes () =
           List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) kept);
       let resumed =
         Campaign.run
-          ~checkpoint:(path, Plans.mega_codec)
-          ~compaction:(Plans.mega_compaction ~keep:4)
+          ~checkpoint:(path, Plans.inject_codec)
+          ~compaction:(Plans.inject_compaction ~keep:4)
           (plan ())
       in
       Alcotest.(check int) "merged shards restored" 4 resumed.Campaign.resumed;
       Alcotest.(check bool) "resumed = uninterrupted" true
-        (mega_fingerprint resumed = mega_fingerprint uninterrupted))
+        (Plans.inject_totals resumed = Plans.inject_totals uninterrupted))
 
 (* Satellite: a manifest with both a torn trailing line and a corrupted
    interior line restores exactly the intact shards and recomputes the

@@ -17,6 +17,7 @@ module Fault = Pacstack_inject.Fault
 module Victim = Pacstack_inject.Victim
 module Engine = Pacstack_inject.Engine
 module Campaign = Pacstack_campaign.Campaign
+module Json = Pacstack_campaign.Json
 module Plans = Pacstack_report.Plans
 
 let temp_manifest () = Filename.temp_file "pacstack_inject" ".ck"
@@ -284,80 +285,112 @@ let test_misrouted_site_names_culprit () =
   check Fault.Signal_frame "signal-frame";
   check Fault.Reload_window "reload-window"
 
+(* A hand-corrupted checkpoint line describes statistics no campaign
+   can produce; the codec must reject it so the shard re-runs, exactly
+   as a torn line would, instead of poisoning (or crashing) the totals. *)
+let test_corrupted_checkpoint_line_reruns () =
+  let path = temp_manifest () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let plan () = Plans.inject_plan ~faults:8 ~shards:4 ~seed:5L () in
+      let run () = Campaign.run ~workers:1 ~checkpoint:(path, Plans.inject_codec) (plan ()) in
+      let clean = Plans.inject_totals (run ()) in
+      let corrupt f line =
+        match Json.parse line with
+        | Ok (Json.Obj fields) when List.mem_assoc "shard" fields ->
+          Json.to_string
+            (Json.Obj
+               (List.map
+                  (fun (k, v) ->
+                    if k <> "result" then (k, v)
+                    else
+                      match Engine.stats_of_json v with
+                      | Some s -> (k, Engine.stats_to_json (f s))
+                      | None -> Alcotest.fail "clean shard line did not decode")
+                  fields))
+        | _ -> line
+      in
+      let map_cells f (s : Engine.stats) =
+        { s with Engine.cells = List.map (fun (n, c) -> (n, f c)) s.Engine.cells }
+      in
+      let negative_silent = map_cells (fun c -> { c with Engine.silent = -3 }) in
+      let zeroed_hist =
+        map_cells (fun c -> { c with Engine.latency_hist = Array.make Engine.hist_buckets 0 })
+      in
+      let lines = In_channel.with_open_text path In_channel.input_lines in
+      Out_channel.with_open_text path (fun oc ->
+          List.iteri
+            (fun i l ->
+              let l =
+                if i = 1 then corrupt negative_silent l
+                else if i = 2 then corrupt zeroed_hist l
+                else l
+              in
+              Out_channel.output_string oc (l ^ "\n"))
+            lines);
+      let resumed = run () in
+      Alcotest.(check int) "both corrupted shards re-ran" 2 resumed.Campaign.resumed;
+      Alcotest.(check bool) "totals = clean run" true
+        (stats_equal clean (Plans.inject_totals resumed)))
+
+(* The reproducer cap is per scheme: masked pacstack's two blind 2^-4
+   window picks at seed 7 both survive, although all schemes together
+   have far more silents than one global 32-entry cap would hold. The
+   full list comes from running pacstack alone — each scheme's
+   classification is independent of the others'. *)
+let test_per_scheme_cap_keeps_gated_reproducers () =
+  let faults = 120 and pacstack = Scheme.to_string Scheme.pacstack in
+  let totals = Plans.inject_totals (Campaign.run (Plans.inject_plan ~faults ~seed:7L ())) in
+  let retained =
+    List.filter_map
+      (fun (r : Engine.reproducer) ->
+        if r.Engine.scheme = pacstack then Some r.Engine.fault else None)
+      totals.Engine.silents
+  in
+  let cfg = { Engine.default_config with schemes = [ Scheme.pacstack ] } in
+  let full =
+    List.filter
+      (fun i ->
+        List.exists
+          (fun (r : Engine.result) -> r.Engine.classification = Engine.Silent)
+          (Engine.run_fault cfg ~campaign_seed:7L i))
+      (List.init faults Fun.id)
+  in
+  Alcotest.(check (list int)) "retained = every pacstack silent" full retained;
+  Alcotest.(check int) "two blind window picks" 2 (List.length full);
+  Alcotest.(check bool) "more retained than one global cap would hold" true
+    (List.length totals.Engine.silents > Engine.repro_cap)
+
 (* --- statistics ----------------------------------------------------------- *)
 
 let test_stats_json_roundtrip () =
-  let stats = Engine.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:6 in
+  let stats = Engine.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:8 in
   match Engine.stats_of_json (Engine.stats_to_json stats) with
   | None -> Alcotest.fail "stats did not parse back"
   | Some parsed -> Alcotest.(check bool) "roundtrip" true (stats_equal stats parsed)
 
 let test_stats_merge_order_independent () =
   let cfg = Engine.default_config in
-  let a = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:3 in
-  let b = Engine.run_range cfg ~campaign_seed:7L ~first:3 ~count:3 in
-  let c = Engine.run_range cfg ~campaign_seed:7L ~first:6 ~count:3 in
+  let a = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:4 in
+  let b = Engine.run_range cfg ~campaign_seed:7L ~first:4 ~count:4 in
+  let c = Engine.run_range cfg ~campaign_seed:7L ~first:8 ~count:4 in
   let left = Engine.merge (Engine.merge a b) c in
   let right = Engine.merge a (Engine.merge b c) in
   let swapped = Engine.merge (Engine.merge c b) a in
   Alcotest.(check bool) "associative" true (stats_equal left right);
   Alcotest.(check bool) "commutative" true (stats_equal left swapped);
-  Alcotest.(check int) "all faults counted" 9 left.Engine.faults
+  Alcotest.(check int) "all faults counted" 12 left.Engine.faults;
+  let whole = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:12 in
+  Alcotest.(check bool) "grouping-free" true (stats_equal left whole)
 
-(* --- mega sufficient statistics ------------------------------------------- *)
+(* --- constant-size guarantees (mega-campaign scale) ------------------------ *)
 
-module Mega = Pacstack_inject.Mega
+(* What lets one statistics type serve any campaign size: the retained
+   reproducers stay bounded per scheme however many silent events
+   accumulate, and latency tails come from a fixed histogram. *)
 
-(* The streaming summary must agree with the O(events) Engine.stats it
-   replaces: same counters per scheme over the same fault range. *)
-let test_mega_agrees_with_engine_stats () =
-  let cfg = Engine.default_config in
-  let full = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:12 in
-  let mega = Mega.run_range cfg ~campaign_seed:7L ~first:0 ~count:12 in
-  Alcotest.(check int) "fault counts agree" full.Engine.faults mega.Mega.faults;
-  List.iter
-    (fun (name, (c : Engine.cell)) ->
-      match List.assoc_opt name mega.Mega.cells with
-      | None -> Alcotest.failf "scheme %s missing from mega cells" name
-      | Some (m : Mega.cell) ->
-        Alcotest.(check int) (name ^ " detected") c.Engine.detected m.Mega.detected;
-        Alcotest.(check int) (name ^ " benign") c.Engine.benign m.Mega.benign;
-        Alcotest.(check int) (name ^ " silent") c.Engine.silent m.Mega.silent;
-        Alcotest.(check int) (name ^ " histogram mass = detections") m.Mega.detected
-          (Array.fold_left ( + ) 0 m.Mega.latency_hist))
-    full.Engine.cells;
-  Alcotest.(check bool) "reproducers are a prefix of the full silent list" true
-    (List.for_all
-       (fun (r : Engine.reproducer) ->
-         List.exists (fun (s : Engine.reproducer) -> s = r) full.Engine.silents)
-       mega.Mega.repro)
-
-let test_mega_merge_order_independent () =
-  let cfg = Engine.default_config in
-  let a = Mega.run_range cfg ~campaign_seed:7L ~first:0 ~count:4 in
-  let b = Mega.run_range cfg ~campaign_seed:7L ~first:4 ~count:4 in
-  let c = Mega.run_range cfg ~campaign_seed:7L ~first:8 ~count:4 in
-  let left = Mega.merge (Mega.merge a b) c in
-  let right = Mega.merge a (Mega.merge b c) in
-  let swapped = Mega.merge c (Mega.merge b a) in
-  Alcotest.(check bool) "associative" true (left = right);
-  Alcotest.(check bool) "commutative" true (left = swapped);
-  Alcotest.(check int) "all faults counted" 12 left.Mega.faults;
-  (* and the merged summary equals the single-range fold *)
-  let whole = Mega.run_range cfg ~campaign_seed:7L ~first:0 ~count:12 in
-  Alcotest.(check bool) "grouping-free" true (left = whole)
-
-let test_mega_json_roundtrip () =
-  let mega = Mega.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:8 in
-  match Mega.of_json (Mega.to_json mega) with
-  | None -> Alcotest.fail "mega summary did not parse back"
-  | Some parsed -> Alcotest.(check bool) "roundtrip" true (mega = parsed)
-
-(* The retention cap: reproducers stay bounded at repro_cap however many
-   silent events accumulate, the kept set is the smallest (fault, scheme)
-   keys, and the drop count is derivable. *)
-let test_mega_reproducer_cap () =
-  let mk fault = { Engine.fault; scheme = "s"; site = "return-slot" } in
+let test_reproducer_cap () =
   let silent_result fault =
     { Engine.spec = Fault.derive ~campaign_seed:1L fault;
       scheme = Scheme.unprotected;
@@ -365,34 +398,91 @@ let test_mega_reproducer_cap () =
   in
   let t =
     List.fold_left
-      (fun t i -> Mega.add_result t (silent_result i))
-      Mega.empty
-      (List.init (2 * Mega.repro_cap) (fun i -> i))
+      (fun t i -> Engine.add_result t (silent_result i))
+      Engine.empty
+      (List.init (2 * Engine.repro_cap) (fun i -> i))
   in
-  Alcotest.(check int) "capped" Mega.repro_cap (List.length t.Mega.repro);
-  Alcotest.(check int) "dropped = silent - kept" Mega.repro_cap (Mega.repro_dropped t);
+  Alcotest.(check int) "capped" Engine.repro_cap (List.length t.Engine.silents);
+  Alcotest.(check int) "dropped = silent - kept" Engine.repro_cap (Engine.repro_dropped t);
   List.iteri
     (fun i (r : Engine.reproducer) ->
       Alcotest.(check int) "smallest keys kept, sorted" i r.Engine.fault)
-    t.Mega.repro;
-  ignore (mk 0)
+    t.Engine.silents;
+  let other =
+    Engine.add_result t { (silent_result 99) with Engine.scheme = Scheme.pacstack }
+  in
+  Alcotest.(check int) "the cap is per scheme" (Engine.repro_cap + 1)
+    (List.length other.Engine.silents)
 
-let test_mega_latency_histogram () =
-  Alcotest.(check int) "latency 0" 0 (Mega.bucket 0);
-  Alcotest.(check int) "latency 1" 0 (Mega.bucket 1);
-  Alcotest.(check int) "latency 2" 1 (Mega.bucket 2);
-  Alcotest.(check int) "latency 3" 2 (Mega.bucket 3);
-  Alcotest.(check int) "latency 4" 2 (Mega.bucket 4);
-  Alcotest.(check int) "latency 5" 3 (Mega.bucket 5);
-  Alcotest.(check int) "max_int saturates" (Mega.hist_buckets - 1) (Mega.bucket max_int);
-  (* percentile: None without detections, within one bucket otherwise *)
-  let mega = Mega.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:8 in
+(* A summary that has outgrown the reproducer cap under two schemes,
+   with detections spread over the whole latency range (saturating the
+   last histogram bucket) — the shape a mega-campaign shard reaches. *)
+let capped_summary ~first ~count =
+  List.fold_left
+    (fun t i ->
+      let scheme = if i mod 3 = 0 then Scheme.pacstack else Scheme.unprotected in
+      let classification =
+        if i mod 4 <> 3 then Engine.Silent
+        else
+          let latency = if i mod 8 = 7 then 1 lsl 40 else i * 977 in
+          Engine.Detected { cause = "auth"; latency }
+      in
+      Engine.add_result t { Engine.spec = Fault.derive ~campaign_seed:1L i; scheme; classification })
+    Engine.empty
+    (List.init count (fun k -> first + k))
+
+let test_mega_json_roundtrip () =
+  let t = capped_summary ~first:0 ~count:(8 * Engine.repro_cap) in
+  Alcotest.(check bool) "cap reached" true (Engine.repro_dropped t > 0);
+  match Engine.stats_of_json (Engine.stats_to_json t) with
+  | None -> Alcotest.fail "capped summary did not parse back"
+  | Some parsed ->
+    Alcotest.(check bool) "roundtrip" true (stats_equal t parsed);
+    Alcotest.(check int) "dropped count survives" (Engine.repro_dropped t)
+      (Engine.repro_dropped parsed);
+    Alcotest.(check bool) "saturated bucket survives" true
+      (List.exists
+         (fun ((_ : string), (c : Engine.cell)) ->
+           c.Engine.latency_hist.(Engine.hist_buckets - 1) > 0)
+         parsed.Engine.cells)
+
+(* Merging capped shards in any order and grouping equals folding every
+   result into one summary: the cap drops the same reproducers either
+   way, so a mega campaign's result does not depend on its sharding. *)
+let test_mega_merge_order_independent () =
+  let n = 4 * Engine.repro_cap in
+  let a = capped_summary ~first:0 ~count:n in
+  let b = capped_summary ~first:n ~count:n in
+  let c = capped_summary ~first:(2 * n) ~count:n in
+  let left = Engine.merge (Engine.merge a b) c in
+  let right = Engine.merge a (Engine.merge b c) in
+  let swapped = Engine.merge c (Engine.merge b a) in
+  Alcotest.(check bool) "associative" true (stats_equal left right);
+  Alcotest.(check bool) "commutative" true (stats_equal left swapped);
+  Alcotest.(check bool) "grouping-free" true
+    (stats_equal left (capped_summary ~first:0 ~count:(3 * n)));
+  Alcotest.(check bool) "every shard was capped" true
+    (List.for_all (fun s -> Engine.repro_dropped s > 0) [ a; b; c ])
+
+let test_latency_histogram () =
+  Alcotest.(check int) "latency 0" 0 (Engine.bucket 0);
+  Alcotest.(check int) "latency 1" 0 (Engine.bucket 1);
+  Alcotest.(check int) "latency 2" 1 (Engine.bucket 2);
+  Alcotest.(check int) "latency 3" 2 (Engine.bucket 3);
+  Alcotest.(check int) "latency 4" 2 (Engine.bucket 4);
+  Alcotest.(check int) "latency 5" 3 (Engine.bucket 5);
+  Alcotest.(check int) "max_int saturates" (Engine.hist_buckets - 1) (Engine.bucket max_int);
+  (* histogram mass = detections; percentile None without detections,
+     finite otherwise *)
+  let stats = Engine.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:8 in
   List.iter
-    (fun ((_ : string), (c : Mega.cell)) ->
-      match Mega.latency_percentile c 95.0 with
-      | None -> Alcotest.(check int) "None only without detections" 0 c.Mega.detected
+    (fun ((_ : string), (c : Engine.cell)) ->
+      Alcotest.(check int) "histogram mass = detections" c.Engine.detected
+        (Array.fold_left ( + ) 0 c.Engine.latency_hist);
+      match Engine.latency_percentile c 95.0 with
+      | None -> Alcotest.(check int) "None only without detections" 0 c.Engine.detected
       | Some p -> Alcotest.(check bool) "p95 positive and finite" true (p >= 0. && Float.is_finite p))
-    mega.Mega.cells
+    stats.Engine.cells
 
 let () =
   Alcotest.run "inject"
@@ -424,6 +514,10 @@ let () =
           Alcotest.test_case "worker independence" `Quick test_campaign_worker_independence;
           Alcotest.test_case "resume identical" `Quick test_campaign_resume_identical;
           Alcotest.test_case "planted tamper caught" `Quick test_planted_tamper_is_caught;
+          Alcotest.test_case "corrupted checkpoint line re-runs" `Quick
+            test_corrupted_checkpoint_line_reruns;
+          Alcotest.test_case "per-scheme cap keeps gated reproducers" `Quick
+            test_per_scheme_cap_keeps_gated_reproducers;
         ] );
       ( "stats",
         [
@@ -432,12 +526,10 @@ let () =
         ] );
       ( "mega",
         [
-          Alcotest.test_case "agrees with engine stats" `Quick
-            test_mega_agrees_with_engine_stats;
           Alcotest.test_case "merge order independent" `Quick
             test_mega_merge_order_independent;
           Alcotest.test_case "json roundtrip" `Quick test_mega_json_roundtrip;
-          Alcotest.test_case "reproducer cap" `Quick test_mega_reproducer_cap;
-          Alcotest.test_case "latency histogram" `Quick test_mega_latency_histogram;
+          Alcotest.test_case "reproducer cap" `Quick test_reproducer_cap;
+          Alcotest.test_case "latency histogram" `Quick test_latency_histogram;
         ] );
     ]

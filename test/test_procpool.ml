@@ -1,4 +1,4 @@
-(* Tests for the fork-based process pool and the crash-isolated mega
+(* Tests for the fork-based process pool and the crash-isolated
    campaign executor.
 
    These live in their own binary, separate from test_campaign.ml, for a
@@ -106,7 +106,7 @@ let test_procpool_rejects_bad_args () =
   Alcotest.check_raises "workers < 1" (Invalid_argument "Procpool.run: workers < 1")
     (fun () -> ignore (Procpool.run ~workers:0 ~tasks:1 (fun ~task ~attempt:_ -> task)))
 
-(* --- Mega campaign under process isolation ------------------------------- *)
+(* --- inject campaign under process isolation ----------------------------- *)
 
 let no_backoff = { Campaign.default_policy with backoff_s = (fun _ -> 0.) }
 let process_policy = { no_backoff with Campaign.isolation = Campaign.Processes }
@@ -118,7 +118,7 @@ let process_policy = { no_backoff with Campaign.isolation = Campaign.Processes }
    injected by the env-var test hook the CI smoke also uses; attempt 2
    of the same shard runs clean on a re-derived RNG. *)
 let test_process_pool_survives_sigkill () =
-  let plan () = Plans.mega_plan ~pac_bits:6 ~faults:24 ~shard_faults:4 ~seed:21L () in
+  let plan () = Plans.inject_plan ~pac_bits:6 ~faults:24 ~shards:6 ~seed:21L () in
   let reference = Campaign.run ~workers:1 (plan ()) in
   Unix.putenv "PACSTACK_TEST_KILL_SHARD" "2";
   Fun.protect
@@ -137,7 +137,7 @@ let test_process_pool_survives_sigkill () =
       Alcotest.(check int) "killed shard retried" 1 !retried;
       Alcotest.(check int) "pool degraded once" 1 !degraded;
       Alcotest.(check bool) "process-pool totals = 1-worker totals" true
-        (Plans.mega_totals outcome = Plans.mega_totals reference))
+        (Plans.inject_totals outcome = Plans.inject_totals reference))
 
 (* A shard whose child ALWAYS dies abnormally ends up quarantined in the
    manifest, and the campaign still completes every healthy shard. *)
