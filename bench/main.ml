@@ -119,7 +119,7 @@ module Fuzz_oracle = Pacstack_fuzz.Oracle
 
 let test_fuzz_seed =
   (* one full differential check: generate, interpret, compile and run
-     under all 6 schemes x {peephole off, on} *)
+     under every registered scheme x {peephole off, on} *)
   Test.make ~name:"fuzz_seed_all_schemes"
     (Staged.stage (fun () ->
          Fuzz_driver.run_seed Fuzz_oracle.default_config ~campaign_seed:11L 3))

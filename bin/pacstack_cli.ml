@@ -15,6 +15,9 @@ module Inject_engine = Pacstack_inject.Engine
 module Fleet = Pacstack_fleet.Fleet
 module Fleet_arrival = Pacstack_fleet.Arrival
 module Obs = Pacstack_obs.Obs
+module Campaign = Pacstack_campaign.Campaign
+module Progress = Pacstack_campaign.Progress
+module Json = Pacstack_campaign.Json
 
 let scheme_conv =
   let parse s =
@@ -133,7 +136,11 @@ let all_cmd =
   section_cmd "all" "Regenerate every table, figure and security experiment." (fun fmt ->
       Report.all fmt)
 
-(* --- campaign-style subcommands: interrupt handling ----------------------- *)
+(* --- campaign-style subcommands: shared flags and runner ------------------- *)
+
+let fail msg =
+  Printf.eprintf "pacstack: %s\n" msg;
+  1
 
 (* SIGINT/SIGTERM during a campaign flush every open checkpoint manifest
    before exiting with the conventional 128+signum code, so an
@@ -159,18 +166,6 @@ let with_campaign_signals f =
         List.iter (fun (s, previous) -> try ignore (Sys.signal s previous) with _ -> ()) saved)
     f
 
-(* --- --trace: lib/obs instrumentation on the campaign subcommands -------- *)
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Enable lib/obs instrumentation for this run and write the metrics registry plus \
-           merged trace events to $(docv) as JSON lines afterwards. Results are identical \
-           with or without tracing.")
-
 (* Runs [f] with obs enabled when --trace was given, handing it an obs
    progress sink to compose with the rendering sink. The trace file is
    written even when the run exits non-zero (a failing gate is exactly
@@ -178,7 +173,7 @@ let trace_arg =
    Fun.protect. *)
 let with_trace trace f =
   match trace with
-  | None -> f (fun (_ : Pacstack_campaign.Progress.event) -> ())
+  | None -> f (fun (_ : Progress.event) -> ())
   | Some path ->
     Obs.reset ();
     Obs.enable ();
@@ -190,17 +185,10 @@ let with_trace trace f =
         Printf.eprintf "wrote trace %s\n%!" path)
       (fun () -> f (Obs.Campaign_hooks.progress_sink ()))
 
-(* --- campaign: the parallel experiment engine ----------------------------- *)
+type campaign_opts = { workers : int; trace : string option; quiet : bool }
 
-let campaign_cmd =
-  let open Pacstack_campaign in
-  let name_arg =
-    let names = String.concat ", " (List.map (fun e -> e.Plans.name) Plans.entries) in
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"CAMPAIGN" ~doc:("One of: " ^ names ^ "; or 'list' to enumerate."))
-  in
+(* --workers, --trace and --quiet, shared by every campaign-style subcommand *)
+let campaign_opts =
   let workers =
     Arg.(
       value & opt int 1
@@ -209,33 +197,95 @@ let campaign_cmd =
             "Worker domains. 1 (the default) is sequential; results are identical for any \
              value. 0 means one per recommended domain.")
   in
+  let trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Enable lib/obs instrumentation for this run and write the metrics registry plus \
+             merged trace events to $(docv) as JSON lines afterwards. Results are identical \
+             with or without tracing.")
+  in
+  let quiet =
+    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress events on stderr.")
+  in
+  Term.(const (fun workers trace quiet -> { workers; trace; quiet }) $ workers $ trace $ quiet)
+
+let resume_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "resume" ] ~docv:"FILE"
+        ~doc:
+          "Checkpoint manifest. Created if absent; shards already recorded there are \
+           restored instead of re-run, so re-running after an interrupt completes only \
+           the remainder.")
+
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"OUT" ~doc:"Also write the merged results as JSON to $(docv).")
+
+(* -s/--scheme as a restriction: [None] means every registered scheme *)
+let schemes_arg =
+  Term.(
+    const (Option.map (fun s -> [ s ]))
+    $ Arg.(
+        value
+        & opt (some scheme_conv) None
+        & info [ "s"; "scheme" ]
+            ~doc:"Restrict to one hardening scheme (default: every registered scheme)."))
+
+let seed_arg default doc = Arg.(value & opt int64 default & info [ "seed" ] ~doc)
+
+(* The one runner behind campaign, fuzz, inject and fleet: validates and
+   resolves --workers, installs the interrupt handlers and --trace,
+   composes the progress sink, runs [body], and writes the JSON it
+   returns to [json] when given. Returns [body]'s exit code. *)
+let run_campaign ?json opts body =
+  if opts.workers < 0 then fail "--workers must be >= 0"
+  else
+    with_campaign_signals @@ fun () ->
+    with_trace opts.trace @@ fun obs ->
+    let workers =
+      if opts.workers = 0 then Pacstack_campaign.Pool.default_workers () else opts.workers
+    in
+    let render =
+      if opts.quiet then Progress.null
+      else Progress.formatter Format.err_formatter
+    in
+    let code, result =
+      body ~workers ~progress:(fun e ->
+          obs e;
+          render e)
+    in
+    Option.iter
+      (fun path ->
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc (Json.to_string result ^ "\n"));
+        Printf.printf "wrote %s\n" path)
+      json;
+    code
+
+(* --- campaign: the parallel experiment engine ----------------------------- *)
+
+let campaign_cmd =
+  let name_arg =
+    let names = String.concat ", " (List.map (fun e -> e.Plans.name) Plans.entries) in
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"CAMPAIGN" ~doc:("One of: " ^ names ^ "; or 'list' to enumerate."))
+  in
   let seed =
     Arg.(
       value
       & opt (some int64) None
       & info [ "seed" ] ~doc:"Campaign seed (default: the campaign's canonical seed).")
   in
-  let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Checkpoint manifest. Created if absent; shards already recorded there are \
-             restored instead of re-run, so re-running after an interrupt completes only \
-             the remainder.")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"OUT" ~doc:"Also write the merged results as JSON to $(docv).")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress events on stderr.")
-  in
-  let action name workers seed resume json_out trace quiet =
-    with_campaign_signals @@ fun () ->
+  let action name seed resume json opts =
     if name = "list" then begin
       List.iter
         (fun e -> Printf.printf "%-12s %s (default seed %Ld)\n" e.Plans.name e.Plans.doc e.Plans.default_seed)
@@ -244,141 +294,81 @@ let campaign_cmd =
     end
     else
       match Plans.find name with
-      | None ->
-        Printf.eprintf
-          "pacstack: unknown campaign %S; try 'pacstack campaign list'.\n" name;
-        1
+      | None -> fail (Printf.sprintf "unknown campaign %S; try 'pacstack campaign list'." name)
       | Some entry ->
-        let workers = if workers = 0 then Pool.default_workers () else workers in
-        if workers < 1 then begin
-          Printf.eprintf "pacstack: --workers must be >= 0\n";
-          1
-        end
-        else begin
-          with_trace trace @@ fun obs ->
-          let render =
-            if quiet then Progress.null else Progress.formatter Format.err_formatter
-          in
-          let progress e = obs e; render e in
-          let seed = Option.value seed ~default:entry.Plans.default_seed in
-          let json =
-            entry.Plans.execute ~workers ~seed ~checkpoint:resume ~progress
-              Format.std_formatter
-          in
-          (match json_out with
-          | None -> ()
-          | Some path ->
-            Out_channel.with_open_text path (fun oc ->
-                Out_channel.output_string oc (Json.to_string json ^ "\n"));
-            Printf.printf "wrote %s\n" path);
-          0
-        end
+        run_campaign ?json opts @@ fun ~workers ~progress ->
+        let seed = Option.value seed ~default:entry.Plans.default_seed in
+        (0, entry.Plans.execute ~workers ~seed ~checkpoint:resume ~progress Format.std_formatter)
   in
   Cmd.v
     (Cmd.info "campaign"
        ~doc:
          "Run an experiment campaign on a parallel worker pool with deterministic sharding, \
           checkpoint/resume and progress events.")
-    Term.(const action $ name_arg $ workers $ seed $ resume $ json_out $ trace_arg $ quiet)
+    Term.(const action $ name_arg $ seed $ resume_arg $ json_arg $ campaign_opts)
 
 (* --- fuzz: differential fuzzing against the reference interpreter -------- *)
 
 let fuzz_cmd =
-  let open Pacstack_campaign in
   let seeds =
     Arg.(value & opt int 200 & info [ "seeds" ] ~doc:"Number of random programs to generate.")
   in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "w"; "workers" ]
-          ~doc:
-            "Worker domains; the report is identical for any value. 0 means one per \
-             recommended domain.")
-  in
-  let seed =
-    Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Campaign seed; program $(i,i) depends only on (seed, i).")
-  in
-  let scheme =
-    Arg.(
-      value
-      & opt (some scheme_conv) None
-      & info [ "s"; "scheme" ] ~doc:"Restrict to one hardening scheme (default: every registered scheme).")
-  in
+  let seed = seed_arg 1L "Campaign seed; program $(i,i) depends only on (seed, i)." in
   let no_peephole =
     Arg.(value & flag & info [ "no-peephole" ] ~doc:"Only compile with the peephole optimizer off.")
   in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress events on stderr.")
-  in
-  let action seeds workers seed scheme no_peephole trace quiet =
-    with_campaign_signals @@ fun () ->
-    if seeds < 1 then begin
-      Printf.eprintf "pacstack: --seeds must be >= 1\n";
-      1
-    end
-    else begin
-      with_trace trace @@ fun obs ->
-      let workers = if workers = 0 then Pool.default_workers () else workers in
-      let render =
-        if quiet then Progress.null else Progress.formatter Format.err_formatter
-      in
-      let progress e = obs e; render e in
-      let schemes = Option.map (fun s -> [ s ]) scheme in
+  let action seeds seed schemes no_peephole opts =
+    if seeds < 1 then fail "--seeds must be >= 1"
+    else
+      run_campaign opts @@ fun ~workers ~progress ->
       let optimize = if no_peephole then Some [ false ] else None in
-      let plan = Plans.fuzz_plan ?schemes ?optimize ~seeds ~seed () in
-      let outcome = Campaign.run ~workers ~progress plan in
-      let totals = Plans.fuzz_totals outcome in
       let fmt = Format.std_formatter in
-      Format.fprintf fmt "%a@." Fuzz_driver.pp_stats totals;
-      Format.fprintf fmt "throughput: %.1f programs/s@."
-        (float_of_int totals.Fuzz_driver.programs /. max 1e-9 outcome.Campaign.elapsed_s);
-      (match Pacstack_fuzz.Triage.buckets (Fuzz_driver.triage_entries totals) with
-      | [] -> ()
-      | buckets ->
-        Format.fprintf fmt "@[<v>divergence buckets:@,%a@]@." Pacstack_fuzz.Triage.pp_buckets
-          buckets);
-      match totals.Fuzz_driver.failures with
-      | [] ->
-        if totals.Fuzz_driver.crashes > 0 then begin
-          Format.fprintf fmt "harness crashes on %d seeds — fuzzer bug@." totals.Fuzz_driver.crashes;
+      let (totals, _), json =
+        Plans.execute ~workers ~progress ~seed (Plans.fuzz ?schemes ?optimize ~seeds ()) fmt
+      in
+      let code =
+        match totals.Fuzz_driver.failures with
+        | [] ->
+          if totals.Fuzz_driver.crashes > 0 then begin
+            Format.fprintf fmt "harness crashes on %d seeds — fuzzer bug@." totals.Fuzz_driver.crashes;
+            1
+          end
+          else begin
+            Format.fprintf fmt "all programs agree with the reference interpreter@.";
+            0
+          end
+        | (f : Fuzz_driver.failure) :: _ ->
+          (* Reproduce the first divergence from its seed alone, shrink it
+             against the failing (scheme, peephole) variant, and print the
+             minimised program. *)
+          let cfg =
+            {
+              Pacstack_fuzz.Oracle.default_config with
+              schemes =
+                (match Scheme.of_string f.Fuzz_driver.scheme with
+                | Some s -> [ s ]
+                | None -> Scheme.all);
+              optimize = [ f.Fuzz_driver.optimize ];
+            }
+          in
+          let diverges p =
+            match Pacstack_fuzz.Oracle.check cfg p with
+            | Pacstack_fuzz.Oracle.Disagree _ -> true
+            | _ -> false
+          in
+          let p0 = Fuzz_driver.program_of_seed ~campaign_seed:seed f.Fuzz_driver.seed in
+          let small = Pacstack_fuzz.Shrink.shrink ~keep:diverges p0 in
+          Format.fprintf fmt
+            "@[<v>first divergence: seed %d under %s%s at %s@ expected %s, got %s@]@."
+            f.Fuzz_driver.seed f.Fuzz_driver.scheme
+            (if f.Fuzz_driver.optimize then "+peephole" else "")
+            f.Fuzz_driver.site f.Fuzz_driver.expected f.Fuzz_driver.actual;
+          Format.fprintf fmt "shrunk repro (%d statements):@.%s@."
+            (Pacstack_minic.Ast.program_size small)
+            (Pacstack_fuzz.Pp.program_to_string small);
           1
-        end
-        else begin
-          Format.fprintf fmt "all programs agree with the reference interpreter@.";
-          0
-        end
-      | (f : Fuzz_driver.failure) :: _ ->
-        (* Reproduce the first divergence from its seed alone, shrink it
-           against the failing (scheme, peephole) variant, and print the
-           minimised program. *)
-        let cfg =
-          {
-            Pacstack_fuzz.Oracle.default_config with
-            schemes =
-              (match Scheme.of_string f.Fuzz_driver.scheme with
-              | Some s -> [ s ]
-              | None -> Scheme.all);
-            optimize = [ f.Fuzz_driver.optimize ];
-          }
-        in
-        let diverges p =
-          match Pacstack_fuzz.Oracle.check cfg p with
-          | Pacstack_fuzz.Oracle.Disagree _ -> true
-          | _ -> false
-        in
-        let p0 = Fuzz_driver.program_of_seed ~campaign_seed:seed f.Fuzz_driver.seed in
-        let small = Pacstack_fuzz.Shrink.shrink ~keep:diverges p0 in
-        Format.fprintf fmt
-          "@[<v>first divergence: seed %d under %s%s at %s@ expected %s, got %s@]@."
-          f.Fuzz_driver.seed f.Fuzz_driver.scheme
-          (if f.Fuzz_driver.optimize then "+peephole" else "")
-          f.Fuzz_driver.site f.Fuzz_driver.expected f.Fuzz_driver.actual;
-        Format.fprintf fmt "shrunk repro (%d statements):@.%s@."
-          (Pacstack_minic.Ast.program_size small)
-          (Pacstack_fuzz.Pp.program_to_string small);
-        1
-    end
+      in
+      (code, json)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -386,48 +376,20 @@ let fuzz_cmd =
          "Differentially fuzz the mini-C pipeline: random programs compiled under every \
           scheme, with and without the peephole optimizer, checked against the reference \
           interpreter. Exits 1 if any divergence is found, with a shrunk reproducer.")
-    Term.(const action $ seeds $ workers $ seed $ scheme $ no_peephole $ trace_arg $ quiet)
+    Term.(const action $ seeds $ seed $ schemes_arg $ no_peephole $ campaign_opts)
 
 (* --- inject: deterministic fault injection ------------------------------- *)
 
 let inject_cmd =
-  let open Pacstack_campaign in
   let faults =
     Arg.(value & opt int 120 & info [ "n"; "faults" ] ~doc:"Number of faults to inject.")
   in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "w"; "workers" ]
-          ~doc:
-            "Worker domains; the report is identical for any value. 0 means one per \
-             recommended domain.")
-  in
-  let seed =
-    Arg.(
-      value & opt int64 7L
-      & info [ "seed" ] ~doc:"Campaign seed; fault $(i,i) depends only on (seed, i).")
-  in
-  let scheme =
-    Arg.(
-      value
-      & opt (some scheme_conv) None
-      & info [ "s"; "scheme" ] ~doc:"Restrict to one hardening scheme (default: every registered scheme).")
-  in
+  let seed = seed_arg 7L "Campaign seed; fault $(i,i) depends only on (seed, i)." in
   let pac_bits =
     Arg.(
       value & opt int 4
       & info [ "pac-bits" ]
           ~doc:"PAC width of the simulated machine (default 4, collisions observable).")
-  in
-  let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Checkpoint manifest. Created if absent; shards already recorded there are \
-             restored instead of re-run.")
   in
   let gate =
     Arg.(
@@ -483,49 +445,26 @@ let inject_cmd =
             "With $(b,--resume): rewrite the manifest as one merged statistics line \
              whenever this many uncompacted shard lines accumulate (default 256).")
   in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress events on stderr.")
-  in
-  let action faults workers seed scheme pac_bits resume gate no_gate mega isolation
-      shard_timeout shard_faults compact_every trace quiet =
-    with_campaign_signals @@ fun () ->
+  let action faults seed schemes pac_bits resume gate no_gate mega isolation shard_timeout
+      shard_faults compact_every opts =
     if mega then prerr_endline "pacstack: --mega is deprecated and has no effect";
     if Option.is_some shard_faults then
       prerr_endline "pacstack: --shard-faults is deprecated and has no effect";
-    if faults < 1 then begin
-      Printf.eprintf "pacstack: --faults must be >= 1\n";
-      1
-    end
-    else if pac_bits < 1 || pac_bits > 16 then begin
-      Printf.eprintf "pacstack: --pac-bits must be in [1, 16]\n";
-      1
-    end
-    else if compact_every < 1 then begin
-      Printf.eprintf "pacstack: --compact-every must be >= 1\n";
-      1
-    end
-    else if (match shard_timeout with Some t -> t <= 0.0 | None -> false) then begin
-      Printf.eprintf "pacstack: --shard-timeout must be > 0\n";
-      1
-    end
-    else if Option.is_some shard_timeout && isolation <> Campaign.Processes then begin
-      Printf.eprintf "pacstack: --shard-timeout requires --isolation process\n";
-      1
-    end
-    else begin
-      with_trace trace @@ fun obs ->
-      let workers = if workers = 0 then Pool.default_workers () else workers in
-      let render =
-        if quiet then Progress.null else Progress.formatter Format.err_formatter
-      in
-      let progress e = obs e; render e in
-      let schemes = Option.map (fun s -> [ s ]) scheme in
+    if faults < 1 then fail "--faults must be >= 1"
+    else if pac_bits < 1 || pac_bits > 16 then fail "--pac-bits must be in [1, 16]"
+    else if compact_every < 1 then fail "--compact-every must be >= 1"
+    else if (match shard_timeout with Some t -> t <= 0.0 | None -> false) then
+      fail "--shard-timeout must be > 0"
+    else if Option.is_some shard_timeout && isolation <> Campaign.Processes then
+      fail "--shard-timeout requires --isolation process"
+    else
+      run_campaign opts @@ fun ~workers ~progress ->
       let policy =
         { Campaign.default_policy with isolation; shard_timeout_s = shard_timeout }
       in
-      let totals, _ =
-        Plans.inject_execute ?schemes ~pac_bits ~faults ~policy ~compact_every ~workers ~seed
-          ~checkpoint:resume ~progress Format.std_formatter
+      let totals, json =
+        Plans.inject_execute ?schemes ~pac_bits ~faults ~policy ~compact_every ~workers
+          ~progress ?checkpoint:resume ~seed Format.std_formatter
       in
       let gate_name = Scheme.to_string gate in
       let offenders =
@@ -533,7 +472,7 @@ let inject_cmd =
           (fun (r : Inject_engine.reproducer) -> String.equal r.Inject_engine.scheme gate_name)
           totals.Inject_engine.silents
       in
-      if no_gate || offenders = [] then 0
+      if no_gate || offenders = [] then (0, json)
       else begin
         Printf.printf "silent corruption under %s — JSON reproducers:\n" gate_name;
         List.iter
@@ -560,9 +499,8 @@ let inject_cmd =
           Printf.printf "(%d further silent event(s) beyond the %d-per-scheme reproducer cap)\n"
             (silent - List.length offenders)
             Inject_engine.repro_cap;
-        1
+        (1, json)
       end
-    end
   in
   Cmd.v
     (Cmd.info "inject"
@@ -573,13 +511,12 @@ let inject_cmd =
           un-faulted trace. Exits 1 with JSON reproducers when corruption is silent under \
           the gated scheme.")
     Term.(
-      const action $ faults $ workers $ seed $ scheme $ pac_bits $ resume $ gate $ no_gate
-      $ mega $ isolation $ shard_timeout $ shard_faults $ compact_every $ trace_arg $ quiet)
+      const action $ faults $ seed $ schemes_arg $ pac_bits $ resume_arg $ gate $ no_gate $ mega
+      $ isolation $ shard_timeout $ shard_faults $ compact_every $ campaign_opts)
 
 (* --- fleet: open-loop traffic simulation --------------------------------- *)
 
 let fleet_cmd =
-  let open Pacstack_campaign in
   let connections =
     Arg.(
       value
@@ -616,49 +553,11 @@ let fleet_cmd =
       & opt int Fleet.default.Fleet.cores
       & info [ "cores" ] ~doc:"Server cores per cell.")
   in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "w"; "workers" ]
-          ~doc:
-            "Worker domains. The latency table is bit-identical for any value; 0 means one \
-             per recommended domain.")
-  in
   let seed =
-    Arg.(
-      value
-      & opt int64 Fleet.default.Fleet.seed
-      & info [ "seed" ]
-          ~doc:"Fleet seed; connection $(i,c)'s whole arrival stream depends only on (seed, c).")
+    seed_arg Fleet.default.Fleet.seed
+      "Fleet seed; connection $(i,c)'s whole arrival stream depends only on (seed, c)."
   in
-  let scheme =
-    Arg.(
-      value
-      & opt (some scheme_conv) None
-      & info [ "s"; "scheme" ] ~doc:"Restrict to one hardening scheme (default: every registered scheme).")
-  in
-  let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Checkpoint manifest. Created if absent; (scheme, cell) shards already recorded \
-             there are restored instead of re-run.")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"OUT"
-          ~doc:"Also write the per-scheme latency table as JSON to $(docv).")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress events on stderr.")
-  in
-  let action connections duration arrival cells cores workers seed scheme resume json_out
-      trace quiet =
-    with_campaign_signals @@ fun () ->
+  let action connections duration arrival cells cores seed schemes resume json opts =
     let cfg =
       {
         Fleet.connections;
@@ -667,30 +566,14 @@ let fleet_cmd =
         cells;
         cores;
         seed;
-        schemes =
-          (match scheme with Some s -> [ s ] | None -> Fleet.default.Fleet.schemes);
+        schemes = Option.value schemes ~default:Fleet.default.Fleet.schemes;
       }
     in
     match Fleet.validate cfg with
-    | exception Invalid_argument msg ->
-      Printf.eprintf "pacstack: %s\n" msg;
-      1
+    | exception Invalid_argument msg -> fail msg
     | () ->
-      with_trace trace @@ fun obs ->
-      let workers = if workers = 0 then Pool.default_workers () else workers in
-      let render = if quiet then Progress.null else Progress.formatter Format.err_formatter in
-      let progress e = obs e; render e in
-      let json =
-        Plans.fleet_execute cfg ~workers ~seed ~checkpoint:resume ~progress
-          Format.std_formatter
-      in
-      (match json_out with
-      | None -> ()
-      | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (Json.to_string json ^ "\n"));
-        Printf.printf "wrote %s\n" path);
-      0
+      run_campaign ?json opts @@ fun ~workers ~progress ->
+      (0, Plans.fleet_execute cfg ~workers ~progress ?checkpoint:resume ~seed Format.std_formatter)
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -699,8 +582,8 @@ let fleet_cmd =
           virtual time and report per-scheme latency quantiles (p50/p95/p99/p999). The \
           table is bit-identical at any --workers.")
     Term.(
-      const action $ connections $ duration $ arrival $ cells $ cores $ workers $ seed
-      $ scheme $ resume $ json_out $ trace_arg $ quiet)
+      const action $ connections $ duration $ arrival $ cells $ cores $ seed $ schemes_arg
+      $ resume_arg $ json_arg $ campaign_opts)
 
 (* --- metrics: the lib/obs observability sampler --------------------------- *)
 

@@ -20,7 +20,7 @@ type config = {
 }
 
 val default_config : config
-(** [pac_bits = 4], default fuel, all six schemes, no tamper. *)
+(** [pac_bits = 4], default fuel, every registered scheme, no tamper. *)
 
 exception Misrouted_site of { index : int; site : Fault.site }
 (** A structured site ([Signal_frame]/[Reload_window]) reached the

@@ -1,4 +1,3 @@
-module Rng = Pacstack_util.Rng
 module Analysis = Pacstack_acs.Analysis
 module Games = Pacstack_acs.Games
 module Scheme = Pacstack_harden.Scheme
@@ -6,6 +5,8 @@ module Speclike = Pacstack_workloads.Speclike
 module Server = Pacstack_workloads.Server
 module Bruteforce = Pacstack_attacker.Bruteforce
 module Inject_engine = Pacstack_inject.Engine
+module Fuzz_driver = Pacstack_fuzz.Driver
+module Fuzz_oracle = Pacstack_fuzz.Oracle
 module Stats = Pacstack_util.Stats
 module Fleet = Pacstack_fleet.Fleet
 module Fleet_arrival = Pacstack_fleet.Arrival
@@ -19,7 +20,111 @@ module Json = Pacstack_campaign.Json
 
 let scaled scale trials = max 1 (int_of_float ((float_of_int trials *. scale) +. 0.5))
 
-(* --- Table 1 ------------------------------------------------------------ *)
+(* --- shard layouts ---------------------------------------------------------- *)
+
+(* Every layout is a pure function of the experiment's parameters, never
+   of the worker count: that is what makes parallel runs and resumed
+   manifests replayable. *)
+
+(* [trials] split near-equally over at most [shards] shards [label#i]. *)
+let split ~label ~trials ~shards =
+  Array.mapi
+    (fun i part -> (Printf.sprintf "%s#%d" label i, part))
+    (Plan.split_trials ~trials ~shards:(min shards trials))
+
+(* One [split] per row of a table; a shard reports [(row index, result)]. *)
+let rows_plan ~name ~scale ~per_row ~label ~trials ~run ~seed rows =
+  let specs =
+    Array.concat
+      (List.mapi
+         (fun index row ->
+           Array.map
+             (fun shard -> (shard, (index, row)))
+             (split ~label:(label row) ~trials:(scaled scale (trials row)) ~shards:per_row))
+         rows)
+  in
+  Plan.make ~name ~seed ~shards:(Array.map fst specs) ~run:(fun shard rng ->
+      let index, row = snd specs.(shard.Shard.index) in
+      (index, run row ~trials:shard.Shard.trials rng))
+
+(* Contiguous [lo, hi) ranges covering [0, total), labelled [what[lo,hi)]. *)
+let range_plan ~name ~what ~total ~shards ~seed run =
+  let ranges =
+    let lo = ref 0 in
+    Array.map
+      (fun part ->
+        let range = (!lo, !lo + part) in
+        lo := !lo + part;
+        range)
+      (Plan.split_trials ~trials:total ~shards)
+  in
+  Plan.make ~name ~seed
+    ~shards:(Array.map (fun (lo, hi) -> (Printf.sprintf "%s[%d,%d)" what lo hi, hi - lo)) ranges)
+    ~run:(fun shard _rng ->
+      let lo, hi = ranges.(shard.Shard.index) in
+      run ~lo ~hi)
+
+(* --- experiments ------------------------------------------------------------ *)
+
+type ('r, 'rows) experiment = {
+  name : string;
+  doc : string;
+  default_seed : int64;
+  plan : scale:float -> seed:int64 -> 'r Plan.t;
+  codec : 'r Checkpoint.codec;
+  rows : 'r Plan.t -> 'r Campaign.outcome -> 'rows;
+  pp : Format.formatter -> 'rows -> unit;
+  json : 'rows -> (string * Json.t) list;
+}
+
+let run ?policy ?compaction ?(workers = 1) ?(progress = Progress.null) ?checkpoint codec plan =
+  Campaign.run ~workers ~progress ?policy ?compaction
+    ?checkpoint:(Option.map (fun path -> (path, codec)) checkpoint)
+    plan
+
+let outcome_rows ?(scale = 1.0) ?workers ?progress ?checkpoint ?seed x =
+  let plan = x.plan ~scale ~seed:(Option.value seed ~default:x.default_seed) in
+  let outcome = run ?workers ?progress ?checkpoint x.codec plan in
+  (outcome, x.rows plan outcome)
+
+let compute ?scale ?workers ?progress ?seed x =
+  snd (outcome_rows ?scale ?workers ?progress ?seed x)
+
+let outcome_header (o : _ Campaign.outcome) =
+  [
+    ("campaign", Json.String o.Campaign.plan_name);
+    ("seed", Json.String (Int64.to_string o.Campaign.seed));
+    ("workers", Json.Int o.Campaign.workers);
+    ("elapsed_s", Json.Float o.Campaign.elapsed_s);
+    ("resumed_shards", Json.Int o.Campaign.resumed);
+  ]
+
+let execute ?scale ?workers ?progress ?checkpoint ?seed x fmt =
+  let outcome, rows = outcome_rows ?scale ?workers ?progress ?checkpoint ?seed x in
+  x.pp fmt rows;
+  (rows, Json.Obj (outcome_header outcome @ x.json rows))
+
+let quarantine_json (outcome : _ Campaign.outcome) =
+  ( "quarantined",
+    Json.List
+      (List.map
+         (fun (q : Campaign.quarantine) ->
+           Json.Obj
+             [
+               ("shard", Json.Int q.Campaign.shard);
+               ("label", Json.String q.Campaign.label);
+               ("attempts", Json.Int q.Campaign.attempts);
+               ("error", Json.String q.Campaign.error);
+             ])
+         outcome.Campaign.quarantined) )
+
+let int_codec = { Checkpoint.encode = (fun total -> Json.Int total); decode = Json.to_int }
+
+(* Summed per-shard totals over the plan's trials. *)
+let mean_per_trial plan outcome =
+  float_of_int (Campaign.fold outcome ~init:0 ~f:( + )) /. float_of_int (Plan.total_trials plan)
+
+(* --- Table 1 ---------------------------------------------------------------- *)
 
 let table1_cells =
   [
@@ -31,33 +136,15 @@ let table1_cells =
     (Analysis.Off_graph_arbitrary, true, 5, 400_000);
   ]
 
-let cell_label (kind, masked, _, _) =
-  Format.asprintf "%a/%s" Analysis.pp_violation_kind kind
-    (if masked then "masked" else "unmasked")
+let violation_name kind = Format.asprintf "%a" Analysis.pp_violation_kind kind
 
-let table1_plan ?(scale = 1.0) ?(shards_per_cell = 8) ~seed () =
-  (* specs.(shard_index) tells the shard which cell it belongs to; the
-     shard structure is a pure function of (cells, scale, shards_per_cell),
-     never of worker count, which is what makes parallel runs replayable *)
-  let specs =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun cell ((kind, masked, bits, trials) as row) ->
-              let trials = scaled scale trials in
-              let parts = min shards_per_cell trials in
-              Array.to_list
-                (Array.mapi
-                   (fun i part ->
-                     (Printf.sprintf "%s#%d" (cell_label row) i, part, cell, kind, masked, bits))
-                   (Plan.split_trials ~trials ~shards:parts)))
-            table1_cells))
-  in
-  Plan.make ~name:"table1" ~seed
-    ~shards:(Array.map (fun (label, trials, _, _, _, _) -> (label, trials)) specs)
-    ~run:(fun shard rng ->
-      let _, trials, cell, kind, masked, bits = specs.(shard.Shard.index) in
-      (cell, Games.violation_success ~masked ~kind ~bits ~harvest:600 ~trials rng))
+let table1_plan ?(scale = 1.0) ~seed () =
+  rows_plan ~name:"table1" ~scale ~per_row:8 ~seed table1_cells
+    ~label:(fun (kind, masked, _, _) ->
+      violation_name kind ^ if masked then "/masked" else "/unmasked")
+    ~trials:(fun (_, _, _, trials) -> trials)
+    ~run:(fun (kind, masked, bits, _) ~trials rng ->
+      Games.violation_success ~masked ~kind ~bits ~harvest:600 ~trials rng)
 
 let table1_codec =
   {
@@ -88,29 +175,89 @@ let table1_estimates outcome =
         Some (match cells.(cell) with None -> est | Some acc -> Games.merge_estimates acc est));
   Array.map Option.get cells
 
-(* --- birthday harvest --------------------------------------------------- *)
+type table1_row = {
+  violation : Analysis.violation_kind;
+  masked : bool;
+  bits : int;
+  theory : float;
+  measured : Games.estimate;
+}
 
-let birthday_plan ?(scale = 1.0) ?(shards = 8) ~seed () =
-  let trials = scaled scale 400 in
-  let shards = min shards trials in
-  let parts = Plan.split_trials ~trials ~shards in
-  Plan.make ~name:"birthday" ~seed
-    ~shards:(Array.mapi (fun i part -> (Printf.sprintf "harvest#%d" i, part)) parts)
-    ~run:(fun shard rng -> Games.birthday_total ~bits:16 ~trials:shard.Shard.trials rng)
-
-let int_codec =
+let table1 =
   {
-    Checkpoint.encode = (fun total -> Json.Int total);
-    decode = Json.to_int;
+    name = "table1";
+    doc = "Table 1 violation-success probabilities";
+    default_seed = 1L;
+    plan = (fun ~scale ~seed -> table1_plan ~scale ~seed ());
+    codec = table1_codec;
+    rows =
+      (fun _ outcome ->
+        let measured = table1_estimates outcome in
+        List.mapi
+          (fun i (violation, masked, bits, _) ->
+            {
+              violation;
+              masked;
+              bits;
+              theory = Analysis.table1_success_probability ~masked violation ~bits;
+              measured = measured.(i);
+            })
+          table1_cells);
+    pp =
+      (fun fmt rows ->
+        Format.fprintf fmt "%-34s %-8s %-6s %-12s %-12s@." "violation" "masking" "b"
+          "paper(theory)" "measured";
+        List.iter
+          (fun r ->
+            Format.fprintf fmt "%-34s %-8b %-6d %-12.2e %-12.2e@." (violation_name r.violation)
+              r.masked r.bits r.theory r.measured.Games.rate)
+          rows);
+    json =
+      (fun rows ->
+        [
+          ( "cells",
+            Json.List
+              (List.map
+                 (fun r ->
+                   Json.Obj
+                     [
+                       ("violation", Json.String (violation_name r.violation));
+                       ("masked", Json.Bool r.masked);
+                       ("bits", Json.Int r.bits);
+                       ("successes", Json.Int r.measured.Games.successes);
+                       ("trials", Json.Int r.measured.Games.trials);
+                       ("rate", Json.Float r.measured.Games.rate);
+                     ])
+                 rows) );
+        ]);
   }
+
+(* --- §6.2.1 birthday harvest ------------------------------------------------- *)
+
+let birthday_plan ?(scale = 1.0) ~seed () =
+  Plan.make ~name:"birthday" ~seed
+    ~shards:(split ~label:"harvest" ~trials:(scaled scale 400) ~shards:8)
+    ~run:(fun shard rng -> Games.birthday_total ~bits:16 ~trials:shard.Shard.trials rng)
 
 let birthday_codec = int_codec
 
-let birthday_mean ~plan outcome =
-  float_of_int (Campaign.fold outcome ~init:0 ~f:( + ))
-  /. float_of_int (Plan.total_trials plan)
+let birthday =
+  {
+    name = "birthday";
+    doc = "§6.2.1 tokens harvested until a PAC collision";
+    default_seed = 2L;
+    plan = (fun ~scale ~seed -> birthday_plan ~scale ~seed ());
+    codec = birthday_codec;
+    rows = mean_per_trial;
+    pp =
+      (fun fmt mean ->
+        Format.fprintf fmt
+          "tokens harvested until PAC collision (b=16): measured %.1f, paper ~%.1f@." mean
+          (Analysis.collision_harvest_mean ~bits:16));
+    json = (fun mean -> [ ("mean_harvest", Json.Float mean); ("bits", Json.Int 16) ]);
+  }
 
-(* --- guessing games and the machine brute force ------------------------- *)
+(* --- §4.3 guessing games and the machine brute force ------------------------- *)
 
 let guessing_rows =
   [
@@ -119,71 +266,118 @@ let guessing_rows =
     (Games.Independent, 6, 600);
   ]
 
-let guessing_plan ?(scale = 1.0) ?(shards_per_strategy = 4) ~seed () =
-  let specs =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun row (strategy, bits, trials) ->
-              let trials = scaled scale trials in
-              let parts = min shards_per_strategy trials in
-              Array.to_list
-                (Array.mapi
-                   (fun i part ->
-                     ( Format.asprintf "%a#%d" Games.pp_guess_strategy strategy i,
-                       part, row, strategy, bits ))
-                   (Plan.split_trials ~trials ~shards:parts)))
-            guessing_rows))
-  in
-  Plan.make ~name:"guessing" ~seed
-    ~shards:(Array.map (fun (label, trials, _, _, _) -> (label, trials)) specs)
-    ~run:(fun shard rng ->
-      let _, trials, row, strategy, bits = specs.(shard.Shard.index) in
-      (row, Games.guessing_total ~strategy ~bits ~trials rng))
+let strategy_name strategy = Format.asprintf "%a" Games.pp_guess_strategy strategy
 
-let guessing_codec =
+let expected_guesses strategy bits =
+  match strategy with
+  | Games.Divide_and_conquer -> Analysis.guesses_divide_and_conquer ~bits
+  | Games.Reseeded -> Analysis.guesses_reseeded ~bits
+  | Games.Independent -> Analysis.guesses_independent ~bits
+
+let guessing =
   {
-    Checkpoint.encode =
-      (fun (row, total) -> Json.Obj [ ("strategy", Json.Int row); ("guesses", Json.Int total) ]);
-    decode =
-      (fun json ->
-        match
-          ( Option.bind (Json.member "strategy" json) Json.to_int,
-            Option.bind (Json.member "guesses" json) Json.to_int )
-        with
-        | Some row, Some total -> Some (row, total)
-        | _ -> None);
+    name = "guessing";
+    doc = "§4.3 guessing strategies (model-level)";
+    default_seed = 3L;
+    plan =
+      (fun ~scale ~seed ->
+        rows_plan ~name:"guessing" ~scale ~per_row:4 ~seed guessing_rows
+          ~label:(fun (strategy, _, _) -> strategy_name strategy)
+          ~trials:(fun (_, _, trials) -> trials)
+          ~run:(fun (strategy, bits, _) ~trials rng ->
+            Games.guessing_total ~strategy ~bits ~trials rng));
+    codec =
+      {
+        Checkpoint.encode =
+          (fun (row, total) ->
+            Json.Obj [ ("strategy", Json.Int row); ("guesses", Json.Int total) ]);
+        decode =
+          (fun json ->
+            match
+              ( Option.bind (Json.member "strategy" json) Json.to_int,
+                Option.bind (Json.member "guesses" json) Json.to_int )
+            with
+            | Some row, Some total -> Some (row, total)
+            | _ -> None);
+      };
+    rows =
+      (fun plan outcome ->
+        let rows = List.length guessing_rows in
+        let totals = Array.make rows 0 and trials = Array.make rows 0 in
+        Array.iteri
+          (fun i (row, total) ->
+            totals.(row) <- totals.(row) + total;
+            trials.(row) <- trials.(row) + plan.Plan.shards.(i).Shard.trials)
+          (Campaign.results_exn outcome);
+        List.mapi
+          (fun i (strategy, bits, _) ->
+            ( strategy,
+              bits,
+              float_of_int totals.(i) /. float_of_int (max 1 trials.(i)),
+              expected_guesses strategy bits ))
+          guessing_rows);
+    pp =
+      (fun fmt rows ->
+        Format.fprintf fmt "%-38s %-6s %12s %12s@." "strategy" "b" "measured" "expected";
+        List.iter
+          (fun (strategy, bits, mean, expected) ->
+            Format.fprintf fmt "%-38s %-6d %12.0f %12.0f@." (strategy_name strategy) bits mean
+              expected)
+          rows);
+    json =
+      (fun rows ->
+        [
+          ( "strategies",
+            Json.List
+              (List.map
+                 (fun (strategy, bits, mean, expected) ->
+                   Json.Obj
+                     [
+                       ("strategy", Json.String (strategy_name strategy));
+                       ("bits", Json.Int bits);
+                       ("mean_guesses", Json.Float mean);
+                       ("expected", Json.Float expected);
+                     ])
+                 rows) );
+        ]);
   }
 
-let guessing_means ~plan outcome =
-  let rows = List.length guessing_rows in
-  let totals = Array.make rows 0 and trials = Array.make rows 0 in
-  Array.iteri
-    (fun i (row, total) ->
-      totals.(row) <- totals.(row) + total;
-      trials.(row) <- trials.(row) + plan.Plan.shards.(i).Shard.trials)
-    (Campaign.results_exn outcome);
-  Array.map2 (fun t n -> float_of_int t /. float_of_int (max 1 n)) totals trials
+let bruteforce_bits = 6
 
-let bruteforce_plan ?(scale = 1.0) ?(pac_bits = 6) ?(shards = 5) ~seed () =
-  let trials = scaled scale 15 in
-  let shards = min shards trials in
-  let parts = Plan.split_trials ~trials ~shards in
-  Plan.make ~name:"bruteforce" ~seed
-    ~shards:(Array.mapi (fun i part -> (Printf.sprintf "siblings#%d" i, part)) parts)
-    ~run:(fun shard rng -> Bruteforce.total_guesses ~pac_bits ~trials:shard.Shard.trials rng)
+let bruteforce =
+  {
+    name = "bruteforce";
+    doc = "§4.3 end-to-end forked-sibling attack on the machine";
+    default_seed = 3L;
+    plan =
+      (fun ~scale ~seed ->
+        Plan.make ~name:"bruteforce" ~seed
+          ~shards:(split ~label:"siblings" ~trials:(scaled scale 15) ~shards:5)
+          ~run:(fun shard rng ->
+            Bruteforce.total_guesses ~pac_bits:bruteforce_bits ~trials:shard.Shard.trials rng));
+    codec = int_codec;
+    rows = (fun plan outcome -> (Plan.total_trials plan, mean_per_trial plan outcome));
+    pp =
+      (fun fmt (_, mean) ->
+        Format.fprintf fmt
+          "end-to-end forked-sibling attack (machine, b=%d): %.0f guesses/success (expectation %.0f)@."
+          bruteforce_bits mean
+          (Stats.expected_guesses_geometric ~bits:bruteforce_bits));
+    json =
+      (fun (trials, mean) ->
+        [
+          ("pac_bits", Json.Int bruteforce_bits);
+          ("trials", Json.Int trials);
+          ("mean_guesses", Json.Float mean);
+        ]);
+  }
 
-let bruteforce_codec = int_codec
+(* --- differential fuzzing ------------------------------------------------------ *)
 
-(* --- differential fuzzing ------------------------------------------------ *)
-
-module Fuzz_driver = Pacstack_fuzz.Driver
-module Fuzz_oracle = Pacstack_fuzz.Oracle
-
-(* Shard = contiguous seed range.  Seed [i]'s program derives from
-   (campaign seed, i) alone — see Driver.seed_rng — so the report is
-   bit-identical at any worker count and any shard split. *)
-let fuzz_plan ?schemes ?optimize ?(seeds = 200) ?(shards = 8) ~seed () =
+(* Seed [i]'s program derives from (campaign seed, i) alone — see
+   Driver.seed_rng — so the report is bit-identical at any worker count
+   and any shard split. *)
+let fuzz_plan ?schemes ?optimize ?(seeds = 200) ~seed () =
   let cfg =
     {
       Fuzz_oracle.default_config with
@@ -191,23 +385,8 @@ let fuzz_plan ?schemes ?optimize ?(seeds = 200) ?(shards = 8) ~seed () =
       optimize = Option.value optimize ~default:Fuzz_oracle.default_config.optimize;
     }
   in
-  let shards = max 1 (min shards seeds) in
-  let parts = Plan.split_trials ~trials:seeds ~shards in
-  let ranges =
-    let lo = ref 0 in
-    Array.map
-      (fun part ->
-        let range = (!lo, !lo + part) in
-        lo := !lo + part;
-        range)
-      parts
-  in
-  Plan.make ~name:"fuzz" ~seed
-    ~shards:
-      (Array.map (fun (lo, hi) -> (Printf.sprintf "seeds[%d,%d)" lo hi, hi - lo)) ranges)
-    ~run:(fun shard _rng ->
-      let lo, hi = ranges.(shard.Shard.index) in
-      Fuzz_driver.run_range cfg ~campaign_seed:seed ~lo ~hi)
+  range_plan ~name:"fuzz" ~what:"seeds" ~total:seeds ~shards:(max 1 (min 8 seeds)) ~seed
+    (fun ~lo ~hi -> Fuzz_driver.run_range cfg ~campaign_seed:seed ~lo ~hi)
 
 let fuzz_codec =
   let failure_to_json (f : Fuzz_driver.failure) =
@@ -267,7 +446,28 @@ let fuzz_stats_json (s : Fuzz_driver.stats) =
   | Json.Obj fields -> fields
   | other -> [ ("stats", other) ]
 
-(* --- fault injection ------------------------------------------------------ *)
+let fuzz ?schemes ?optimize ?seeds () =
+  {
+    name = "fuzz";
+    doc = "differential fuzzing of the mini-C pipeline against the reference interpreter";
+    default_seed = 1L;
+    plan = (fun ~scale:_ ~seed -> fuzz_plan ?schemes ?optimize ?seeds ~seed ());
+    codec = fuzz_codec;
+    rows = (fun _ outcome -> (fuzz_totals outcome, outcome.Campaign.elapsed_s));
+    pp =
+      (fun fmt (totals, elapsed_s) ->
+        Format.fprintf fmt "%a@." Fuzz_driver.pp_stats totals;
+        Format.fprintf fmt "throughput: %.1f programs/s@."
+          (float_of_int totals.Fuzz_driver.programs /. max 1e-9 elapsed_s);
+        match Pacstack_fuzz.Triage.buckets (Fuzz_driver.triage_entries totals) with
+        | [] -> ()
+        | buckets ->
+          Format.fprintf fmt "@[<v>divergence buckets:@,%a@]@." Pacstack_fuzz.Triage.pp_buckets
+            buckets);
+    json = (fun (totals, _) -> fuzz_stats_json totals);
+  }
+
+(* --- fault injection ----------------------------------------------------------- *)
 
 (* Shard = contiguous fault range. Up to 4096 faults that is 8 shards;
    beyond, shards hold at most 512 faults, so a campaign's checkpoint
@@ -286,21 +486,7 @@ let inject_plan ?schemes ?(pac_bits = 4) ?tamper ?(faults = 120) ?shards ~seed (
     | Some n -> max 1 (min n faults)
     | None -> max (min faults 8) ((faults + 511) / 512)
   in
-  let parts = Plan.split_trials ~trials:faults ~shards in
-  let ranges =
-    let lo = ref 0 in
-    Array.map
-      (fun part ->
-        let range = (!lo, !lo + part) in
-        lo := !lo + part;
-        range)
-      parts
-  in
-  Plan.make ~name:"inject" ~seed
-    ~shards:
-      (Array.map (fun (lo, hi) -> (Printf.sprintf "faults[%d,%d)" lo hi, hi - lo)) ranges)
-    ~run:(fun shard _rng ->
-      let lo, hi = ranges.(shard.Shard.index) in
+  range_plan ~name:"inject" ~what:"faults" ~total:faults ~shards ~seed (fun ~lo ~hi ->
       Inject_engine.run_range cfg ~campaign_seed:seed ~first:lo ~count:(hi - lo))
 
 let inject_codec =
@@ -394,435 +580,11 @@ let pp_inject_site_table fmt (s : Inject_engine.stats) =
         (Printf.sprintf "[%.4f, %.4f]" lo hi))
     s.Inject_engine.site_cells
 
-let quarantine_json (outcome : _ Campaign.outcome) =
-  ( "quarantined",
-    Json.List
-      (List.map
-         (fun (q : Campaign.quarantine) ->
-           Json.Obj
-             [
-               ("shard", Json.Int q.Campaign.shard);
-               ("label", Json.String q.Campaign.label);
-               ("attempts", Json.Int q.Campaign.attempts);
-               ("error", Json.String q.Campaign.error);
-             ])
-         outcome.Campaign.quarantined) )
-
-(* --- overhead sweeps ----------------------------------------------------- *)
-
-let spec_schemes = Scheme.all
-
-let spec_plan ~seed () =
-  let cells =
-    Array.of_list (Speclike.sweep_cells ~variants:[ Speclike.Rate ] ~schemes:spec_schemes)
-  in
-  Plan.make ~name:"spec" ~seed
-    ~shards:
-      (Array.map
-         (fun (variant, bench, scheme) ->
-           ( Printf.sprintf "%s/%s/%s" (Speclike.variant_to_string variant) bench
-               (Scheme.to_string scheme),
-             1 ))
-         cells)
-    ~run:(fun shard _rng ->
-      let variant, bench, scheme = cells.(shard.Shard.index) in
-      Speclike.measure_cell ~variant ~scheme bench)
-
-let variant_of_string = function
-  | "rate" -> Some Speclike.Rate
-  | "speed" -> Some Speclike.Speed
-  | _ -> None
-
-let spec_codec =
-  {
-    Checkpoint.encode =
-      (fun (m : Speclike.measurement) ->
-        Json.Obj
-          [
-            ("bench", Json.String m.Speclike.bench);
-            ("variant", Json.String (Speclike.variant_to_string m.Speclike.variant));
-            ("scheme", Json.String (Scheme.to_string m.Speclike.scheme));
-            ("cycles", Json.Int m.Speclike.cycles);
-            ("instructions", Json.Int m.Speclike.instructions);
-            ("mem_ops", Json.Int m.Speclike.mem_ops);
-            ("checksum", Json.String (Int64.to_string m.Speclike.checksum));
-          ]);
-    decode =
-      (fun json ->
-        let str k = Option.bind (Json.member k json) Json.to_str in
-        let int k = Option.bind (Json.member k json) Json.to_int in
-        match
-          ( str "bench",
-            Option.bind (str "variant") variant_of_string,
-            Option.bind (str "scheme") Scheme.of_string,
-            int "cycles", int "instructions", int "mem_ops",
-            Option.bind (str "checksum") Int64.of_string_opt )
-        with
-        | Some bench, Some variant, Some scheme, Some cycles, Some instructions,
-          Some mem_ops, Some checksum ->
-          Some { Speclike.bench; variant; scheme; cycles; instructions; mem_ops; checksum }
-        | _ -> None);
-  }
-
-let server_plan ~seed () =
-  let cells = Array.of_list (Server.sweep_cells ()) in
-  Plan.make ~name:"server" ~seed
-    ~shards:
-      (Array.map
-         (fun (workers, scheme) ->
-           (Printf.sprintf "%dw/%s" workers (Scheme.to_string scheme), 1))
-         cells)
-    ~run:(fun shard _rng ->
-      let workers, scheme = cells.(shard.Shard.index) in
-      Server.measure ~scheme ~workers ())
-
-let server_codec =
-  {
-    Checkpoint.encode =
-      (fun (r : Server.result) ->
-        Json.Obj
-          [
-            ("scheme", Json.String (Scheme.to_string r.Server.scheme));
-            ("workers", Json.Int r.Server.workers);
-            ("req_per_sec", Json.Float r.Server.req_per_sec);
-            ("sigma", Json.Float r.Server.sigma);
-            ("cycles_per_request", Json.Float r.Server.cycles_per_request);
-            ("mem_ops_per_request", Json.Float r.Server.mem_ops_per_request);
-          ]);
-    decode =
-      (fun json ->
-        let flt k = Option.bind (Json.member k json) Json.to_float in
-        match
-          ( Option.bind (Option.bind (Json.member "scheme" json) Json.to_str) Scheme.of_string,
-            Option.bind (Json.member "workers" json) Json.to_int,
-            flt "req_per_sec", flt "sigma", flt "cycles_per_request", flt "mem_ops_per_request" )
-        with
-        | Some scheme, Some workers, Some req_per_sec, Some sigma, Some cycles_per_request,
-          Some mem_ops_per_request ->
-          Some
-            { Server.scheme; workers; req_per_sec; sigma; cycles_per_request; mem_ops_per_request }
-        | _ -> None);
-  }
-
-(* --- uniform CLI entries -------------------------------------------------- *)
-
-type entry = {
-  name : string;
-  doc : string;
-  default_seed : int64;
-  execute :
-    workers:int ->
-    seed:int64 ->
-    checkpoint:string option ->
-    progress:Progress.sink ->
-    Format.formatter ->
-    Json.t;
-}
-
-let with_checkpoint checkpoint codec = Option.map (fun path -> (path, codec)) checkpoint
-
-let outcome_header (o : _ Campaign.outcome) =
-  [
-    ("campaign", Json.String o.Campaign.plan_name);
-    ("seed", Json.String (Int64.to_string o.Campaign.seed));
-    ("workers", Json.Int o.Campaign.workers);
-    ("elapsed_s", Json.Float o.Campaign.elapsed_s);
-    ("resumed_shards", Json.Int o.Campaign.resumed);
-  ]
-
-let table1_entry =
-  {
-    name = "table1";
-    doc = "Table 1 violation-success probabilities";
-    default_seed = 1L;
-    execute =
-      (fun ~workers ~seed ~checkpoint ~progress fmt ->
-        let plan = table1_plan ~seed () in
-        let outcome =
-          Campaign.run ~workers ~progress ?checkpoint:(with_checkpoint checkpoint table1_codec)
-            plan
-        in
-        let per_cell = table1_estimates outcome in
-        Format.fprintf fmt "%-34s %-8s %-6s %-12s %-12s@." "violation" "masking" "b"
-          "paper(theory)" "measured";
-        List.iteri
-          (fun i (kind, masked, bits, _) ->
-            Format.fprintf fmt "%-34s %-8b %-6d %-12.2e %-12.2e@."
-              (Format.asprintf "%a" Analysis.pp_violation_kind kind)
-              masked bits
-              (Analysis.table1_success_probability ~masked kind ~bits)
-              per_cell.(i).Games.rate)
-          table1_cells;
-        Json.Obj
-          (outcome_header outcome
-          @ [
-              ( "cells",
-                Json.List
-                  (List.mapi
-                     (fun i (kind, masked, bits, _) ->
-                       Json.Obj
-                         [
-                           ("violation", Json.String (Format.asprintf "%a" Analysis.pp_violation_kind kind));
-                           ("masked", Json.Bool masked);
-                           ("bits", Json.Int bits);
-                           ("successes", Json.Int per_cell.(i).Games.successes);
-                           ("trials", Json.Int per_cell.(i).Games.trials);
-                           ("rate", Json.Float per_cell.(i).Games.rate);
-                         ])
-                     table1_cells) );
-            ]));
-  }
-
-let birthday_entry =
-  {
-    name = "birthday";
-    doc = "§6.2.1 tokens harvested until a PAC collision";
-    default_seed = 2L;
-    execute =
-      (fun ~workers ~seed ~checkpoint ~progress fmt ->
-        let plan = birthday_plan ~seed () in
-        let outcome =
-          Campaign.run ~workers ~progress
-            ?checkpoint:(with_checkpoint checkpoint birthday_codec) plan
-        in
-        let mean = birthday_mean ~plan outcome in
-        Format.fprintf fmt
-          "tokens harvested until PAC collision (b=16): measured %.1f, paper ~%.1f@." mean
-          (Analysis.collision_harvest_mean ~bits:16);
-        Json.Obj
-          (outcome_header outcome
-          @ [ ("mean_harvest", Json.Float mean); ("bits", Json.Int 16) ]));
-  }
-
-let expected_guesses strategy bits =
-  match strategy with
-  | Games.Divide_and_conquer -> Analysis.guesses_divide_and_conquer ~bits
-  | Games.Reseeded -> Analysis.guesses_reseeded ~bits
-  | Games.Independent -> Analysis.guesses_independent ~bits
-
-let guessing_entry =
-  {
-    name = "guessing";
-    doc = "§4.3 guessing strategies (model-level)";
-    default_seed = 3L;
-    execute =
-      (fun ~workers ~seed ~checkpoint ~progress fmt ->
-        let plan = guessing_plan ~seed () in
-        let outcome =
-          Campaign.run ~workers ~progress
-            ?checkpoint:(with_checkpoint checkpoint guessing_codec) plan
-        in
-        let means = guessing_means ~plan outcome in
-        Format.fprintf fmt "%-38s %-6s %12s %12s@." "strategy" "b" "measured" "expected";
-        List.iteri
-          (fun i (strategy, bits, _) ->
-            Format.fprintf fmt "%-38s %-6d %12.0f %12.0f@."
-              (Format.asprintf "%a" Games.pp_guess_strategy strategy)
-              bits means.(i) (expected_guesses strategy bits))
-          guessing_rows;
-        Json.Obj
-          (outcome_header outcome
-          @ [
-              ( "strategies",
-                Json.List
-                  (List.mapi
-                     (fun i (strategy, bits, _) ->
-                       Json.Obj
-                         [
-                           ( "strategy",
-                             Json.String (Format.asprintf "%a" Games.pp_guess_strategy strategy) );
-                           ("bits", Json.Int bits);
-                           ("mean_guesses", Json.Float means.(i));
-                           ("expected", Json.Float (expected_guesses strategy bits));
-                         ])
-                     guessing_rows) );
-            ]));
-  }
-
-let bruteforce_entry =
-  {
-    name = "bruteforce";
-    doc = "§4.3 end-to-end forked-sibling attack on the machine";
-    default_seed = 3L;
-    execute =
-      (fun ~workers ~seed ~checkpoint ~progress fmt ->
-        let plan = bruteforce_plan ~seed () in
-        let outcome =
-          Campaign.run ~workers ~progress
-            ?checkpoint:(with_checkpoint checkpoint bruteforce_codec) plan
-        in
-        let trials = Plan.total_trials plan in
-        let mean = float_of_int (Campaign.fold outcome ~init:0 ~f:( + )) /. float_of_int trials in
-        Format.fprintf fmt
-          "end-to-end forked-sibling attack (machine, b=6): %.0f guesses/success (expectation %.0f)@."
-          mean (2.0 ** 6.0);
-        Json.Obj
-          (outcome_header outcome
-          @ [
-              ("pac_bits", Json.Int 6);
-              ("trials", Json.Int trials);
-              ("mean_guesses", Json.Float mean);
-            ]));
-  }
-
-let spec_entry =
-  {
-    name = "spec";
-    doc = "SPECrate-like overhead sweep (benchmark x scheme grid)";
-    default_seed = 0L;
-    execute =
-      (fun ~workers ~seed ~checkpoint ~progress fmt ->
-        let plan = spec_plan ~seed () in
-        let outcome =
-          Campaign.run ~workers ~progress ?checkpoint:(with_checkpoint checkpoint spec_codec)
-            plan
-        in
-        let results = Campaign.results_exn outcome in
-        let baseline_of bench =
-          let m =
-            Array.to_list results
-            |> List.find (fun (m : Speclike.measurement) ->
-                   m.Speclike.bench = bench && Scheme.equal m.Speclike.scheme Scheme.unprotected)
-          in
-          m
-        in
-        Format.fprintf fmt "%-14s %-24s %12s %10s@." "benchmark" "scheme" "cycles" "overhead";
-        Array.iter
-          (fun (m : Speclike.measurement) ->
-            Format.fprintf fmt "%-14s %-24s %12d %9.2f%%@." m.Speclike.bench
-              (Scheme.to_string m.Speclike.scheme)
-              m.Speclike.cycles
-              (Speclike.overhead_pct ~baseline:(baseline_of m.Speclike.bench) m))
-          results;
-        Json.Obj
-          (outcome_header outcome
-          @ [
-              ( "cells",
-                Json.List
-                  (Array.to_list
-                     (Array.map
-                        (fun (m : Speclike.measurement) ->
-                          Json.Obj
-                            [
-                              ("bench", Json.String m.Speclike.bench);
-                              ("scheme", Json.String (Scheme.to_string m.Speclike.scheme));
-                              ("cycles", Json.Int m.Speclike.cycles);
-                              ( "overhead_pct",
-                                Json.Float
-                                  (Speclike.overhead_pct ~baseline:(baseline_of m.Speclike.bench) m)
-                              );
-                            ])
-                        results)) );
-            ]));
-  }
-
-let server_entry =
-  {
-    name = "server";
-    doc = "Table 3 server-throughput sweep (workers x scheme grid)";
-    default_seed = 0L;
-    execute =
-      (fun ~workers ~seed ~checkpoint ~progress fmt ->
-        let plan = server_plan ~seed () in
-        let outcome =
-          Campaign.run ~workers ~progress ?checkpoint:(with_checkpoint checkpoint server_codec)
-            plan
-        in
-        let results = Campaign.results_exn outcome in
-        let baseline_of workers =
-          Array.to_list results
-          |> List.find (fun (r : Server.result) ->
-                 r.Server.workers = workers && Scheme.equal r.Server.scheme Scheme.unprotected)
-        in
-        Format.fprintf fmt "%-8s %-18s %12s %10s@." "workers" "scheme" "req/s" "overhead";
-        Array.iter
-          (fun (r : Server.result) ->
-            Format.fprintf fmt "%-8d %-18s %11.1fk %9.1f%%@." r.Server.workers
-              (Scheme.to_string r.Server.scheme)
-              (r.Server.req_per_sec /. 1000.0)
-              (Server.overhead_pct ~baseline:(baseline_of r.Server.workers) r))
-          results;
-        Json.Obj
-          (outcome_header outcome
-          @ [
-              ( "cells",
-                Json.List
-                  (Array.to_list
-                     (Array.map
-                        (fun (r : Server.result) ->
-                          Json.Obj
-                            [
-                              ("workers", Json.Int r.Server.workers);
-                              ("scheme", Json.String (Scheme.to_string r.Server.scheme));
-                              ("req_per_sec", Json.Float r.Server.req_per_sec);
-                              ( "overhead_pct",
-                                Json.Float
-                                  (Server.overhead_pct ~baseline:(baseline_of r.Server.workers) r)
-                              );
-                            ])
-                        results)) );
-            ]));
-  }
-
-let fuzz_entry =
-  {
-    name = "fuzz";
-    doc = "differential fuzzing of the mini-C pipeline against the reference interpreter";
-    default_seed = 1L;
-    execute =
-      (fun ~workers ~seed ~checkpoint ~progress fmt ->
-        let plan = fuzz_plan ~seed () in
-        let outcome =
-          Campaign.run ~workers ~progress ?checkpoint:(with_checkpoint checkpoint fuzz_codec)
-            plan
-        in
-        let totals = fuzz_totals outcome in
-        Format.fprintf fmt "%a@." Fuzz_driver.pp_stats totals;
-        Format.fprintf fmt "throughput: %.1f programs/s@."
-          (float_of_int totals.Fuzz_driver.programs /. max 1e-9 outcome.Campaign.elapsed_s);
-        (match Pacstack_fuzz.Triage.buckets (Fuzz_driver.triage_entries totals) with
-        | [] -> ()
-        | buckets ->
-          Format.fprintf fmt "@[<v>divergence buckets:@,%a@]@."
-            Pacstack_fuzz.Triage.pp_buckets buckets);
-        Json.Obj (outcome_header outcome @ fuzz_stats_json totals));
-  }
-
-(* --- fleet simulation ----------------------------------------------------- *)
-
-let fleet_execute cfg ~workers ~seed ~checkpoint ~progress fmt =
-  let cfg = { cfg with Fleet.seed } in
-  let plan = Fleet.plan cfg in
-  let outcome =
-    Campaign.run ~workers ~progress
-      ?checkpoint:(with_checkpoint checkpoint Fleet_json.checkpoint_codec) plan
-  in
-  let rows = Fleet.tabulate cfg outcome in
-  Format.fprintf fmt "fleet: %d connections, %.2f virtual s, %s arrivals, %d cells x %d cores@."
-    cfg.Fleet.connections cfg.Fleet.duration_s
-    (Fleet_arrival.to_string cfg.Fleet.arrival)
-    cfg.Fleet.cells cfg.Fleet.cores;
-  Fleet.pp_table cfg fmt rows;
-  match Fleet_json.table_to_json cfg rows with
-  | Json.Obj fields -> Json.Obj (outcome_header outcome @ fields @ [ quarantine_json outcome ])
-  | other -> other
-
-let fleet_entry =
-  {
-    name = "fleet";
-    doc = "fleet-scale open-loop traffic with per-scheme tail latency";
-    default_seed = Fleet.default.Fleet.seed;
-    execute = fleet_execute Fleet.default;
-  }
-
-(* --- fault injection runner ------------------------------------------------ *)
-
 let inject_execute ?schemes ?(pac_bits = 4) ?(faults = 120) ?policy ?(compact_every = 256)
-    ~workers ~seed ~checkpoint ~progress fmt =
+    ?workers ?progress ?checkpoint ~seed fmt =
   let outcome =
-    Campaign.run ~workers ~progress ?policy
-      ?checkpoint:(with_checkpoint checkpoint inject_codec)
-      ?compaction:(Option.map (fun _ -> inject_compaction ~keep:compact_every) checkpoint)
+    run ?policy ~compaction:(inject_compaction ~keep:compact_every) ?workers ?progress
+      ?checkpoint inject_codec
       (inject_plan ?schemes ~pac_bits ~faults ~seed ())
   in
   let totals = inject_totals outcome in
@@ -840,20 +602,252 @@ let inject_execute ?schemes ?(pac_bits = 4) ?(faults = 120) ?policy ?(compact_ev
   ( totals,
     Json.Obj (outcome_header outcome @ inject_stats_json totals @ [ quarantine_json outcome ]) )
 
-let inject_entry =
+(* --- fleet simulation ------------------------------------------------------------ *)
+
+let fleet_execute cfg ?workers ?progress ?checkpoint ~seed fmt =
+  let cfg = { cfg with Fleet.seed } in
+  let outcome = run ?workers ?progress ?checkpoint Fleet_json.checkpoint_codec (Fleet.plan cfg) in
+  let rows = Fleet.tabulate cfg outcome in
+  Format.fprintf fmt "fleet: %d connections, %.2f virtual s, %s arrivals, %d cells x %d cores@."
+    cfg.Fleet.connections cfg.Fleet.duration_s
+    (Fleet_arrival.to_string cfg.Fleet.arrival)
+    cfg.Fleet.cells cfg.Fleet.cores;
+  Fleet.pp_table cfg fmt rows;
+  match Fleet_json.table_to_json cfg rows with
+  | Json.Obj fields -> Json.Obj (outcome_header outcome @ fields @ [ quarantine_json outcome ])
+  | other -> other
+
+(* --- overhead sweeps ----------------------------------------------------------- *)
+
+(* Each cell next to its overhead over the unprotected cell of its group. *)
+let against_baseline ~group ~scheme ~overhead outcome =
+  let results = Array.to_list (Campaign.results_exn outcome) in
+  List.map
+    (fun r ->
+      let baseline =
+        List.find (fun b -> group b = group r && Scheme.equal (scheme b) Scheme.unprotected) results
+      in
+      (r, overhead ~baseline r))
+    results
+
+let variant_of_string = function
+  | "rate" -> Some Speclike.Rate
+  | "speed" -> Some Speclike.Speed
+  | _ -> None
+
+let spec =
   {
-    name = "inject";
-    doc = "deterministic fault injection across the hardening schemes";
-    default_seed = 7L;
+    name = "spec";
+    doc = "SPECrate-like overhead sweep (benchmark x scheme grid)";
+    default_seed = 0L;
+    plan =
+      (fun ~scale:_ ~seed ->
+        let cells =
+          Array.of_list (Speclike.sweep_cells ~variants:[ Speclike.Rate ] ~schemes:Scheme.all)
+        in
+        Plan.make ~name:"spec" ~seed
+          ~shards:
+            (Array.map
+               (fun (variant, bench, scheme) ->
+                 ( Printf.sprintf "%s/%s/%s" (Speclike.variant_to_string variant) bench
+                     (Scheme.to_string scheme),
+                   1 ))
+               cells)
+          ~run:(fun shard _rng ->
+            let variant, bench, scheme = cells.(shard.Shard.index) in
+            Speclike.measure_cell ~variant ~scheme bench));
+    codec =
+      {
+        Checkpoint.encode =
+          (fun (m : Speclike.measurement) ->
+            Json.Obj
+              [
+                ("bench", Json.String m.Speclike.bench);
+                ("variant", Json.String (Speclike.variant_to_string m.Speclike.variant));
+                ("scheme", Json.String (Scheme.to_string m.Speclike.scheme));
+                ("cycles", Json.Int m.Speclike.cycles);
+                ("instructions", Json.Int m.Speclike.instructions);
+                ("mem_ops", Json.Int m.Speclike.mem_ops);
+                ("checksum", Json.String (Int64.to_string m.Speclike.checksum));
+              ]);
+        decode =
+          (fun json ->
+            let str k = Option.bind (Json.member k json) Json.to_str in
+            let int k = Option.bind (Json.member k json) Json.to_int in
+            match
+              ( str "bench",
+                Option.bind (str "variant") variant_of_string,
+                Option.bind (str "scheme") Scheme.of_string,
+                int "cycles", int "instructions", int "mem_ops",
+                Option.bind (str "checksum") Int64.of_string_opt )
+            with
+            | Some bench, Some variant, Some scheme, Some cycles, Some instructions,
+              Some mem_ops, Some checksum ->
+              Some { Speclike.bench; variant; scheme; cycles; instructions; mem_ops; checksum }
+            | _ -> None);
+      };
+    rows =
+      (fun _ ->
+        against_baseline
+          ~group:(fun (m : Speclike.measurement) -> m.Speclike.bench)
+          ~scheme:(fun m -> m.Speclike.scheme)
+          ~overhead:Speclike.overhead_pct);
+    pp =
+      (fun fmt rows ->
+        Format.fprintf fmt "%-14s %-24s %12s %10s@." "benchmark" "scheme" "cycles" "overhead";
+        List.iter
+          (fun ((m : Speclike.measurement), overhead) ->
+            Format.fprintf fmt "%-14s %-24s %12d %9.2f%%@." m.Speclike.bench
+              (Scheme.to_string m.Speclike.scheme)
+              m.Speclike.cycles overhead)
+          rows);
+    json =
+      (fun rows ->
+        [
+          ( "cells",
+            Json.List
+              (List.map
+                 (fun ((m : Speclike.measurement), overhead) ->
+                   Json.Obj
+                     [
+                       ("bench", Json.String m.Speclike.bench);
+                       ("scheme", Json.String (Scheme.to_string m.Speclike.scheme));
+                       ("cycles", Json.Int m.Speclike.cycles);
+                       ("overhead_pct", Json.Float overhead);
+                     ])
+                 rows) );
+        ]);
+  }
+
+let server =
+  {
+    name = "server";
+    doc = "Table 3 server-throughput sweep (workers x scheme grid)";
+    default_seed = 0L;
+    plan =
+      (fun ~scale:_ ~seed ->
+        let cells = Array.of_list (Server.sweep_cells ()) in
+        Plan.make ~name:"server" ~seed
+          ~shards:
+            (Array.map
+               (fun (workers, scheme) ->
+                 (Printf.sprintf "%dw/%s" workers (Scheme.to_string scheme), 1))
+               cells)
+          ~run:(fun shard _rng ->
+            let workers, scheme = cells.(shard.Shard.index) in
+            Server.measure ~scheme ~workers ()));
+    codec =
+      {
+        Checkpoint.encode =
+          (fun (r : Server.result) ->
+            Json.Obj
+              [
+                ("scheme", Json.String (Scheme.to_string r.Server.scheme));
+                ("workers", Json.Int r.Server.workers);
+                ("req_per_sec", Json.Float r.Server.req_per_sec);
+                ("sigma", Json.Float r.Server.sigma);
+                ("cycles_per_request", Json.Float r.Server.cycles_per_request);
+                ("mem_ops_per_request", Json.Float r.Server.mem_ops_per_request);
+              ]);
+        decode =
+          (fun json ->
+            let flt k = Option.bind (Json.member k json) Json.to_float in
+            match
+              ( Option.bind (Option.bind (Json.member "scheme" json) Json.to_str) Scheme.of_string,
+                Option.bind (Json.member "workers" json) Json.to_int,
+                flt "req_per_sec", flt "sigma", flt "cycles_per_request",
+                flt "mem_ops_per_request" )
+            with
+            | Some scheme, Some workers, Some req_per_sec, Some sigma, Some cycles_per_request,
+              Some mem_ops_per_request ->
+              Some
+                { Server.scheme; workers; req_per_sec; sigma; cycles_per_request; mem_ops_per_request }
+            | _ -> None);
+      };
+    rows =
+      (fun _ ->
+        against_baseline
+          ~group:(fun (r : Server.result) -> r.Server.workers)
+          ~scheme:(fun r -> r.Server.scheme)
+          ~overhead:Server.overhead_pct);
+    pp =
+      (fun fmt rows ->
+        Format.fprintf fmt "%-8s %-18s %12s %10s@." "workers" "scheme" "req/s" "overhead";
+        List.iter
+          (fun ((r : Server.result), overhead) ->
+            Format.fprintf fmt "%-8d %-18s %11.1fk %9.1f%%@." r.Server.workers
+              (Scheme.to_string r.Server.scheme)
+              (r.Server.req_per_sec /. 1000.0)
+              overhead)
+          rows);
+    json =
+      (fun rows ->
+        [
+          ( "cells",
+            Json.List
+              (List.map
+                 (fun ((r : Server.result), overhead) ->
+                   Json.Obj
+                     [
+                       ("workers", Json.Int r.Server.workers);
+                       ("scheme", Json.String (Scheme.to_string r.Server.scheme));
+                       ("req_per_sec", Json.Float r.Server.req_per_sec);
+                       ("overhead_pct", Json.Float overhead);
+                     ])
+                 rows) );
+        ]);
+  }
+
+(* --- uniform CLI entries ---------------------------------------------------------- *)
+
+type entry = {
+  name : string;
+  doc : string;
+  default_seed : int64;
+  execute :
+    workers:int ->
+    seed:int64 ->
+    checkpoint:string option ->
+    progress:Progress.sink ->
+    Format.formatter ->
+    Json.t;
+}
+
+let entry (x : _ experiment) =
+  {
+    name = x.name;
+    doc = x.doc;
+    default_seed = x.default_seed;
     execute =
       (fun ~workers ~seed ~checkpoint ~progress fmt ->
-        snd (inject_execute ~workers ~seed ~checkpoint ~progress fmt));
+        snd (execute ~workers ~seed ?checkpoint ~progress x fmt));
   }
 
 let entries =
   [
-    table1_entry; birthday_entry; guessing_entry; bruteforce_entry; spec_entry;
-    server_entry; fuzz_entry; inject_entry; fleet_entry;
+    entry table1;
+    entry birthday;
+    entry guessing;
+    entry bruteforce;
+    entry spec;
+    entry server;
+    entry (fuzz ());
+    {
+      name = "inject";
+      doc = "deterministic fault injection across the hardening schemes";
+      default_seed = 7L;
+      execute =
+        (fun ~workers ~seed ~checkpoint ~progress fmt ->
+          snd (inject_execute ~workers ~seed ?checkpoint ~progress fmt));
+    };
+    {
+      name = "fleet";
+      doc = "fleet-scale open-loop traffic with per-scheme tail latency";
+      default_seed = Fleet.default.Fleet.seed;
+      execute =
+        (fun ~workers ~seed ~checkpoint ~progress fmt ->
+          fleet_execute Fleet.default ~workers ~seed ?checkpoint ~progress fmt);
+    };
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) entries

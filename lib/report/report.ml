@@ -1,7 +1,5 @@
 module Rng = Pacstack_util.Rng
 module Stats = Pacstack_util.Stats
-module Word64 = Pacstack_util.Word64
-module Analysis = Pacstack_acs.Analysis
 module Games = Pacstack_acs.Games
 module Scheme = Pacstack_harden.Scheme
 module Speclike = Pacstack_workloads.Speclike
@@ -12,14 +10,10 @@ module Adversary = Pacstack_attacker.Adversary
 module Reuse = Pacstack_attacker.Reuse
 module Gadget = Pacstack_attacker.Gadget
 module Sigreturn = Pacstack_attacker.Sigreturn
-module Bruteforce = Pacstack_attacker.Bruteforce
 module Kernel = Pacstack_machine.Kernel
 module Machine = Pacstack_machine.Machine
 module Unwind = Pacstack_machine.Unwind
 module Compile = Pacstack_minic.Compile
-
-module Campaign = Pacstack_campaign.Campaign
-module Progress = Pacstack_campaign.Progress
 
 let section fmt title = Format.fprintf fmt "@.=== %s ===@." title
 
@@ -29,20 +23,9 @@ let section fmt title = Format.fprintf fmt "@.=== %s ===@." title
    by Plans.table1_plan, so the same table can be regenerated on one
    worker (the default — sequential, reproducible anywhere) or on many
    with bitwise-identical numbers. *)
-let table1 ?(seed = 1L) ?(workers = 1) ?(scale = 1.0) ?progress fmt =
+let table1 ?seed ?workers ?scale ?progress fmt =
   section fmt "Table 1: max success probability of call-stack integrity violations";
-  let plan = Plans.table1_plan ~scale ~seed () in
-  let outcome = Campaign.run ~workers ?progress plan in
-  let per_cell = Plans.table1_estimates outcome in
-  Format.fprintf fmt "%-34s %-8s %-6s %-12s %-12s@." "violation" "masking" "b" "paper(theory)"
-    "measured";
-  List.iteri
-    (fun i (kind, masked, bits, _trials) ->
-      let theory = Analysis.table1_success_probability ~masked kind ~bits in
-      Format.fprintf fmt "%-34s %-8b %-6d %-12.2e %-12.2e@."
-        (Format.asprintf "%a" Analysis.pp_violation_kind kind)
-        masked bits theory per_cell.(i).Games.rate)
-    Plans.table1_cells
+  ignore (Plans.execute ?seed ?workers ?scale ?progress Plans.table1 fmt)
 
 (* --- Table 2 / Figure 5 ------------------------------------------------ *)
 
@@ -50,11 +33,9 @@ let schemes_measured =
   [ Scheme.pacstack; Scheme.pacstack_nomask; Scheme.shadow_stack; Scheme.branch_protection;
     Scheme.stack_protector; Scheme.pcan; Scheme.zipper; Scheme.pactight; Scheme.parts ]
 
-(* geometric mean of (1 + overhead) ratios, reported back as a percentage *)
-let geomean_overhead per_bench =
-  (Stats.geometric_mean (List.map (fun oh -> 1.0 +. (oh /. 100.0)) per_bench) -. 1.0) *. 100.0
-
-let spec_overheads variant =
+(* Per benchmark, each scheme's overhead over the unprotected build; every
+   build must print the baseline's checksum. *)
+let spec_overheads ?(benches = Speclike.all) ?(schemes = schemes_measured) variant =
   List.map
     (fun bench ->
       let baseline = Speclike.measure ~scheme:Scheme.unprotected variant bench in
@@ -65,10 +46,16 @@ let spec_overheads variant =
             if not (Int64.equal m.Speclike.checksum baseline.Speclike.checksum) then
               failwith (bench.Speclike.name ^ ": checksum mismatch under " ^ Scheme.to_string scheme);
             (scheme, Speclike.overhead_pct ~baseline m))
-          schemes_measured
+          schemes
       in
-      (bench.Speclike.name, per_scheme))
-    Speclike.all
+      (bench, per_scheme))
+    benches
+
+(* geometric mean of (1 + overhead) ratios over the benchmarks, reported
+   back as a percentage *)
+let geomean_overhead table scheme =
+  let ratios = List.map (fun (_, per) -> 1.0 +. (List.assoc scheme per /. 100.0)) table in
+  (Stats.geometric_mean ratios -. 1.0) *. 100.0
 
 (* keyed by canonical name: the registry is open, and the paper only
    reports numbers for the schemes it measured *)
@@ -93,49 +80,58 @@ let call_density bench =
   | _ -> failwith (bench.Speclike.name ^ ": profiling run failed"));
   Pacstack_machine.Profile.call_density profile
 
-let table2_and_figure5 fmt =
+type overheads = {
+  figure5 : (string * float * (Scheme.t * float) list) list;
+  table2 : (Scheme.t * float * float) list;
+}
+
+let overheads () =
   let rate = spec_overheads Speclike.Rate in
   let speed = spec_overheads Speclike.Speed in
+  {
+    figure5 = List.map (fun (bench, per) -> (bench.Speclike.name, call_density bench, per)) rate;
+    table2 =
+      List.map
+        (fun s -> (s, geomean_overhead rate s, geomean_overhead speed s))
+        schemes_measured;
+  }
+
+let table2_and_figure5 fmt =
+  let o = overheads () in
   section fmt "Figure 5: per-benchmark overhead w.r.t. baseline (%%, SPECrate-like)";
   Format.fprintf fmt "%-12s %10s" "benchmark" "calls/ki";
   List.iter (fun s -> Format.fprintf fmt " %18s" (Scheme.to_string s)) schemes_measured;
   Format.fprintf fmt "@.";
-  List.iter2
-    (fun bench (name, per_scheme) ->
-      Format.fprintf fmt "%-12s %10.1f" name (call_density bench);
+  List.iter
+    (fun (name, density, per_scheme) ->
+      Format.fprintf fmt "%-12s %10.1f" name density;
       List.iter (fun (_, oh) -> Format.fprintf fmt " %17.2f%%" oh) per_scheme;
       Format.fprintf fmt "@.")
-    Speclike.all rate;
+    o.figure5;
   section fmt "Table 2: geometric mean of overheads";
   Format.fprintf fmt "%-24s %14s %14s %20s@." "scheme" "SPECrate" "SPECspeed"
     "paper (rate/speed)";
   List.iter
-    (fun scheme ->
-      let mean_of table =
-        geomean_overhead (List.map (fun (_, per) -> List.assoc scheme per) table)
-      in
+    (fun (scheme, rate, speed) ->
       let paper =
         match paper_table2 scheme with
         | Some (p_rate, p_speed) -> Format.asprintf "%.2f%%/%.2f%%" p_rate p_speed
         | None -> "-"
       in
-      Format.fprintf fmt "%-24s %13.2f%% %13.2f%% %20s@." (Scheme.to_string scheme)
-        (mean_of rate) (mean_of speed) paper)
-    schemes_measured;
+      Format.fprintf fmt "%-24s %13.2f%% %13.2f%% %20s@." (Scheme.to_string scheme) rate speed
+        paper)
+    o.table2;
   (* the paper reports the C++ benchmarks separately: 2.0 %% masked,
      0.9 %% unmasked *)
-  let cpp_mean scheme =
-    geomean_overhead
-      (List.map
-         (fun bench ->
-           let baseline = Speclike.measure ~scheme:Scheme.unprotected Speclike.Rate bench in
-           Speclike.overhead_pct ~baseline (Speclike.measure ~scheme Speclike.Rate bench))
-         Speclike.cpp)
+  let cpp =
+    spec_overheads ~benches:Speclike.cpp ~schemes:[ Scheme.pacstack; Scheme.pacstack_nomask ]
+      Speclike.Rate
   in
   Format.fprintf fmt "@.C++-like benchmarks (omnetpp, leela, xalancbmk):@.";
-  Format.fprintf fmt "  pacstack        %5.2f%%  (paper 2.0%%)@." (cpp_mean Scheme.pacstack);
+  Format.fprintf fmt "  pacstack        %5.2f%%  (paper 2.0%%)@."
+    (geomean_overhead cpp Scheme.pacstack);
   Format.fprintf fmt "  pacstack-nomask %5.2f%%  (paper 0.9%%)@."
-    (cpp_mean Scheme.pacstack_nomask)
+    (geomean_overhead cpp Scheme.pacstack_nomask)
 
 (* --- Table 3 ------------------------------------------------------------ *)
 
@@ -154,23 +150,13 @@ let table3 fmt =
     | _ -> "-"
   in
   List.iter
-    (fun workers ->
-      let baseline = Server.measure ~scheme:Scheme.unprotected ~workers () in
-      List.iter
-        (fun scheme ->
-          let r =
-            if Scheme.equal scheme Scheme.unprotected then baseline
-            else Server.measure ~scheme ~workers ()
-          in
-          Format.fprintf fmt "%-8d %-18s %11.1fk %8.0f %9.1f%% %18s@." workers
-            (Scheme.to_string scheme)
-            (r.Server.req_per_sec /. 1000.0)
-            r.Server.sigma
-            (Server.overhead_pct ~baseline r)
-            (paper workers scheme))
-        [ Scheme.unprotected; Scheme.pacstack_nomask; Scheme.pacstack;
-          Scheme.pcan; Scheme.zipper; Scheme.pactight; Scheme.parts ])
-    [ 4; 8 ]
+    (fun ((r : Server.result), overhead) ->
+      Format.fprintf fmt "%-8d %-18s %11.1fk %8.0f %9.1f%% %18s@." r.Server.workers
+        (Scheme.to_string r.Server.scheme)
+        (r.Server.req_per_sec /. 1000.0)
+        r.Server.sigma overhead
+        (paper r.Server.workers r.Server.scheme))
+    (Plans.compute Plans.server)
 
 (* --- security experiments ---------------------------------------------- *)
 
@@ -188,17 +174,11 @@ let reuse_matrix fmt =
       Format.fprintf fmt "@.")
     (Reuse.matrix ())
 
-let birthday ?(seed = 2L) ?(workers = 1) ?(scale = 1.0) ?progress fmt =
+let birthday ?(seed = Plans.birthday.Plans.default_seed) ?workers ?(scale = 1.0) ?progress fmt =
   section fmt "Collisions (paper 6.2.1) and mask hiding (Appendix A)";
-  (* the harvest is sharded through the campaign engine; the Appendix A
-     distinguisher games stay sequential on their own stream *)
-  let plan = Plans.birthday_plan ~scale ~seed () in
-  let outcome = Campaign.run ~workers ?progress plan in
-  let measured = Plans.birthday_mean ~plan outcome in
+  ignore (Plans.execute ~seed ?workers ~scale ?progress Plans.birthday fmt);
+  (* the Appendix A distinguisher games stay sequential on their own stream *)
   let rng = Rng.create seed in
-  Format.fprintf fmt "tokens harvested until PAC collision (b=16): measured %.1f, paper ~%.1f@."
-    measured
-    (Analysis.collision_harvest_mean ~bits:16);
   let trials = max 1 (int_of_float ((3000.0 *. scale) +. 0.5)) in
   let adv = Games.mask_distinguisher_advantage ~bits:12 ~queries:256 ~trials rng in
   Format.fprintf fmt
@@ -208,30 +188,10 @@ let birthday ?(seed = 2L) ?(workers = 1) ?(scale = 1.0) ?progress fmt =
     "Theorem 1 (Appendix A): collision adv %.4f <= 2 x distinguisher adv + slack = %.4f: %b@."
     th.Games.collision_advantage th.Games.bound th.Games.holds
 
-let bruteforce ?(seed = 3L) ?(workers = 1) ?(scale = 1.0) ?progress fmt =
+let bruteforce ?seed ?workers ?scale ?progress fmt =
   section fmt "Brute-force guessing (paper 4.3)";
-  let guessing = Plans.guessing_plan ~scale ~seed () in
-  let means = Plans.guessing_means ~plan:guessing (Campaign.run ~workers ?progress guessing) in
-  Format.fprintf fmt "%-38s %-6s %12s %12s@." "strategy" "b" "measured" "expected";
-  List.iteri
-    (fun i (strategy, bits, _trials) ->
-      let expected =
-        match strategy with
-        | Games.Divide_and_conquer -> Analysis.guesses_divide_and_conquer ~bits
-        | Games.Reseeded -> Analysis.guesses_reseeded ~bits
-        | Games.Independent -> Analysis.guesses_independent ~bits
-      in
-      Format.fprintf fmt "%-38s %-6d %12.0f %12.0f@."
-        (Format.asprintf "%a" Games.pp_guess_strategy strategy)
-        bits means.(i) expected)
-    Plans.guessing_rows;
-  let machine = Plans.bruteforce_plan ~scale ~seed () in
-  let outcome = Campaign.run ~workers ?progress machine in
-  let trials = Pacstack_campaign.Plan.total_trials machine in
-  let mean = float_of_int (Campaign.fold outcome ~init:0 ~f:( + )) /. float_of_int trials in
-  Format.fprintf fmt
-    "end-to-end forked-sibling attack (machine, b=%d): %.0f guesses/success (geometric mean expectation %.0f)@."
-    6 mean (2.0 ** 6.0)
+  ignore (Plans.execute ?seed ?workers ?scale ?progress Plans.guessing fmt);
+  ignore (Plans.execute ?seed ?workers ?scale ?progress Plans.bruteforce fmt)
 
 let gadget fmt =
   section fmt "PA signing gadget (paper 6.3.1)";
@@ -403,16 +363,16 @@ let confirm fmt =
 
 (* --- fault injection ---------------------------------------------------- *)
 
-let injection ?(seed = 7L) ?(workers = 1) ?(faults = 120) ?(progress = Progress.null) fmt =
+let injection ?(seed = 7L) ?workers ?(faults = 120) ?progress fmt =
   section fmt "Fault injection: detection rate per scheme";
-  ignore (Plans.inject_execute ~faults ~workers ~seed ~checkpoint:None ~progress fmt)
+  ignore (Plans.inject_execute ~faults ?workers ?progress ~seed fmt)
 
-let fleet ?(seed = 7L) ?(workers = 1) ?(connections = 192) ?(progress = Progress.null) fmt =
+let fleet ?(seed = 7L) ?workers ?(connections = 192) ?progress fmt =
   section fmt "Fleet simulation: per-scheme tail latency under open-loop load";
   let cfg =
     { Pacstack_fleet.Fleet.default with connections; duration_s = 1.0; cells = 4; seed }
   in
-  ignore (Plans.fleet_execute cfg ~workers ~seed ~checkpoint:None ~progress fmt)
+  ignore (Plans.fleet_execute cfg ?workers ?progress ~seed fmt)
 
 (* --- observability ------------------------------------------------------ *)
 
@@ -424,7 +384,8 @@ let observability ?(scheme = Scheme.pacstack) fmt =
   Obs.reset ();
   (* A small slice of every instrumented layer: one server measurement
      (machine + harden + server counters under [scheme]), two fuzz seeds
-     (12 oracle runs each), one injected fault under all six schemes. *)
+     (2 machine runs per registered scheme each, peephole off and on) and
+     one injected fault under every registered scheme. *)
   ignore (Server.measure ~scheme ~workers:4 ~variants:2 ());
   ignore
     (Pacstack_fuzz.Driver.run_range Pacstack_fuzz.Oracle.default_config

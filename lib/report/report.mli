@@ -9,17 +9,34 @@ val table1 :
   ?progress:Pacstack_campaign.Progress.sink -> Format.formatter -> unit
 (** Table 1: maximum success probability of call-stack integrity
     violations — closed forms next to Monte-Carlo estimates at a small
-    PAC width. Routed through the campaign engine; [workers] defaults to
-    1 and the printed numbers are identical for any worker count.
-    [scale] multiplies trial counts (tests regenerate the table at tiny
-    scales; the numbers are then noisy but the shape is exercised). *)
+    PAC width ({!Plans.table1}). [workers] defaults to 1 and the printed
+    numbers are identical for any worker count. [scale] multiplies trial
+    counts (tests regenerate the table at tiny scales; the numbers are
+    then noisy but the shape is exercised). *)
+
+type overheads = {
+  figure5 : (string * float * (Pacstack_harden.Scheme.t * float) list) list;
+      (** per SPECrate-like benchmark: name, calls per 1000 instructions
+          of the baseline build, and each measured scheme's overhead %% *)
+  table2 : (Pacstack_harden.Scheme.t * float * float) list;
+      (** per measured scheme: geometric-mean overhead %% over SPECrate
+          and over SPECspeed *)
+}
+
+val overheads : unit -> overheads
+(** Figure 5's and Table 2's rows. Every (variant, benchmark, scheme)
+    cell is measured once, and each build must print the baseline's
+    checksum. Rendered as text by {!table2_and_figure5} and as CSV by
+    {!Export}. *)
 
 val table2_and_figure5 : Format.formatter -> unit
 (** Table 2 (geometric-mean overheads, SPECrate and SPECspeed) and
-    Figure 5 (per-benchmark overhead, all five instrumentations). *)
+    Figure 5 (per-benchmark overhead, every measured scheme), plus the
+    C++-like benchmarks' means. *)
 
 val table3 : Format.formatter -> unit
-(** Table 3: NGINX-style SSL TPS with 4 and 8 workers. *)
+(** Table 3: NGINX-style SSL TPS with 4 and 8 workers — the
+    {!Plans.server} rows next to the paper's numbers. *)
 
 val reuse_matrix : Format.formatter -> unit
 (** §6.1: the Listing 6 attack strategies against every scheme. *)
@@ -27,17 +44,17 @@ val reuse_matrix : Format.formatter -> unit
 val birthday :
   ?seed:int64 -> ?workers:int -> ?scale:float ->
   ?progress:Pacstack_campaign.Progress.sink -> Format.formatter -> unit
-(** §6.2.1: harvested-token count until a PAC collision (campaign-
-    sharded), and the mask distinguisher advantage (Appendix A).
-    [scale] multiplies trial counts as in {!table1}. *)
+(** §6.2.1: harvested-token count until a PAC collision
+    ({!Plans.birthday}), and the mask distinguisher advantage
+    (Appendix A). [scale] multiplies trial counts as in {!table1}. *)
 
 val bruteforce :
   ?seed:int64 -> ?workers:int -> ?scale:float ->
   ?progress:Pacstack_campaign.Progress.sink -> Format.formatter -> unit
 (** §4.3: expected guesses under divide-and-conquer, re-seeded and
-    independent strategies, plus the end-to-end forked-sibling attack —
-    both routed through the campaign engine.  [scale] multiplies trial
-    counts as in {!table1}. *)
+    independent strategies ({!Plans.guessing}), plus the end-to-end
+    forked-sibling attack ({!Plans.bruteforce}). [scale] multiplies
+    trial counts as in {!table1}. *)
 
 val gadget : Format.formatter -> unit
 (** §6.3.1: the signing gadget works at the PA level and is defeated by

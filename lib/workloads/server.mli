@@ -87,4 +87,5 @@ val sweep_cells :
   (int * Pacstack_harden.Scheme.t) list
 (** The Table 3 measurement grid in deterministic order, one
     [(workers, scheme)] cell per campaign shard. Defaults to the paper's
-    4/8 workers against unprotected and both PACStack variants. *)
+    4/8 workers against unprotected, both PACStack variants, PCan,
+    Zipper Stack, PACTight and PARTS. *)

@@ -100,7 +100,7 @@ let test_smoke_200_seeds () =
       (if f.Driver.optimize then "+peephole" else "")
       f.Driver.site f.Driver.expected f.Driver.actual);
   (* every scheme x {peephole off, on} ran for every seed *)
-  Alcotest.(check int) "12 machine runs per seed"
+  Alcotest.(check int) "2 x |Scheme.all| machine runs per seed"
     (200 * 2 * List.length Scheme.all)
     totals.Driver.runs
 

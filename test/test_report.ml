@@ -5,6 +5,7 @@
 
 module Report = Pacstack_report.Report
 module Export = Pacstack_report.Export
+module Plans = Pacstack_report.Plans
 
 let render section =
   let buf = Buffer.create 4096 in
@@ -56,7 +57,7 @@ let test_bruteforce_smoke () =
   let out = render (Report.bruteforce ~seed:5L ~scale:0.02) in
   check_contains out [ "Brute-force guessing"; "strategy"; "measured"; "expected" ]
 
-(* --- CSV export: golden headers and row shape ------------------------------ *)
+(* --- CSV export: golden headers, row shape and agreement with the report -- *)
 
 let with_temp_dir f =
   (* relative to the test's working directory, under dune's sandbox *)
@@ -84,10 +85,21 @@ let test_export_table1_golden () =
         Alcotest.(check string) "golden header" "violation,masking,bits,theory,measured"
           header;
         Alcotest.(check int) "one row per Table 1 cell" 6 (List.length rows);
-        List.iter
-          (fun row ->
-            Alcotest.(check int) "5 fields" 5
-              (List.length (String.split_on_char ',' row)))
+        (* the measured column is the campaign estimate that [pacstack
+           table1] prints, computed independently from the plan here *)
+        let estimates =
+          Plans.table1_estimates
+            (Pacstack_campaign.Campaign.run (Plans.table1_plan ~scale:0.001 ~seed:5L ()))
+        in
+        List.iteri
+          (fun i row ->
+            match String.split_on_char ',' row with
+            | [ _; _; _; _; measured ] ->
+              Alcotest.(check string)
+                (Printf.sprintf "row %d measured = campaign estimate" i)
+                (Printf.sprintf "%.3e" estimates.(i).Pacstack_acs.Games.rate)
+                measured
+            | fields -> Alcotest.failf "row %d: %d fields, expected 5" i (List.length fields))
           rows)
 
 let () =
