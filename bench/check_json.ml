@@ -114,8 +114,8 @@ let check_bench path =
       if not (List.mem required sections) then fail "missing section %S" required)
     [
       "qarma_mac_fast"; "machine_step"; "machine_step_threaded";
-      "machine_step_registry"; "machine_load"; "fuzz_program"; "inject_fault";
-      "scheduler_event"; "fleet_request";
+      "machine_step_registry"; "machine_load"; "machine_instantiate"; "fuzz_program";
+      "inject_fault"; "scheduler_event"; "fleet_request";
     ];
   (match require_member "gates" doc with
   | Json.Null -> ()

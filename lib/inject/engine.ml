@@ -177,17 +177,21 @@ let apply_site cfg (spec : Fault.spec) scheme m =
 let obs_label scheme m =
   if Obs.enabled () then Machine.set_obs_label m (Scheme.to_string scheme)
 
-let reference cfg scheme compiled keys_rng =
-  let m = Machine.load ~cfg:(machine_cfg cfg) ~rng:(Rng.copy keys_rng) compiled in
+(* A machine for one run of the victim, keyed from the fault's stream. *)
+let instance cfg scheme victim keys_rng =
+  let m = Machine.instantiate ~cfg:(machine_cfg cfg) ~rng:(Rng.copy keys_rng) victim in
   obs_label scheme m;
+  m
+
+let reference cfg scheme victim keys_rng =
+  let m = instance cfg scheme victim keys_rng in
   let outcome = Machine.run ~fuel:cfg.fuel m in
   (trace_of m outcome, max 1 (Machine.instructions_retired m))
 
-let run_generic cfg (spec : Fault.spec) scheme compiled keys_rng =
-  let ref_trace, total = reference cfg scheme compiled keys_rng in
+let run_generic cfg (spec : Fault.spec) scheme victim keys_rng =
+  let ref_trace, total = reference cfg scheme victim keys_rng in
   let trigger = max 1 (int_of_float (spec.trigger *. float_of_int total)) in
-  let m = Machine.load ~cfg:(machine_cfg cfg) ~rng:(Rng.copy keys_rng) compiled in
-  obs_label scheme m;
+  let m = instance cfg scheme victim keys_rng in
   match
     Machine.run_until ~fuel:cfg.fuel m ~stop:(fun m ->
         Machine.instructions_retired m >= trigger)
@@ -254,10 +258,9 @@ let blind_pair (spec : Fault.spec) =
   let y = (x + 1 + (spec.pick mod (paths - 1))) mod paths in
   (x, y)
 
-let run_window cfg (spec : Fault.spec) scheme compiled keys_rng =
-  let ref_trace, _ = reference cfg scheme compiled keys_rng in
-  let m = Machine.load ~cfg:(machine_cfg cfg) ~rng:(Rng.copy keys_rng) compiled in
-  obs_label scheme m;
+let run_window cfg (spec : Fault.spec) scheme victim keys_rng =
+  let ref_trace, _ = reference cfg scheme victim keys_rng in
+  let m = instance cfg scheme victim keys_rng in
   let paths = Victim.paths in
   let handles = Array.make paths 0L in
   let w1s = Array.make paths 0L in
@@ -312,12 +315,11 @@ let signal_policy scheme =
    (X0..X30, SP, PC, flags). *)
 let saved_pc_index = 32
 
-let run_signal cfg (spec : Fault.spec) scheme keys_rng =
-  let compiled = Compile.compile ~scheme (Victim.signal_program ()) in
+let run_signal cfg (spec : Fault.spec) scheme victim keys_rng =
   let policy = signal_policy scheme in
   let boot rng =
     let k = Kernel.create ~signal_policy:policy rng in
-    let p = Kernel.boot k compiled in
+    let p = Kernel.boot_prepared k victim in
     let m = Kernel.machine p in
     obs_label scheme m;
     (k, p, m)
@@ -364,14 +366,21 @@ let run_signal cfg (spec : Fault.spec) scheme keys_rng =
 (* ------------------------------------------------------------------ *)
 (* Per-fault driver                                                    *)
 
-let run_one cfg (spec : Fault.spec) scheme keys_rng =
+(* One scheme's victims, each compiled and prepared at most once per
+   range and only if some fault of the range runs it. *)
+type victims = { main : Machine.prepared Lazy.t; signal : Machine.prepared Lazy.t }
+
+let victims scheme =
+  let prepare program = lazy (Machine.prepare (Compile.compile ~scheme (program ()))) in
+  { main = prepare Victim.program; signal = prepare Victim.signal_program }
+
+let run_one cfg (spec : Fault.spec) scheme victims keys_rng =
   match spec.site with
-  | Fault.Signal_frame -> run_signal cfg spec scheme keys_rng
-  | Fault.Reload_window ->
-    run_window cfg spec scheme (Compile.compile ~scheme (Victim.program ())) keys_rng
+  | Fault.Signal_frame -> run_signal cfg spec scheme (Lazy.force victims.signal) keys_rng
+  | Fault.Reload_window -> run_window cfg spec scheme (Lazy.force victims.main) keys_rng
   | Fault.Ret_slot | Fault.Chain_spill | Fault.Cr_reg | Fault.Lr_reg | Fault.Shadow_slot
   | Fault.Pac_bits ->
-    run_generic cfg spec scheme (Compile.compile ~scheme (Victim.program ())) keys_rng
+    run_generic cfg spec scheme (Lazy.force victims.main) keys_rng
 
 (* One trace event per fault, keyed by its index — campaign sharding
    hands each index to exactly one worker, so the merged trace is
@@ -398,15 +407,28 @@ let obs_fault (spec : Fault.spec) results =
   end;
   results
 
-let run_fault cfg ~campaign_seed index =
-  let spec = Fault.derive ~campaign_seed index in
-  let keys_rng = Fault.rng ~campaign_seed index in
-  obs_fault spec
-    (List.map
-       (fun scheme ->
-         Watchdog.tick ();
-         { spec; scheme; classification = run_one cfg spec scheme (Rng.copy keys_rng) })
-       cfg.schemes)
+(* Faults [first, first + count), scheme-major: each scheme's victims
+   are prepared once and every fault of the range runs against them,
+   so only one scheme's prepared victims are live at a time. Results
+   come back per fault, in fault order, scheme lists in config order. *)
+let run_faults cfg ~campaign_seed ~first ~count =
+  let specs = Array.init count (fun k -> Fault.derive ~campaign_seed (first + k)) in
+  let keys = Array.init count (fun k -> Fault.rng ~campaign_seed (first + k)) in
+  let by_scheme =
+    List.map
+      (fun scheme ->
+        let victims = victims scheme in
+        Array.mapi
+          (fun k spec ->
+            Watchdog.tick ();
+            { spec; scheme;
+              classification = run_one cfg spec scheme victims (Rng.copy keys.(k)) })
+          specs)
+      cfg.schemes
+  in
+  Array.mapi (fun k spec -> obs_fault spec (List.map (fun rs -> rs.(k)) by_scheme)) specs
+
+let run_fault cfg ~campaign_seed index = (run_faults cfg ~campaign_seed ~first:index ~count:1).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Mergeable campaign statistics                                       *)
@@ -588,23 +610,23 @@ let repro_dropped s =
   List.fold_left (fun n (_, c) -> n + c.silent) 0 s.cells - List.length s.silents
 
 let run_range cfg ~campaign_seed ~first ~count =
+  (* detection latencies reach ~2^14 cycles on these victims; the top
+     bucket must not clamp them (pinned in test_inject) *)
   if Obs.enabled () then
-    Obs.Metrics.register_histogram "inject.detect_latency" ~lo:0. ~hi:4096. ~buckets:20;
-  let stats = ref empty in
-  for i = first to first + count - 1 do
-    let results = run_fault cfg ~campaign_seed i in
-    if Obs.enabled () then
-      List.iter
-        (fun r ->
-          match r.classification with
-          | Detected { latency; _ } ->
-            Obs.Metrics.observe "inject.detect_latency" (float_of_int latency)
-          | Benign | Silent -> ())
-        results;
-    stats :=
-      List.fold_left add_result { !stats with faults = !stats.faults + 1 } results
-  done;
-  !stats
+    Obs.Metrics.register_histogram "inject.detect_latency" ~lo:0. ~hi:32768. ~buckets:20;
+  Array.fold_left
+    (fun stats results ->
+      if Obs.enabled () then
+        List.iter
+          (fun r ->
+            match r.classification with
+            | Detected { latency; _ } ->
+              Obs.Metrics.observe "inject.detect_latency" (float_of_int latency)
+            | Benign | Silent -> ())
+          results;
+      List.fold_left add_result { stats with faults = stats.faults + 1 } results)
+    empty
+    (run_faults cfg ~campaign_seed ~first ~count)
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec (campaign checkpoint payload)                            *)

@@ -46,10 +46,11 @@ type result = {
 }
 
 val run_fault : config -> campaign_seed:int64 -> int -> result list
-(** Derives fault [index] and runs it under every configured scheme.
-    Pure in (config, seed, index): same inputs, same classifications,
-    on any worker. Ticks the {!Pacstack_campaign.Watchdog} once per
-    scheme. *)
+(** Derives fault [index] and runs it under every configured scheme: a
+    one-fault {!run_range}, returning the results in config order
+    instead of folding them. Pure in (config, seed, index): same inputs,
+    same classifications, on any worker and in any range. Ticks the
+    {!Pacstack_campaign.Watchdog} once per scheme. *)
 
 (** {1 Mergeable campaign statistics}
 
@@ -116,10 +117,18 @@ val repro_dropped : stats -> int
     (derived, not stored). *)
 
 val run_range : config -> campaign_seed:int64 -> first:int -> count:int -> stats
-(** Runs faults [first .. first + count - 1] — one campaign shard —
-    folding every result into the statistics as it happens; also feeds
-    detection latencies into the ["inject.detect_latency"]
-    {!Pacstack_obs.Obs} histogram when observability is enabled. *)
+(** Runs faults [first .. first + count - 1] — one campaign shard — and
+    folds every result into the statistics. The shard runs scheme-major:
+    per configured scheme it compiles and {!Machine.prepare}s each victim
+    at most once, and only if some fault of the range runs it (the
+    signal-frame victim only for signal-frame faults), and instantiates
+    every reference, injected and kernel-booted machine of every fault
+    from it, keeping one scheme's victims live at a time. Results are then folded per fault, in fault order, so the
+    statistics, trace events and reproducers equal a fold of
+    {!run_fault} over the range. Ticks the watchdog once per (fault,
+    scheme). When observability is enabled, also feeds detection
+    latencies into the ["inject.detect_latency"] {!Pacstack_obs.Obs}
+    histogram (20 buckets over 0..32768 cycles). *)
 
 val stats_to_json : stats -> Json.t
 

@@ -3,12 +3,6 @@ module Program = Pacstack_isa.Program
 module Instr = Pacstack_isa.Instr
 module Encode = Pacstack_isa.Encode
 
-(* Open slot for engine-compiled artifacts derived from this image (the
-   machine's threaded-code ops array). An extensible variant keeps the
-   dependency arrow pointing the right way: Machine extends [cache],
-   Image never learns what it stores. *)
-type cache = ..
-
 type t = {
   program : Program.t;
   code : Instr.t array;
@@ -19,7 +13,6 @@ type t = {
   bounds : (string * Word64.t * Word64.t) list;    (* name, first, past-last *)
   entries : (Word64.t, unit) Hashtbl.t;            (* function entry points *)
   fetch_trap : exn;      (* preformatted out-of-image trap, raised as-is *)
-  mutable cache : cache option;
 }
 
 let code_base = 0x0000_0001_0000L
@@ -90,7 +83,7 @@ let build (p : Program.t) =
   in
   {
     program; code; words; pools; globals; locals;
-    bounds = List.rev !bounds; entries; fetch_trap; cache = None;
+    bounds = List.rev !bounds; entries; fetch_trap;
   }
 
 let program t = t.program
@@ -116,8 +109,6 @@ let fetch_exn t addr =
   else Array.unsafe_get t.code (Int64.to_int off lsr 2)
 
 let instructions t = t.code
-let cache t = t.cache
-let set_cache t c = t.cache <- Some c
 
 let symbol t name = Hashtbl.find_opt t.globals name
 

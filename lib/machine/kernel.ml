@@ -147,16 +147,18 @@ let register t machine ~parent =
   t.procs <- p :: t.procs;
   p
 
-let boot t program =
+(* A fresh process image: new keys from the kernel's stream, then the
+   canary from a split of it. *)
+let instance t prepared =
   let keys = Keys.generate ~fast:t.fast_keys t.rng in
-  let machine = Machine.load ~keys ~rng:(Rng.split t.rng) program in
-  register t machine ~parent:None
+  Machine.instantiate ~keys ~rng:(Rng.split t.rng) prepared
 
+let boot_prepared t prepared = register t (instance t prepared) ~parent:None
+let boot t program = boot_prepared t (Machine.prepare program)
 let adopt t machine = register t machine ~parent:None
 
 let exec t p program =
-  let keys = Keys.generate ~fast:t.fast_keys t.rng in
-  let machine = Machine.load ~keys ~rng:(Rng.split t.rng) program in
+  let machine = instance t (Machine.prepare program) in
   Machine.set_syscall_handler machine (fun m n -> handler t p m n);
   p.m <- machine;
   p.sig_ref <- 0L;

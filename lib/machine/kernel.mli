@@ -38,8 +38,13 @@ val create :
     key sets. *)
 
 val boot : t -> Pacstack_isa.Program.t -> proc
-(** Loads the program into a fresh machine with fresh PA keys and
-    registers it as a process. *)
+(** [boot_prepared t (Machine.prepare program)]. *)
+
+val boot_prepared : t -> Machine.prepared -> proc
+(** Instantiates a fresh machine from a prepared program, with a fresh
+    PA key set drawn from the kernel's generator (the canary from a
+    split of it), and registers it as a process. Booting one prepared
+    value many times gives independent processes. *)
 
 val adopt : t -> Machine.t -> proc
 (** Registers an existing machine as a process (its syscall handler is

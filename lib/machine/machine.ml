@@ -701,19 +701,6 @@ let compile_op image nops idx instr : t -> int =
       | None -> ());
       -1
 
-(* The compiled ops array lives on the image (compiled once, shared by
-   every machine and clone running that image). *)
-type Image.cache += Compiled_ops of (t -> int) array
-
-let ops_of_image image =
-  match Image.cache image with
-  | Some (Compiled_ops ops) -> ops
-  | _ ->
-    let code = Image.instructions image in
-    let ops = Array.mapi (compile_op image (Array.length code)) code in
-    Image.set_cache image (Compiled_ops ops);
-    ops
-
 (* --- threaded step ---------------------------------------------------- *)
 
 (* [xcache_gen] sentinel: [Memory.generation] restarts at 0 after a
@@ -874,44 +861,60 @@ end
 
 (* --- construction ----------------------------------------------------- *)
 
-let load ?(cfg = Config.default) ?keys ?rng program =
-  let rng = match rng with Some r -> r | None -> Rng.create 0x9ac57ac4L in
-  let keys = match keys with Some k -> k | None -> Keys.generate ~fast:true rng in
+(* What loading derives from the program alone, built once by [prepare]
+   and never mutated afterwards: every instance shares the image and the
+   compiled ops (one closure per instruction, see [compile_op]) and maps
+   its own copy of [p_code]. *)
+type prepared = {
+  p_image : Image.t;
+  p_ops : (t -> int) array;
+  p_code : Bytes.t;  (* the binary encoding, zero-padded to whole pages *)
+  p_data_size : int;
+  p_code_limit : Word64.t;  (* 4 * instruction count *)
+}
+
+let prepare program =
   let image = Image.build program in
-  let mem = Memory.create () in
-  let code_bytes = max Memory.page_size (Image.code_size image) in
-  (* write the binary encoding into the code pages, then seal them rx: the
-     code bytes an adversary can disclose are real, and W^X is enforced
-     from the first fetch *)
-  Memory.map mem ~addr:Image.code_base ~size:code_bytes Memory.perm_rw;
+  let code = Image.instructions image in
   let words, _pools = Image.encoded image in
-  Array.iteri
-    (fun i w ->
-      Memory.store32 mem (Int64.add Image.code_base (Int64.of_int (4 * i))) w)
-    words;
-  Memory.protect mem ~addr:Image.code_base ~size:code_bytes Memory.perm_rx;
+  let pages = max 1 ((Image.code_size image + Memory.page_size - 1) / Memory.page_size) in
+  let bytes = Bytes.make (pages * Memory.page_size) '\000' in
+  Array.iteri (fun i w -> Bytes.set_int32_le bytes (4 * i) w) words;
   (* one rw data region covering all objects (the image appends the canary
      guard object when the program does not declare one) *)
-  let data_bytes =
+  let data_size =
     List.fold_left
       (fun acc (d : Pacstack_isa.Program.data) -> acc + ((d.size + 15) land lnot 15))
       16 (Image.program image).data
   in
-  Memory.map mem ~addr:Image.data_base ~size:(max Memory.page_size data_bytes) Memory.perm_rw;
+  {
+    p_image = image;
+    p_ops = Array.mapi (compile_op image (Array.length code)) code;
+    p_code = bytes;
+    p_data_size = max Memory.page_size data_size;
+    p_code_limit = Int64.of_int (Image.code_size image);
+  }
+
+let instantiate ?(cfg = Config.default) ?keys ?rng p =
+  let rng = match rng with Some r -> r | None -> Rng.create 0x9ac57ac4L in
+  let keys = match keys with Some k -> k | None -> Keys.generate ~fast:true rng in
+  let image = p.p_image in
+  let mem = Memory.create () in
+  (* the code pages hold the real encoding (what an adversary can
+     disclose) and are rx from the first fetch: W^X holds throughout *)
+  Memory.map_bytes mem ~addr:Image.code_base p.p_code Memory.perm_rx;
+  Memory.map mem ~addr:Image.data_base ~size:p.p_data_size Memory.perm_rw;
   Memory.map mem
     ~addr:(Int64.sub Image.stack_top (Int64.of_int Image.stack_size))
     ~size:Image.stack_size Memory.perm_rw;
   Memory.map mem ~addr:Image.shadow_base ~size:Image.shadow_size Memory.perm_rw;
-  let code_limit = Int64.of_int (4 * Array.length (Image.instructions image)) in
+  let code_limit = p.p_code_limit in
   (* [Pointer.is_canonical] is monotone (p >> va_size = 0), so the last
      in-image address being canonical certifies the whole range; an empty
      image never takes the fast path, the flag is then irrelevant. *)
   let fast_ok =
     code_limit > 0L
     && Pointer.is_canonical cfg (Int64.add Image.code_base (Int64.sub code_limit 1L))
-  in
-  let xpage_count =
-    max 1 ((Int64.to_int code_limit + Memory.page_size - 1) / Memory.page_size)
   in
   let t =
     {
@@ -936,10 +939,10 @@ let load ?(cfg = Config.default) ?keys ?rng program =
       obs_mark_memops = 0;
       obs_mark_dmiss = 0;
       obs_mark_xmiss = 0;
-      ops = ops_of_image image;
+      ops = p.p_ops;
       code_limit;
       fast_ok;
-      xpages = Bytes.make xpage_count '\000';
+      xpages = Bytes.make (Bytes.length p.p_code / Memory.page_size) '\000';
       xcache_gen = stale_gen;
     }
   in
@@ -951,6 +954,8 @@ let load ?(cfg = Config.default) ?keys ?rng program =
   set t Reg.lr (Image.halt_addr image);
   set t Reg.shadow Image.shadow_base;
   t
+
+let load ?cfg ?keys ?rng program = instantiate ?cfg ?keys ?rng (prepare program)
 
 let clone t =
   {

@@ -8,16 +8,36 @@ type t
 
 (** {1 Construction} *)
 
+type prepared
+(** The per-program half of loading: the {!Image.t}, its threaded-code
+    ops array and the page-padded binary encoding of the code. Immutable
+    once built, so one value may back any number of machines, in any
+    order, without one run being able to affect another. *)
+
+val prepare : Pacstack_isa.Program.t -> prepared
+(** Builds the image, compiles every instruction to its threaded op and
+    encodes the code pages. Draws no randomness. *)
+
+val instantiate :
+  ?cfg:Pacstack_pa.Config.t ->
+  ?keys:Pacstack_pa.Keys.t ->
+  ?rng:Pacstack_util.Rng.t ->
+  prepared -> t
+(** The per-run half: a fresh machine over fresh memory. Maps a private
+    copy of the code (rx), data (rw), stack (rw) and the shadow stack
+    region (rw), seeds the stack-canary global, points SP at the stack
+    top, X18 at the shadow stack base, LR at [__halt], and PC at the
+    entry symbol. [keys] defaults to a fresh set drawn from [rng]
+    (defaulting to a fixed-seed generator); the canary is drawn from
+    [rng] after the keys. *)
+
 val load :
   ?cfg:Pacstack_pa.Config.t ->
   ?keys:Pacstack_pa.Keys.t ->
   ?rng:Pacstack_util.Rng.t ->
   Pacstack_isa.Program.t -> t
-(** Builds the image, maps code (rx), data (rw), stack (rw) and the shadow
-    stack region (rw), seeds the stack-canary global, points SP at the
-    stack top, X18 at the shadow stack base, LR at [__halt], and PC at the
-    entry symbol. [keys] defaults to a fresh set drawn from [rng]
-    (defaulting to a fixed-seed generator). *)
+(** [instantiate ?cfg ?keys ?rng (prepare program)]. Callers that run
+    one program many times prepare it once instead. *)
 
 val clone : t -> t
 (** Deep copy: memory, registers and keys (used by [fork]). Hooks and the

@@ -90,6 +90,20 @@ let map t ~addr ~size perm =
   done;
   invalidate_tlb t
 
+(* Each page gets a private copy of its slice of [data]: no two
+   memories ever share a writable page, whatever a guest later
+   mprotects. *)
+let map_bytes t ~addr data perm =
+  let size = Bytes.length data in
+  if size = 0 || size mod page_size <> 0 || page_offset addr <> 0 then
+    invalid_arg "Memory.map_bytes: not whole pages";
+  map t ~addr ~size perm;
+  let first = page_index addr in
+  for i = 0 to (size / page_size) - 1 do
+    let p = Hashtbl.find t.pages (Int64.add first (Int64.of_int i)) in
+    p.data <- Bytes.sub data (i * page_size) page_size
+  done
+
 let unmap t ~addr ~size =
   if size <= 0 then invalid_arg "Memory.unmap: size";
   let first = page_index addr in
@@ -174,36 +188,6 @@ let store64 t addr v =
   else
     for i = 0 to 7 do
       store8 t (Int64.add addr (Int64.of_int i)) (Int64.to_int (Word64.extract v ~lo:(8 * i) ~width:8))
-    done
-
-let load32 t addr =
-  let off = page_offset addr in
-  if off <= page_size - 4 then begin
-    let p = page_for t addr Trap.Read in
-    if not p.perm.readable then raise (Trap.Fault (Trap.Permission (addr, Trap.Read)));
-    Bytes.get_int32_le p.data off
-  end
-  else
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        go (i - 1)
-          (Int32.logor (Int32.shift_left acc 8)
-             (Int32.of_int (load8 t (Int64.add addr (Int64.of_int i)))))
-    in
-    go 3 0l
-
-let store32 t addr v =
-  let off = page_offset addr in
-  if off <= page_size - 4 then begin
-    let p = page_for t addr Trap.Write in
-    if not p.perm.writable then raise (Trap.Fault (Trap.Permission (addr, Trap.Write)));
-    Bytes.set_int32_le (writable_data p) off v
-  end
-  else
-    for i = 0 to 3 do
-      store8 t (Int64.add addr (Int64.of_int i))
-        (Int32.to_int (Int32.shift_right_logical v (8 * i)) land 0xff)
     done
 
 let check_exec t addr =

@@ -29,6 +29,13 @@ val map : t -> addr:Pacstack_util.Word64.t -> size:int -> perm -> unit
     [Invalid_argument] if a page is already mapped, or if the permission
     is simultaneously writable and executable (W⊕X, assumption A1). *)
 
+val map_bytes : t -> addr:Pacstack_util.Word64.t -> Bytes.t -> perm -> unit
+(** Like {!map} over [\[addr, addr + length data)], with the pages
+    initialised from [data] instead of zeroed. Every page owns a copy of
+    its bytes, so [data] may be reused for any number of memories. [addr]
+    must be page-aligned and [data] a whole number of pages, else
+    [Invalid_argument]. *)
+
 val unmap : t -> addr:Pacstack_util.Word64.t -> size:int -> unit
 
 val protect : t -> addr:Pacstack_util.Word64.t -> size:int -> perm -> unit
@@ -43,12 +50,6 @@ val load8 : t -> Pacstack_util.Word64.t -> int
 val store8 : t -> Pacstack_util.Word64.t -> int -> unit
 val load64 : t -> Pacstack_util.Word64.t -> Pacstack_util.Word64.t
 val store64 : t -> Pacstack_util.Word64.t -> Pacstack_util.Word64.t -> unit
-
-val load32 : t -> Pacstack_util.Word64.t -> int32
-val store32 : t -> Pacstack_util.Word64.t -> int32 -> unit
-(** 32-bit little-endian accesses (one instruction word); single
-    [Bytes] read/write when the access stays inside one page, as with
-    {!load64}/{!store64}. *)
 
 val check_exec : t -> Pacstack_util.Word64.t -> unit
 (** Raises unless the address lies in an executable page. *)

@@ -10,11 +10,16 @@
    engine caches per-code-page execute permission keyed by
    [Memory.generation], so a [protect]/[unmap] of a code page — from
    outside a run or from a hook in mid-run — must trap exactly like the
-   reference. *)
+   reference.
+
+   Finally it pins the loader split: [Machine.load] is
+   [instantiate (prepare p)], and a prepared program backs any number
+   of instances that must each run exactly like a fresh [load]. *)
 
 module Machine = Pacstack_machine.Machine
 module Memory = Pacstack_machine.Memory
 module Image = Pacstack_machine.Image
+module Kernel = Pacstack_machine.Kernel
 module Trap = Pacstack_machine.Trap
 module Scheme = Pacstack_harden.Scheme
 module Compile = Pacstack_minic.Compile
@@ -23,6 +28,8 @@ module Program = Pacstack_isa.Program
 module Instr = Pacstack_isa.Instr
 module Reg = Pacstack_isa.Reg
 module Word64 = Pacstack_util.Word64
+module Rng = Pacstack_util.Rng
+module Asm = Pacstack_isa.Asm
 
 let campaign_seed = 1L (* same stream as the tier-1 fuzz smoke *)
 let fuel = 100_000
@@ -61,8 +68,7 @@ let snap_of m outcome ~trace_len ~trace_hash =
     trace_hash;
   }
 
-let observe runf program =
-  let m = Machine.load program in
+let observe runf m =
   let h = ref 0xcbf29ce484222325L in
   let n = ref 0 in
   Machine.set_tracer m (Some (fun m _ -> incr n; h := fnv !h (Machine.pc m)));
@@ -111,8 +117,10 @@ let test_differential () =
     List.iter
       (fun scheme ->
         let program = Compile.compile ~scheme ast in
-        let threaded = observe (fun m -> Machine.run ~fuel m) program in
-        let reference = observe (fun m -> Machine.Reference.run ~fuel m) program in
+        let threaded = observe (fun m -> Machine.run ~fuel m) (Machine.load program) in
+        let reference =
+          observe (fun m -> Machine.Reference.run ~fuel m) (Machine.load program)
+        in
         let what =
           Format.asprintf "seed %d / %a" seed Scheme.pp scheme
         in
@@ -264,6 +272,69 @@ let test_hook_protects_own_page () =
         (Machine.instructions_retired m)
     | oc -> Alcotest.failf "%s: expected execute fault, got %a" name pp_outcome oc)
 
+(* --- prepare once, instantiate many ------------------------------------- *)
+
+(* Two successive instances of one prepared program, keyed from equal
+   rng seeds, must each run exactly like [load] of the same program:
+   running an instance leaves nothing behind in the prepared value. *)
+let test_prepare_instantiate () =
+  for seed = 0 to 199 do
+    let ast = Driver.program_of_seed ~campaign_seed seed in
+    List.iter
+      (fun scheme ->
+        let program = Compile.compile ~scheme ast in
+        let rng () = Rng.create (Int64.of_int seed) in
+        let run = observe (fun m -> Machine.run ~fuel m) in
+        let loaded = run (Machine.load ~rng:(rng ()) program) in
+        let prepared = Machine.prepare program in
+        for i = 1 to 2 do
+          let what = Format.asprintf "seed %d / %a / instance %d" seed Scheme.pp scheme i in
+          check_same ~what loaded (run (Machine.instantiate ~rng:(rng ()) prepared))
+        done)
+      Scheme.all
+  done
+
+(* From [main] on the second code page, the guest prints the first code
+   doubleword, remaps the first code page rw (svc 7), overwrites that
+   doubleword and prints it again. *)
+let self_modifying =
+  Asm.parse
+    (String.concat "\n"
+       ([ ".entry main"; ".func filler" ]
+       @ List.init 1100 (fun _ -> "  nop")
+       @ [
+           "  ret"; ".endfunc"; ".func main"; "  adr x4, filler"; "  ldr x0, [x4]";
+           "  svc #1"; "  mov x0, x4"; "  mov x1, #4096"; "  mov x2, #6"; "  svc #7";
+           "  svc #1"; "  mov x5, #291"; "  str x5, [x4]"; "  ldr x0, [x4]"; "  svc #1";
+           "  mov x0, #0"; "  svc #0"; ".endfunc";
+         ]))
+
+(* Instances own their code bytes: what one guest writes into its
+   (remapped) code page is invisible to a later instance of the same
+   prepared value, which finds the original encoding and runs alike. *)
+let test_instances_isolated () =
+  let prepared = Machine.prepare self_modifying in
+  let boot () =
+    let k = Kernel.create (Rng.create 5L) in
+    (k, Kernel.boot_prepared k prepared)
+  in
+  let k1, p1 = boot () in
+  let m1 = Kernel.machine p1 in
+  let words, _ = Image.encoded (Machine.image m1) in
+  let original =
+    Int64.logor
+      (Int64.logand (Int64.of_int32 words.(0)) 0xffff_ffffL)
+      (Int64.shift_left (Int64.of_int32 words.(1)) 32)
+  in
+  let first = observe (fun _ -> Kernel.run k1 p1) m1 in
+  Alcotest.(check (list int64)) "first instance: original, mprotect ok, overwritten"
+    [ original; 0L; 291L ] first.output;
+  let k2, p2 = boot () in
+  let m2 = Kernel.machine p2 in
+  Alcotest.(check int64) "later instance sees the original bytes" original
+    (Memory.load64 (Machine.memory m2) Image.code_base);
+  check_same ~what:"later instance" first (observe (fun _ -> Kernel.run k2 p2) m2)
+
 let () =
   Alcotest.run "engine"
     [
@@ -282,5 +353,12 @@ let () =
           Alcotest.test_case "unmap traps mid-run" `Quick test_unmap_mid_run;
           Alcotest.test_case "hook protects its own page" `Quick
             test_hook_protects_own_page;
+        ] );
+      ( "prepare",
+        [
+          Alcotest.test_case "200 seeds x all schemes: instances run like load" `Quick
+            test_prepare_instantiate;
+          Alcotest.test_case "instances own their code pages" `Quick
+            test_instances_isolated;
         ] );
     ]

@@ -19,6 +19,7 @@ module Engine = Pacstack_inject.Engine
 module Campaign = Pacstack_campaign.Campaign
 module Json = Pacstack_campaign.Json
 module Plans = Pacstack_report.Plans
+module Obs = Pacstack_obs.Obs
 
 let temp_manifest () = Filename.temp_file "pacstack_inject" ".ck"
 
@@ -384,6 +385,52 @@ let test_stats_merge_order_independent () =
   let whole = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:12 in
   Alcotest.(check bool) "grouping-free" true (stats_equal left whole)
 
+(* A shard runs scheme-major, each scheme's victims prepared once for
+   the whole range; its statistics must equal the fault-major fold of
+   [run_fault] over the same faults, byte for byte. *)
+let test_range_equals_fault_fold () =
+  let cfg = Engine.default_config in
+  let range = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:64 in
+  let folded =
+    List.fold_left
+      (fun s i ->
+        List.fold_left Engine.add_result
+          { s with Engine.faults = s.Engine.faults + 1 }
+          (Engine.run_fault cfg ~campaign_seed:7L i))
+      Engine.empty (List.init 64 Fun.id)
+  in
+  Alcotest.(check string) "range = fold of run_fault"
+    (Json.to_string (Engine.stats_to_json folded))
+    (Json.to_string (Engine.stats_to_json range));
+  Alcotest.(check int) "the range covers every site" (Array.length Fault.all_sites)
+    (List.length
+       (List.sort_uniq compare (List.map (fun ((site, _), _) -> site) range.Engine.site_cells)));
+  Alcotest.(check bool) "an empty range is empty" true
+    (Engine.run_range cfg ~campaign_seed:7L ~first:5 ~count:0 = Engine.empty)
+
+(* The obs latency histogram spans every detection of the
+   [inject -n 120 --seed 7] campaign: nothing clamps into its top
+   bucket. *)
+let test_obs_latency_not_clamped () =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let stats =
+        Engine.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:120
+      in
+      match Obs.Metrics.find "inject.detect_latency" with
+      | Some (Obs.Metrics.Histogram { counts; total; _ }) ->
+        Alcotest.(check int) "every detection observed"
+          (List.fold_left (fun n (_, (c : Engine.cell)) -> n + c.Engine.detected) 0
+             stats.Engine.cells)
+          total;
+        Alcotest.(check int) "top bucket empty" 0 counts.(Array.length counts - 1)
+      | _ -> Alcotest.fail "no inject.detect_latency histogram")
+
 (* --- constant-size guarantees (mega-campaign scale) ------------------------ *)
 
 (* What lets one statistics type serve any campaign size: the retained
@@ -523,6 +570,10 @@ let () =
         [
           Alcotest.test_case "json roundtrip" `Quick test_stats_json_roundtrip;
           Alcotest.test_case "merge order independent" `Quick test_stats_merge_order_independent;
+          Alcotest.test_case "scheme-major range = run_fault fold" `Quick
+            test_range_equals_fault_fold;
+          Alcotest.test_case "obs latency histogram does not clamp" `Quick
+            test_obs_latency_not_clamped;
         ] );
       ( "mega",
         [

@@ -92,17 +92,6 @@ let test_mem_copy_independent () =
   Memory.store64 m 0L 2L;
   Alcotest.check check_w64 "copy unchanged" 1L (Memory.load64 c 0L)
 
-let test_mem_word32 () =
-  let m = Memory.create () in
-  Memory.map m ~addr:0L ~size:8192 Memory.perm_rw;
-  Memory.store32 m 0x10L 0xdeadbeefl;
-  Alcotest.(check int32) "32-bit roundtrip" 0xdeadbeefl (Memory.load32 m 0x10L);
-  Alcotest.(check int) "LSB first" 0xef (Memory.load8 m 0x10L);
-  Alcotest.(check int) "MSB last" 0xde (Memory.load8 m 0x13L);
-  let addr = 0xffeL in
-  Memory.store32 m addr 0x11223344l;
-  Alcotest.(check int32) "cross-page roundtrip" 0x11223344l (Memory.load32 m addr)
-
 (* The one-entry TLBs must never let a cached translation outlive a
    permission change: populate the TLB, drop the permission, and the very
    next access has to fault. *)
@@ -1053,7 +1042,6 @@ let () =
           Alcotest.test_case "double map" `Quick test_mem_double_map;
           Alcotest.test_case "peek/poke" `Quick test_mem_peek_poke;
           Alcotest.test_case "copy independence" `Quick test_mem_copy_independent;
-          Alcotest.test_case "32-bit access" `Quick test_mem_word32;
           Alcotest.test_case "TLB invalidated by protect" `Quick test_mem_tlb_protect;
           Alcotest.test_case "TLB invalidated by unmap" `Quick test_mem_tlb_unmap;
           Alcotest.test_case "exec TLB invalidation" `Quick test_mem_tlb_exec;
