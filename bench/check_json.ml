@@ -1,10 +1,12 @@
 (* Golden-schema validator for the bench JSON export and for lib/obs
    trace files, used from dune runtest and the CI perf-smoke job.
 
-     check_json BENCH.json        validate the bench export: parses with
+     check_json BENCH.json        validate a bench export: parses with
                                   the campaign Json codec and carries the
-                                  documented schema_version / section /
-                                  gate keys (see README.md)
+                                  documented schema v5 keys, every
+                                  required section and gate, and only
+                                  same-run "before" sections (see
+                                  README.md)
      check_json --trace FILE      validate a JSON-lines obs trace: every
                                   line parses, the header comes first,
                                   and every record is a metric or event
@@ -47,19 +49,33 @@ let list_member name v =
   | Some l -> l
   | None -> fail "field %S is not a list in %s" name (Json.to_string v)
 
-(* --- the BENCH_09.json schema ------------------------------------------- *)
+(* --- the bench export schema (v5) ------------------------------------------ *)
+
+let required_sections =
+  [
+    "qarma_mac_reference"; "qarma_mac_fast"; "machine_step_reference";
+    "machine_step_threaded"; "machine_load"; "machine_instantiate";
+  ]
+
+let required_gates =
+  [
+    "mac_speedup"; "mac_rate"; "step_rate"; "step_speedup"; "threaded_step_rate";
+    "obs_machine_overhead"; "obs_fuzz_overhead"; "campaign_overhead"; "cmp_no_alloc";
+    "pac_no_alloc";
+  ]
+
+let positive what v = if not (Float.is_finite v && v > 0.) then fail "%s: not a positive number" what
 
 let check_section s =
   let name = str_member "name" s in
-  let ns = float_member "ns_per_op" s in
-  let ops = float_member "ops_per_sec" s in
-  if not (Float.is_finite ns && ns > 0.) then fail "section %S: bad ns_per_op" name;
-  if not (Float.is_finite ops && ops > 0.) then fail "section %S: bad ops_per_sec" name;
-  (* optional keys must still be present (possibly null) *)
-  ignore (require_member "before_ns_per_op" s);
-  ignore (require_member "before_source" s);
+  positive (name ^ " ns_per_op") (float_member "ns_per_op" s);
+  positive (name ^ " ops_per_sec") (float_member "ops_per_sec" s);
   ignore (require_member "speedup" s);
-  name
+  (* "before" names the section of the same run this one replaced *)
+  match require_member "before" s with
+  | Json.Null -> (name, None)
+  | Json.String b -> (name, Some b)
+  | _ -> fail "section %S: \"before\" is neither null nor a string" name
 
 let check_gate g =
   let name = str_member "name" g in
@@ -69,9 +85,15 @@ let check_gate g =
   | op -> fail "gate %S: unknown op %S" name op);
   ignore (float_member "limit" g);
   ignore (float_member "value" g);
-  match Json.(Option.bind (member "pass" g) to_bool) with
+  (match Json.(Option.bind (member "pass" g) to_bool) with
   | Some _ -> ()
-  | None -> fail "gate %S: missing bool field \"pass\"" name
+  | None -> fail "gate %S: missing bool field \"pass\"" name);
+  name
+
+let require_all what required present =
+  List.iter
+    (fun r -> if not (List.mem r present) then fail "missing %s %S" what r)
+    required
 
 let check_bench path =
   let text = In_channel.with_open_text path In_channel.input_all in
@@ -81,24 +103,18 @@ let check_bench path =
     | Error e -> fail "%s does not parse: %s" path e
   in
   let version = int_member "schema_version" doc in
-  if version <> 4 then fail "schema_version %d, expected 4" version;
+  if version <> 5 then fail "schema_version %d, expected 5" version;
   if str_member "bench" doc <> "pacstack-hot-path" then fail "unexpected bench id";
-  (match str_member "mode" doc with
-  | "quick" | "full" -> ()
-  | m -> fail "unknown mode %S" m);
   let obs = require_member "obs_overhead" doc in
   ignore (float_member "guard_ns" obs);
   ignore (float_member "machine_step_pct" obs);
+  positive "obs_overhead fuzz_seed_ns" (float_member "fuzz_seed_ns" obs);
   ignore (float_member "fuzz_seed_pct" obs);
   let cost = require_member "campaign_overhead" doc in
-  let raw = float_member "raw_ns_per_fault" cost in
-  let engine = float_member "engine_ns_per_fault" cost in
+  positive "campaign_overhead raw_ns_per_fault" (float_member "raw_ns_per_fault" cost);
+  positive "campaign_overhead engine_ns_per_fault" (float_member "engine_ns_per_fault" cost);
   ignore (float_member "overhead_pct" cost);
   if int_member "faults" cost < 1 then fail "campaign_overhead: bad fault count";
-  if not (Float.is_finite raw && raw > 0.) then
-    fail "campaign_overhead: bad raw_ns_per_fault";
-  if not (Float.is_finite engine && engine > 0.) then
-    fail "campaign_overhead: bad engine_ns_per_fault";
   let alloc = require_member "alloc_residuals" doc in
   List.iter
     (fun k ->
@@ -109,20 +125,16 @@ let check_bench path =
       "unprotected_words_per_step";
     ];
   let sections = List.map check_section (list_member "sections" doc) in
+  let names = List.map fst sections in
+  require_all "section" required_sections names;
   List.iter
-    (fun required ->
-      if not (List.mem required sections) then fail "missing section %S" required)
-    [
-      "qarma_mac_fast"; "machine_step"; "machine_step_threaded";
-      "machine_step_registry"; "machine_load"; "machine_instantiate"; "fuzz_program";
-      "inject_fault"; "scheduler_event"; "fleet_request";
-    ];
-  (match require_member "gates" doc with
-  | Json.Null -> ()
-  | gates -> (
-    match Json.to_list gates with
-    | Some gs -> List.iter check_gate gs
-    | None -> fail "\"gates\" is neither null nor a list"));
+    (fun (name, before) ->
+      match before with
+      | Some b when not (List.mem b names) ->
+        fail "section %S: before %S is not a section of this run" name b
+      | _ -> ())
+    sections;
+  require_all "gate" required_gates (List.map check_gate (list_member "gates" doc));
   Printf.printf "check_json: %s ok (%d sections)\n" path (List.length sections)
 
 (* --- obs trace files (JSON lines) ---------------------------------------- *)

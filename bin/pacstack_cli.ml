@@ -400,14 +400,6 @@ let inject_cmd =
   let no_gate =
     Arg.(value & flag & info [ "no-gate" ] ~doc:"Report silent corruption without failing.")
   in
-  let mega =
-    Arg.(
-      value & flag
-      & info [ "mega" ]
-          ~doc:
-            "Deprecated, no effect: every campaign folds its shards into constant-size \
-             statistics. Accepted for one release.")
-  in
   let isolation =
     Arg.(
       value
@@ -428,15 +420,6 @@ let inject_cmd =
             "Wall-clock deadline per shard attempt (requires $(b,--isolation process)): \
              a shard past it is SIGKILLed, retried and eventually quarantined.")
   in
-  let shard_faults =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shard-faults" ]
-          ~doc:
-            "Deprecated, no effect: the shard layout derives from $(b,--faults). \
-             Accepted for one release.")
-  in
   let compact_every =
     Arg.(
       value & opt int 256
@@ -445,11 +428,8 @@ let inject_cmd =
             "With $(b,--resume): rewrite the manifest as one merged statistics line \
              whenever this many uncompacted shard lines accumulate (default 256).")
   in
-  let action faults seed schemes pac_bits resume gate no_gate mega isolation shard_timeout
-      shard_faults compact_every opts =
-    if mega then prerr_endline "pacstack: --mega is deprecated and has no effect";
-    if Option.is_some shard_faults then
-      prerr_endline "pacstack: --shard-faults is deprecated and has no effect";
+  let action faults seed schemes pac_bits resume gate no_gate isolation shard_timeout
+      compact_every opts =
     if faults < 1 then fail "--faults must be >= 1"
     else if pac_bits < 1 || pac_bits > 16 then fail "--pac-bits must be in [1, 16]"
     else if compact_every < 1 then fail "--compact-every must be >= 1"
@@ -511,8 +491,8 @@ let inject_cmd =
           un-faulted trace. Exits 1 with JSON reproducers when corruption is silent under \
           the gated scheme.")
     Term.(
-      const action $ faults $ seed $ schemes_arg $ pac_bits $ resume_arg $ gate $ no_gate $ mega
-      $ isolation $ shard_timeout $ shard_faults $ compact_every $ campaign_opts)
+      const action $ faults $ seed $ schemes_arg $ pac_bits $ resume_arg $ gate $ no_gate
+      $ isolation $ shard_timeout $ compact_every $ campaign_opts)
 
 (* --- fleet: open-loop traffic simulation --------------------------------- *)
 

@@ -98,7 +98,7 @@ let overheads () =
 
 let table2_and_figure5 fmt =
   let o = overheads () in
-  section fmt "Figure 5: per-benchmark overhead w.r.t. baseline (%%, SPECrate-like)";
+  section fmt "Figure 5: per-benchmark overhead w.r.t. baseline (%, SPECrate-like)";
   Format.fprintf fmt "%-12s %10s" "benchmark" "calls/ki";
   List.iter (fun s -> Format.fprintf fmt " %18s" (Scheme.to_string s)) schemes_measured;
   Format.fprintf fmt "@.";

@@ -218,9 +218,12 @@ let test_workers_bit_identical () =
     (fun arrival_name ->
       let cfg = small_config arrival_name in
       let t1 = Fleet.tabulate cfg (Campaign.run ~workers:1 (Fleet.plan cfg)) in
-      let t4 = Fleet.tabulate cfg (Campaign.run ~workers:4 (Fleet.plan cfg)) in
+      let t4 =
+        Instrumented.run (fun progress ->
+            Fleet.tabulate cfg (Campaign.run ~workers:4 ~progress (Fleet.plan cfg)))
+      in
       Alcotest.(check string)
-        (arrival_name ^ ": 4-worker table identical")
+        (arrival_name ^ ": traced 4-worker table identical")
         (render_table cfg t1) (render_table cfg t4))
     [ "poisson"; "heavy" ]
 

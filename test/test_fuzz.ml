@@ -79,13 +79,14 @@ let test_generator_deterministic () =
 
 (* --- the 200-seed tier-1 differential pass -------------------------------- *)
 
-let run_smoke ~workers =
-  Plans.fuzz_totals (Campaign.run ~workers (Plans.fuzz_plan ~seeds:200 ~seed:smoke_seed ()))
+let run_smoke ?progress ~workers () =
+  Plans.fuzz_totals
+    (Campaign.run ~workers ?progress (Plans.fuzz_plan ~seeds:200 ~seed:smoke_seed ()))
 
 (* computed once, shared by the pass/determinism tests below (alcotest
    runs cases sequentially in-process; on a 1-core host the 4-domain
    leg is contention-bound, so every saved pass counts) *)
-let smoke_w1 = lazy (run_smoke ~workers:1)
+let smoke_w1 = lazy (run_smoke ~workers:1 ())
 
 let test_smoke_200_seeds () =
   let totals = Lazy.force smoke_w1 in
@@ -106,7 +107,7 @@ let test_smoke_200_seeds () =
 
 let test_smoke_workers_identical () =
   let t1 = Lazy.force smoke_w1 in
-  let t4 = run_smoke ~workers:4 in
+  let t4 = Instrumented.run (fun progress -> run_smoke ~progress ~workers:4 ()) in
   Alcotest.(check bool) "merged stats identical" true (t1 = t4);
   let render t = Json.to_string (Json.Obj (Plans.fuzz_stats_json t)) in
   Alcotest.(check string) "rendered report identical" (render t1) (render t4)

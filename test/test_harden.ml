@@ -314,6 +314,45 @@ let test_registry_conformance () =
       | rs -> Alcotest.failf "%s: expected one result, got %d" name (List.length rs))
     Scheme.all
 
+(* The registry is a compile-time surface: descriptor closures run while
+   instruction lists are built and must leave no run-time residue. The
+   assembler rebuilds a compiled image from its printed text with no
+   descriptor anywhere near it, so the two must be structurally equal. *)
+let test_registry_leaves_no_residue () =
+  let fib =
+    Pacstack_minic.(
+      Ast.program
+        [
+          Ast.fdef "fib" ~params:[ "n" ] ~locals:[ Ast.Scalar "a"; Ast.Scalar "b" ]
+            Build.
+              [
+                if_ (v "n" <= i 1) [ ret (v "n") ] [];
+                set "a" (call "fib" [ v "n" - i 1 ]);
+                set "b" (call "fib" [ v "n" - i 2 ]);
+                ret (v "a" + v "b");
+              ];
+          Ast.fdef "main" ~locals:[ Ast.Scalar "r" ]
+            Build.[ set "r" (call "fib" [ i 15 ]); ret (i 0) ];
+        ])
+  in
+  let fuzz = List.init 5 (fun seed -> Driver.program_of_seed ~campaign_seed:1L seed) in
+  List.iteri
+    (fun k ast ->
+      List.iter
+        (fun scheme ->
+          List.iter
+            (fun optimize ->
+              let p = Pacstack_minic.Compile.compile ~optimize ~scheme ast in
+              Alcotest.(check bool)
+                (Printf.sprintf "program %d / %s%s: parse (print p) = p" k
+                   (Scheme.to_string scheme)
+                   (if optimize then "+peephole" else ""))
+                true
+                (Pacstack_isa.Asm.parse (Pacstack_isa.Asm.print p) = p))
+            [ false; true ])
+        Scheme.all)
+    (fib :: fuzz)
+
 let () =
   Alcotest.run "harden"
     [
@@ -350,5 +389,7 @@ let () =
           Alcotest.test_case "aliases resolve" `Quick test_aliases_resolve;
           Alcotest.test_case "duplicates rejected" `Quick test_duplicate_rejected;
           Alcotest.test_case "every scheme end-to-end" `Quick test_registry_conformance;
+          Alcotest.test_case "compiled images survive asm roundtrip" `Quick
+            test_registry_leaves_no_residue;
         ] );
     ]

@@ -228,8 +228,11 @@ let stats_equal (a : Engine.stats) (b : Engine.stats) = a = b
 let test_campaign_worker_independence () =
   let plan () = Plans.inject_plan ~faults:10 ~shards:4 ~seed:5L () in
   let t1 = Plans.inject_totals (Campaign.run ~workers:1 (plan ())) in
-  let t4 = Plans.inject_totals (Campaign.run ~workers:4 (plan ())) in
-  Alcotest.(check bool) "1 worker = 4 workers" true (stats_equal t1 t4);
+  let t4 =
+    Instrumented.run (fun progress ->
+        Plans.inject_totals (Campaign.run ~workers:4 ~progress (plan ())))
+  in
+  Alcotest.(check bool) "1 worker = traced 4 workers" true (stats_equal t1 t4);
   Alcotest.(check int) "all faults ran" 10 t1.Engine.faults
 
 let test_campaign_resume_identical () =

@@ -57,6 +57,14 @@ let test_bruteforce_smoke () =
   let out = render (Report.bruteforce ~seed:5L ~scale:0.02) in
   check_contains out [ "Brute-force guessing"; "strategy"; "measured"; "expected" ]
 
+(* Section titles print through a plain "%s", so a "%%" in one reaches
+   the output verbatim. *)
+let test_figure5_header () =
+  let out = render Report.table2_and_figure5 in
+  check_contains out
+    [ "=== Figure 5: per-benchmark overhead w.r.t. baseline (%, SPECrate-like) ===" ];
+  Alcotest.(check bool) "no doubled percent sign" false (contains out "%%")
+
 (* --- CSV export: golden headers, row shape and agreement with the report -- *)
 
 let with_temp_dir f =
@@ -111,6 +119,7 @@ let () =
           Alcotest.test_case "table1 worker-independent" `Quick test_table1_smoke_workers;
           Alcotest.test_case "birthday tiny-scale" `Quick test_birthday_smoke;
           Alcotest.test_case "bruteforce tiny-scale" `Quick test_bruteforce_smoke;
+          Alcotest.test_case "figure5 header" `Quick test_figure5_header;
         ] );
       ("export", [ Alcotest.test_case "table1 csv golden" `Quick test_export_table1_golden ]);
     ]
