@@ -82,13 +82,13 @@ let run_seed cfg ~campaign_seed i : stats =
   with
   | Oracle.Agree runs -> obs_seed i "agree" { empty with programs = 1; runs }
   | Oracle.Skipped _ -> obs_seed i "skip" { empty with programs = 1; skipped = 1 }
-  | Oracle.Disagree ds ->
+  | Oracle.Disagree { runs; divergences } ->
     obs_seed i "divergence"
       {
         empty with
         programs = 1;
-        runs = List.length ds;
-        failures = List.map (failure_of_divergence ~seed:i) ds;
+        runs;
+        failures = List.map (failure_of_divergence ~seed:i) divergences;
       }
   | exception _ -> obs_seed i "crash" { empty with programs = 1; crashes = 1 }
 

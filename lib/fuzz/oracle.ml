@@ -1,19 +1,21 @@
 (* The differential oracle.
 
-   One generated program is compiled under every hardening scheme, with
-   and without the peephole optimizer, executed on the machine model,
-   and each run's observable trace is compared against the reference
-   interpreter's.  Fuel exhaustion on either side skips the seed (a
-   slow program proves nothing either way); any other difference is a
-   divergence, attributed to its first point of disagreement.
+   One generated program is compiled once under every hardening scheme
+   and run on the machine model with and without the peephole optimizer
+   (the optimised variant is derived from that compile), and each run's
+   observable trace is compared against the reference interpreter's.
+   Fuel exhaustion on either side skips the seed (a slow program proves
+   nothing either way); any other difference is a divergence,
+   attributed to its first point of disagreement.
 
-   [transform] is a hook applied to the compiled [Program.t] before it
-   is loaded — tests use it to plant a deliberate miscompilation and
+   [transform] is a hook applied to every variant's [Program.t] before
+   it is loaded — tests use it to plant a deliberate miscompilation and
    check that the oracle catches and the shrinker localises it.  It is
    never set in production fuzzing. *)
 
 module Ast = Pacstack_minic.Ast
 module Compile = Pacstack_minic.Compile
+module Peephole = Pacstack_minic.Peephole
 module Scheme = Pacstack_harden.Scheme
 module Machine = Pacstack_machine.Machine
 module Program = Pacstack_isa.Program
@@ -35,9 +37,8 @@ let default_config =
     transform = None;
   }
 
-(* Compile and run one variant on the machine model. *)
-let machine_trace cfg ~scheme ~optimize (p : Ast.program) : Trace.t =
-  let compiled = Compile.compile ~scheme ~optimize p in
+(* Run one compiled variant on the machine model, after [transform]. *)
+let run_variant cfg (compiled : Program.t) : Trace.t =
   let compiled =
     match cfg.transform with Some f -> f compiled | None -> compiled
   in
@@ -49,6 +50,16 @@ let machine_trace cfg ~scheme ~optimize (p : Ast.program) : Trace.t =
     | Machine.Out_of_fuel -> Trace.Fuel
   in
   { Trace.outcome; output = Machine.output m }
+
+(* The peephole variant is derived from the unoptimised compile, which
+   equals compiling with [~optimize:true] (pinned in test_minic): one
+   codegen per scheme serves both variants. *)
+let variant ~optimize compiled =
+  if optimize then Peephole.program_pass compiled else compiled
+
+(* Compile and run one variant on the machine model. *)
+let machine_trace cfg ~scheme ~optimize (p : Ast.program) : Trace.t =
+  run_variant cfg (variant ~optimize (Compile.compile ~scheme p))
 
 type site = First_output of int | Outcome
 (** Where a divergence first becomes visible: output position [i], or
@@ -90,7 +101,8 @@ let pp_divergence fmt d =
 
 type verdict =
   | Agree of int  (** all variants matched; the count of machine runs *)
-  | Disagree of divergence list
+  | Disagree of { runs : int; divergences : divergence list }
+      (** [runs] machine runs were compared, [divergences] of them differed *)
   | Skipped of string  (** fuel ran out somewhere: no verdict *)
 
 (* Compare every (scheme, optimize) variant of [p] against the
@@ -106,10 +118,11 @@ let check cfg (p : Ast.program) : verdict =
     let fuel_out = ref false in
     List.iter
       (fun scheme ->
+        let compiled = lazy (Compile.compile ~scheme p) in
         List.iter
           (fun optimize ->
             if not !fuel_out then begin
-              let actual = machine_trace cfg ~scheme ~optimize p in
+              let actual = run_variant cfg (variant ~optimize (Lazy.force compiled)) in
               if actual.outcome = Trace.Fuel then fuel_out := true
               else begin
                 incr runs;
@@ -131,5 +144,5 @@ let check cfg (p : Ast.program) : verdict =
     else
       match List.rev !divergences with
       | [] -> Agree !runs
-      | ds -> Disagree ds
+      | ds -> Disagree { runs = !runs; divergences = ds }
   end

@@ -96,31 +96,37 @@ let index_of_code = function
   | 2 -> Instr.Post
   | n -> invalid_arg (Printf.sprintf "Encode: bad index mode %d" n)
 
-(* pool builders with interning *)
-type builder = {
-  mutable consts : int64 list;  (* reversed *)
-  const_ids : (int64, int) Hashtbl.t;
-  mutable syms : string list;
-  sym_ids : (string, int) Hashtbl.t;
-}
-
 let pool_limit = 1 lsl 14
 
-let intern tbl list_ref count v =
-  match Hashtbl.find_opt tbl v with
-  | Some i -> i
-  | None ->
-    let i = count () in
-    if i >= pool_limit then raise (Unencodable "pool overflow");
-    Hashtbl.replace tbl v i;
-    list_ref ();
-    i
+(* A pool builder: interns each value once, in first-use order, over a
+   typed table (no polymorphic hashing of the int64 or string keys). *)
+module Pool (Key : Hashtbl.HashedType) = struct
+  module Ids = Hashtbl.Make (Key)
 
-let const_id bld v =
-  intern bld.const_ids (fun () -> bld.consts <- v :: bld.consts) (fun () -> Hashtbl.length bld.const_ids) v
+  type t = { ids : int Ids.t; mutable rev : Key.t list }
 
-let sym_id bld v =
-  intern bld.sym_ids (fun () -> bld.syms <- v :: bld.syms) (fun () -> Hashtbl.length bld.sym_ids) v
+  let create () = { ids = Ids.create 32; rev = [] }
+
+  let id p v =
+    match Ids.find_opt p.ids v with
+    | Some i -> i
+    | None ->
+      let i = Ids.length p.ids in
+      if i >= pool_limit then raise (Unencodable "pool overflow");
+      Ids.replace p.ids v i;
+      p.rev <- v :: p.rev;
+      i
+
+  let contents p = Array.of_list (List.rev p.rev)
+end
+
+module Consts = Pool (Int64)
+module Syms = Pool (String)
+
+type builder = { consts : Consts.t; syms : Syms.t }
+
+let const_id bld v = Consts.id bld.consts v
+let sym_id bld v = Syms.id bld.syms v
 
 let word ~op ~a ~b ~c ~d =
   if op < 0 || op >= 1 lsl op_bits then invalid_arg "Encode.word: op";
@@ -203,15 +209,9 @@ let encode_one bld instr =
   | Instr.Hook l -> word_idx ~op:op_hook ~a:0 ~b:0 ~idx:(sym_id bld l)
 
 let encode instrs =
-  let bld =
-    { consts = []; const_ids = Hashtbl.create 32; syms = []; sym_ids = Hashtbl.create 32 }
-  in
-  let words = Array.of_list (List.map (encode_one bld) instrs) in
-  ( words,
-    {
-      constants = Array.of_list (List.rev bld.consts);
-      symbols = Array.of_list (List.rev bld.syms);
-    } )
+  let bld = { consts = Consts.create (); syms = Syms.create () } in
+  let words = Array.map (encode_one bld) instrs in
+  (words, { constants = Consts.contents bld.consts; symbols = Syms.contents bld.syms })
 
 let sign_extend v bits =
   let shift = 64 - bits in

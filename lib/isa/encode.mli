@@ -19,8 +19,9 @@ type pools = {
   symbols : string array;  (** label/symbol pool *)
 }
 
-val encode : Instr.t list -> int32 array * pools
-(** Encodes an instruction sequence, building the pools. *)
+val encode : Instr.t array -> int32 array * pools
+(** Encodes an instruction sequence, word [i] from instruction [i],
+    building the pools. *)
 
 val decode : int32 -> pools -> Instr.t
 (** Decodes one word against the pools; raises [Invalid_argument] on a

@@ -74,8 +74,7 @@ let write t =
   List.iter
     (fun (f : Program.func) ->
       put_str b f.name;
-      let instrs = Program.instructions f in
-      let words, pools = Encode.encode instrs in
+      let words, pools = Encode.encode (Array.of_list (Program.instructions f)) in
       (* item stream: labels interleaved with indices into the word array *)
       put_u32 b (List.length f.body);
       let widx = ref 0 in

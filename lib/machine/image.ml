@@ -69,7 +69,7 @@ let build (p : Program.t) =
       daddr := Int64.add !daddr (Int64.of_int size))
     program.data;
   let code = Array.of_list (List.rev !code) in
-  let words, pools = Encode.encode (Array.to_list code) in
+  let words, pools = Encode.encode code in
   let entries = Hashtbl.create 16 in
   List.iter (fun (_, first, _) -> Hashtbl.replace entries first ()) !bounds;
   (* Formatted once here instead of on every raise: the message names the

@@ -47,7 +47,8 @@ type t = {
   mutable obs_mark_dmiss : int;
   mutable obs_mark_xmiss : int;
   (* Threaded-code engine (DESIGN.md, "Threaded-code execution"): one
-     pre-compiled closure per instruction, indexed by (pc-code_base)/4,
+     compiled closure per instruction (a compiling stub until its first
+     visit, see [lazy_ops]), indexed by (pc-code_base)/4,
      plus a page-granular cached execute check over the code region.
      Each op returns the index of the next op (resolved at compile time
      for straight-line code and static branches) or -1 when the
@@ -354,7 +355,8 @@ let exec_reference t =
    reference step does after fetch: bump the counters, record obs, call
    the tracer, execute. Everything derivable from the instruction alone
    — cycle cost, mem_ops delta, obs cell, branch targets, the operand
-   shape — is resolved here, once per image, instead of per step.
+   shape — is resolved here, once per (image, instruction) on its first
+   visit (see [lazy_ops]), instead of per step.
 
    Fidelity rules (the differential suite enforces them):
    - counters and obs/tracer fire before semantics, as in the reference;
@@ -861,10 +863,11 @@ end
 
 (* --- construction ----------------------------------------------------- *)
 
-(* What loading derives from the program alone, built once by [prepare]
-   and never mutated afterwards: every instance shares the image and the
-   compiled ops (one closure per instruction, see [compile_op]) and maps
-   its own copy of [p_code]. *)
+(* What loading derives from the program alone, built once by [prepare]:
+   every instance shares the image and the ops table and maps its own
+   copy of [p_code]. The table starts with one stub in every slot and
+   each slot is compiled on its first visit (see [lazy_ops]); nothing
+   else in a prepared value changes after [prepare]. *)
 type prepared = {
   p_image : Image.t;
   p_ops : (t -> int) array;
@@ -873,9 +876,31 @@ type prepared = {
   p_code_limit : Word64.t;  (* 4 * instruction count *)
 }
 
+(* The threaded ops of [image], compiled on first visit: a one-shot
+   image pays for the instructions it runs, not for all it holds. The
+   stub finds its slot from pc, relying on the dispatch invariant that
+   an op is entered with pc = code_base + 4 * its index (the dispatcher
+   derives the index from pc, and an op that returns index i has set pc
+   to code_base + 4i). It stores the compiled closure in the slot and
+   runs it. A slot's closure depends only on (image, index), so
+   instances and clones of one prepared value share the filled slots,
+   and two domains racing on one slot store equivalent closures: the
+   race is benign and takes no lock. *)
+let lazy_ops image =
+  let code = Image.instructions image in
+  let n = Array.length code in
+  let ops = Array.make n (fun (_ : t) -> -1) in
+  let stub t =
+    let idx = Int64.to_int (Int64.sub (pc t) Image.code_base) lsr 2 in
+    let op = compile_op image n idx code.(idx) in
+    ops.(idx) <- op;
+    op t
+  in
+  Array.fill ops 0 n stub;
+  ops
+
 let prepare program =
   let image = Image.build program in
-  let code = Image.instructions image in
   let words, _pools = Image.encoded image in
   let pages = max 1 ((Image.code_size image + Memory.page_size - 1) / Memory.page_size) in
   let bytes = Bytes.make (pages * Memory.page_size) '\000' in
@@ -889,7 +914,7 @@ let prepare program =
   in
   {
     p_image = image;
-    p_ops = Array.mapi (compile_op image (Array.length code)) code;
+    p_ops = lazy_ops image;
     p_code = bytes;
     p_data_size = max Memory.page_size data_size;
     p_code_limit = Int64.of_int (Image.code_size image);

@@ -10,13 +10,20 @@ type t
 
 type prepared
 (** The per-program half of loading: the {!Image.t}, its threaded-code
-    ops array and the page-padded binary encoding of the code. Immutable
-    once built, so one value may back any number of machines, in any
-    order, without one run being able to affect another. *)
+    ops table and the page-padded binary encoding of the code. One value
+    may back any number of machines, in any order, without one run being
+    able to affect another. It is not immutable: each ops slot starts as
+    a stub that compiles its instruction on first visit and stores the
+    closure in the slot, for every later instance and clone to reuse. A
+    slot's closure depends only on the image and the slot index, so two
+    domains that race on one slot store equivalent closures; the race is
+    benign and no lock is taken. *)
 
 val prepare : Pacstack_isa.Program.t -> prepared
-(** Builds the image, compiles every instruction to its threaded op and
-    encodes the code pages. Draws no randomness. *)
+(** Builds and encodes the image and lays out the code pages; threaded
+    ops are compiled later, on first visit. Raises
+    {!Pacstack_isa.Encode.Unencodable} for code the encoding cannot
+    hold. Draws no randomness. *)
 
 val instantiate :
   ?cfg:Pacstack_pa.Config.t ->
@@ -88,7 +95,7 @@ val set_tracer : t -> (t -> Pacstack_isa.Instr.t -> unit) option -> unit
 
     The tracer is an observer: it must not change control state (PC,
     halted) or the page table. The threaded engine resolves the next
-    instruction when the image is compiled and chains compiled ops
+    instruction when an instruction is compiled and chains compiled ops
     without consulting PC between straight-line instructions, so a
     tracer that moved PC or halted the machine mid-step would be seen
     by the reference engine and missed by the threaded one. Mutating
@@ -125,10 +132,11 @@ val push_output : t -> int64 -> unit
 val step : t -> unit
 (** Executes one instruction; raises {!Trap.Fault}. No-op once halted.
 
-    Dispatches through the threaded-code engine: the image is compiled
-    once into an array of per-instruction closures (operands, cycle
-    costs, mem_ops deltas, branch targets and obs classification all
-    resolved at compile time) and the per-step translate/execute check
+    Dispatches through the threaded-code engine: each instruction is
+    compiled, on its first visit, into a per-instruction closure
+    (operands, cycle costs, mem_ops deltas, branch targets and obs
+    classification all resolved at compile time) and the per-step
+    translate/execute check
     is a page-granular cache invalidated by any
     [Memory.map]/[unmap]/[protect]. Observable behaviour is
     bit-identical to {!Reference.step} — pinned by the differential

@@ -16,13 +16,20 @@ let pp_perm fmt p =
 let page_size = 4096
 let page_bits = 12
 
-(* Pages are allocated lazily: a freshly mapped page shares [zero_page]
-   (all-zero, read-only by convention — every write path materialises a
-   private copy first), so mapping a 1 MiB stack costs 256 table entries,
-   not 1 MiB of zeroing. *)
+(* Pages are allocated lazily, twice over. [map] only records its region
+   (see [pending]); a page gets its table entry on first lookup,
+   and that entry shares [zero_page] (all-zero, read-only by convention
+   — every write path materialises a private copy first). So mapping the
+   1 MiB stack costs one region record, and a run pays a table entry
+   only for each page it touches, and 4 KiB only for each page it
+   writes. *)
 let zero_page = Bytes.make page_size '\000'
 
 type page = { mutable data : Bytes.t; perm : perm }
+
+(* A mapped region, [first..last] by page index, whose pages get their
+   table entries on first lookup. *)
+type region = { first : int64; last : int64; rperm : perm }
 
 (* One-entry TLBs, keyed by page index: [tlb_d_*] caches the last data
    translation (loads/stores), [tlb_x_*] the last execute translation
@@ -31,6 +38,12 @@ type page = { mutable data : Bytes.t; perm : perm }
    can never equal a real index (indices are addr lsr 12 < 2^52). *)
 type t = {
   pages : (int64, page) Hashtbl.t;
+  (* Mapped regions not yet fully in [pages], pairwise disjoint. A page
+     is mapped iff it has a table entry or lies in one of them; a
+     region's page that has an entry is never re-created from the
+     region. unmap/protect/copy/digest/mapped_ranges first give every
+     pending page its entry ([materialise]), so they see one table. *)
+  mutable pending : region list;
   mutable tlb_d_idx : int64;
   mutable tlb_d_page : page;
   mutable tlb_x_idx : int64;
@@ -43,7 +56,9 @@ type t = {
   (* Bumped by every map/unmap/protect. External caches derived from
      the page table (the machine's page-granular execute cache) compare
      this against their snapshot instead of subscribing to
-     invalidations — same discipline as the one-entry TLBs above. *)
+     invalidations — same discipline as the one-entry TLBs above. A
+     page's first-lookup table entry changes nothing observable and
+     bumps nothing. *)
   mutable generation : int;
 }
 
@@ -52,6 +67,7 @@ let no_page = { data = zero_page; perm = perm_none }
 let create () =
   {
     pages = Hashtbl.create 64;
+    pending = [];
     tlb_d_idx = -1L;
     tlb_d_page = no_page;
     tlb_x_idx = -1L;
@@ -73,21 +89,67 @@ let generation t = t.generation
 let page_index addr = Int64.shift_right_logical addr page_bits
 let page_offset addr = Int64.to_int (Int64.logand addr (Int64.of_int (page_size - 1)))
 
-let map t ~addr ~size perm =
+let in_region idx r = Int64.compare r.first idx <= 0 && Int64.compare idx r.last <= 0
+
+(* The table entry of page [idx], created on first lookup of a page of a
+   pending region. *)
+let lookup t idx =
+  match Hashtbl.find_opt t.pages idx with
+  | Some _ as found -> found
+  | None -> (
+    match List.find_opt (in_region idx) t.pending with
+    | None -> None
+    | Some r ->
+      let p = { data = zero_page; perm = r.rperm } in
+      Hashtbl.replace t.pages idx p;
+      Some p)
+
+let materialise t =
+  List.iter
+    (fun r ->
+      for i = 0 to Int64.to_int (Int64.sub r.last r.first) do
+        let idx = Int64.add r.first (Int64.of_int i) in
+        if not (Hashtbl.mem t.pages idx) then
+          Hashtbl.replace t.pages idx { data = zero_page; perm = r.rperm }
+      done)
+    t.pending;
+  t.pending <- []
+
+(* The lowest mapped page of [first..last]: the nearest start among the
+   overlapping pending regions, or a table entry in the range. The
+   table holds the pages filled by [map_bytes] or touched so far, few
+   next to the pages of a region. *)
+let lowest_mapped t first last =
+  let lowest = ref None in
+  let note idx =
+    match !lowest with
+    | Some l when Int64.compare l idx <= 0 -> ()
+    | _ -> lowest := Some idx
+  in
+  List.iter
+    (fun r ->
+      if Int64.compare r.first last <= 0 && Int64.compare first r.last <= 0 then
+        note (if Int64.compare r.first first >= 0 then r.first else first))
+    t.pending;
+  Hashtbl.iter
+    (fun idx _ -> if Int64.compare first idx <= 0 && Int64.compare idx last <= 0 then note idx)
+    t.pages;
+  !lowest
+
+(* The checks every new mapping makes; returns its page range. *)
+let claim t ~addr ~size perm =
   if size <= 0 then invalid_arg "Memory.map: size";
   if perm.writable && perm.executable then invalid_arg "Memory.map: W^X violation";
   let first = page_index addr in
   let last = page_index (Int64.add addr (Int64.of_int (size - 1))) in
-  let n = Int64.to_int (Int64.sub last first) in
-  for i = 0 to n do
-    let idx = Int64.add first (Int64.of_int i) in
-    if Hashtbl.mem t.pages idx then
-      invalid_arg (Printf.sprintf "Memory.map: page %Lx already mapped" idx)
-  done;
-  for i = 0 to n do
-    let idx = Int64.add first (Int64.of_int i) in
-    Hashtbl.replace t.pages idx { data = zero_page; perm }
-  done;
+  (match lowest_mapped t first last with
+  | Some idx -> invalid_arg (Printf.sprintf "Memory.map: page %Lx already mapped" idx)
+  | None -> ());
+  (first, last)
+
+let map t ~addr ~size perm =
+  let first, last = claim t ~addr ~size perm in
+  t.pending <- { first; last; rperm = perm } :: t.pending;
   invalidate_tlb t
 
 (* Each page gets a private copy of its slice of [data]: no two
@@ -97,15 +159,17 @@ let map_bytes t ~addr data perm =
   let size = Bytes.length data in
   if size = 0 || size mod page_size <> 0 || page_offset addr <> 0 then
     invalid_arg "Memory.map_bytes: not whole pages";
-  map t ~addr ~size perm;
-  let first = page_index addr in
+  let first, _ = claim t ~addr ~size perm in
   for i = 0 to (size / page_size) - 1 do
-    let p = Hashtbl.find t.pages (Int64.add first (Int64.of_int i)) in
-    p.data <- Bytes.sub data (i * page_size) page_size
-  done
+    Hashtbl.replace t.pages
+      (Int64.add first (Int64.of_int i))
+      { data = Bytes.sub data (i * page_size) page_size; perm }
+  done;
+  invalidate_tlb t
 
 let unmap t ~addr ~size =
   if size <= 0 then invalid_arg "Memory.unmap: size";
+  materialise t;
   let first = page_index addr in
   let last = page_index (Int64.add addr (Int64.of_int (size - 1))) in
   let n = Int64.to_int (Int64.sub last first) in
@@ -117,6 +181,7 @@ let unmap t ~addr ~size =
 let protect t ~addr ~size perm =
   if size <= 0 then invalid_arg "Memory.protect: size";
   if perm.writable && perm.executable then invalid_arg "Memory.protect: W^X violation";
+  materialise t;
   let first = page_index addr in
   let last = page_index (Int64.add addr (Int64.of_int (size - 1))) in
   let n = Int64.to_int (Int64.sub last first) in
@@ -128,7 +193,7 @@ let protect t ~addr ~size perm =
   done;
   invalidate_tlb t
 
-let find t addr = Hashtbl.find_opt t.pages (page_index addr)
+let find t addr = lookup t (page_index addr)
 
 let is_mapped t addr = find t addr <> None
 let perm_at t addr = Option.map (fun p -> p.perm) (find t addr)
@@ -139,7 +204,7 @@ let page_for t addr access =
   let idx = page_index addr in
   if Int64.equal idx t.tlb_d_idx then t.tlb_d_page
   else
-    match Hashtbl.find_opt t.pages idx with
+    match lookup t idx with
     | Some p ->
       t.tlb_d_miss <- t.tlb_d_miss + 1;
       t.tlb_d_idx <- idx;
@@ -195,7 +260,7 @@ let check_exec t addr =
   let p =
     if Int64.equal idx t.tlb_x_idx then t.tlb_x_page
     else
-      match Hashtbl.find_opt t.pages idx with
+      match lookup t idx with
       | Some p ->
         t.tlb_x_miss <- t.tlb_x_miss + 1;
         t.tlb_x_idx <- idx;
@@ -240,6 +305,7 @@ let poke64 t addr v =
   !ok
 
 let copy t =
+  materialise t;
   let pages = Hashtbl.create (Hashtbl.length t.pages) in
   Hashtbl.iter
     (fun k p ->
@@ -248,6 +314,7 @@ let copy t =
     t.pages;
   {
     pages;
+    pending = [];
     tlb_d_idx = -1L;
     tlb_d_page = no_page;
     tlb_x_idx = -1L;
@@ -278,6 +345,7 @@ let hash_page_data data =
 let zero_page_hash = lazy (hash_page_data zero_page)
 
 let digest t =
+  materialise t;
   let idxs = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
   let idxs = List.sort Int64.unsigned_compare idxs in
   List.fold_left
@@ -295,6 +363,7 @@ let digest t =
     fnv_seed idxs
 
 let mapped_ranges t =
+  materialise t;
   let idxs = Hashtbl.fold (fun k p acc -> (k, p.perm) :: acc) t.pages [] in
   let idxs = List.sort (fun (a, _) (b, _) -> Int64.unsigned_compare a b) idxs in
   let rec runs acc = function

@@ -4,9 +4,15 @@
     may cross page boundaries. Unmapped or insufficiently-permitted
     accesses raise {!Trap.Fault}.
 
-    Performance: pages are allocated lazily (a mapped-but-untouched page
-    shares one zero page until first written), and the last data and
-    execute translations are cached in one-entry TLBs — invalidated by
+    Performance: pages are allocated lazily. {!map} records its region,
+    not its pages; a page gets its table entry on first lookup (any access,
+    {!check_exec}, {!is_mapped}, {!perm_at}, {!peek64}, {!poke64}), and
+    that entry shares one zero page until first written. {!unmap},
+    {!protect}, {!copy}, {!digest} and {!mapped_ranges} first give every
+    page of every pending region its entry. A first lookup is invisible:
+    it moves neither {!generation} nor {!tlb_misses} beyond what an
+    eagerly filled table would. The last data and execute translations
+    are cached in one-entry TLBs — invalidated by
     {!map}/{!unmap}/{!protect}, so a stale translation can never outlive
     a permission change. *)
 
@@ -25,9 +31,11 @@ val page_size : int
 val page_bits : int
 
 val map : t -> addr:Pacstack_util.Word64.t -> size:int -> perm -> unit
-(** Maps (and zeroes) the pages covering [\[addr, addr+size)]. Raises
-    [Invalid_argument] if a page is already mapped, or if the permission
-    is simultaneously writable and executable (W⊕X, assumption A1). *)
+(** Maps (and zeroes) the pages covering [\[addr, addr+size)]. Only the
+    region is recorded, so the cost grows with the mappings already
+    present, not with [size]. Raises [Invalid_argument] naming the lowest
+    page already mapped, if any, or if the permission is simultaneously
+    writable and executable (W⊕X, assumption A1). *)
 
 val map_bytes : t -> addr:Pacstack_util.Word64.t -> Bytes.t -> perm -> unit
 (** Like {!map} over [\[addr, addr + length data)], with the pages

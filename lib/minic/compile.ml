@@ -279,18 +279,14 @@ let runtime_unit () =
     data = [ { Program.dname = "__stack_chk_guard"; size = 8 } ];
   }
 
-let compile ~scheme ?(overrides = []) ?(optimize = false) (p : Ast.program) =
-  let p = Exceptions.desugar p in
-  let scheme_of f =
-    match List.assoc_opt f.Ast.fname overrides with Some s -> s | None -> scheme
+let compile ~scheme ?overrides ?optimize (p : Ast.program) =
+  let app = compile_unit ~scheme ?overrides ?optimize p in
+  let rt = runtime_unit () in
+  (* the canary guard object referenced by Stack_protector epilogues,
+     unless the program declares its own *)
+  let declared (d : Program.data) =
+    List.exists (fun (a : Program.data) -> a.dname = d.dname) app.data
   in
-  let post f = if optimize then Peephole.function_pass f else f in
-  let funcs = List.map (fun f -> post (compile_fdef ~scheme:(scheme_of f) f)) p.fundefs in
-  let data = List.map (fun (dname, size) -> { Program.dname; size }) p.globals in
-  (* the canary guard object referenced by Stack_protector epilogues *)
-  let data =
-    if List.exists (fun (d : Program.data) -> d.dname = "__stack_chk_guard") data then data
-    else data @ [ { Program.dname = "__stack_chk_guard"; size = 8 } ]
-  in
-  try Program.make ~data ~entry:p.main (funcs @ Runtime.functions)
+  let data = app.data @ List.filter (fun d -> not (declared d)) rt.data in
+  try Program.make ~data ~entry:p.main (app.funcs @ rt.funcs)
   with Invalid_argument m -> error "%s" m

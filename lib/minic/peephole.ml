@@ -16,30 +16,21 @@ let redundant_reload a b =
     Reg.equal r1 r2 && Reg.equal b1 b2 && o1 = o2
   | _ -> false
 
-let branch_to_next a rest =
-  match a with
-  | Instr.B target -> (
-    match rest with
-    | Program.Lbl l :: _ -> l = target
-    | _ -> false)
-  | _ -> false
+(* Appends [item] to [kept] (the output so far, newest first). Every
+   rewrite compares the incoming item with the kept item before it, so a
+   removal re-exposes that item to whatever follows: one left-to-right
+   pass reaches the fixpoint. The three rewrites only delete, and none
+   deletes an instruction another one matches on (a self move, a [b], a
+   reload), so that fixpoint is unique. *)
+let rec push kept item =
+  match kept, item with
+  | _, Program.Ins i when is_self_move i -> kept
+  | Program.Ins a :: _, Program.Ins b when redundant_reload a b -> kept
+  | Program.Ins (Instr.B target) :: older, Program.Lbl l when target = l -> push older item
+  | _ -> item :: kept
 
-let rec optimize_items = function
-  | [] -> []
-  | Program.Ins i :: rest when is_self_move i -> optimize_items rest
-  | Program.Ins i :: rest when branch_to_next i rest -> optimize_items rest
-  | Program.Ins a :: Program.Ins b :: rest when redundant_reload a b ->
-    (* keep the store, drop the reload, and re-examine the store against
-       what now follows *)
-    optimize_items (Program.Ins a :: rest)
-  | item :: rest -> item :: optimize_items rest
-
-(* iterate to a fixpoint: removals can expose new opportunities *)
-let rec fixpoint items =
-  let items' = optimize_items items in
-  if List.length items' = List.length items then items else fixpoint items'
-
-let function_pass (f : Program.func) = { f with body = fixpoint f.body }
+let function_pass (f : Program.func) =
+  { f with body = List.rev (List.fold_left push [] f.body) }
 
 let program_pass (p : Program.t) = Program.map_funcs function_pass p
 

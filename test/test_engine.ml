@@ -335,6 +335,71 @@ let test_instances_isolated () =
     (Memory.load64 (Machine.memory m2) Image.code_base);
   check_same ~what:"later instance" first (observe (fun _ -> Kernel.run k2 p2) m2)
 
+(* --- ops compile on first visit ------------------------------------- *)
+
+(* [main] calls [broken] only if [call]; [broken] branches to a label
+   that exists nowhere. Built directly: [Program.make] would refuse the
+   dangling label. *)
+let dangling ~call =
+  let ins i = Program.Ins i in
+  {
+    Program.funcs =
+      [
+        {
+          Program.name = "main";
+          body =
+            (if call then [ ins (Instr.Bl "broken") ] else [])
+            @ [ ins (Instr.Mov (Reg.X 0, Instr.Imm 0L)); ins Instr.Hlt ];
+        };
+        { Program.name = "broken"; body = [ ins Instr.Nop; ins (Instr.B "nowhere") ] };
+      ];
+    data = [];
+    entry = "main";
+  }
+
+(* A label resolves when its instruction compiles, but the branch only
+   traps when taken: never-visited code holding a dangling label
+   prepares and runs like the reference, and taking it traps
+   [unresolved label nowhere] at the same pc after the same
+   instructions on both engines. *)
+let test_dangling_label () =
+  let run_both program =
+    let prepared = Machine.prepare program in
+    let threaded = observe (fun m -> Machine.run ~fuel m) (Machine.instantiate prepared) in
+    let reference =
+      observe (fun m -> Machine.Reference.run ~fuel m) (Machine.instantiate prepared)
+    in
+    check_same ~what:"dangling label" threaded reference;
+    threaded
+  in
+  let clean = run_both (dangling ~call:false) in
+  Alcotest.(check bool) "never-called dangling label: halts 0" true
+    (outcome_equal clean.outcome (Machine.Halted 0));
+  let program = dangling ~call:true in
+  let taken = run_both program in
+  let broken = Image.symbol (Image.build program) "broken" in
+  Alcotest.(check bool) "taken dangling label traps" true
+    (outcome_equal taken.outcome
+       (Machine.Faulted (Trap.Undefined "unresolved label nowhere")));
+  Alcotest.(check (option int64)) "at the branch" (Option.map (Int64.add 4L) broken)
+    (Some taken.pc);
+  Alcotest.(check int) "after bl, nop and b" 3 taken.instret
+
+(* Encoding stays eager: code the encoding cannot hold is refused by
+   [prepare], even where it is never run. *)
+let test_unencodable_at_prepare () =
+  let far = { Instr.base = Reg.SP; offset = 5000; index = Instr.Offset } in
+  let program =
+    Program.make ~entry:"main"
+      [
+        { Program.name = "main"; body = [ Program.Ins Instr.Hlt ] };
+        { Program.name = "never"; body = [ Program.Ins (Instr.Ldr (Reg.X 0, far)) ] };
+      ]
+  in
+  match Machine.prepare program with
+  | exception Pacstack_isa.Encode.Unencodable _ -> ()
+  | _ -> Alcotest.fail "prepare accepted an unencodable offset"
+
 let () =
   Alcotest.run "engine"
     [
@@ -360,5 +425,9 @@ let () =
             test_prepare_instantiate;
           Alcotest.test_case "instances own their code pages" `Quick
             test_instances_isolated;
+          Alcotest.test_case "dangling label compiled only where run" `Quick
+            test_dangling_label;
+          Alcotest.test_case "unencodable code refused at prepare" `Quick
+            test_unencodable_at_prepare;
         ] );
     ]

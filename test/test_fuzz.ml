@@ -84,8 +84,9 @@ let run_smoke ?progress ~workers () =
     (Campaign.run ~workers ?progress (Plans.fuzz_plan ~seeds:200 ~seed:smoke_seed ()))
 
 (* computed once, shared by the pass/determinism tests below (alcotest
-   runs cases sequentially in-process; on a 1-core host the 4-domain
-   leg is contention-bound, so every saved pass counts) *)
+   runs cases sequentially in-process; with fewer cores than domains,
+   as on a 2-vCPU host, the 4-domain leg is contention-bound, so every
+   saved pass counts) *)
 let smoke_w1 = lazy (run_smoke ~workers:1 ())
 
 let test_smoke_200_seeds () =
@@ -153,7 +154,7 @@ let test_planted_bug_caught_and_shrunk () =
     else
       let prog = Driver.program_of_seed ~campaign_seed:smoke_seed i in
       match Oracle.check planted_cfg prog with
-      | Oracle.Disagree ds -> (i, prog, ds)
+      | Oracle.Disagree { divergences; _ } -> (i, prog, divergences)
       | _ -> hunt (i + 1)
   in
   let seed, prog, ds = hunt 0 in
@@ -179,6 +180,47 @@ let test_planted_bug_caught_and_shrunk () =
   match Triage.buckets entries with
   | [] -> Alcotest.fail "no triage bucket"
   | b :: _ -> Alcotest.(check int) "bucket counts all entries" (List.length entries) b.Triage.count
+
+(* A scheme-conditional miscompilation: the wrong constant is planted
+   only where [main] links the pacstack chain ([pacia lr, cr] in its
+   prologue). A divergent seed still counts every variant it compared
+   as a machine run, not just the divergent ones. *)
+let links_chain (p : Program.t) =
+  match Program.find_func p "main" with
+  | Some f -> List.mem (Instr.Pacia (Reg.lr, Reg.cr)) (Program.instructions f)
+  | None -> false
+
+let test_divergent_seed_counts_runs () =
+  let cfg =
+    {
+      Oracle.default_config with
+      Oracle.transform = Some (fun p -> if links_chain p then plant_wrong_constant p else p);
+    }
+  in
+  let rec hunt i =
+    if i >= 50 then Alcotest.fail "chain-only miscompilation never observed in 50 seeds"
+    else
+      let s = Driver.run_seed cfg ~campaign_seed:smoke_seed i in
+      if s.Driver.failures <> [] then (i, s) else hunt (i + 1)
+  in
+  let seed, s = hunt 0 in
+  Alcotest.(check int) "every variant counted" (2 * List.length Scheme.all) s.Driver.runs;
+  let prog = Driver.program_of_seed ~campaign_seed:smoke_seed seed in
+  let chained =
+    List.filter_map
+      (fun scheme ->
+        if links_chain (Pacstack_minic.Compile.compile ~scheme prog) then
+          Some (Scheme.to_string scheme)
+        else None)
+      Scheme.all
+  in
+  Alcotest.(check bool) "only some schemes link the chain" true
+    (chained <> [] && List.length chained < List.length Scheme.all);
+  List.iter
+    (fun (f : Driver.failure) ->
+      Alcotest.(check bool) (f.Driver.scheme ^ " links the chain") true
+        (List.mem f.Driver.scheme chained))
+    s.Driver.failures
 
 (* --- shrinker sanity -------------------------------------------------------- *)
 
@@ -206,6 +248,10 @@ let () =
           Alcotest.test_case "workers-identical" `Quick test_smoke_workers_identical;
         ] );
       ( "planted-bug",
-        [ Alcotest.test_case "caught and shrunk" `Quick test_planted_bug_caught_and_shrunk ] );
+        [
+          Alcotest.test_case "caught and shrunk" `Quick test_planted_bug_caught_and_shrunk;
+          Alcotest.test_case "divergent seed counts every run" `Quick
+            test_divergent_seed_counts_runs;
+        ] );
       ("shrink", [ Alcotest.test_case "fixpoint" `Quick test_shrink_fixpoint_is_minimal ]);
     ]

@@ -156,7 +156,7 @@ let prop_encode_roundtrip =
   (* pair transfers with unaligned offsets are legitimately rejected;
      everything encodable must roundtrip exactly *)
   qtest "encode/decode roundtrip" 800 instr_gen (fun ins ->
-      match Encode.encode [ ins ] with
+      match Encode.encode [| ins |] with
       | words, pools -> Encode.decode words.(0) pools = ins
       | exception Encode.Unencodable _ -> (
         match ins with
@@ -232,7 +232,7 @@ let valid_instr_gen =
 
 let prop_encode_roundtrip_valid =
   qtest "encode/decode roundtrip, valid operands" 2000 valid_instr_gen (fun ins ->
-      let words, pools = Encode.encode [ ins ] in
+      let words, pools = Encode.encode [| ins |] in
       Encode.decode words.(0) pools = ins)
 
 (* One instance of every constructor with extreme-but-legal operands,
@@ -284,7 +284,7 @@ let test_encode_all_constructors () =
       Instr.Hook "h";
     ]
   in
-  let words, pools = Encode.encode every in
+  let words, pools = Encode.encode (Array.of_list every) in
   Alcotest.(check int) "one word each" (List.length every) (Array.length words);
   Alcotest.(check bool) "decode_all inverts every constructor" true
     (Encode.decode_all words pools = every)
@@ -300,7 +300,7 @@ let test_encode_sequence () =
       Instr.Ret Reg.lr;
     ]
   in
-  let words, pools = Encode.encode instrs in
+  let words, pools = Encode.encode (Array.of_list instrs) in
   Alcotest.(check int) "one word per instruction" (List.length instrs) (Array.length words);
   Alcotest.(check bool) "decode_all inverts" true (Encode.decode_all words pools = instrs)
 
@@ -308,13 +308,13 @@ let test_encode_pools_interned () =
   let instrs =
     [ Instr.Mov (Reg.x 0, Instr.Imm 7L); Instr.Mov (Reg.x 1, Instr.Imm 7L); Instr.B "l"; Instr.Bl "l" ]
   in
-  let _, pools = Encode.encode instrs in
+  let _, pools = Encode.encode (Array.of_list instrs) in
   Alcotest.(check int) "constant interned" 1 (Array.length pools.Encode.constants);
   Alcotest.(check int) "symbol interned" 1 (Array.length pools.Encode.symbols)
 
 let test_encode_limits () =
   let reject i =
-    match Encode.encode [ i ] with
+    match Encode.encode [| i |] with
     | exception Encode.Unencodable _ -> ()
     | _ -> Alcotest.fail "expected Unencodable"
   in
@@ -325,7 +325,7 @@ let test_encode_limits () =
 
 let test_disassemble () =
   let instrs = [ Instr.Paciasp; Instr.Nop; Instr.Retaa ] in
-  let words, pools = Encode.encode instrs in
+  let words, pools = Encode.encode (Array.of_list instrs) in
   Alcotest.(check string) "disassembly" "paciasp\nnop\nretaa" (Encode.disassemble words pools)
 
 (* --- Program / Asm -------------------------------------------------------------- *)

@@ -155,6 +155,95 @@ let test_mem_ranges () =
     Alcotest.(check int) "second size" 4096 s2
   | rs -> Alcotest.fail (Printf.sprintf "expected 2 runs, got %d" (List.length rs))
 
+(* [map] records a region and each page gets its table entry on first
+   lookup; none of that may show. The region below is page-aligned at
+   page 0x20 and never touched unless a test says so. *)
+let region_base = 0x20000L
+let region_pages = 16
+
+let with_region () =
+  let m = Memory.create () in
+  Memory.map m ~addr:region_base ~size:(region_pages * Memory.page_size) Memory.perm_rw;
+  m
+
+let test_mem_lazy_overlap () =
+  let m = with_region () in
+  (* an eagerly filled page just below the region *)
+  Memory.map_bytes m ~addr:0x1f000L (Bytes.make Memory.page_size '\000') Memory.perm_r;
+  let refuse addr pages named =
+    Alcotest.check_raises
+      (Printf.sprintf "map at %Lx names page %x" addr named)
+      (Invalid_argument (Printf.sprintf "Memory.map: page %x already mapped" named))
+      (fun () -> Memory.map m ~addr ~size:(pages * Memory.page_size) Memory.perm_r)
+  in
+  refuse 0x25000L 1 0x25;
+  refuse 0x2f000L 2 0x2f;
+  refuse 0x1e000L 4 0x1f;
+  refuse 0x10000L 64 0x1f;
+  (* a touched page above an untouched one: the lowest is named *)
+  Memory.store64 m 0x27000L 1L;
+  refuse 0x26000L 3 0x26;
+  refuse 0x27000L 3 0x27;
+  (* refused maps left nothing behind *)
+  Memory.map m ~addr:0x30000L ~size:Memory.page_size Memory.perm_r;
+  Alcotest.(check bool) "page below the probes still unmapped" false
+    (Memory.is_mapped m 0x1e000L)
+
+let ranges m =
+  List.map
+    (fun (a, n, p) -> (a, n / Memory.page_size, Format.asprintf "%a" Memory.pp_perm p))
+    (Memory.mapped_ranges m)
+
+let check_ranges = Alcotest.(check (list (triple int64 int string)))
+
+let test_mem_lazy_protect_unmap () =
+  let m = with_region () in
+  Memory.protect m ~addr:0x23000L ~size:Memory.page_size Memory.perm_r;
+  Alcotest.check_raises "write to the protected page"
+    (Trap.Fault (Trap.Permission (0x23008L, Trap.Write)))
+    (fun () -> Memory.store64 m 0x23008L 1L);
+  Alcotest.check check_w64 "protected page reads zero" 0L (Memory.load64 m 0x23008L);
+  Memory.store64 m 0x24000L 5L;
+  Alcotest.check check_w64 "neighbour still writable" 5L (Memory.load64 m 0x24000L);
+  check_ranges "pages around the protected one"
+    [ (0x20000L, 3, "rw-"); (0x23000L, 1, "r--"); (0x24000L, 12, "rw-") ]
+    (ranges m);
+  let u = with_region () in
+  Memory.unmap u ~addr:0x25000L ~size:Memory.page_size;
+  Alcotest.check_raises "read of the unmapped page"
+    (Trap.Fault (Trap.Unmapped (0x25000L, Trap.Read)))
+    (fun () -> ignore (Memory.load64 u 0x25000L));
+  Alcotest.(check bool) "page after it still mapped" true (Memory.is_mapped u 0x26000L);
+  Alcotest.check_raises "protect across the hole"
+    (Invalid_argument "Memory.protect: page 25 not mapped")
+    (fun () -> Memory.protect u ~addr:0x25000L ~size:(2 * Memory.page_size) Memory.perm_r);
+  check_ranges "pages around the hole"
+    [ (0x20000L, 5, "rw-"); (0x26000L, 10, "rw-") ]
+    (ranges u);
+  Memory.map u ~addr:0x25000L ~size:Memory.page_size Memory.perm_rw;
+  Alcotest.check check_w64 "remapped page is zero" 0L (Memory.load64 u 0x25000L)
+
+let test_mem_first_touch_invisible () =
+  let fresh () =
+    let m = with_region () in
+    Memory.map m ~addr:0x40000L ~size:Memory.page_size Memory.perm_rx;
+    m
+  in
+  let touched = fresh () and untouched = fresh () in
+  let gen = Memory.generation touched in
+  ignore (Memory.load64 touched 0x23000L);
+  ignore (Memory.load8 touched 0x23001L);
+  Memory.check_exec touched 0x40000L;
+  ignore (Memory.is_mapped touched 0x2f000L);
+  ignore (Memory.peek64 touched 0x2e000L);
+  Alcotest.(check int) "generation unchanged" gen (Memory.generation touched);
+  Alcotest.(check (pair int int)) "one refill per stream, as with a filled table" (1, 1)
+    (Memory.tlb_misses touched);
+  Alcotest.check check_w64 "digest unchanged" (Memory.digest untouched) (Memory.digest touched);
+  Alcotest.(check bool) "mapped ranges unchanged" true
+    (Memory.mapped_ranges untouched = Memory.mapped_ranges touched);
+  Alcotest.(check int) "digest and ranges move no generation" gen (Memory.generation touched)
+
 (* --- Machine semantics ------------------------------------------------------ *)
 
 let run_asm ?cfg src =
@@ -1046,6 +1135,10 @@ let () =
           Alcotest.test_case "TLB invalidated by unmap" `Quick test_mem_tlb_unmap;
           Alcotest.test_case "exec TLB invalidation" `Quick test_mem_tlb_exec;
           Alcotest.test_case "mapped ranges" `Quick test_mem_ranges;
+          Alcotest.test_case "overlap with an untouched region" `Quick test_mem_lazy_overlap;
+          Alcotest.test_case "protect/unmap inside an untouched region" `Quick
+            test_mem_lazy_protect_unmap;
+          Alcotest.test_case "first touch invisible" `Quick test_mem_first_touch_invisible;
         ] );
       ( "semantics",
         [

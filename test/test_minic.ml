@@ -448,6 +448,112 @@ let test_peephole_reduces () =
   Alcotest.(check bool) "strictly fewer instructions" true
     (Peephole.removed_count plain opt > 0)
 
+(* The peephole as it was before it became one pass, kept as the
+   reference: one pass of the three rewrites, rerun until nothing
+   changes. *)
+module Fixpoint_reference = struct
+  let is_self_move = function
+    | Instr.Mov (rd, Instr.Reg rs) -> Reg.equal rd rs
+    | Instr.Add (rd, rn, Instr.Imm 0L) | Instr.Sub (rd, rn, Instr.Imm 0L) -> Reg.equal rd rn
+    | _ -> false
+
+  let redundant_reload a b =
+    match a, b with
+    | ( Instr.Str (r1, { Instr.base = b1; offset = o1; index = Instr.Offset }),
+        Instr.Ldr (r2, { Instr.base = b2; offset = o2; index = Instr.Offset }) ) ->
+      Reg.equal r1 r2 && Reg.equal b1 b2 && o1 = o2
+    | _ -> false
+
+  let branch_to_next a rest =
+    match a, rest with
+    | Instr.B target, Program.Lbl l :: _ -> l = target
+    | _ -> false
+
+  let rec optimize_items = function
+    | [] -> []
+    | Program.Ins i :: rest when is_self_move i -> optimize_items rest
+    | Program.Ins i :: rest when branch_to_next i rest -> optimize_items rest
+    | Program.Ins a :: Program.Ins b :: rest when redundant_reload a b ->
+      optimize_items (Program.Ins a :: rest)
+    | item :: rest -> item :: optimize_items rest
+
+  let rec fixpoint items =
+    let items' = optimize_items items in
+    if List.length items' = List.length items then items else fixpoint items'
+end
+
+let fuzz_programs = 200
+
+(* The fuzz oracle derives each scheme's peephole variant from one
+   unoptimised compile; it must be exactly the optimised compile. *)
+let test_peephole_derived_variant () =
+  for seed = 0 to fuzz_programs - 1 do
+    let prog = Pacstack_fuzz.Driver.program_of_seed ~campaign_seed:1L seed in
+    List.iter
+      (fun scheme ->
+        if
+          Peephole.program_pass (Compile.compile ~scheme prog)
+          <> Compile.compile ~scheme ~optimize:true prog
+        then Alcotest.failf "seed %d / %s: derived variant differs" seed (Scheme.to_string scheme))
+      Scheme.all
+  done
+
+let check_against_fixpoint what body =
+  let single = (Peephole.function_pass (Program.func "f" body)).Program.body in
+  if single <> Fixpoint_reference.fixpoint body then
+    Alcotest.failf "%s: single pass differs from the fixpoint" what
+
+let test_peephole_single_pass_fuzz () =
+  for seed = 0 to fuzz_programs - 1 do
+    let prog = Pacstack_fuzz.Driver.program_of_seed ~campaign_seed:1L seed in
+    List.iter
+      (fun scheme ->
+        List.iter
+          (fun (f : Program.func) ->
+            check_against_fixpoint
+              (Printf.sprintf "seed %d / %s / %s" seed (Scheme.to_string scheme) f.name)
+              f.body)
+          (Compile.compile ~scheme prog).funcs)
+      Scheme.all
+  done
+
+(* Dense in the three rewrites and in the items that make or break them:
+   self moves next to real moves, stores and reloads over two registers
+   and two slots (one pre-indexed), and branches and labels over two
+   names. *)
+let gen_peephole_body =
+  let open QCheck2.Gen in
+  let reg = oneofl [ Reg.x 9; Reg.x 10 ] in
+  let slot =
+    oneofl
+      [
+        { Instr.base = Reg.SP; offset = 8; index = Instr.Offset };
+        { Instr.base = Reg.SP; offset = 16; index = Instr.Offset };
+        { Instr.base = Reg.SP; offset = 8; index = Instr.Pre };
+      ]
+  in
+  let label = oneofl [ ".L0"; ".L1" ] in
+  let item =
+    oneof
+      [
+        map (fun r -> Program.Ins (Instr.Mov (r, Instr.Reg r))) reg;
+        map2 (fun a b -> Program.Ins (Instr.Mov (a, Instr.Reg b))) reg reg;
+        map (fun r -> Program.Ins (Instr.Add (r, r, Instr.Imm 0L))) reg;
+        map (fun r -> Program.Ins (Instr.Sub (r, r, Instr.Imm 0L))) reg;
+        map2 (fun r m -> Program.Ins (Instr.Str (r, m))) reg slot;
+        map2 (fun r m -> Program.Ins (Instr.Ldr (r, m))) reg slot;
+        map (fun l -> Program.Ins (Instr.B l)) label;
+        map (fun l -> Program.Lbl l) label;
+      ]
+  in
+  list_size (int_range 0 24) item
+
+let prop_peephole_single_pass =
+  qtest "single pass equals the fixpoint on random bodies" 2000 gen_peephole_body
+    (fun body ->
+      (Peephole.function_pass (Program.func "f" body)).Program.body
+      = Fixpoint_reference.fixpoint body)
+
 (* --- separate compilation + linking --------------------------------------------------- *)
 
 let test_separate_compilation () =
@@ -770,6 +876,11 @@ let () =
           Alcotest.test_case "semantics preserved" `Quick test_peephole_preserves_semantics;
           prop_peephole_preserves;
           Alcotest.test_case "reduces code" `Quick test_peephole_reduces;
+          Alcotest.test_case "200 seeds x all schemes: derived variant is the optimised compile"
+            `Quick test_peephole_derived_variant;
+          Alcotest.test_case "200 seeds x all schemes: single pass is the fixpoint" `Quick
+            test_peephole_single_pass_fuzz;
+          prop_peephole_single_pass;
         ] );
       ( "separate-compilation",
         [
