@@ -3,7 +3,7 @@
 
      check_json BENCH.json        validate a bench export: parses with
                                   the campaign Json codec and carries the
-                                  documented schema v5 keys, every
+                                  documented schema v6 keys, every
                                   required section and gate, and only
                                   same-run "before" sections (see
                                   README.md)
@@ -49,7 +49,7 @@ let list_member name v =
   | Some l -> l
   | None -> fail "field %S is not a list in %s" name (Json.to_string v)
 
-(* --- the bench export schema (v5) ------------------------------------------ *)
+(* --- the bench export schema (v6) ------------------------------------------ *)
 
 let required_sections =
   [
@@ -60,8 +60,8 @@ let required_sections =
 let required_gates =
   [
     "mac_speedup"; "mac_rate"; "step_rate"; "step_speedup"; "threaded_step_rate";
-    "obs_machine_overhead"; "obs_fuzz_overhead"; "campaign_overhead"; "cmp_no_alloc";
-    "pac_no_alloc";
+    "obs_machine_overhead"; "obs_fuzz_overhead"; "campaign_overhead"; "alu_no_alloc";
+    "logic_no_alloc"; "cmp_no_alloc"; "global_no_alloc"; "unprotected_no_alloc"; "pac_no_alloc";
   ]
 
 let positive what v = if not (Float.is_finite v && v > 0.) then fail "%s: not a positive number" what
@@ -103,7 +103,7 @@ let check_bench path =
     | Error e -> fail "%s does not parse: %s" path e
   in
   let version = int_member "schema_version" doc in
-  if version <> 5 then fail "schema_version %d, expected 5" version;
+  if version <> 6 then fail "schema_version %d, expected 6" version;
   if str_member "bench" doc <> "pacstack-hot-path" then fail "unexpected bench id";
   let obs = require_member "obs_overhead" doc in
   ignore (float_member "guard_ns" obs);
@@ -121,8 +121,8 @@ let check_bench path =
       let v = float_member k alloc in
       if not (Float.is_finite v && v >= 0.) then fail "alloc_residuals: bad %s" k)
     [
-      "alu_words_per_step"; "cmp_words_per_step"; "pac_words_per_step";
-      "unprotected_words_per_step";
+      "alu_words_per_step"; "logic_words_per_step"; "cmp_words_per_step";
+      "global_words_per_step"; "unprotected_words_per_step"; "pac_words_per_step";
     ];
   let sections = List.map check_section (list_member "sections" doc) in
   let names = List.map fst sections in

@@ -2,13 +2,13 @@
    (perfbench/) cannot measure: each engine rewrite against its in-tree
    reference oracle (the QARMA-64 MAC, the threaded machine), the lib/obs
    disabled-path bound, the campaign engine's tax over the raw streaming
-   fold, and the threaded engine's allocation residue. Every gated ratio
+   fold, and the threaded engine's allocation per step. Every gated ratio
    divides two numbers measured in this run; the absolute floors catch a
    slowdown that hits both sides of a ratio alike.
 
      bench [--out FILE]   measure, print and evaluate every gate, exit 1
                           on a miss; --out also writes the sections and
-                          gates as JSON (schema v5, see README.md) *)
+                          gates as JSON (schema v6, see README.md) *)
 
 module Stats = Pacstack_util.Stats
 module Scheme = Pacstack_harden.Scheme
@@ -219,41 +219,22 @@ let print_campaign_cost c =
   Format.printf "overhead:              %10.2f %%  (%d faults, checkpoint + compaction)@."
     c.overhead_pct c.co_faults
 
-(* --- threaded-engine allocation residuals --------------------------------- *)
+(* --- threaded-engine allocation ------------------------------------------ *)
 
-(* Compares no longer allocate (the flags are a packed NZCV int). What
-   remains is int64 boxing in [ldr]/[ldp] (Memory.load64) and in
-   [pacia]/[autia] (Pac.add, Pac.auth_value); see DESIGN.md,
-   "Threaded-code execution". The assertion is therefore differential: a
-   compare-saturated loop and a pac/aut-saturated call tree must allocate
-   no more minor words per step than their plain-ALU / unprotected twins.
-   Both hold by balance, not by zero: the compare loop executes fewer
-   loads than the ALU loop, and pacstack fib's pac/aut boxing per step
-   equals unprotected fib's extra [ldp] boxing. *)
+(* The common threaded step allocates nothing (DESIGN.md, "Threaded-code
+   execution"). Six loops cover the parts of a step: locals in stack
+   slots (ldr/str), register-form shifts and logic, compares and
+   conditional branches, globals alternating with stack locals (two data
+   pages in the TLB), calls and returns with ldp/stp, and pacia/autia.
+   Each is gated at an absolute ceiling per step. Each runs on the second
+   instance of one prepared image, so the first instance's first-visit
+   op compilation is not counted. *)
 
-type alloc_residuals = {
-  alu_words_per_step : float;
-  cmp_words_per_step : float;
-  pac_words_per_step : float;
-  unprot_words_per_step : float;
-}
-
-let alloc_residuals () =
-  Format.printf "@.measuring threaded-engine allocation residuals...@.";
-  let words_per_step p =
-    (* warm load caches, then measure the steady-state run only *)
-    let m = Machine.load p in
-    ignore (Machine.run ~fuel:10_000_000 m);
-    let steps = Machine.instructions_retired m in
-    let m2 = Machine.load p in
-    let w0 = Gc.minor_words () in
-    ignore (Machine.run ~fuel:10_000_000 m2);
-    (Gc.minor_words () -. w0) /. float_of_int steps
-  in
-  let loop body =
+let alloc_loops =
+  let loop ?globals body =
     Pacstack_minic.(
       Compile.compile ~scheme:Scheme.unprotected
-        (Ast.program
+        (Ast.program ?globals
            [
              Ast.fdef "main"
                ~locals:[ Ast.Scalar "k"; Ast.Scalar "s" ]
@@ -265,32 +246,48 @@ let alloc_residuals () =
                  ];
            ]))
   in
-  let alu =
-    loop
-      Pacstack_minic.Build.
-        [ set "s" (v "s" + v "k"); set "s" (v "s" lxor i 3); set "s" (v "s" + i 1) ]
-  in
-  let cmp =
-    loop
-      Pacstack_minic.Build.
-        [
-          if_ (v "k" <= i 25_000) [ set "s" (v "s" + i 1) ] [ set "s" (v "s" + i 2) ];
-          if_ (v "s" == i 7) [ set "s" (v "s" + i 3) ] [];
-        ]
-  in
-  {
-    alu_words_per_step = words_per_step alu;
-    cmp_words_per_step = words_per_step cmp;
-    pac_words_per_step = words_per_step fib15;
-    unprot_words_per_step = words_per_step (fib_program_under Scheme.unprotected 15);
-  }
+  Pacstack_minic.Build.
+    [
+      ( "alu", "plain-ALU loop",
+        loop [ set "s" (v "s" + v "k"); set "s" (v "s" lxor i 3); set "s" (v "s" + i 1) ] );
+      ( "logic", "lsl/lsr/and/orr/mul loop",
+        loop
+          [
+            set "s" ((v "s" lsl i 3) lor (v "k" lsr i 2));
+            set "s" ((v "s" land i 0xffff) * v "k");
+          ] );
+      ( "cmp", "compare loop",
+        loop
+          [
+            if_ (v "k" <= i 25_000) [ set "s" (v "s" + i 1) ] [ set "s" (v "s" + i 2) ];
+            if_ (v "s" == i 7) [ set "s" (v "s" + i 3) ] [];
+          ] );
+      ( "global", "global load/store loop",
+        loop ~globals:[ ("g", 8) ]
+          [ store (glob "g") (load (glob "g") + v "k"); set "s" (v "s" + load (glob "g")) ] );
+      ("unprotected", "unprotected fib(15)", fib_program_under Scheme.unprotected 15);
+      ("pac", "pacstack fib(15)", fib15);
+    ]
 
-let print_alloc_residuals a =
-  Format.printf "@.=== Threaded-engine allocation residuals (gated, differential) ===@.";
-  Format.printf "plain ALU loop:        %8.4f minor words/step@." a.alu_words_per_step;
-  Format.printf "compare-saturated:     %8.4f minor words/step@." a.cmp_words_per_step;
-  Format.printf "fib unprotected:       %8.4f minor words/step@." a.unprot_words_per_step;
-  Format.printf "fib pacstack:          %8.4f minor words/step@." a.pac_words_per_step
+(* [(name, description, minor words per step)] for each of [alloc_loops] *)
+let alloc_residuals () =
+  Format.printf "@.measuring threaded-engine allocation...@.";
+  List.map
+    (fun (name, what, p) ->
+      let prepared = Machine.prepare p in
+      ignore (Machine.run ~fuel:10_000_000 (Machine.instantiate prepared));
+      let m = Machine.instantiate prepared in
+      let w0 = Gc.minor_words () in
+      ignore (Machine.run ~fuel:10_000_000 m);
+      (name, what, (Gc.minor_words () -. w0) /. float_of_int (Machine.instructions_retired m)))
+    alloc_loops
+
+let alloc_ceiling = 0.01
+
+let print_alloc_residuals alloc =
+  Format.printf "@.=== Threaded-engine allocation (gated <= %.2f minor words/step) ===@."
+    alloc_ceiling;
+  List.iter (fun (_, what, w) -> Format.printf "%-26s %8.4f minor words/step@." what w) alloc
 
 (* --- lib/obs disabled-path overhead --------------------------------------- *)
 
@@ -426,15 +423,12 @@ let gates sections ~step_speedup obs cost alloc =
       op = Ceiling; limit = 2.0; value = obs.fuzz_pct };
     { gname = "campaign_overhead"; metric = "campaign tax over raw engine (%)";
       op = Ceiling; limit = 25.0; value = cost.overhead_pct };
-    { gname = "cmp_no_alloc";
-      metric = "compare-loop minor words/step over plain-ALU loop";
-      op = Ceiling; limit = 0.02;
-      value = alloc.cmp_words_per_step -. alloc.alu_words_per_step };
-    { gname = "pac_no_alloc";
-      metric = "pacstack-fib minor words/step over unprotected fib";
-      op = Ceiling; limit = 0.02;
-      value = alloc.pac_words_per_step -. alloc.unprot_words_per_step };
   ]
+  @ List.map
+      (fun (name, what, w) ->
+        { gname = name ^ "_no_alloc"; metric = what ^ " minor words/step";
+          op = Ceiling; limit = alloc_ceiling; value = w })
+      alloc
 
 (* --- JSON export (schema documented in README.md) ------------------------- *)
 
@@ -442,7 +436,7 @@ let json_of sections obs cost alloc gate_results =
   let opt f = function Some v -> f v | None -> Json.Null in
   Json.Obj
     [
-      ("schema_version", Json.Int 5);
+      ("schema_version", Json.Int 6);
       ("bench", Json.String "pacstack-hot-path");
       ( "obs_overhead",
         Json.Obj
@@ -461,13 +455,7 @@ let json_of sections obs cost alloc gate_results =
             ("faults", Json.Int cost.co_faults);
           ] );
       ( "alloc_residuals",
-        Json.Obj
-          [
-            ("alu_words_per_step", Json.Float alloc.alu_words_per_step);
-            ("cmp_words_per_step", Json.Float alloc.cmp_words_per_step);
-            ("pac_words_per_step", Json.Float alloc.pac_words_per_step);
-            ("unprotected_words_per_step", Json.Float alloc.unprot_words_per_step);
-          ] );
+        Json.Obj (List.map (fun (name, _, w) -> (name ^ "_words_per_step", Json.Float w)) alloc) );
       ( "sections",
         Json.List
           (List.map

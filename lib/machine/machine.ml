@@ -416,21 +416,6 @@ let compile_op image nops idx instr : t -> int =
     | Some a -> Ok a
     | None -> Error (unresolved label)
   in
-  let binop rd rn op f =
-    match op with
-    | Instr.Reg rm ->
-      fun t ->
-        op_pre t cyc instr;
-        set t rd (f (get t rn) (get t rm));
-        set_pc t next;
-        nexti
-    | Instr.Imm i ->
-      fun t ->
-        op_pre t cyc instr;
-        set t rd (f (get t rn) i);
-        set_pc t next;
-        nexti
-  in
   (* Conditional branches evaluate the label lazily in the reference, so
      a dangling label only traps when the branch is taken. *)
   let cond_branch test l =
@@ -487,8 +472,34 @@ let compile_op image nops idx instr : t -> int =
       set t rd (if d = 0L then 0L else Int64.unsigned_div (get t rn) d);
       set_pc t next;
       nexti
-  | Instr.And_ (rd, rn, op) -> binop rd rn op Int64.logand
-  | Instr.Orr (rd, rn, op) -> binop rd rn op Int64.logor
+  | Instr.And_ (rd, rn, op) -> (
+    match op with
+    | Instr.Reg rm ->
+      fun t ->
+        op_pre t cyc instr;
+        set t rd (Int64.logand (get t rn) (get t rm));
+        set_pc t next;
+        nexti
+    | Instr.Imm i ->
+      fun t ->
+        op_pre t cyc instr;
+        set t rd (Int64.logand (get t rn) i);
+        set_pc t next;
+        nexti)
+  | Instr.Orr (rd, rn, op) -> (
+    match op with
+    | Instr.Reg rm ->
+      fun t ->
+        op_pre t cyc instr;
+        set t rd (Int64.logor (get t rn) (get t rm));
+        set_pc t next;
+        nexti
+    | Instr.Imm i ->
+      fun t ->
+        op_pre t cyc instr;
+        set t rd (Int64.logor (get t rn) i);
+        set_pc t next;
+        nexti)
   | Instr.Eor (rd, rn, op) -> (
     match op with
     | Instr.Reg rm ->
@@ -512,8 +523,12 @@ let compile_op image nops idx instr : t -> int =
         set t rd (Int64.shift_left (get t rn) sh);
         set_pc t next;
         nexti
-    | Instr.Reg _ ->
-      binop rd rn op (fun a b -> Int64.shift_left a (Int64.to_int b land 63)))
+    | Instr.Reg rm ->
+      fun t ->
+        op_pre t cyc instr;
+        set t rd (Int64.shift_left (get t rn) (Int64.to_int (get t rm) land 63));
+        set_pc t next;
+        nexti)
   | Instr.Lsr_ (rd, rn, op) -> (
     match op with
     | Instr.Imm i ->
@@ -523,8 +538,12 @@ let compile_op image nops idx instr : t -> int =
         set t rd (Int64.shift_right_logical (get t rn) sh);
         set_pc t next;
         nexti
-    | Instr.Reg _ ->
-      binop rd rn op (fun a b -> Int64.shift_right_logical a (Int64.to_int b land 63)))
+    | Instr.Reg rm ->
+      fun t ->
+        op_pre t cyc instr;
+        set t rd (Int64.shift_right_logical (get t rn) (Int64.to_int (get t rm) land 63));
+        set_pc t next;
+        nexti)
   | Instr.Mov (rd, op) -> (
     match op with
     | Instr.Reg rm ->

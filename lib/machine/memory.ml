@@ -29,24 +29,44 @@ type page = { mutable data : Bytes.t; perm : perm }
 
 (* A mapped region, [first..last] by page index, whose pages get their
    table entries on first lookup. *)
-type region = { first : int64; last : int64; rperm : perm }
+type region = { first : int; last : int; rperm : perm }
 
-(* One-entry TLBs, keyed by page index: [tlb_d_*] caches the last data
-   translation (loads/stores), [tlb_x_*] the last execute translation
-   (one per step), so the two access streams don't evict each other.
-   Both are invalidated by map/unmap/protect. The sentinel index [-1L]
-   can never equal a real index (indices are addr lsr 12 < 2^52). *)
+(* The page table is keyed by page index as an [int] (indices are
+   addr lsr 12 < 2^52), so a probe neither boxes nor compares a boxed
+   key. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Two TLBs keyed by page index, both invalidated by map/unmap/protect:
+   a direct-mapped data TLB for loads/stores, and a one-entry execute TLB
+   for the per-step code check, so the two access streams don't evict
+   each other. Compiled mini-C keeps locals in stack slots and globals in
+   the data region, so the data TLB needs several entries: with one, every
+   global access swapped the stack page out and back in. The slot folds
+   bits 16.. of the index into its low bits. The first data page (index
+   0x200) and the first shadow page (0x60000) are both multiples of 2^9,
+   so a plain low-bit mask would put them in one slot; folded, they land
+   in slots 0 and 6 and the stack pages below [stack_top] in 8, 9, ...
+   The tag [-1] can never equal a real index. *)
+let tlb_size = 16
+
+let[@inline] tlb_slot idx = (idx lxor (idx lsr 16)) land (tlb_size - 1)
+
 type t = {
-  pages : (int64, page) Hashtbl.t;
+  pages : page Pages.t;
   (* Mapped regions not yet fully in [pages], pairwise disjoint. A page
      is mapped iff it has a table entry or lies in one of them; a
      region's page that has an entry is never re-created from the
      region. unmap/protect/copy/digest/mapped_ranges first give every
      pending page its entry ([materialise]), so they see one table. *)
   mutable pending : region list;
-  mutable tlb_d_idx : int64;
-  mutable tlb_d_page : page;
-  mutable tlb_x_idx : int64;
+  tlb_d_tags : int array;  (* page index cached in each slot, or -1 *)
+  tlb_d_pages : page array;
+  mutable tlb_x_idx : int;
   mutable tlb_x_page : page;
   (* Refill counters for observability. Only the (already slow) miss
      path pays them — hit counts are reconstructed by the machine from
@@ -56,61 +76,62 @@ type t = {
   (* Bumped by every map/unmap/protect. External caches derived from
      the page table (the machine's page-granular execute cache) compare
      this against their snapshot instead of subscribing to
-     invalidations — same discipline as the one-entry TLBs above. A
-     page's first-lookup table entry changes nothing observable and
-     bumps nothing. *)
+     invalidations — same discipline as the TLBs above. A page's
+     first-lookup table entry changes nothing observable and bumps
+     nothing. *)
   mutable generation : int;
 }
 
 let no_page = { data = zero_page; perm = perm_none }
 
-let create () =
+let of_pages pages =
   {
-    pages = Hashtbl.create 64;
+    pages;
     pending = [];
-    tlb_d_idx = -1L;
-    tlb_d_page = no_page;
-    tlb_x_idx = -1L;
+    tlb_d_tags = Array.make tlb_size (-1);
+    tlb_d_pages = Array.make tlb_size no_page;
+    tlb_x_idx = -1;
     tlb_x_page = no_page;
     tlb_d_miss = 0;
     tlb_x_miss = 0;
     generation = 0;
   }
 
+let create () = of_pages (Pages.create 64)
+
 let invalidate_tlb t =
-  t.tlb_d_idx <- -1L;
-  t.tlb_d_page <- no_page;
-  t.tlb_x_idx <- -1L;
+  Array.fill t.tlb_d_tags 0 tlb_size (-1);
+  Array.fill t.tlb_d_pages 0 tlb_size no_page;
+  t.tlb_x_idx <- -1;
   t.tlb_x_page <- no_page;
   t.generation <- t.generation + 1
 
 let generation t = t.generation
 
-let page_index addr = Int64.shift_right_logical addr page_bits
-let page_offset addr = Int64.to_int (Int64.logand addr (Int64.of_int (page_size - 1)))
+let[@inline] page_index addr = Int64.to_int (Int64.shift_right_logical addr page_bits)
+let[@inline] page_offset addr = Int64.to_int addr land (page_size - 1)
 
-let in_region idx r = Int64.compare r.first idx <= 0 && Int64.compare idx r.last <= 0
+let in_region idx r = r.first <= idx && idx <= r.last
 
 (* The table entry of page [idx], created on first lookup of a page of a
    pending region. *)
 let lookup t idx =
-  match Hashtbl.find_opt t.pages idx with
+  match Pages.find_opt t.pages idx with
   | Some _ as found -> found
   | None -> (
     match List.find_opt (in_region idx) t.pending with
     | None -> None
     | Some r ->
       let p = { data = zero_page; perm = r.rperm } in
-      Hashtbl.replace t.pages idx p;
+      Pages.replace t.pages idx p;
       Some p)
 
 let materialise t =
   List.iter
     (fun r ->
-      for i = 0 to Int64.to_int (Int64.sub r.last r.first) do
-        let idx = Int64.add r.first (Int64.of_int i) in
-        if not (Hashtbl.mem t.pages idx) then
-          Hashtbl.replace t.pages idx { data = zero_page; perm = r.rperm }
+      for idx = r.first to r.last do
+        if not (Pages.mem t.pages idx) then
+          Pages.replace t.pages idx { data = zero_page; perm = r.rperm }
       done)
     t.pending;
   t.pending <- []
@@ -120,21 +141,11 @@ let materialise t =
    table holds the pages filled by [map_bytes] or touched so far, few
    next to the pages of a region. *)
 let lowest_mapped t first last =
-  let lowest = ref None in
-  let note idx =
-    match !lowest with
-    | Some l when Int64.compare l idx <= 0 -> ()
-    | _ -> lowest := Some idx
-  in
-  List.iter
-    (fun r ->
-      if Int64.compare r.first last <= 0 && Int64.compare first r.last <= 0 then
-        note (if Int64.compare r.first first >= 0 then r.first else first))
-    t.pending;
-  Hashtbl.iter
-    (fun idx _ -> if Int64.compare first idx <= 0 && Int64.compare idx last <= 0 then note idx)
-    t.pages;
-  !lowest
+  let lowest = ref max_int in
+  let note idx = if idx < !lowest then lowest := idx in
+  List.iter (fun r -> if r.first <= last && first <= r.last then note (max r.first first)) t.pending;
+  Pages.iter (fun idx _ -> if first <= idx && idx <= last then note idx) t.pages;
+  if !lowest = max_int then None else Some !lowest
 
 (* The checks every new mapping makes; returns its page range. *)
 let claim t ~addr ~size perm =
@@ -143,7 +154,7 @@ let claim t ~addr ~size perm =
   let first = page_index addr in
   let last = page_index (Int64.add addr (Int64.of_int (size - 1))) in
   (match lowest_mapped t first last with
-  | Some idx -> invalid_arg (Printf.sprintf "Memory.map: page %Lx already mapped" idx)
+  | Some idx -> invalid_arg (Printf.sprintf "Memory.map: page %x already mapped" idx)
   | None -> ());
   (first, last)
 
@@ -161,9 +172,7 @@ let map_bytes t ~addr data perm =
     invalid_arg "Memory.map_bytes: not whole pages";
   let first, _ = claim t ~addr ~size perm in
   for i = 0 to (size / page_size) - 1 do
-    Hashtbl.replace t.pages
-      (Int64.add first (Int64.of_int i))
-      { data = Bytes.sub data (i * page_size) page_size; perm }
+    Pages.replace t.pages (first + i) { data = Bytes.sub data (i * page_size) page_size; perm }
   done;
   invalidate_tlb t
 
@@ -172,9 +181,8 @@ let unmap t ~addr ~size =
   materialise t;
   let first = page_index addr in
   let last = page_index (Int64.add addr (Int64.of_int (size - 1))) in
-  let n = Int64.to_int (Int64.sub last first) in
-  for i = 0 to n do
-    Hashtbl.remove t.pages (Int64.add first (Int64.of_int i))
+  for idx = first to last do
+    Pages.remove t.pages idx
   done;
   invalidate_tlb t
 
@@ -184,12 +192,10 @@ let protect t ~addr ~size perm =
   materialise t;
   let first = page_index addr in
   let last = page_index (Int64.add addr (Int64.of_int (size - 1))) in
-  let n = Int64.to_int (Int64.sub last first) in
-  for i = 0 to n do
-    let idx = Int64.add first (Int64.of_int i) in
-    match Hashtbl.find_opt t.pages idx with
-    | None -> invalid_arg (Printf.sprintf "Memory.protect: page %Lx not mapped" idx)
-    | Some p -> Hashtbl.replace t.pages idx { p with perm }
+  for idx = first to last do
+    match Pages.find_opt t.pages idx with
+    | None -> invalid_arg (Printf.sprintf "Memory.protect: page %x not mapped" idx)
+    | Some p -> Pages.replace t.pages idx { p with perm }
   done;
   invalidate_tlb t
 
@@ -198,19 +204,25 @@ let find t addr = lookup t (page_index addr)
 let is_mapped t addr = find t addr <> None
 let perm_at t addr = Option.map (fun p -> p.perm) (find t addr)
 
-(* Hot-path translation: one compare on a TLB hit, one hashtable probe on
-   a miss. *)
-let page_for t addr access =
+(* The data-TLB miss path, out of line so that every load and store
+   inlines only the hit test: one table probe, then the slot is
+   refilled. *)
+let[@inline never] refill_data t addr idx access =
+  match lookup t idx with
+  | Some p ->
+    let slot = tlb_slot idx in
+    t.tlb_d_miss <- t.tlb_d_miss + 1;
+    Array.unsafe_set t.tlb_d_tags slot idx;
+    Array.unsafe_set t.tlb_d_pages slot p;
+    p
+  | None -> raise (Trap.Fault (Trap.Unmapped (addr, access)))
+
+(* Hot-path translation: one compare on a TLB hit. *)
+let[@inline] page_for t addr access =
   let idx = page_index addr in
-  if Int64.equal idx t.tlb_d_idx then t.tlb_d_page
-  else
-    match lookup t idx with
-    | Some p ->
-      t.tlb_d_miss <- t.tlb_d_miss + 1;
-      t.tlb_d_idx <- idx;
-      t.tlb_d_page <- p;
-      p
-    | None -> raise (Trap.Fault (Trap.Unmapped (addr, access)))
+  let slot = tlb_slot idx in
+  if Array.unsafe_get t.tlb_d_tags slot = idx then Array.unsafe_get t.tlb_d_pages slot
+  else refill_data t addr idx access
 
 (* A write to a page still sharing [zero_page] first gives it a private
    zeroed copy. *)
@@ -228,6 +240,18 @@ let store8 t addr v =
   if not p.perm.writable then raise (Trap.Fault (Trap.Permission (addr, Trap.Write)));
   Bytes.set (writable_data p) (page_offset addr) (Char.chr (v land 0xff))
 
+(* A load that crosses a page boundary, a byte at a time from the
+   highest, so one that straddles into an unmapped page traps at
+   [addr + 7]. A loop, not a local recursive function: a closure here
+   would stop ocamlopt from inlining [load64] into each ldr op, and every
+   ldr would box its address and result. *)
+let load64_straddle t addr =
+  let v = ref 0L in
+  for i = 7 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (load8 t (Int64.add addr (Int64.of_int i))))
+  done;
+  !v
+
 let load64 t addr =
   (* Fast path: the common aligned access within one page. *)
   let off = page_offset addr in
@@ -236,12 +260,7 @@ let load64 t addr =
     if not p.perm.readable then raise (Trap.Fault (Trap.Permission (addr, Trap.Read)));
     Bytes.get_int64_le p.data off
   end
-  else
-    let rec go i acc =
-      if i < 0 then acc
-      else go (i - 1) (Int64.logor (Int64.shift_left acc 8) (Int64.of_int (load8 t (Int64.add addr (Int64.of_int i)))))
-    in
-    go 7 0L
+  else load64_straddle t addr
 
 let store64 t addr v =
   let off = page_offset addr in
@@ -258,7 +277,7 @@ let store64 t addr v =
 let check_exec t addr =
   let idx = page_index addr in
   let p =
-    if Int64.equal idx t.tlb_x_idx then t.tlb_x_page
+    if idx = t.tlb_x_idx then t.tlb_x_page
     else
       match lookup t idx with
       | Some p ->
@@ -306,23 +325,13 @@ let poke64 t addr v =
 
 let copy t =
   materialise t;
-  let pages = Hashtbl.create (Hashtbl.length t.pages) in
-  Hashtbl.iter
+  let pages = Pages.create (Pages.length t.pages) in
+  Pages.iter
     (fun k p ->
       let data = if p.data == zero_page then zero_page else Bytes.copy p.data in
-      Hashtbl.replace pages k { p with data })
+      Pages.replace pages k { p with data })
     t.pages;
-  {
-    pages;
-    pending = [];
-    tlb_d_idx = -1L;
-    tlb_d_page = no_page;
-    tlb_x_idx = -1L;
-    tlb_x_page = no_page;
-    tlb_d_miss = 0;
-    tlb_x_miss = 0;
-    generation = 0;
-  }
+  of_pages pages
 
 let tlb_misses t = (t.tlb_d_miss, t.tlb_x_miss)
 
@@ -346,11 +355,10 @@ let zero_page_hash = lazy (hash_page_data zero_page)
 
 let digest t =
   materialise t;
-  let idxs = Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [] in
-  let idxs = List.sort Int64.unsigned_compare idxs in
+  let idxs = List.sort Int.compare (Pages.fold (fun k _ acc -> k :: acc) t.pages []) in
   List.fold_left
     (fun h idx ->
-      let p = Hashtbl.find t.pages idx in
+      let p = Pages.find t.pages idx in
       let perm_bits =
         (if p.perm.readable then 1 else 0)
         lor (if p.perm.writable then 2 else 0)
@@ -359,20 +367,21 @@ let digest t =
       let content =
         if p.data == zero_page then Lazy.force zero_page_hash else hash_page_data p.data
       in
-      fnv_mix (fnv_mix (fnv_mix h idx) (Int64.of_int perm_bits)) content)
+      fnv_mix (fnv_mix (fnv_mix h (Int64.of_int idx)) (Int64.of_int perm_bits)) content)
     fnv_seed idxs
 
 let mapped_ranges t =
   materialise t;
-  let idxs = Hashtbl.fold (fun k p acc -> (k, p.perm) :: acc) t.pages [] in
-  let idxs = List.sort (fun (a, _) (b, _) -> Int64.unsigned_compare a b) idxs in
+  let idxs = Pages.fold (fun k p acc -> (k, p.perm) :: acc) t.pages [] in
+  let idxs = List.sort (fun (a, _) (b, _) -> Int.compare a b) idxs in
   let rec runs acc = function
     | [] -> List.rev acc
     | (idx, perm) :: rest -> (
+      let addr = Int64.shift_left (Int64.of_int idx) page_bits in
       match acc with
       | (start, size, p) :: tl
-        when p = perm && Int64.equal (Int64.add start (Int64.of_int size)) (Int64.shift_left idx page_bits) ->
+        when p = perm && Int64.equal (Int64.add start (Int64.of_int size)) addr ->
         runs ((start, size + page_size, p) :: tl) rest
-      | _ -> runs ((Int64.shift_left idx page_bits, page_size, perm) :: acc) rest)
+      | _ -> runs ((addr, page_size, perm) :: acc) rest)
   in
   runs [] idxs

@@ -11,10 +11,11 @@
     {!protect}, {!copy}, {!digest} and {!mapped_ranges} first give every
     page of every pending region its entry. A first lookup is invisible:
     it moves neither {!generation} nor {!tlb_misses} beyond what an
-    eagerly filled table would. The last data and execute translations
-    are cached in one-entry TLBs — invalidated by
-    {!map}/{!unmap}/{!protect}, so a stale translation can never outlive
-    a permission change. *)
+    eagerly filled table would. Translations are cached in two TLBs: a
+    16-entry direct-mapped data TLB, whose slot function keeps a machine's
+    data, stack and shadow pages apart, and a one-entry execute TLB. Both
+    are invalidated in full by {!map}/{!unmap}/{!protect}, so a stale
+    translation can never outlive a permission change. *)
 
 type perm = { readable : bool; writable : bool; executable : bool }
 
@@ -75,10 +76,10 @@ val copy : t -> t
 (** Deep copy (used by [fork]). TLB miss counters restart at zero. *)
 
 val tlb_misses : t -> int * int
-(** [(data, exec)] one-entry-TLB refills since creation. Only the miss
-    path counts (it already pays a hashtable probe); hit totals are
-    derived by the machine as accesses minus misses, so the TLB hit
-    path carries no instrumentation cost. *)
+(** [(data, exec)] TLB refills since creation. Only the miss path counts
+    (it already pays a hashtable probe); hit totals are derived by the
+    machine as accesses minus misses, so the TLB hit path carries no
+    instrumentation cost. *)
 
 val mapped_ranges : t -> (Pacstack_util.Word64.t * int * perm) list
 (** Sorted list of (start, size, perm) for each maximal mapped run. *)
@@ -88,7 +89,7 @@ val generation : t -> int
     derived from the page table (e.g. the machine's per-code-page execute
     check) records the generation it was built at and refills when the
     counter moves — the same invalidation discipline as the internal
-    one-entry TLBs. Restarts at zero in a {!copy}, so cache holders must
+    TLBs. Restarts at zero in a {!copy}, so cache holders must
     treat a copied memory as fresh (use an impossible sentinel, not 0). *)
 
 val digest : t -> Pacstack_util.Word64.t

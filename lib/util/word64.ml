@@ -3,13 +3,17 @@ type t = int64
 let equal = Int64.equal
 let compare = Int64.unsigned_compare
 
+(* The range checks of the inlined helpers raise directly: a call to
+   [invalid_arg] would be a branch returning a boxed value, and ocamlopt
+   then boxes the int64 result on every path (see DESIGN.md,
+   "Threaded-code execution"). *)
 let[@inline] mask n =
-  if n < 0 || n > 64 then invalid_arg "Word64.mask"
+  if n < 0 || n > 64 then raise (Invalid_argument "Word64.mask")
   else if n = 64 then -1L
   else Int64.sub (Int64.shift_left 1L n) 1L
 
 let[@inline] bit w i =
-  if i < 0 || i > 63 then invalid_arg "Word64.bit"
+  if i < 0 || i > 63 then raise (Invalid_argument "Word64.bit")
   else Int64.logand (Int64.shift_right_logical w i) 1L = 1L
 
 let[@inline] set_bit w i v =
@@ -19,11 +23,11 @@ let[@inline] set_bit w i v =
 let[@inline] flip_bit w i = Int64.logxor w (Int64.shift_left 1L i)
 
 let[@inline] extract w ~lo ~width =
-  if lo < 0 || width < 0 || lo + width > 64 then invalid_arg "Word64.extract"
+  if lo < 0 || width < 0 || lo + width > 64 then raise (Invalid_argument "Word64.extract")
   else Int64.logand (Int64.shift_right_logical w lo) (mask width)
 
 let[@inline] insert w ~lo ~width v =
-  if lo < 0 || width < 0 || lo + width > 64 then invalid_arg "Word64.insert"
+  if lo < 0 || width < 0 || lo + width > 64 then raise (Invalid_argument "Word64.insert")
   else
     let m = Int64.shift_left (mask width) lo in
     let v = Int64.shift_left (Int64.logand v (mask width)) lo in

@@ -92,7 +92,7 @@ let test_mem_copy_independent () =
   Memory.store64 m 0L 2L;
   Alcotest.check check_w64 "copy unchanged" 1L (Memory.load64 c 0L)
 
-(* The one-entry TLBs must never let a cached translation outlive a
+(* The TLBs must never let a cached translation outlive a
    permission change: populate the TLB, drop the permission, and the very
    next access has to fault. *)
 
@@ -244,6 +244,49 @@ let test_mem_first_touch_invisible () =
     (Memory.mapped_ranges untouched = Memory.mapped_ranges touched);
   Alcotest.(check int) "digest and ranges move no generation" gen (Memory.generation touched)
 
+(* The data TLB has several slots. A machine's data, stack and shadow
+   pages each keep their own, so loads alternating between them refill
+   once per page, and every map/unmap/protect must clear every slot. *)
+let stack_page = Int64.sub Image.stack_top (Int64.of_int Memory.page_size)
+
+let with_machine_pages () =
+  let m = Memory.create () in
+  List.iter
+    (fun addr -> Memory.map m ~addr ~size:Memory.page_size Memory.perm_rw)
+    [ Image.data_base; stack_page; Image.shadow_base ];
+  m
+
+let test_mem_tlb_every_slot () =
+  let filled () =
+    let m = with_machine_pages () in
+    (* the data page first, the shadow page last *)
+    List.iter
+      (fun a -> ignore (Memory.load64 m a))
+      [ Image.data_base; stack_page; Image.shadow_base; Image.data_base; stack_page ];
+    Alcotest.(check (pair int int)) "three pages, three slots" (3, 0) (Memory.tlb_misses m);
+    m
+  in
+  let m = filled () in
+  Memory.protect m ~addr:Image.data_base ~size:Memory.page_size perm_none;
+  Alcotest.check_raises "read of the protected data page"
+    (Trap.Fault (Trap.Permission (Image.data_base, Trap.Read)))
+    (fun () -> ignore (Memory.load64 m Image.data_base));
+  let m = filled () in
+  Memory.unmap m ~addr:stack_page ~size:Memory.page_size;
+  Alcotest.check_raises "read of the unmapped stack page"
+    (Trap.Fault (Trap.Unmapped (stack_page, Trap.Read)))
+    (fun () -> ignore (Memory.load64 m stack_page));
+  Alcotest.check check_w64 "shadow page still reads" 0L (Memory.load64 m Image.shadow_base)
+
+let test_mem_tlb_refills () =
+  let m = with_machine_pages () in
+  for i = 0 to 999 do
+    Memory.store64 m (Int64.add stack_page 8L) (Int64.of_int i);
+    ignore (Memory.load64 m (Int64.add Image.data_base 8L))
+  done;
+  Alcotest.(check (pair int int)) "2000 alternating accesses, two refills" (2, 0)
+    (Memory.tlb_misses m)
+
 (* --- Machine semantics ------------------------------------------------------ *)
 
 let run_asm ?cfg src =
@@ -388,6 +431,32 @@ let test_noncanonical_load_faults () =
   with
   | Machine.Faulted (Trap.Translation (_, Trap.Read)), _ -> ()
   | _ -> Alcotest.fail "expected translation fault"
+
+(* Bytes are read from the highest down, so a load that straddles into
+   an unmapped page traps at its last byte, on both engines. *)
+let test_straddling_load_trap () =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000L ~size:Memory.page_size Memory.perm_rw;
+  Alcotest.check_raises "Memory.load64"
+    (Trap.Fault (Trap.Unmapped (0x2003L, Trap.Read)))
+    (fun () -> ignore (Memory.load64 m 0x1ffcL));
+  (* the data region is one page here, with nothing mapped above it *)
+  let addr = Int64.add Image.data_base (Int64.of_int (Memory.page_size - 4)) in
+  let p =
+    Asm.parse
+      (Printf.sprintf ".entry main\n.func main\n  mov x1, #%Ld\n  ldr x2, [x1]\n  hlt\n.endfunc" addr)
+  in
+  let expected = Trap.Unmapped (Int64.add addr 7L, Trap.Read) in
+  List.iter
+    (fun (engine, run) ->
+      match run (Machine.load p) with
+      | Machine.Faulted f when f = expected -> ()
+      | Machine.Faulted f -> Alcotest.fail (engine ^ ": " ^ Trap.to_string f)
+      | _ -> Alcotest.fail (engine ^ ": expected a fault"))
+    [
+      ("threaded", fun m -> Machine.run ~fuel:100 m);
+      ("reference", fun m -> Machine.Reference.run ~fuel:100 m);
+    ]
 
 let test_retaa_roundtrip () =
   (* paciasp at entry, retaa at exit: the Listing 1 pattern *)
@@ -1139,6 +1208,8 @@ let () =
           Alcotest.test_case "protect/unmap inside an untouched region" `Quick
             test_mem_lazy_protect_unmap;
           Alcotest.test_case "first touch invisible" `Quick test_mem_first_touch_invisible;
+          Alcotest.test_case "TLB invalidation reaches every slot" `Quick test_mem_tlb_every_slot;
+          Alcotest.test_case "TLB refills per page" `Quick test_mem_tlb_refills;
         ] );
       ( "semantics",
         [
@@ -1150,6 +1221,7 @@ let () =
           Alcotest.test_case "W^X on code" `Quick test_write_to_code_faults;
           Alcotest.test_case "exec of data" `Quick test_exec_of_data_faults;
           Alcotest.test_case "non-canonical deref" `Quick test_noncanonical_load_faults;
+          Alcotest.test_case "straddling load trap address" `Quick test_straddling_load_trap;
           Alcotest.test_case "retaa roundtrip" `Quick test_retaa_roundtrip;
           Alcotest.test_case "retaa detects corruption" `Quick test_retaa_detects_corruption;
           Alcotest.test_case "pacia/autia" `Quick test_pacia_autia_machine;

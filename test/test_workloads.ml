@@ -9,6 +9,7 @@ module Confirm = Pacstack_workloads.Confirm
 module Scenarios = Pacstack_workloads.Scenarios
 module Compile = Pacstack_minic.Compile
 module Machine = Pacstack_machine.Machine
+module Memory = Pacstack_machine.Memory
 
 (* --- SPEC-like kernels --------------------------------------------------------- *)
 
@@ -67,6 +68,26 @@ let test_speed_variant_larger () =
   let rate = Speclike.measure ~scheme:Scheme.unprotected Speclike.Rate b in
   let speed = Speclike.measure ~scheme:Scheme.unprotected Speclike.Speed b in
   Alcotest.(check bool) "speed runs longer" true (speed.Speclike.cycles > 2 * rate.Speclike.cycles)
+
+(* mini-C keeps locals in stack slots and globals in the data region,
+   so a kernel's loads and stores alternate between pages that must
+   share the data TLB without evicting each other. *)
+let test_data_tlb_refill_rate () =
+  let b = Option.get (Speclike.find "mcf") in
+  List.iter
+    (fun scheme ->
+      let m = Machine.load (Compile.compile ~scheme (b.Speclike.program Speclike.Rate)) in
+      (match Machine.run ~fuel:100_000_000 m with
+      | Machine.Halted 0 -> ()
+      | _ -> Alcotest.fail ("mcf did not halt under " ^ Scheme.to_string scheme));
+      let refills, _ = Memory.tlb_misses (Machine.memory m) in
+      let steps = Machine.instructions_retired m in
+      Alcotest.(check bool)
+        (Printf.sprintf "mcf under %s: %d data-TLB refills in %d steps" (Scheme.to_string scheme)
+           refills steps)
+        true
+        (refills * 1000 < steps))
+    Scheme.all
 
 let test_find () =
   Alcotest.(check bool) "finds perlbench" true (Speclike.find "perlbench" <> None);
@@ -161,6 +182,7 @@ let () =
           Alcotest.test_case "overhead ordering" `Quick test_overhead_ordering;
           Alcotest.test_case "call-density spectrum" `Quick test_call_density_spectrum;
           Alcotest.test_case "speed variant" `Quick test_speed_variant_larger;
+          Alcotest.test_case "data-TLB refill rate" `Quick test_data_tlb_refill_rate;
           Alcotest.test_case "catalogue" `Quick test_find;
           Alcotest.test_case "C++ kernels" `Quick test_cpp_semantics_and_overheads;
         ] );
