@@ -9,7 +9,10 @@
                                   README.md)
      check_json --trace FILE      validate a JSON-lines obs trace: every
                                   line parses, the header comes first,
-                                  and every record is a metric or event
+                                  every record is a metric or event, and
+                                  every histogram has lo < hi and
+                                  non-negative integer counts summing to
+                                  its total
      check_json --manifest FILE   validate a campaign checkpoint manifest:
                                   binding header first, then only shard,
                                   merged-statistics or quarantine lines;
@@ -139,6 +142,20 @@ let check_bench path =
 
 (* --- obs trace files (JSON lines) ---------------------------------------- *)
 
+let check_histogram lineno v =
+  let lo = float_member "lo" v and hi = float_member "hi" v in
+  if not (lo < hi) then fail "line %d: histogram lo %g is not below hi %g" lineno lo hi;
+  let mass =
+    List.fold_left
+      (fun acc c ->
+        match Json.to_int c with
+        | Some n when n >= 0 -> acc + n
+        | _ -> fail "line %d: histogram count %s is not a non-negative integer" lineno (Json.to_string c))
+      0 (list_member "counts" v)
+  in
+  let total = int_member "total" v in
+  if mass <> total then fail "line %d: histogram counts sum to %d, total is %d" lineno mass total
+
 let check_trace path =
   let lines = In_channel.with_open_text path In_channel.input_lines in
   let n_metrics = ref 0 and n_events = ref 0 in
@@ -163,7 +180,8 @@ let check_trace path =
             incr n_metrics;
             ignore (str_member "name" v);
             (match str_member "kind" v with
-            | "counter" | "gauge" | "histogram" -> ()
+            | "counter" | "gauge" -> ()
+            | "histogram" -> check_histogram lineno v
             | k -> fail "line %d: unknown metric kind %S" lineno k)
           | "event" ->
             incr n_events;

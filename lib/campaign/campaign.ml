@@ -122,9 +122,13 @@ let run ?(workers = 1) ?(progress = Progress.null) ?checkpoint ?compaction
   let shards_done = Atomic.make resumed in
   let trials_done = Atomic.make 0 in
   (* Success bookkeeping shared by both executors: checkpoint the result
-     and emit the Shard_finished event with rate/ETA. *)
+     and emit the Shard_finished event with rate/ETA. Counting and
+     emitting under one lock keeps [completed] rising along the event
+     stream; two workers could otherwise emit their counts out of order. *)
+  let finish_lock = Mutex.create () in
   let finish_shard (shard : Shard.t) result ~elapsed_s =
     Option.iter (fun file -> Checkpoint.record file shard result) manifest;
+    Mutex.protect finish_lock @@ fun () ->
     let completed = 1 + Atomic.fetch_and_add shards_done 1 in
     let executed = shard.Shard.trials + Atomic.fetch_and_add trials_done shard.Shard.trials in
     let wall = Unix.gettimeofday () -. t0 in

@@ -1,3 +1,5 @@
+module Sketch = Pacstack_util.Sketch
+
 type t =
   | Null
   | Bool of bool
@@ -244,3 +246,32 @@ let to_float = function
 let to_str = function String s -> Some s | _ -> None
 let to_list = function List vs -> Some vs | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
+
+(* --- sketches ------------------------------------------------------------ *)
+
+let of_sketch (s : Sketch.t) =
+  Obj
+    [
+      ("count", Int s.count);
+      ("sum", Float s.sum);
+      ("min", Float s.min);
+      ("max", Float s.max);
+      ("counts", List (Array.to_list (Array.map (fun c -> Int c) s.counts)));
+    ]
+
+let to_sketch ~edges json =
+  let empty = Sketch.empty edges in
+  let num k = Option.bind (member k json) to_float in
+  let cells = Option.map (List.map to_int) (Option.bind (member "counts" json) to_list) in
+  match (Option.bind (member "count" json) to_int, num "sum", cells) with
+  | Some count, Some sum, Some cells
+    when List.length cells = Array.length empty.counts
+         && List.for_all (function Some c -> c >= 0 | None -> false) cells ->
+    let counts = Array.of_list (List.map Option.get cells) in
+    if Array.fold_left ( + ) 0 counts <> count then None
+    else if count = 0 then Some empty
+    else (
+      match (num "min", num "max") with
+      | Some min, Some max -> Some { empty with count; sum; min; max; counts }
+      | _ -> None)
+  | _ -> None

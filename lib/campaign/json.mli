@@ -41,3 +41,18 @@ val to_float : t -> float option
 val to_str : t -> string option
 val to_list : t -> t list option
 val to_bool : t -> bool option
+
+(** {1 Sketches} — the one codec of {!Pacstack_util.Sketch}, shared by
+    the fleet and injection checkpoint payloads. *)
+
+val of_sketch : Pacstack_util.Sketch.t -> t
+(** [{"count":..,"sum":..,"min":..,"max":..,"counts":[..]}]; the edges
+    are not written (the reader supplies them). An empty sketch's
+    infinite extremes render as [null]. *)
+
+val to_sketch : edges:float array -> t -> Pacstack_util.Sketch.t option
+(** Decodes {!of_sketch}'s output over [edges], exactly. A line is
+    trusted only if some sketch could have written it: one cell per
+    bucket, no negative cell, cell mass equal to [count], and numeric
+    [min]/[max] when [count > 0]. Anything else is [None], so a
+    checkpointed shard re-runs instead of poisoning the totals. *)

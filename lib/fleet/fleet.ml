@@ -223,7 +223,7 @@ let pp_table cfg fmt rows =
         Format.fprintf fmt "%-20s %9d %9d %6s %9s %9s %9s %9s %9s@." (Scheme.to_string row.scheme)
           row.offered row.completed "-" "-" "-" "-" "-" "-"
       else begin
-        let q = Latency.percentiles row.latency quantiles in
+        let q = List.map (Latency.percentile row.latency) quantiles in
         Format.fprintf fmt "%-20s %9d %9d %6.1f %9.3f" (Scheme.to_string row.scheme) row.offered
           row.completed
           (100.0 *. utilisation cfg row)

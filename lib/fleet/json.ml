@@ -11,14 +11,14 @@ let stats_to_json (s : Fleet.stats) =
       ("queue_peak", J.Int s.queue_peak);
       ("busy_cycles", J.Float s.busy_cycles);
       ("size_classes", J.Int s.size_classes);
-      ("latency", Latency.to_json s.latency);
+      ("latency", J.of_sketch s.latency);
     ]
 
 let stats_of_json json =
   let int k = Option.bind (J.member k json) J.to_int in
   let scheme = Option.bind (Option.bind (J.member "scheme" json) J.to_str) Scheme.of_string in
   let busy = Option.bind (J.member "busy_cycles" json) J.to_float in
-  let latency = Option.bind (J.member "latency" json) Latency.of_json in
+  let latency = Option.bind (J.member "latency" json) (J.to_sketch ~edges:Latency.edges) in
   match
     (scheme, int "offered", int "completed", int "queue_peak", busy, int "size_classes", latency)
   with

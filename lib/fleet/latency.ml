@@ -1,100 +1,8 @@
-module Stats = Pacstack_util.Stats
-module J = Pacstack_campaign.Json
-
-type t = {
-  count : int;
-  sum : float;
-  min : float;
-  max : float;
-  counts : int array;
-}
-
-let buckets = 128
-let lo_cycles = 1e3
-let hi_cycles = 1e9
+include Pacstack_util.Sketch
 
 (* Geometric edges: bucket i covers [lo * r^i, lo * r^(i+1)) with
    r = (hi/lo)^(1/buckets) ~ 1.11 — constant *relative* resolution, which
    is what a latency tail wants (p999 at 100x the median must not share a
    bucket with it, as linear edges would force). *)
-let bounds =
-  let ratio = (hi_cycles /. lo_cycles) ** (1.0 /. float_of_int buckets) in
-  Array.init (buckets + 1) (fun i -> lo_cycles *. (ratio ** float_of_int i))
-
-let empty = { count = 0; sum = 0.0; min = infinity; max = neg_infinity; counts = Array.make buckets 0 }
-
-let bucket_of x =
-  if x <= lo_cycles then 0
-  else if x >= hi_cycles then buckets - 1
-  else begin
-    let i =
-      int_of_float (log (x /. lo_cycles) /. log (hi_cycles /. lo_cycles) *. float_of_int buckets)
-    in
-    (* float rounding at an edge can land one off; clamp via the edges *)
-    let i = Stdlib.min (buckets - 1) (Stdlib.max 0 i) in
-    if x < bounds.(i) then i - 1 else if x >= bounds.(i + 1) then i + 1 else i
-  end
-
-let record t x =
-  let counts = Array.copy t.counts in
-  let i = Stdlib.min (buckets - 1) (Stdlib.max 0 (bucket_of x)) in
-  counts.(i) <- counts.(i) + 1;
-  {
-    count = t.count + 1;
-    sum = t.sum +. x;
-    min = Float.min t.min x;
-    max = Float.max t.max x;
-    counts;
-  }
-
-let merge a b =
-  {
-    count = a.count + b.count;
-    sum = a.sum +. b.sum;
-    min = Float.min a.min b.min;
-    max = Float.max a.max b.max;
-    counts = Array.init buckets (fun i -> a.counts.(i) + b.counts.(i));
-  }
-
-let mean t = if t.count = 0 then invalid_arg "Latency.mean" else t.sum /. float_of_int t.count
-
-let percentile t p =
-  if t.count = 0 then invalid_arg "Latency.percentile";
-  let raw = Stats.weighted_percentile ~bounds ~counts:t.counts p in
-  (* the exact extremes are tracked, so never report outside them *)
-  Float.max t.min (Float.min t.max raw)
-
-let percentiles t ps = List.map (percentile t) ps
-
-let to_json t =
-  J.Obj
-    [
-      ("count", J.Int t.count);
-      ("sum", J.Float t.sum);
-      ("min", J.Float t.min);
-      ("max", J.Float t.max);
-      ("counts", J.List (Array.to_list (Array.map (fun c -> J.Int c) t.counts)));
-    ]
-
-let of_json json =
-  let int k = Option.bind (J.member k json) J.to_int in
-  let flt k = Option.bind (J.member k json) J.to_float in
-  match (int "count", flt "sum", J.member "counts" json) with
-  | Some count, Some sum, Some (J.List cells) when List.length cells = buckets ->
-    let counts = Array.make buckets 0 in
-    let ok =
-      List.for_all Fun.id
-        (List.mapi
-           (fun i cell ->
-             match J.to_int cell with
-             | Some c -> counts.(i) <- c; true
-             | None -> false)
-           cells)
-    in
-    if not ok then None
-    else if count = 0 then Some { empty with counts }
-    else (
-      match (flt "min", flt "max") with
-      | Some min, Some max -> Some { count; sum; min; max; counts }
-      | _ -> None)
-  | _ -> None
+let edges = geometric ~lo:1e3 ~hi:1e9 ~buckets:128
+let empty = empty edges

@@ -1,5 +1,5 @@
-(** Constant-size latency statistics: count/sum/min/max plus a fixed
-    log-spaced bucket array over virtual cycles.
+(** The fleet's request-latency sketch: a {!Pacstack_util.Sketch} over
+    fixed geometric edges in virtual cycles.
 
     The fleet never retains per-request records — a shard folds every
     completed request into one of these, and shard results merge by
@@ -7,38 +7,14 @@
     fold), so the merged table is bit-identical at any worker count and
     the memory footprint is independent of how many requests ran. *)
 
-type t = {
-  count : int;
-  sum : float;
-  min : float;  (** [infinity] when empty *)
-  max : float;  (** [neg_infinity] when empty *)
-  counts : int array;  (** one cell per bucket of {!bounds} *)
-}
+include module type of struct
+  include Pacstack_util.Sketch
+end
 
-val bounds : float array
-(** The shared bucket edges: geometric from 10^3 to 10^9 cycles
-    ({!buckets} buckets, ~11% relative width — the resolution of every
-    reported percentile). Samples outside clamp to the edge buckets. *)
-
-val buckets : int
+val edges : float array
+(** 128 geometric buckets from 10^3 to 10^9 cycles (~11% relative
+    width — the resolution of every reported percentile). Samples
+    outside clamp to the edge buckets. *)
 
 val empty : t
-
-val record : t -> float -> t
-(** Folds one latency sample (virtual cycles) in. *)
-
-val merge : t -> t -> t
-
-val mean : t -> float
-
-val percentile : t -> float -> float
-(** Weighted percentile over the buckets ({!Pacstack_util.Stats.weighted_percentile}),
-    clamped to the exact observed [min]/[max]. Raises [Invalid_argument]
-    when empty. *)
-
-val percentiles : t -> float list -> float list
-
-val to_json : t -> Pacstack_campaign.Json.t
-val of_json : Pacstack_campaign.Json.t -> t option
-(** Round-trips {!to_json} exactly (counts are ints; sum/min/max are
-    floats printed losslessly by the campaign codec). *)
+(** No requests, over {!edges}. *)

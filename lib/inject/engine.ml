@@ -46,6 +46,7 @@
    The same fault classifies identically at any worker count. *)
 
 module Rng = Pacstack_util.Rng
+module Sketch = Pacstack_util.Sketch
 module Config = Pacstack_pa.Config
 module Reg = Pacstack_isa.Reg
 module Scheme = Pacstack_harden.Scheme
@@ -434,12 +435,12 @@ let run_fault cfg ~campaign_seed index = (run_faults cfg ~campaign_seed ~first:i
 (* Mergeable campaign statistics                                       *)
 
 (* Constant-size sufficient statistics. Each cell holds counters plus a
-   32-bucket log2 histogram of detection latencies, and each scheme
-   keeps the reproducers of its [repro_cap] smallest silent fault
-   indices, so a shard's summary is O(schemes x sites) however many
-   faults it ran. [merge] is associative AND commutative:
+   sketch of detection latencies, and each scheme keeps the reproducers
+   of its [repro_cap] smallest silent fault indices, so a shard's summary
+   is O(schemes x sites) however many faults it ran. [merge] is
+   associative AND commutative:
 
-   - counters and histograms add pointwise;
+   - counters and sketches add pointwise;
    - "keep the K smallest per scheme" commutes with union: the K
      smallest of a union are the K smallest of the per-part K smallest,
      in any grouping or order.
@@ -449,54 +450,28 @@ let run_fault cfg ~campaign_seed index = (run_faults cfg ~campaign_seed ~first:i
    per-shard remainder, so fold order differs between an interrupted
    and an uninterrupted run, and the totals are still bit-identical. *)
 
-let hist_buckets = 32
 let repro_cap = 32
+
+(* 32 power-of-two buckets up to 2^31 cycles; longer latencies clamp
+   into the last. *)
+let latency_edges = Sketch.pow2 ~buckets:32
 
 type cell = {
   detected : int;
   benign : int;
   silent : int;
-  latency_sum : int;
-  latency_hist : int array;  (* log2 buckets; treated as immutable *)
+  latency : Sketch.t;
 }
 
-let cell_zero =
-  { detected = 0; benign = 0; silent = 0; latency_sum = 0;
-    latency_hist = Array.make hist_buckets 0 }
+let cell_zero = { detected = 0; benign = 0; silent = 0; latency = Sketch.empty latency_edges }
 
 let cell_add a b =
   {
     detected = a.detected + b.detected;
     benign = a.benign + b.benign;
     silent = a.silent + b.silent;
-    latency_sum = a.latency_sum + b.latency_sum;
-    latency_hist = Array.map2 ( + ) a.latency_hist b.latency_hist;
+    latency = Sketch.merge a.latency b.latency;
   }
-
-(* Bucket 0 holds latencies 0 and 1; bucket b >= 1 holds (2^(b-1), 2^b],
-   saturating at the last bucket. *)
-let bucket latency =
-  if latency <= 1 then 0
-  else begin
-    (* smallest b with 2^b >= latency, i.e. ceil(log2 latency) *)
-    let b = ref 0 and v = ref (latency - 1) in
-    while !v > 0 && !b < hist_buckets - 1 do
-      incr b;
-      v := !v lsr 1
-    done;
-    !b
-  end
-
-(* Bucket bounds for [Stats.weighted_percentile]: the histogram's tail
-   quantiles without retaining a single sample. *)
-let hist_bounds =
-  Array.init (hist_buckets + 1) (fun i -> if i = 0 then 0.0 else Float.of_int (1 lsl (i - 1)))
-
-let latency_percentile cell p =
-  if cell.detected = 0 then None
-  else
-    Some
-      (Pacstack_util.Stats.weighted_percentile ~bounds:hist_bounds ~counts:cell.latency_hist p)
 
 type reproducer = { fault : int; scheme : string; site : string }
 
@@ -569,13 +544,7 @@ let add_result stats (r : result) =
   let bump c =
     match r.classification with
     | Detected { latency; _ } ->
-      let b = bucket latency in
-      {
-        c with
-        detected = c.detected + 1;
-        latency_sum = c.latency_sum + latency;
-        latency_hist = Array.mapi (fun i n -> if i = b then n + 1 else n) c.latency_hist;
-      }
+      { c with detected = c.detected + 1; latency = Sketch.record c.latency (float_of_int latency) }
     | Benign -> { c with benign = c.benign + 1 }
     | Silent -> { c with silent = c.silent + 1 }
   in
@@ -644,8 +613,7 @@ let cell_fields c =
     ("detected", Json.Int c.detected);
     ("benign", Json.Int c.benign);
     ("silent", Json.Int c.silent);
-    ("latency_sum", Json.Int c.latency_sum);
-    ("latency_hist", Json.List (List.map (fun n -> Json.Int n) (Array.to_list c.latency_hist)));
+    ("latency", Json.of_sketch c.latency);
   ]
 
 let stats_to_json s =
@@ -666,15 +634,14 @@ let stats_to_json s =
     ]
 
 (* A checkpoint line is trusted only if some campaign could have written
-   it: no negative count, a full-length histogram whose mass is the
-   detection count, and no scheme with more retained reproducers than
-   silents. Anything else decodes to [None], so the campaign re-runs the
-   shard as it would a torn line. *)
+   it: no negative count, a latency sketch that {!Json.to_sketch} accepts
+   holding one sample per detection, and no scheme with more retained
+   reproducers than silents. Anything else decodes to [None], so the
+   campaign re-runs the shard as it would a torn line. *)
 let valid_cell c =
-  c.detected >= 0 && c.benign >= 0 && c.silent >= 0 && c.latency_sum >= 0
-  && Array.length c.latency_hist = hist_buckets
-  && Array.for_all (fun n -> n >= 0) c.latency_hist
-  && Array.fold_left ( + ) 0 c.latency_hist = c.detected
+  c.detected >= 0 && c.benign >= 0 && c.silent >= 0
+  && c.latency.Sketch.count = c.detected
+  && c.latency.Sketch.sum >= 0.0
 
 let valid s =
   let retained name = List.length (List.filter (fun r -> String.equal r.scheme name) s.silents) in
@@ -701,9 +668,8 @@ let stats_of_json j =
     let* detected = int "detected" o in
     let* benign = int "benign" o in
     let* silent = int "silent" o in
-    let* latency_sum = int "latency_sum" o in
-    let* hist = list "latency_hist" o Json.to_int in
-    Some { detected; benign; silent; latency_sum; latency_hist = Array.of_list hist }
+    let* latency = Option.bind (Json.member "latency" o) (Json.to_sketch ~edges:latency_edges) in
+    Some { detected; benign; silent; latency }
   in
   let* faults = int "faults" j in
   let* cells =

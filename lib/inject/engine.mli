@@ -62,24 +62,11 @@ type cell = {
   detected : int;
   benign : int;
   silent : int;
-  latency_sum : int;
-  latency_hist : int array;
-      (** {!hist_buckets} log2 buckets of detection latency: bucket 0
-          counts latencies <= 1, bucket [b >= 1] counts
-          [(2^(b-1), 2^b]], saturating at the last bucket. Treat as
-          immutable. *)
+  latency : Pacstack_util.Sketch.t;
+      (** detection latencies in cycles, one sample per detection, over
+          32 power-of-two buckets ({!Pacstack_util.Sketch.pow2}); the
+          mean and the p95 of the inject table come from here *)
 }
-
-val hist_buckets : int
-(** 32 — covers any [int] latency. *)
-
-val bucket : int -> int
-(** The histogram bucket a latency lands in. *)
-
-val latency_percentile : cell -> float -> float option
-(** Tail quantile of the detection-latency histogram via
-    {!Pacstack_util.Stats.weighted_percentile}; [None] when the cell has
-    no detections. Accurate to one log2 bucket. *)
 
 type reproducer = { fault : int; scheme : string; site : string }
 (** Everything needed to replay a silent corruption:

@@ -6,8 +6,7 @@ type cell = Engine.cell = {
   detected : int;
   benign : int;
   silent : int;
-  latency_sum : int;
-  latency_hist : int array;
+  latency : Pacstack_util.Sketch.t;
 }
 
 type t = Engine.stats = {

@@ -1,6 +1,7 @@
 module Json = Pacstack_campaign.Json
 module Progress = Pacstack_campaign.Progress
 module Shard = Pacstack_campaign.Shard
+module Sketch = Pacstack_util.Sketch
 
 (* The flag is an [Atomic.t] so worker domains spawned after [enable]
    are guaranteed to observe it; [Atomic.get] on a bool compiles to a
@@ -15,86 +16,49 @@ module Metrics = struct
   type value =
     | Counter of int
     | Gauge of float
-    | Histogram of { lo : float; hi : float; counts : int array; total : int }
-
-  type cell =
-    | C of { mutable n : int }
-    | G of { mutable v : float }
-    | H of { lo : float; hi : float; counts : int array; mutable total : int }
+    | Histogram of Sketch.t
 
   let lock = Mutex.create ()
-  let cells : (string, cell) Hashtbl.t = Hashtbl.create 64
+  let cells : (string, value) Hashtbl.t = Hashtbl.create 64
 
   let with_lock f =
     Mutex.lock lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
+  (* [f] maps the current value ([None] when undeclared) to the new one;
+     [None] back leaves the registry alone (a kind mismatch). *)
+  let update name f =
+    with_lock (fun () ->
+        Option.iter (Hashtbl.replace cells name) (f (Hashtbl.find_opt cells name)))
+
   let incr ?(by = 1) name =
     if enabled () then
-      with_lock (fun () ->
-          match Hashtbl.find_opt cells name with
-          | Some (C c) -> c.n <- c.n + by
-          | Some _ -> ()
-          | None -> Hashtbl.replace cells name (C { n = by }))
+      update name (function
+        | Some (Counter n) -> Some (Counter (n + by))
+        | None -> Some (Counter by)
+        | Some _ -> None)
 
   let gauge name v =
     if enabled () then
-      with_lock (fun () ->
-          match Hashtbl.find_opt cells name with
-          | Some (G g) -> g.v <- v
-          | Some _ -> ()
-          | None -> Hashtbl.replace cells name (G { v }))
-
-  let make_histogram ~lo ~hi ~buckets =
-    let buckets = max 1 buckets in
-    H { lo; hi; counts = Array.make buckets 0; total = 0 }
+      update name (function Some (Gauge _) | None -> Some (Gauge v) | Some _ -> None)
 
   let register_histogram name ~lo ~hi ~buckets =
-    with_lock (fun () ->
-        if not (Hashtbl.mem cells name) then
-          Hashtbl.replace cells name (make_histogram ~lo ~hi ~buckets))
-
-  let observe_cell cell x =
-    match cell with
-    | H ({ lo; hi; counts; _ } as h) ->
-      let buckets = Array.length counts in
-      let idx =
-        if Float.is_nan x || x <= lo then 0
-        else if x >= hi then buckets - 1
-        else
-          let i =
-            int_of_float (float_of_int buckets *. (x -. lo) /. (hi -. lo))
-          in
-          if i >= buckets then buckets - 1 else i
-      in
-      counts.(idx) <- counts.(idx) + 1;
-      h.total <- h.total + 1
-    | C _ | G _ -> ()
+    update name (function
+      | None -> Some (Histogram (Sketch.empty (Sketch.linear ~lo ~hi ~buckets)))
+      | Some _ -> None)
 
   let observe name x =
     if enabled () then
-      with_lock (fun () ->
-          match Hashtbl.find_opt cells name with
-          | Some (H _ as h) -> observe_cell h x
-          | Some _ -> ()
-          | None ->
-            let h = make_histogram ~lo:0. ~hi:1e6 ~buckets:20 in
-            observe_cell h x;
-            Hashtbl.replace cells name h)
+      update name (function Some (Histogram h) -> Some (Histogram (Sketch.record h x)) | _ -> None)
 
-  let value_of_cell = function
-    | C { n } -> Counter n
-    | G { v } -> Gauge v
-    | H { lo; hi; counts; total } ->
-      Histogram { lo; hi; counts = Array.copy counts; total }
+  let range (h : Sketch.t) = (h.edges.(0), h.edges.(Array.length h.edges - 1))
 
   let snapshot () =
     with_lock (fun () ->
-        Hashtbl.fold (fun name c acc -> (name, value_of_cell c) :: acc) cells [])
+        Hashtbl.fold (fun name v acc -> (name, v) :: acc) cells [])
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  let find name =
-    with_lock (fun () -> Option.map value_of_cell (Hashtbl.find_opt cells name))
+  let find name = with_lock (fun () -> Hashtbl.find_opt cells name)
 
   let reset () = with_lock (fun () -> Hashtbl.reset cells)
 
@@ -107,12 +71,13 @@ module Metrics = struct
     let render = function
       | Counter n -> string_of_int n
       | Gauge v -> Printf.sprintf "%g" v
-      | Histogram { lo; hi; counts; total } ->
+      | Histogram h ->
         let nonzero =
-          Array.fold_left (fun a c -> if c > 0 then a + 1 else a) 0 counts
+          Array.fold_left (fun a c -> if c > 0 then a + 1 else a) 0 h.counts
         in
-        Printf.sprintf "total=%d buckets=%d/%d range=[%g,%g)" total nonzero
-          (Array.length counts) lo hi
+        let lo, hi = range h in
+        Printf.sprintf "total=%d buckets=%d/%d range=[%g,%g)" h.count nonzero
+          (Array.length h.counts) lo hi
     in
     let width =
       List.fold_left (fun w (name, _) -> max w (String.length name)) 6 snap
@@ -240,12 +205,13 @@ module Sink = struct
       match (v : Metrics.value) with
       | Counter n -> [ ("kind", Json.String "counter"); ("value", Json.Int n) ]
       | Gauge f -> [ ("kind", Json.String "gauge"); ("value", Json.Float f) ]
-      | Histogram { lo; hi; counts; total } ->
+      | Histogram h ->
+        let lo, hi = Metrics.range h in
         [ ("kind", Json.String "histogram");
           ("lo", Json.Float lo);
           ("hi", Json.Float hi);
-          ("total", Json.Int total);
-          ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) counts)))
+          ("total", Json.Int h.count);
+          ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) h.counts)))
         ]
     in
     Json.Obj (("type", Json.String "metric") :: ("name", Json.String name) :: tail)

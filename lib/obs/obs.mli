@@ -38,16 +38,19 @@ val disable : unit -> unit
 val reset : unit -> unit
 (** Clears all metrics and every domain's trace buffer. *)
 
-(** {1 Metrics} — a registry of named counters, gauges and fixed-bucket
-    histograms. All operations are no-ops while disabled; all are safe
-    to call from any domain (one global mutex — instrumentation sites
-    publish aggregates, not per-step updates, so contention is cold). *)
+(** {1 Metrics} — a registry of named counters, gauges and declared
+    {!Pacstack_util.Sketch} histograms. All operations are no-ops while
+    disabled; all are safe to call from any domain (one global mutex —
+    instrumentation sites publish aggregates, not per-step updates, so
+    contention is cold). *)
 
 module Metrics : sig
   type value =
     | Counter of int
     | Gauge of float
-    | Histogram of { lo : float; hi : float; counts : int array; total : int }
+    | Histogram of Pacstack_util.Sketch.t
+        (** over linear edges; the sink writes its first and last edge
+            as [lo]/[hi] and its [count] as [total] *)
 
   val incr : ?by:int -> string -> unit
   (** Adds [by] (default 1) to a counter, creating it at zero. *)
@@ -56,14 +59,17 @@ module Metrics : sig
   (** Sets a gauge to its latest value. *)
 
   val register_histogram : string -> lo:float -> hi:float -> buckets:int -> unit
-  (** Declares a fixed-bucket histogram; idempotent. An {!observe} on an
-      undeclared name creates one with [lo = 0., hi = 1e6, buckets = 20]. *)
+  (** Declares a histogram of [buckets] equal-width buckets over
+      [[lo, hi)] ({!Pacstack_util.Sketch.linear}); idempotent. Raises
+      [Invalid_argument] if [buckets < 1] or [hi <= lo]. *)
 
   val observe : string -> float -> unit
-  (** Adds one sample; out-of-range samples clamp to the edge buckets. *)
+  (** Adds one sample to a declared histogram; out-of-range and NaN
+      samples clamp to the edge buckets. A no-op on an undeclared name,
+      as on a name of another kind. *)
 
   val snapshot : unit -> (string * value) list
-  (** Every metric, sorted by name; arrays are copies. *)
+  (** Every metric, sorted by name. *)
 
   val find : string -> value option
 

@@ -8,6 +8,7 @@ module Inject_engine = Pacstack_inject.Engine
 module Fuzz_driver = Pacstack_fuzz.Driver
 module Fuzz_oracle = Pacstack_fuzz.Oracle
 module Stats = Pacstack_util.Stats
+module Sketch = Pacstack_util.Sketch
 module Fleet = Pacstack_fleet.Fleet
 module Fleet_arrival = Pacstack_fleet.Arrival
 module Fleet_json = Pacstack_fleet.Json
@@ -532,7 +533,7 @@ let inject_stats_json (s : Inject_engine.stats) =
 
 (* The detection-rate table: per scheme, how the campaign's faults
    classified, the silent rate with its Wilson interval, and how long
-   detected corruption lived (mean, and p95 from the log2 histogram). *)
+   detected corruption lived (mean, and p95 from the latency sketch). *)
 let pp_inject_table fmt (s : Inject_engine.stats) =
   Format.fprintf fmt "%-24s %9s %9s %9s %11s %25s %9s %9s@." "scheme" "detected" "benign"
     "silent" "silent-rate" "wilson-95%" "mean-lat" "p95-lat";
@@ -540,12 +541,10 @@ let pp_inject_table fmt (s : Inject_engine.stats) =
     (fun (name, (c : Inject_engine.cell)) ->
       let lo, hi = Stats.wilson ~successes:c.Inject_engine.silent ~trials:(cell_total c) in
       let mean, p95 =
-        match Inject_engine.latency_percentile c 95.0 with
-        | None -> ("-", "-")
-        | Some p95 ->
-          ( Printf.sprintf "%.1f"
-              (float_of_int c.Inject_engine.latency_sum /. float_of_int c.Inject_engine.detected),
-            Printf.sprintf "%.0f" p95 )
+        if c.Inject_engine.detected = 0 then ("-", "-")
+        else
+          let l = c.Inject_engine.latency in
+          (Printf.sprintf "%.1f" (Sketch.mean l), Printf.sprintf "%.0f" (Sketch.percentile l 95.0))
       in
       Format.fprintf fmt "%-24s %9d %9d %9d %11.3e %25s %9s %9s@." name c.Inject_engine.detected
         c.Inject_engine.benign c.Inject_engine.silent (silent_rate c)

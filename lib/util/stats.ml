@@ -153,44 +153,3 @@ let guesses_for_success ~bits ~p =
   log1p (-.p) /. log1p (-.(2.0 ** float_of_int (-bits)))
 
 let expected_guesses_geometric ~bits = 2.0 ** float_of_int bits
-
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    counts : int array;
-    mutable total : int;
-  }
-
-  let create ~buckets ~lo ~hi =
-    if buckets <= 0 || hi <= lo then invalid_arg "Histogram.create";
-    { lo; hi; counts = Array.make buckets 0; total = 0 }
-
-  let add t x =
-    let n = Array.length t.counts in
-    let idx =
-      if x <= t.lo then 0
-      else if x >= t.hi then n - 1
-      else int_of_float ((x -. t.lo) /. (t.hi -. t.lo) *. float_of_int n)
-    in
-    let idx = min (n - 1) (max 0 idx) in
-    t.counts.(idx) <- t.counts.(idx) + 1;
-    t.total <- t.total + 1
-
-  let count t = t.total
-  let bucket_counts t = Array.copy t.counts
-
-  let pp fmt t =
-    let width = 40 in
-    let peak = Array.fold_left max 1 t.counts in
-    let n = Array.length t.counts in
-    let step = (t.hi -. t.lo) /. float_of_int n in
-    Array.iteri
-      (fun i c ->
-        let bar = String.make (c * width / peak) '#' in
-        Format.fprintf fmt "[%8.1f, %8.1f) %6d %s@."
-          (t.lo +. (float_of_int i *. step))
-          (t.lo +. (float_of_int (i + 1) *. step))
-          c bar)
-      t.counts
-end

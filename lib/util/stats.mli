@@ -67,16 +67,3 @@ val guesses_for_success : bits:int -> p:float -> float
 
 val expected_guesses_geometric : bits:int -> float
 (** Mean of the geometric distribution with success probability 2^-b. *)
-
-(** {1 Histograms} *)
-
-module Histogram : sig
-  type t
-
-  val create : buckets:int -> lo:float -> hi:float -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val bucket_counts : t -> int array
-  val pp : Format.formatter -> t -> unit
-  (** Renders a small ASCII bar chart. *)
-end

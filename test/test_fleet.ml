@@ -167,10 +167,10 @@ let test_latency_json_roundtrip () =
   in
   List.iter
     (fun t ->
-      match Json.parse (Json.to_string (Latency.to_json t)) with
+      match Json.parse (Json.to_string (Json.of_sketch t)) with
       | Error e -> Alcotest.failf "reparse: %s" e
       | Ok json -> (
-        match Latency.of_json json with
+        match Json.to_sketch ~edges:Latency.edges json with
         | None -> Alcotest.fail "decode failed"
         | Some t' ->
           Alcotest.(check int) "count" t.Latency.count t'.Latency.count;
@@ -304,6 +304,63 @@ let test_checkpoint_resume_identical () =
     (render_table cfg (Fleet.tabulate cfg partial))
     (render_table cfg (Fleet.tabulate cfg resumed))
 
+(* A hand-corrupted shard line describes a sketch no run can write: a
+   negative bucket (bucket mass still equal to the count), or bucket mass
+   other than the count. The codec must reject it so the shard re-runs,
+   exactly as a torn line would, instead of poisoning the tail (or
+   raising in the percentile). *)
+let test_corrupted_checkpoint_line_reruns () =
+  let cfg = small_config "poisson" in
+  (* [f counts i] edits a copy of the counts; bucket [i] holds the minimum *)
+  let negative_bucket c i =
+    let last = Array.length c - 1 in
+    c.(i) <- c.(i) + c.(last) + 1;
+    c.(last) <- -1
+  in
+  let extra_mass c i = c.(i) <- c.(i) + 1 in
+  let corrupt f line =
+    match Json.parse line with
+    | Ok (Json.Obj fields) when List.mem_assoc "shard" fields ->
+      Json.to_string
+        (Json.Obj
+           (List.map
+              (fun (k, v) ->
+                if k <> "result" then (k, v)
+                else
+                  match Fjson.stats_of_json v with
+                  | Some (s : Fleet.stats) ->
+                    let l = s.latency in
+                    let counts = Array.copy l.Latency.counts in
+                    f counts (Latency.bucket l l.Latency.min);
+                    (k, Fjson.stats_to_json { s with latency = { l with Latency.counts } })
+                  | None -> Alcotest.fail "clean shard line did not decode")
+              fields))
+    | _ -> Alcotest.fail "line 1 is not a shard line"
+  in
+  List.iter
+    (fun (what, f) ->
+      let path = Filename.temp_file "pacstack_fleet" ".ck" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let run () =
+            Campaign.run ~workers:1 ~checkpoint:(path, Fjson.checkpoint_codec) (Fleet.plan cfg)
+          in
+          let clean = run () in
+          let lines = In_channel.with_open_text path In_channel.input_lines in
+          Out_channel.with_open_text path (fun oc ->
+              List.iteri
+                (fun i l -> Out_channel.output_string oc ((if i = 1 then corrupt f l else l) ^ "\n"))
+                lines);
+          let resumed = run () in
+          Alcotest.(check int) (what ^ ": only the corrupted shard re-ran")
+            (Array.length resumed.Campaign.results - 1)
+            resumed.Campaign.resumed;
+          Alcotest.(check string) (what ^ ": table = clean run")
+            (render_table cfg (Fleet.tabulate cfg clean))
+            (render_table cfg (Fleet.tabulate cfg resumed))))
+    [ ("negative bucket", negative_bucket); ("mass <> count", extra_mass) ]
+
 let test_validate_rejects () =
   let reject cfg = match Fleet.validate cfg with
     | () -> Alcotest.fail "expected Invalid_argument"
@@ -350,6 +407,8 @@ let () =
           Alcotest.test_case "stats json roundtrip" `Quick test_stats_json_roundtrip;
           Alcotest.test_case "checkpoint resume identical" `Quick
             test_checkpoint_resume_identical;
+          Alcotest.test_case "corrupted checkpoint line re-runs" `Quick
+            test_corrupted_checkpoint_line_reruns;
           Alcotest.test_case "validate rejects bad configs" `Quick test_validate_rejects;
         ] );
     ]

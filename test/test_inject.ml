@@ -4,6 +4,7 @@
    the exact trap paths of corrupted returns. *)
 
 module Rng = Pacstack_util.Rng
+module Sketch = Pacstack_util.Sketch
 module Config = Pacstack_pa.Config
 module Reg = Pacstack_isa.Reg
 module Instr = Pacstack_isa.Instr
@@ -320,7 +321,9 @@ let test_corrupted_checkpoint_line_reruns () =
       in
       let negative_silent = map_cells (fun c -> { c with Engine.silent = -3 }) in
       let zeroed_hist =
-        map_cells (fun c -> { c with Engine.latency_hist = Array.make Engine.hist_buckets 0 })
+        map_cells (fun c ->
+            let l = c.Engine.latency in
+            { c with Engine.latency = { l with Sketch.counts = Array.map (fun _ -> 0) l.Sketch.counts } })
       in
       let lines = In_channel.with_open_text path In_channel.input_lines in
       Out_channel.with_open_text path (fun oc ->
@@ -426,7 +429,7 @@ let test_obs_latency_not_clamped () =
         Engine.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:120
       in
       match Obs.Metrics.find "inject.detect_latency" with
-      | Some (Obs.Metrics.Histogram { counts; total; _ }) ->
+      | Some (Obs.Metrics.Histogram { Sketch.counts; count = total; _ }) ->
         Alcotest.(check int) "every detection observed"
           (List.fold_left (fun n (_, (c : Engine.cell)) -> n + c.Engine.detected) 0
              stats.Engine.cells)
@@ -493,7 +496,8 @@ let test_mega_json_roundtrip () =
     Alcotest.(check bool) "saturated bucket survives" true
       (List.exists
          (fun ((_ : string), (c : Engine.cell)) ->
-           c.Engine.latency_hist.(Engine.hist_buckets - 1) > 0)
+           let counts = c.Engine.latency.Sketch.counts in
+           counts.(Array.length counts - 1) > 0)
          parsed.Engine.cells)
 
 (* Merging capped shards in any order and grouping equals folding every
@@ -514,24 +518,59 @@ let test_mega_merge_order_independent () =
   Alcotest.(check bool) "every shard was capped" true
     (List.for_all (fun s -> Engine.repro_dropped s > 0) [ a; b; c ])
 
+(* The engine's latency layout: bucket 0 holds [0, 1) and bucket b >= 1
+   holds [2^(b-1), 2^b), saturating at the last bucket; a cell's bucket
+   mass is its detection count and its p95 is finite when it detected. *)
 let test_latency_histogram () =
-  Alcotest.(check int) "latency 0" 0 (Engine.bucket 0);
-  Alcotest.(check int) "latency 1" 0 (Engine.bucket 1);
-  Alcotest.(check int) "latency 2" 1 (Engine.bucket 2);
-  Alcotest.(check int) "latency 3" 2 (Engine.bucket 3);
-  Alcotest.(check int) "latency 4" 2 (Engine.bucket 4);
-  Alcotest.(check int) "latency 5" 3 (Engine.bucket 5);
-  Alcotest.(check int) "max_int saturates" (Engine.hist_buckets - 1) (Engine.bucket max_int);
-  (* histogram mass = detections; percentile None without detections,
-     finite otherwise *)
   let stats = Engine.run_range Engine.default_config ~campaign_seed:7L ~first:0 ~count:8 in
   List.iter
     (fun ((_ : string), (c : Engine.cell)) ->
+      let l = c.Engine.latency in
+      let bucket n = Sketch.bucket l (float_of_int n) in
+      Alcotest.(check int) "latency 0" 0 (bucket 0);
+      Alcotest.(check int) "latency 1" 1 (bucket 1);
+      Alcotest.(check int) "latency 2" 2 (bucket 2);
+      Alcotest.(check int) "latency 3" 2 (bucket 3);
+      Alcotest.(check int) "latency 4" 3 (bucket 4);
+      Alcotest.(check int) "latency 5" 3 (bucket 5);
+      Alcotest.(check int) "max_int saturates" (Array.length l.Sketch.counts - 1) (bucket max_int);
       Alcotest.(check int) "histogram mass = detections" c.Engine.detected
-        (Array.fold_left ( + ) 0 c.Engine.latency_hist);
-      match Engine.latency_percentile c 95.0 with
-      | None -> Alcotest.(check int) "None only without detections" 0 c.Engine.detected
-      | Some p -> Alcotest.(check bool) "p95 positive and finite" true (p >= 0. && Float.is_finite p))
+        (Array.fold_left ( + ) 0 l.Sketch.counts);
+      if c.Engine.detected > 0 then begin
+        let p = Sketch.percentile l 95.0 in
+        Alcotest.(check bool) "p95 non-negative and finite" true (p >= 0. && Float.is_finite p)
+      end)
+    stats.Engine.cells
+
+(* The p95 of the inject table never leaves the latencies it summarises:
+   per scheme, the sketch's p95 over [inject -n 120 --seed 7] lies within
+   the smallest and largest detection latency [run_fault] reports for
+   the same faults (interpolating inside the top bucket alone would
+   overshoot the maximum for six schemes). *)
+let test_p95_within_observed_latencies () =
+  let cfg = Engine.default_config in
+  let stats = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:120 in
+  let observed = Hashtbl.create 16 in
+  for i = 0 to 119 do
+    List.iter
+      (fun (r : Engine.result) ->
+        match r.Engine.classification with
+        | Engine.Detected { latency; _ } ->
+          Hashtbl.add observed (Scheme.to_string r.Engine.scheme) (float_of_int latency)
+        | Engine.Benign | Engine.Silent -> ())
+      (Engine.run_fault cfg ~campaign_seed:7L i)
+  done;
+  List.iter
+    (fun (name, (c : Engine.cell)) ->
+      let xs = Hashtbl.find_all observed name in
+      Alcotest.(check int) (name ^ ": one sample per detection") (List.length xs)
+        c.Engine.latency.Sketch.count;
+      if xs <> [] then begin
+        let lo = List.fold_left Float.min infinity xs and hi = List.fold_left Float.max 0.0 xs in
+        let p95 = Sketch.percentile c.Engine.latency 95.0 in
+        if p95 < lo || p95 > hi then
+          Alcotest.failf "%s: p95 %g outside the observed [%g, %g]" name p95 lo hi
+      end)
     stats.Engine.cells
 
 let () =
@@ -577,6 +616,8 @@ let () =
             test_range_equals_fault_fold;
           Alcotest.test_case "obs latency histogram does not clamp" `Quick
             test_obs_latency_not_clamped;
+          Alcotest.test_case "p95 within observed latencies" `Quick
+            test_p95_within_observed_latencies;
         ] );
       ( "mega",
         [

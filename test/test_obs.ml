@@ -6,6 +6,7 @@
 
 module Obs = Pacstack_obs.Obs
 module Json = Pacstack_campaign.Json
+module Sketch = Pacstack_util.Sketch
 module Plan = Pacstack_campaign.Plan
 module Shard = Pacstack_campaign.Shard
 module Campaign = Pacstack_campaign.Campaign
@@ -52,13 +53,23 @@ let test_metrics_basics () =
   | Some (Obs.Metrics.Gauge v) -> Alcotest.check (Alcotest.float 0.0) "latest value wins" 3.5 v
   | _ -> Alcotest.fail "gauge missing");
   (match Obs.Metrics.find "h" with
-  | Some (Obs.Metrics.Histogram { counts; total; _ }) ->
+  | Some (Obs.Metrics.Histogram { Sketch.counts; count = total; _ }) ->
     Alcotest.(check int) "total" 5 total;
     Alcotest.(check (array int)) "out-of-range and NaN clamp to the edges" [| 3; 0; 0; 2 |]
       counts
   | _ -> Alcotest.fail "histogram missing");
   Alcotest.(check (list string)) "snapshot sorted by name" [ "a"; "g"; "h" ]
     (List.map fst (Obs.Metrics.snapshot ()))
+
+(* Histograms have no implicit layout: a sample for an undeclared name,
+   like one for a counter, is dropped rather than creating a cell. *)
+let test_observe_undeclared_noop () =
+  with_obs @@ fun () ->
+  Obs.Metrics.observe "undeclared" 1.0;
+  Obs.Metrics.incr "c";
+  Obs.Metrics.observe "c" 1.0;
+  Alcotest.(check bool) "no histogram created" true (Obs.Metrics.find "undeclared" = None);
+  Alcotest.(check bool) "counter untouched" true (Obs.Metrics.find "c" = Some (Obs.Metrics.Counter 1))
 
 (* --- Trace ---------------------------------------------------------------- *)
 
@@ -150,7 +161,7 @@ let test_campaign_hooks () =
   Alcotest.(check int) "shards finished" 3 (counter "campaign.shards_finished");
   Alcotest.(check int) "no retries" 0 (counter "campaign.retries");
   (match Obs.Metrics.find "campaign.shard_trials" with
-  | Some (Obs.Metrics.Histogram { total; _ }) -> Alcotest.(check int) "trial samples" 3 total
+  | Some (Obs.Metrics.Histogram h) -> Alcotest.(check int) "trial samples" 3 h.Sketch.count
   | _ -> Alcotest.fail "trials histogram missing");
   let finished =
     List.filter (fun e -> e.Obs.Trace.name = "campaign.shard_finished") (Obs.Trace.events ())
@@ -243,6 +254,8 @@ let () =
         [
           Alcotest.test_case "disabled is a no-op" `Quick test_metrics_disabled_noop;
           Alcotest.test_case "counters, gauges, histograms" `Quick test_metrics_basics;
+          Alcotest.test_case "observe on an undeclared name is a no-op" `Quick
+            test_observe_undeclared_noop;
         ] );
       ( "trace",
         [

@@ -1,9 +1,10 @@
 (* Unit and property tests for Pacstack_util: 64-bit word operations, the
-   deterministic RNG and the statistics helpers. *)
+   deterministic RNG, the statistics helpers and the histogram sketch. *)
 
 module Word64 = Pacstack_util.Word64
 module Rng = Pacstack_util.Rng
 module Stats = Pacstack_util.Stats
+module Sketch = Pacstack_util.Sketch
 
 let check_w64 = Alcotest.testable Word64.pp Word64.equal
 let qtest name count gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
@@ -345,12 +346,91 @@ let test_guesses () =
     (g > 45000.0 && g < 46000.0);
   Alcotest.check feq "geometric mean" 256.0 (Stats.expected_guesses_geometric ~bits:8)
 
+(* The linear layout [Obs.Metrics] histograms use: four unit buckets over
+   [0, 4), with samples outside clamping to the end buckets. *)
 let test_histogram () =
-  let h = Stats.Histogram.create ~buckets:4 ~lo:0.0 ~hi:4.0 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 3.9; -1.0; 10.0 ];
-  Alcotest.(check int) "count" 6 (Stats.Histogram.count h);
-  Alcotest.(check (array int)) "buckets (clamping at edges)" [| 2; 2; 0; 2 |]
-    (Stats.Histogram.bucket_counts h)
+  let h =
+    List.fold_left Sketch.record
+      (Sketch.empty (Sketch.linear ~lo:0.0 ~hi:4.0 ~buckets:4))
+      [ 0.5; 1.5; 1.6; 3.9; -1.0; 10.0 ]
+  in
+  Alcotest.(check int) "count" 6 h.Sketch.count;
+  Alcotest.(check (array int)) "buckets (clamping at edges)" [| 2; 2; 0; 2 |] h.Sketch.counts
+
+(* --- Sketch --------------------------------------------------------------- *)
+
+(* One row per layout in use: obs's linear edges, the fleet's geometric
+   latency edges and the injection engine's power-of-two detection
+   latencies. [pins] are hand-checked (sample, bucket) pairs; samples
+   are integers or dyadic fractions so that float sums are exact and
+   merge can be compared with [=]. *)
+type sketch_row = {
+  layout : string;
+  edges : float array;
+  pins : (float * int) list;
+  sample : Rng.t -> float;
+}
+
+let sketch_rows =
+  [
+    { layout = "linear";
+      edges = Sketch.linear ~lo:0.0 ~hi:4.0 ~buckets:4;
+      pins = [ (0.5, 0); (1.5, 1); (1.6, 1); (3.9, 3); (-1.0, 0); (10.0, 3) ];
+      sample = (fun rng -> float_of_int (Rng.int rng 32) /. 8.0) };
+    { layout = "geometric";
+      edges = Sketch.geometric ~lo:1e3 ~hi:1e9 ~buckets:128;
+      pins = [ (999.0, 0); (1e3, 0); (1e9, 127); (1e12, 127) ];
+      sample = (fun rng -> Float.round (1e4 *. exp (4.0 *. Rng.float rng))) };
+    { layout = "pow2";
+      edges = Sketch.pow2 ~buckets:32;
+      pins =
+        [ (0.0, 0); (1.0, 1); (2.0, 2); (3.0, 2); (4.0, 3); (5.0, 3); (float_of_int max_int, 31) ];
+      sample = (fun rng -> Float.round (2.0 ** (14.0 *. Rng.float rng))) };
+  ]
+
+let test_sketch_layouts () =
+  List.iter
+    (fun row ->
+      let what fmt = Printf.sprintf ("%s: " ^^ fmt) row.layout in
+      let empty = Sketch.empty row.edges in
+      let n = Array.length row.edges - 1 in
+      let bucket = Sketch.bucket empty in
+      Array.iteri
+        (fun i e ->
+          Alcotest.(check int) (what "edge %d" i) (min i (n - 1)) (bucket e);
+          if i > 0 && i < n then
+            Alcotest.(check int) (what "just below edge %d" i) (i - 1) (bucket (Float.pred e)))
+        row.edges;
+      Alcotest.(check int) (what "below the first edge") 0 (bucket (Float.pred row.edges.(0)));
+      Alcotest.(check int) (what "above the last edge") (n - 1) (bucket (2.0 *. row.edges.(n)));
+      Alcotest.(check int) (what "NaN") 0 (bucket Float.nan);
+      List.iter (fun (x, b) -> Alcotest.(check int) (what "pin %g" x) b (bucket x)) row.pins;
+      let rng = Rng.create 41L in
+      let xs = List.init 3000 (fun _ -> row.sample rng) in
+      let fold = List.fold_left Sketch.record empty in
+      let whole = fold xs in
+      let a, b, c =
+        ( fold (List.filteri (fun i _ -> i mod 3 = 0) xs),
+          fold (List.filteri (fun i _ -> i mod 3 = 1) xs),
+          fold (List.filteri (fun i _ -> i mod 3 = 2) xs) )
+      in
+      Alcotest.(check bool) (what "merge = fold") true (Sketch.merge (Sketch.merge a b) c = whole);
+      Alcotest.(check bool) (what "associative") true
+        (Sketch.merge a (Sketch.merge b c) = Sketch.merge (Sketch.merge a b) c);
+      Alcotest.(check bool) (what "commutative") true
+        (Sketch.merge (Sketch.merge c b) a = Sketch.merge (Sketch.merge a b) c);
+      Alcotest.(check int) (what "count") 3000 whole.Sketch.count;
+      List.iter
+        (fun p ->
+          let approx = Sketch.percentile whole p and exact = Stats.percentile xs p in
+          if abs (bucket approx - bucket exact) > 1 then
+            Alcotest.failf "%s: p%g = %g is not within one bucket of the exact %g" row.layout p
+              approx exact;
+          if approx < whole.Sketch.min || approx > whole.Sketch.max then
+            Alcotest.failf "%s: p%g = %g outside [%g, %g]" row.layout p approx whole.Sketch.min
+              whole.Sketch.max)
+        [ 0.0; 1.0; 50.0; 90.0; 95.0; 99.0; 99.9; 100.0 ])
+    sketch_rows
 
 let () =
   Alcotest.run "util"
@@ -402,4 +482,5 @@ let () =
           Alcotest.test_case "guess counts" `Quick test_guesses;
           Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
+      ("sketch", [ Alcotest.test_case "table-driven layouts" `Quick test_sketch_layouts ]);
     ]
