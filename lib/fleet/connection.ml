@@ -33,12 +33,6 @@ module Costs = struct
   let distinct t = Hashtbl.length t.table
 end
 
-type t = {
-  id : int;
-  gen : Arrival.gen;
-  mutable offered : int;
-  mutable completed : int;
-}
+type t = { gen : Arrival.gen }
 
-let start arrival ~seed ~conn =
-  { id = conn; gen = Arrival.start arrival ~seed ~conn; offered = 0; completed = 0 }
+let start arrival ~seed ~conn = { gen = Arrival.start arrival ~seed ~conn }

@@ -1,16 +1,20 @@
 (** Per-connection state and the per-cell service-cost memo.
 
-    A connection is deliberately tiny — an id, its arrival stream and two
-    counters — so a cell can hold thousands. The expensive part of a
-    request, running the compiled handshake on the cycle-exact machine,
-    is memoized per (scheme, size class): machine execution is
-    deterministic, so the cost of a 72-record request under a scheme is
-    the same whichever connection issues it, and each cell measures it
-    exactly once on a freshly loaded machine (cheap: untouched pages
-    share the zero page until written — see lib/machine/memory.ml). The
-    arrival mixes keep the distinct size classes near a dozen
-    ({!Arrival.size_mix}), so a cell performs ~12 real machine runs and
-    then serves millions of simulated requests from the memo. *)
+    A connection is deliberately tiny — just its arrival stream — so a
+    cell can hold thousands. The expensive part of a request, running the
+    compiled handshake on the cycle-exact machine, is memoized per
+    (scheme, size class): machine execution is deterministic, so the
+    cost of a 72-record request under a scheme is the same whichever
+    connection issues it, and each cell measures it exactly once on a
+    freshly loaded machine (cheap: untouched pages share the zero page
+    until written — see lib/machine/memory.ml). A cell therefore runs the
+    machine once per size class it sees, and under a protected scheme
+    once more per class for the unprotected baseline
+    ({!Costs.distinct}): at most 18 runs under the Jittered mix's 9
+    classes ({!Arrival.size_mix}), 2 under Fixed. It then serves every
+    other request from the memo: ~1,000 requests per cell under
+    [Fleet.default] (7,956 over its 8 cells), ~19,900 in perfbench's
+    [fleet] cells. *)
 
 type cost = { cycles : float; mem_ops : float }
 (** One request's machine-measured cost under the cell's scheme. *)
@@ -38,12 +42,7 @@ module Costs : sig
       protected schemes, counting the unprotected baselines). *)
 end
 
-type t = {
-  id : int;  (** global connection index, the arrival-stream key *)
-  gen : Arrival.gen;
-  mutable offered : int;
-  mutable completed : int;
-}
+type t = { gen : Arrival.gen  (** the connection's arrival stream *) }
 
 val start : Arrival.t -> seed:int64 -> conn:int -> t
 (** Connection [conn] of a fleet seeded with [seed]; its entire behaviour

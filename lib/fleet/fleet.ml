@@ -90,14 +90,73 @@ let cell_slice cfg ~cell =
   done;
   (!offset, counts.(cell))
 
-type event =
-  | Arrive of { conn : Connection.t; records : int; jitter : float }
-  | Depart of { arrived : int }
-
-(* Departures sort before arrivals at the same instant: a freed core must
-   be visible to a request arriving in the same cycle. *)
+(* Events are [int] payloads told apart by their tie. Departures sort
+   before arrivals at the same instant, so a freed core is visible to a
+   request arriving in the same cycle. A departure carries its arrival
+   cycle. An arrival carries its cell-local connection index, and the
+   request itself waits in per-connection columns: a connection has at
+   most one arrival in the heap, since its next one is pushed only when
+   this one pops. *)
 let tie_depart = 0
 let tie_arrive = 1
+
+(* Requests waiting for a core, oldest first: a ring of (arrival cycle,
+   records, jitter) columns whose capacity is a power of two. *)
+module Fifo = struct
+  type t = {
+    mutable arrived : int array;
+    mutable records : int array;
+    mutable jitter : float array;
+    mutable head : int;
+    mutable length : int;
+  }
+
+  let create () =
+    {
+      arrived = Array.make 16 0;
+      records = Array.make 16 0;
+      jitter = Array.make 16 0.0;
+      head = 0;
+      length = 0;
+    }
+
+  (* Doubles the capacity, unwrapping the ring so the oldest sits at 0. *)
+  let grow q =
+    let cap = Array.length q.arrived in
+    let unwrap a zero =
+      Array.init (2 * cap) (fun i -> if i < cap then a.((q.head + i) land (cap - 1)) else zero)
+    in
+    q.arrived <- unwrap q.arrived 0;
+    q.records <- unwrap q.records 0;
+    q.jitter <- unwrap q.jitter 0.0;
+    q.head <- 0
+
+  let push q ~arrived ~records ~jitter =
+    if q.length = Array.length q.arrived then grow q;
+    let i = (q.head + q.length) land (Array.length q.arrived - 1) in
+    q.arrived.(i) <- arrived;
+    q.records.(i) <- records;
+    q.jitter.(i) <- jitter;
+    q.length <- q.length + 1
+
+  (* Dequeues the oldest request; its columns stay at the returned index
+     until the next push. *)
+  let take q =
+    let i = q.head in
+    q.head <- (i + 1) land (Array.length q.arrived - 1);
+    q.length <- q.length - 1;
+    i
+end
+
+(* A cell's float accumulators. An all-float record is stored flat, so
+   updating a field allocates nothing, where a [float ref] closed over by
+   the event loop would box every update. *)
+type sums = {
+  mutable busy_sum : float;  (* core-cycles served *)
+  mutable latency_sum : float;  (* in completion order, as [Latency.record] adds *)
+  mutable latency_min : float;
+  mutable latency_max : float;
+}
 
 let run_cell cfg ~scheme ~cell ?key () =
   validate cfg;
@@ -105,49 +164,65 @@ let run_cell cfg ~scheme ~cell ?key () =
   let costs = Connection.Costs.create ~scheme in
   let heap = Scheduler.create () in
   let offset, count = cell_slice cfg ~cell in
-  let push_arrival (conn : Connection.t) =
-    match Arrival.next conn.gen ~until_s:cfg.duration_s with
+  let conns =
+    Array.init count (fun i -> Connection.start cfg.arrival ~seed:cfg.seed ~conn:(offset + i))
+  in
+  let pending_records = Array.make count 0 and pending_jitter = Array.make count 0.0 in
+  let push_arrival c =
+    match Arrival.next conns.(c).Connection.gen ~until_s:cfg.duration_s with
     | None -> ()
     | Some { at_s; records; service_jitter } ->
-      Scheduler.push heap ~time:(cycles_of_s at_s) ~tie:tie_arrive
-        (Arrive { conn; records; jitter = service_jitter })
+      pending_records.(c) <- records;
+      pending_jitter.(c) <- service_jitter;
+      Scheduler.push heap ~time:(cycles_of_s at_s) ~tie:tie_arrive c
   in
-  for i = 0 to count - 1 do
-    push_arrival (Connection.start cfg.arrival ~seed:cfg.seed ~conn:(offset + i))
+  for c = 0 to count - 1 do
+    push_arrival c
   done;
   let busy = ref 0 in
-  let queue : (int * int * float) Queue.t = Queue.create () in
+  let waiting = Fifo.create () in
   let offered = ref 0 in
   let completed = ref 0 in
   let queue_peak = ref 0 in
-  let busy_cycles = ref 0.0 in
-  let latency = ref Latency.empty in
+  let sums =
+    { busy_sum = 0.0; latency_sum = 0.0; latency_min = infinity; latency_max = neg_infinity }
+  in
+  let counts = Array.make (Array.length Latency.empty.counts) 0 in
   let start_service ~now ~arrived ~records ~jitter =
     incr busy;
     let svc = service_cycles costs ~records ~jitter ~busy:!busy in
-    busy_cycles := !busy_cycles +. float_of_int svc;
-    Scheduler.push heap ~time:(now + svc) ~tie:tie_depart (Depart { arrived })
+    sums.busy_sum <- sums.busy_sum +. float_of_int svc;
+    Scheduler.push heap ~time:(now + svc) ~tie:tie_depart arrived
   in
   let rec drain () =
     match Scheduler.pop heap with
     | None -> ()
-    | Some (now, _tie, Arrive { conn; records; jitter }) ->
+    | Some (now, tie, c) when tie = tie_arrive ->
+      let records = pending_records.(c) and jitter = pending_jitter.(c) in
       incr offered;
-      conn.offered <- conn.offered + 1;
-      push_arrival conn;
+      push_arrival c;
       if !busy < cfg.cores then start_service ~now ~arrived:now ~records ~jitter
       else begin
-        Queue.push (now, records, jitter) queue;
-        queue_peak := max !queue_peak (Queue.length queue)
+        Fifo.push waiting ~arrived:now ~records ~jitter;
+        queue_peak := Int.max !queue_peak waiting.length
       end;
       drain ()
-    | Some (now, _tie, Depart { arrived }) ->
+    | Some (now, _, arrived) ->
       incr completed;
-      latency := Latency.record !latency (float_of_int (now - arrived));
+      (* latencies are whole cycles >= 1, never NaN, so plain comparisons
+         agree with [Float.min]/[Float.max] *)
+      let x = float_of_int (now - arrived) in
+      let b = Latency.bucket Latency.empty x in
+      counts.(b) <- counts.(b) + 1;
+      sums.latency_sum <- sums.latency_sum +. x;
+      if x < sums.latency_min then sums.latency_min <- x;
+      if x > sums.latency_max then sums.latency_max <- x;
       decr busy;
-      (match Queue.take_opt queue with
-      | Some (arrived, records, jitter) -> start_service ~now ~arrived ~records ~jitter
-      | None -> ());
+      if waiting.length > 0 then begin
+        let i = Fifo.take waiting in
+        start_service ~now ~arrived:waiting.arrived.(i) ~records:waiting.records.(i)
+          ~jitter:waiting.jitter.(i)
+      end;
       drain ()
   in
   drain ();
@@ -157,9 +232,17 @@ let run_cell cfg ~scheme ~cell ?key () =
       offered = !offered;
       completed = !completed;
       queue_peak = !queue_peak;
-      busy_cycles = !busy_cycles;
+      busy_cycles = sums.busy_sum;
       size_classes = Connection.Costs.distinct costs;
-      latency = !latency;
+      latency =
+        {
+          Latency.empty with
+          count = !completed;
+          sum = sums.latency_sum;
+          min = sums.latency_min;
+          max = sums.latency_max;
+          counts;
+        };
     }
   in
   if Obs.enabled () then begin

@@ -34,25 +34,39 @@ let test_heap_basics () =
   Alcotest.(check bool) "last" true (Scheduler.pop h = Some (5, 1, "b"));
   Alcotest.(check bool) "drained" true (Scheduler.pop h = None)
 
-(* Drain order is the stable sort of the push sequence by (time, tie):
-   the heap is not allowed to reorder same-key entries. *)
+(* Drain order is the stable sort of what is pending by (time, tie): the
+   heap is not allowed to reorder same-key entries. Scripts interleave
+   pops ([None]) among pushes and run long enough to grow the heap's
+   arrays several times and to reuse freed payload slots; every pop is
+   checked against the model, the stable sort of the pending pushes. *)
 let heap_drain_is_stable_sort =
   qtest "heap drains as stable (time, tie) sort" 200
-    QCheck2.Gen.(list_size (int_range 0 200) (pair (int_range 0 20) (int_range 0 3)))
-    (fun pushes ->
+    QCheck2.Gen.(
+      list_size (int_range 0 600) (option ~ratio:0.7 (pair (int_range 0 20) (int_range 0 3))))
+    (fun script ->
       let h = Scheduler.create () in
-      List.iteri (fun i (time, tie) -> Scheduler.push h ~time ~tie i) pushes;
-      let rec drain acc = match Scheduler.pop h with
+      let sort = List.stable_sort (fun (t1, k1, _) (t2, k2, _) -> compare (t1, k1) (t2, k2)) in
+      let first pending = match sort pending with [] -> None | min :: _ -> Some min in
+      (* [pending] holds (time, tie, push index) in push order *)
+      let pending, _ =
+        List.fold_left
+          (fun (pending, pushed) op ->
+            match op with
+            | Some (time, tie) ->
+              Scheduler.push h ~time ~tie pushed;
+              (pending @ [ (time, tie, pushed) ], pushed + 1)
+            | None ->
+              let expected = first pending in
+              if Scheduler.pop h <> expected then QCheck2.Test.fail_report "pop order";
+              (List.filter (fun e -> Some e <> expected) pending, pushed))
+          ([], 0) script
+      in
+      let rec drain acc =
+        match Scheduler.pop h with
         | None -> List.rev acc
-        | Some (time, tie, v) -> drain ((time, tie, v) :: acc)
+        | Some e -> drain (e :: acc)
       in
-      let drained = drain [] in
-      let expected =
-        List.stable_sort
-          (fun (t1, k1, _) (t2, k2, _) -> compare (t1, k1) (t2, k2))
-          (List.mapi (fun i (time, tie) -> (time, tie, i)) pushes)
-      in
-      drained = expected)
+      drain [] = sort pending)
 
 (* --- arrivals ------------------------------------------------------------- *)
 
@@ -361,6 +375,167 @@ let test_corrupted_checkpoint_line_reruns () =
             (render_table cfg (Fleet.tabulate cfg resumed))))
     [ ("negative bucket", negative_bucket); ("mass <> count", extra_mass) ]
 
+(* --- event core vs its reference ------------------------------------------- *)
+
+(* The event loop [Fleet.run_cell] replaced, kept as its oracle: boxed
+   events on the heap, a [Queue] of waiting tuples and one
+   [Latency.record] per completed request, over the same arrival streams,
+   cost memo and contention model. *)
+module Reference_cell = struct
+  module Kernel = Pacstack_workloads.Server.Kernel
+  module Plan = Pacstack_campaign.Plan
+
+  let cycles_of_s s = int_of_float (Float.round (s *. Kernel.clock_hz))
+
+  let beta ~busy =
+    if busy <= 1 then 1.0
+    else
+      let x = float_of_int (busy - 1) /. 7.0 in
+      1.0 +. ((Kernel.contention 8 -. 1.0) *. x *. x)
+
+  let service_cycles costs ~records ~jitter ~busy =
+    let cost : Connection.cost = Connection.Costs.request costs ~records in
+    let extra = Connection.Costs.extra_mem costs ~records in
+    let c = (cost.cycles *. jitter) +. (beta ~busy *. extra) in
+    max 1 (int_of_float (Float.round c))
+
+  type event =
+    | Arrive of { conn : Connection.t; records : int; jitter : float }
+    | Depart of { arrived : int }
+
+  let run (cfg : Fleet.config) ~scheme ~cell : Fleet.stats =
+    let costs = Connection.Costs.create ~scheme in
+    let heap = Scheduler.create () in
+    let counts = Plan.split_trials ~trials:cfg.connections ~shards:cfg.cells in
+    let offset = Array.fold_left ( + ) 0 (Array.sub counts 0 cell) in
+    let push_arrival (conn : Connection.t) =
+      match Arrival.next conn.gen ~until_s:cfg.duration_s with
+      | None -> ()
+      | Some { at_s; records; service_jitter } ->
+        Scheduler.push heap ~time:(cycles_of_s at_s) ~tie:1
+          (Arrive { conn; records; jitter = service_jitter })
+    in
+    for i = 0 to counts.(cell) - 1 do
+      push_arrival (Connection.start cfg.arrival ~seed:cfg.seed ~conn:(offset + i))
+    done;
+    let busy = ref 0 and offered = ref 0 and completed = ref 0 and queue_peak = ref 0 in
+    let queue : (int * int * float) Queue.t = Queue.create () in
+    let busy_cycles = ref 0.0 and latency = ref Latency.empty in
+    let start_service ~now ~arrived ~records ~jitter =
+      incr busy;
+      let svc = service_cycles costs ~records ~jitter ~busy:!busy in
+      busy_cycles := !busy_cycles +. float_of_int svc;
+      Scheduler.push heap ~time:(now + svc) ~tie:0 (Depart { arrived })
+    in
+    let rec drain () =
+      match Scheduler.pop heap with
+      | None -> ()
+      | Some (now, _, Arrive { conn; records; jitter }) ->
+        incr offered;
+        push_arrival conn;
+        if !busy < cfg.cores then start_service ~now ~arrived:now ~records ~jitter
+        else begin
+          Queue.push (now, records, jitter) queue;
+          queue_peak := max !queue_peak (Queue.length queue)
+        end;
+        drain ()
+      | Some (now, _, Depart { arrived }) ->
+        incr completed;
+        latency := Latency.record !latency (float_of_int (now - arrived));
+        decr busy;
+        (match Queue.take_opt queue with
+        | Some (arrived, records, jitter) -> start_service ~now ~arrived ~records ~jitter
+        | None -> ());
+        drain ()
+    in
+    drain ();
+    {
+      scheme;
+      offered = !offered;
+      completed = !completed;
+      queue_peak = !queue_peak;
+      busy_cycles = !busy_cycles;
+      size_classes = Connection.Costs.distinct costs;
+      latency = !latency;
+    }
+end
+
+(* Every field of every cell equals the reference's, bit for bit: each
+   arrival preset at one and four cores, and a cell far past saturation
+   (~6,000 requests/s offered to one core serving ~3,300) whose backlog
+   of thousands grows the waiting ring many times and wraps it. *)
+let test_cells_match_reference () =
+  (* returns the deepest queue of the config's cells *)
+  let check what cfg =
+    List.fold_left
+      (fun peak cell ->
+        let got = Fleet.run_cell cfg ~scheme:Scheme.pacstack ~cell () in
+        let want = Reference_cell.run cfg ~scheme:Scheme.pacstack ~cell in
+        let field name pp a b =
+          if a <> b then
+            Alcotest.failf "%s, cell %d: %s %s, reference %s" what cell name (pp a) (pp b)
+        in
+        let float = Printf.sprintf "%h" and int = string_of_int in
+        field "offered" int got.offered want.offered;
+        field "completed" int got.completed want.completed;
+        field "queue_peak" int got.queue_peak want.queue_peak;
+        field "busy_cycles" float got.busy_cycles want.busy_cycles;
+        field "size_classes" int got.size_classes want.size_classes;
+        let l = got.latency and r = want.latency in
+        field "latency count" int l.count r.count;
+        field "latency sum" float l.sum r.sum;
+        field "latency min" float l.min r.min;
+        field "latency max" float l.max r.max;
+        if l.counts <> r.counts then Alcotest.failf "%s, cell %d: latency counts differ" what cell;
+        max peak got.queue_peak)
+      0
+      (List.init cfg.Fleet.cells Fun.id)
+  in
+  List.iter
+    (fun (name, _) ->
+      List.iter
+        (fun cores ->
+          let cfg =
+            { (small_config name) with connections = 400; duration_s = 1.0; cells = 2; cores }
+          in
+          ignore (check (Printf.sprintf "%s, %d cores" name cores) cfg))
+        [ 1; 4 ])
+    Arrival.presets;
+  let peak =
+    check "saturated"
+      { (small_config "poisson") with connections = 3000; duration_s = 1.0; cells = 1; cores = 1 }
+  in
+  Alcotest.(check bool) (Printf.sprintf "saturated cell queues (peak %d)" peak) true (peak > 1000)
+
+(* perfbench's fleet cell shape (bursty arrivals, one response size,
+   500 connections, 18 virtual s, 4 cores): the event core allocates
+   nothing per event, so what remains per request is the arrival draw,
+   the cost-memo lookups and the heap's [pop] results. Before the
+   allocation-free core a cell read ~200 words per request. *)
+let test_run_cell_allocation_ceiling () =
+  let cfg =
+    {
+      Fleet.connections = 500;
+      duration_s = 18.0;
+      arrival =
+        {
+          Arrival.process =
+            Arrival.Bursty { calm_rate = 1.0; burst_rate = 12.0; calm_s = 2.0; burst_s = 0.25 };
+          sizes = Arrival.Fixed;
+        };
+      schemes = [ Scheme.pacstack ];
+      seed = 7L;
+      cells = 1;
+      cores = 4;
+    }
+  in
+  let before = Gc.minor_words () in
+  let stats = Fleet.run_cell cfg ~scheme:Scheme.pacstack ~cell:0 () in
+  let per_request = (Gc.minor_words () -. before) /. float_of_int stats.offered in
+  Alcotest.(check bool) "a cell's worth of requests" true (stats.offered > 10_000);
+  if per_request > 60.0 then
+    Alcotest.failf "run_cell allocates %.1f minor words per request (ceiling 60)" per_request
+
 let test_validate_rejects () =
   let reject cfg = match Fleet.validate cfg with
     | () -> Alcotest.fail "expected Invalid_argument"
@@ -410,5 +585,7 @@ let () =
           Alcotest.test_case "corrupted checkpoint line re-runs" `Quick
             test_corrupted_checkpoint_line_reruns;
           Alcotest.test_case "validate rejects bad configs" `Quick test_validate_rejects;
+          Alcotest.test_case "cells match the reference loop" `Quick test_cells_match_reference;
+          Alcotest.test_case "run_cell allocation ceiling" `Quick test_run_cell_allocation_ceiling;
         ] );
     ]
