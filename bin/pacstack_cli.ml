@@ -35,6 +35,11 @@ let scheme_arg =
   in
   Arg.(value & opt scheme_conv Scheme.pacstack & info [ "s"; "scheme" ] ~doc)
 
+(* A rejected value: a message on stderr and the runtime-failure exit code. *)
+let fail msg =
+  Printf.eprintf "pacstack: %s\n" msg;
+  1
+
 let report_outcome machine = function
   | Machine.Halted code ->
     List.iter (fun v -> Printf.printf "%Ld\n" v) (Machine.output machine);
@@ -58,14 +63,16 @@ let run_cmd =
     Arg.(value & opt int 10_000_000 & info [ "fuel" ] ~doc:"Instruction budget.")
   in
   let action file fuel =
-    let text = In_channel.with_open_text file In_channel.input_all in
-    match Pacstack_isa.Asm.parse text with
-    | exception Pacstack_isa.Asm.Parse_error (line, msg) ->
-      Printf.eprintf "%s:%d: %s\n" file line msg;
-      1
-    | program ->
-      let machine = Machine.load program in
-      report_outcome machine (Machine.run ~fuel machine)
+    if fuel < 0 then fail "--fuel must be >= 0"
+    else
+      let text = In_channel.with_open_text file In_channel.input_all in
+      match Pacstack_isa.Asm.parse text with
+      | exception Pacstack_isa.Asm.Parse_error (line, msg) ->
+        Printf.eprintf "%s:%d: %s\n" file line msg;
+        1
+      | program ->
+        let machine = Machine.load program in
+        report_outcome machine (Machine.run ~fuel machine)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Assemble and run a program on the simulated machine.")
@@ -137,10 +144,6 @@ let all_cmd =
       Report.all fmt)
 
 (* --- campaign-style subcommands: shared flags and runner ------------------- *)
-
-let fail msg =
-  Printf.eprintf "pacstack: %s\n" msg;
-  1
 
 (* SIGINT/SIGTERM during a campaign flush every open checkpoint manifest
    before exiting with the conventional 128+signum code, so an

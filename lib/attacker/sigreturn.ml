@@ -12,10 +12,12 @@ module Scenarios = Pacstack_workloads.Scenarios
 
 let victim_scheme = Scheme.pacstack
 
-let step_until m ~instructions =
-  while Machine.instructions_retired m < instructions && Machine.halted m = None do
-    Machine.step m
-  done
+(* Runs the victim until it has retired [instructions] or halted; a
+   fault on the way propagates as the trap. *)
+let warm_up m ~instructions =
+  match Machine.run_until m ~stop:(fun m -> Machine.instructions_retired m >= instructions) with
+  | Some (Machine.Faulted f) -> raise (Trap.Fault f)
+  | None | Some (Machine.Halted _ | Machine.Out_of_fuel) -> ()
 
 (* Fabricate a full signal frame whose restored PC is [evil] and redirect
    the machine to the sigreturn trampoline — the §6.3.2 premise of a raw
@@ -50,10 +52,11 @@ let run_victim ~policy ~attach ~deliver_real_signal =
   let machine = Machine.load program in
   let proc = Kernel.adopt kernel machine in
   if attach then Machine.attach_hook machine "gadget" forge_and_trigger;
-  (match if deliver_real_signal then Some (step_until machine ~instructions:400) else None with
-  | Some () -> Kernel.deliver_signal kernel proc ~handler:"handler" ~signum:5
-  | None -> ());
-  let outcome = Kernel.run kernel proc ~fuel:2_000_000 in
+  if deliver_real_signal then begin
+    warm_up machine ~instructions:400;
+    Kernel.deliver_signal kernel proc ~handler:"handler" ~signum:5
+  end;
+  let outcome = Machine.run machine ~fuel:2_000_000 in
   Adversary.classify ~expected machine outcome
 
 let attack ~policy ?(deliver_real_signal = true) () =

@@ -201,32 +201,23 @@ let rotate_threads p =
     p.threads <- rest @ [ current ];
     Machine.restore_context p.m next
 
-let run ?fuel t p =
-  ignore t;
-  Machine.run ?fuel p.m
-
 (* Round-robin across all live processes of the kernel, a time slice of
-   [quantum] retired instructions each. *)
+   [quantum] retired instructions each. Each slice is charged a whole
+   quantum; the round ends once the budget is spent. *)
 let run_all ?(fuel = 10_000_000) ?(quantum = 1000) t =
   if quantum <= 0 then invalid_arg "Kernel.run_all: quantum";
+  if fuel < 0 then invalid_arg "Kernel.run_all: fuel";
   let live () = List.filter (fun p -> Machine.halted p.m = None) (processes t) in
   let rec slice budget = function
-    | [] -> (
-      match live () with
-      | [] -> List.map (fun p -> (p, Machine.run ~fuel:0 p.m)) (processes t)
-      | again -> if budget <= 0 then [] else slice budget again)
+    | _ when budget <= 0 -> ()
+    | [] -> ( match live () with [] -> () | again -> slice budget again)
     | p :: rest ->
-      let rec steps n =
-        if n = 0 || Machine.halted p.m <> None then ()
-        else
-          match Machine.step p.m with
-          | () -> steps (n - 1)
-          | exception Trap.Fault _ -> Machine.set_halted p.m 139
-      in
-      steps (min quantum budget);
+      (match Machine.run ~fuel:(min quantum budget) p.m with
+      | Machine.Faulted _ -> Machine.set_halted p.m 139
+      | Machine.Halted _ | Machine.Out_of_fuel -> ());
       slice (budget - quantum) rest
   in
-  ignore (slice fuel (live ()));
+  slice fuel (live ());
   List.map (fun p -> (p, Machine.run ~fuel:0 p.m)) (processes t)
 
 (* Preemptive scheduling: a timer interrupt every [quantum] retired
@@ -236,19 +227,11 @@ let run_all ?(fuel = 10_000_000) ?(quantum = 1000) t =
 let run_preemptive ?(fuel = 10_000_000) ~quantum t p =
   ignore t;
   if quantum <= 0 then invalid_arg "Kernel.run_preemptive: quantum";
-  let m = p.m in
-  let rec go budget slice =
-    match Machine.halted m with
-    | Some code -> Machine.Halted code
-    | None ->
-      if budget = 0 then Machine.Out_of_fuel
-      else if slice = 0 then begin
-        rotate_threads p;
-        go budget quantum
-      end
-      else (
-        match Machine.step m with
-        | () -> go (budget - 1) (slice - 1)
-        | exception Trap.Fault f -> Machine.Faulted f)
+  let rec go budget =
+    match Machine.run ~fuel:(min quantum budget) p.m with
+    | Machine.Out_of_fuel when budget > quantum ->
+      rotate_threads p;
+      go (budget - quantum)
+    | outcome -> outcome
   in
-  go fuel quantum
+  go fuel

@@ -51,6 +51,10 @@ val adopt : t -> Machine.t -> proc
     replaced). *)
 
 val machine : proc -> Machine.t
+(** The process's machine: [Machine.run] on it runs this process alone,
+    leaving the others untouched (scheduling across processes is driven
+    by the experiment, or by {!run_all}). *)
+
 val pid : proc -> int
 val processes : t -> proc list
 (** All live processes, oldest first. *)
@@ -72,19 +76,21 @@ val signal_depth : proc -> int
 val thread_count : proc -> int
 (** Runnable-but-suspended thread contexts held by the kernel. *)
 
-val run : ?fuel:int -> t -> proc -> Machine.outcome
-(** Runs one process to completion (other processes are untouched —
-    scheduling across processes is driven by the experiment). *)
-
 val run_all :
   ?fuel:int -> ?quantum:int -> t -> (proc * Machine.outcome) list
 (** Round-robin scheduler over every live process (parents and forked
     children), [quantum] instructions per slice; a faulting process is
-    killed with code 139, as a crashing sibling would be. Returns the
-    final outcome of every process. *)
+    killed with code 139, as a crashing sibling would be. Each slice is
+    charged a whole quantum against [fuel] (default 10 million), and the
+    schedule stops once [fuel] is spent, so no more than [fuel]
+    instructions run in all; a process still running then reports
+    [Out_of_fuel]. Returns the final outcome of every process. Raises
+    [Invalid_argument] on a non-positive [quantum] or a negative
+    [fuel]. *)
 
 val run_preemptive : ?fuel:int -> quantum:int -> t -> proc -> Machine.outcome
-(** Like {!run}, but a timer preempts the running thread every [quantum]
-    retired instructions and rotates to the next runnable thread of the
-    process — §5.4's register save/restore under involuntary context
-    switches. The preempted context is kernel-private, as with [yield]. *)
+(** Like [Machine.run] on the process's machine, but a timer preempts
+    the running thread every [quantum] retired instructions and rotates
+    to the next runnable thread of the process — §5.4's register
+    save/restore under involuntary context switches. The preempted
+    context is kernel-private, as with [yield]. *)

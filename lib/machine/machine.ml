@@ -23,7 +23,7 @@ type t = {
   cfg : Config.t;
   mem : Memory.t;
   image : Image.t;
-  mutable keys : Keys.t;
+  keys : Keys.t;
   regs : Bytes.t;  (* X0..X30, SP, PC — see the layout note above *)
   mutable flags_bits : int;  (* packed NZCV, Cond.bits_* layout *)
   mutable halted : int option;
@@ -31,7 +31,6 @@ type t = {
   mutable instret : int;
   mutable mem_ops : int;
   mutable forward_cfi : bool;
-  mutable tracer : (t -> Pacstack_isa.Instr.t -> unit) option;
   hooks : (string, t -> unit) Hashtbl.t;
   mutable on_syscall : t -> int -> unit;
   mutable out : int64 list;  (* newest first *)
@@ -91,21 +90,17 @@ let default_syscall m n =
 
 let config t = t.cfg
 let keys t = t.keys
-let set_keys t k = t.keys <- k
 let memory t = t.mem
 let image t = t.image
 
 let flags t = Cond.flags_of_bits t.flags_bits
-let set_flags t f = t.flags_bits <- Cond.bits_of_flags f
 let cycles t = t.cycles
 let instructions_retired t = t.instret
 let memory_operations t = t.mem_ops
 let halted t = t.halted
 let set_halted t code = t.halted <- Some code
 
-let forward_cfi t = t.forward_cfi
 let set_forward_cfi t v = t.forward_cfi <- v
-let set_tracer t f = t.tracer <- f
 
 let attach_hook t name f = Hashtbl.replace t.hooks name f
 let detach_hook t name = Hashtbl.remove t.hooks name
@@ -164,7 +159,7 @@ let ga t = Keys.get t.keys Keys.GA
 (* --- instruction semantics (reference) -------------------------------- *)
 
 (* The fetch-then-match semantics the threaded engine is compiled from.
-   [Reference.step] still dispatches through here; the differential suite
+   [Reference.run] still dispatches through here; the differential suite
    in test_engine.ml pins the two engines against each other. *)
 let exec t instr =
   let next = Int64.add (pc t) 4L in
@@ -331,8 +326,8 @@ let obs_publish t trap =
 
 (* --- reference step --------------------------------------------------- *)
 
-(* One unchecked step through the fetch-then-match path. The public
-   [Reference.step] adds the halted guard; [drive] checks halted itself. *)
+(* One step through the fetch-then-match path, without the halted
+   check: the runners make it at each boundary. *)
 let exec_reference t =
   translate t (pc t) Trap.Execute;
   Memory.check_exec t.mem (pc t);
@@ -346,42 +341,38 @@ let exec_reference t =
   | Instr.Retaa | Instr.Pacga _ | Instr.Xpaci _ ->
     if Obs.enabled () then obs_record_pac t instr
   | _ -> ());
-  (match t.tracer with Some f -> f t instr | None -> ());
   exec t instr
 
 (* --- threaded-code compilation ---------------------------------------- *)
 
 (* Each instruction compiles to one closure doing exactly what one
-   reference step does after fetch: bump the counters, record obs, call
-   the tracer, execute. Everything derivable from the instruction alone
-   — cycle cost, mem_ops delta, obs cell, branch targets, the operand
-   shape — is resolved here, once per (image, instruction) on its first
-   visit (see [lazy_ops]), instead of per step.
+   reference step does after fetch: bump the counters, record obs,
+   execute. Everything derivable from the instruction alone — cycle
+   cost, mem_ops delta, obs cell, branch targets, the operand shape — is
+   resolved here, once per (image, instruction) on its first visit (see
+   [lazy_ops]), instead of per step.
 
    Fidelity rules (the differential suite enforces them):
-   - counters and obs/tracer fire before semantics, as in the reference;
+   - counters and obs fire before semantics, as in the reference;
    - side effects ordered as in [exec]: Bl writes LR before an
      unresolved-label raise, Adr resolves before writing, pre/post
      indexing commits before a load/store trap;
    - a label a conditional branch never takes is allowed to stay
      unresolved, exactly like the lazy [resolve] in the reference. *)
 
-let op_pre t cyc instr =
+let op_pre t cyc =
   t.cycles <- t.cycles + cyc;
-  t.instret <- t.instret + 1;
-  match t.tracer with Some f -> f t instr | None -> ()
+  t.instret <- t.instret + 1
 
-let op_pre_mem t cyc memops instr =
+let op_pre_mem t cyc memops =
   t.cycles <- t.cycles + cyc;
   t.instret <- t.instret + 1;
-  t.mem_ops <- t.mem_ops + memops;
-  match t.tracer with Some f -> f t instr | None -> ()
+  t.mem_ops <- t.mem_ops + memops
 
-let op_pre_pac t cyc cell instr =
+let op_pre_pac t cyc cell =
   t.cycles <- t.cycles + cyc;
   t.instret <- t.instret + 1;
-  if Obs.enabled () then t.obs_pac.(cell) <- t.obs_pac.(cell) + 1;
-  match t.tracer with Some f -> f t instr | None -> ()
+  if Obs.enabled () then t.obs_pac.(cell) <- t.obs_pac.(cell) + 1
 
 let unresolved label = Trap.Fault (Trap.Undefined ("unresolved label " ^ label))
 
@@ -423,11 +414,11 @@ let compile_op image nops idx instr : t -> int =
     | Ok a ->
       let ti = static_index a in
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         if test t then (set_pc t a; ti) else (set_pc t next; nexti)
     | Error e ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         if test t then raise e else (set_pc t next; nexti)
   in
   match instr with
@@ -435,13 +426,13 @@ let compile_op image nops idx instr : t -> int =
     match op with
     | Instr.Reg rm ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.add (get t rn) (get t rm));
         set_pc t next;
         nexti
     | Instr.Imm i ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.add (get t rn) i);
         set_pc t next;
         nexti)
@@ -449,25 +440,25 @@ let compile_op image nops idx instr : t -> int =
     match op with
     | Instr.Reg rm ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.sub (get t rn) (get t rm));
         set_pc t next;
         nexti
     | Instr.Imm i ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.sub (get t rn) i);
         set_pc t next;
         nexti)
   | Instr.Mul (rd, rn, rm) ->
     fun t ->
-      op_pre t cyc instr;
+      op_pre t cyc;
       set t rd (Int64.mul (get t rn) (get t rm));
       set_pc t next;
       nexti
   | Instr.Udiv (rd, rn, rm) ->
     fun t ->
-      op_pre t cyc instr;
+      op_pre t cyc;
       let d = get t rm in
       set t rd (if d = 0L then 0L else Int64.unsigned_div (get t rn) d);
       set_pc t next;
@@ -476,13 +467,13 @@ let compile_op image nops idx instr : t -> int =
     match op with
     | Instr.Reg rm ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.logand (get t rn) (get t rm));
         set_pc t next;
         nexti
     | Instr.Imm i ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.logand (get t rn) i);
         set_pc t next;
         nexti)
@@ -490,13 +481,13 @@ let compile_op image nops idx instr : t -> int =
     match op with
     | Instr.Reg rm ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.logor (get t rn) (get t rm));
         set_pc t next;
         nexti
     | Instr.Imm i ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.logor (get t rn) i);
         set_pc t next;
         nexti)
@@ -504,13 +495,13 @@ let compile_op image nops idx instr : t -> int =
     match op with
     | Instr.Reg rm ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.logxor (get t rn) (get t rm));
         set_pc t next;
         nexti
     | Instr.Imm i ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.logxor (get t rn) i);
         set_pc t next;
         nexti)
@@ -519,13 +510,13 @@ let compile_op image nops idx instr : t -> int =
     | Instr.Imm i ->
       let sh = Int64.to_int i land 63 in
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.shift_left (get t rn) sh);
         set_pc t next;
         nexti
     | Instr.Reg rm ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.shift_left (get t rn) (Int64.to_int (get t rm) land 63));
         set_pc t next;
         nexti)
@@ -534,66 +525,66 @@ let compile_op image nops idx instr : t -> int =
     | Instr.Imm i ->
       let sh = Int64.to_int i land 63 in
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.shift_right_logical (get t rn) sh);
         set_pc t next;
         nexti
     | Instr.Reg rm ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set t rd (Int64.shift_right_logical (get t rn) (Int64.to_int (get t rm) land 63));
         set_pc t next;
         nexti)
   | Instr.Mov (rd, op) -> (
     match op with
     | Instr.Reg rm ->
-      fun t -> op_pre t cyc instr; set t rd (get t rm); set_pc t next; nexti
-    | Instr.Imm i -> fun t -> op_pre t cyc instr; set t rd i; set_pc t next; nexti)
+      fun t -> op_pre t cyc; set t rd (get t rm); set_pc t next; nexti
+    | Instr.Imm i -> fun t -> op_pre t cyc; set t rd i; set_pc t next; nexti)
   | Instr.Cmp (rn, op) -> (
     match op with
     | Instr.Reg rm ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         t.flags_bits <- Cond.bits_of_compare (get t rn) (get t rm);
         set_pc t next;
         nexti
     | Instr.Imm i ->
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         t.flags_bits <- Cond.bits_of_compare (get t rn) i;
         set_pc t next;
         nexti)
   | Instr.Adr (rd, l) -> (
     match target l with
-    | Ok a -> fun t -> op_pre t cyc instr; set t rd a; set_pc t next; nexti
-    | Error e -> fun t -> op_pre t cyc instr; raise e)
+    | Ok a -> fun t -> op_pre t cyc; set t rd a; set_pc t next; nexti
+    | Error e -> fun t -> op_pre t cyc; raise e)
   | Instr.Ldr (rt, m) ->
     fun t ->
-      op_pre_mem t cyc 1 instr;
+      op_pre_mem t cyc 1;
       set t rt (load64 t (effective t m));
       set_pc t next;
       nexti
   | Instr.Str (rt, m) ->
     fun t ->
-      op_pre_mem t cyc 1 instr;
+      op_pre_mem t cyc 1;
       store64 t (effective t m) (get t rt);
       set_pc t next;
       nexti
   | Instr.Ldrb (rt, m) ->
     fun t ->
-      op_pre_mem t cyc 1 instr;
+      op_pre_mem t cyc 1;
       set t rt (Int64.of_int (load8 t (effective t m)));
       set_pc t next;
       nexti
   | Instr.Strb (rt, m) ->
     fun t ->
-      op_pre_mem t cyc 1 instr;
+      op_pre_mem t cyc 1;
       store8 t (effective t m) (Int64.to_int (Int64.logand (get t rt) 0xffL));
       set_pc t next;
       nexti
   | Instr.Ldp (r1, r2, m) ->
     fun t ->
-      op_pre_mem t cyc 2 instr;
+      op_pre_mem t cyc 2;
       let a = effective t m in
       set t r1 (load64 t a);
       set t r2 (load64 t (Int64.add a 8L));
@@ -601,7 +592,7 @@ let compile_op image nops idx instr : t -> int =
       nexti
   | Instr.Stp (r1, r2, m) ->
     fun t ->
-      op_pre_mem t cyc 2 instr;
+      op_pre_mem t cyc 2;
       let a = effective t m in
       store64 t a (get t r1);
       store64 t (Int64.add a 8L) (get t r2);
@@ -611,8 +602,8 @@ let compile_op image nops idx instr : t -> int =
     match target l with
     | Ok a ->
       let ti = static_index a in
-      fun t -> op_pre t cyc instr; set_pc t a; ti
-    | Error e -> fun t -> op_pre t cyc instr; raise e)
+      fun t -> op_pre t cyc; set_pc t a; ti
+    | Error e -> fun t -> op_pre t cyc; raise e)
   | Instr.Bcond (c, l) -> cond_branch (fun t -> Cond.holds_bits c t.flags_bits) l
   | Instr.Cbz (r, l) -> cond_branch (fun t -> get t r = 0L) l
   | Instr.Cbnz (r, l) -> cond_branch (fun t -> get t r <> 0L) l
@@ -621,19 +612,19 @@ let compile_op image nops idx instr : t -> int =
     | Ok a ->
       let ti = static_index a in
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set_lr t next;
         set_pc t a;
         ti
     | Error e ->
       (* LR is written before [resolve] raises in the reference. *)
       fun t ->
-        op_pre t cyc instr;
+        op_pre t cyc;
         set_lr t next;
         raise e)
   | Instr.Blr r ->
     fun t ->
-      op_pre t cyc instr;
+      op_pre t cyc;
       let target = get t r in
       if t.forward_cfi && not (Image.is_function_entry image target) then
         raise (Trap.Fault (Trap.Cfi_violation target));
@@ -642,19 +633,19 @@ let compile_op image nops idx instr : t -> int =
       live_index t target
   | Instr.Br r ->
     fun t ->
-      op_pre t cyc instr;
+      op_pre t cyc;
       let v = get t r in
       set_pc t v;
       live_index t v
   | Instr.Ret r ->
     fun t ->
-      op_pre t cyc instr;
+      op_pre t cyc;
       let v = get t r in
       set_pc t v;
       live_index t v
   | Instr.Retaa ->
     fun t ->
-      op_pre_pac t cyc 4 instr;
+      op_pre_pac t cyc 4;
       let lr = Pac.auth_value t.cfg (ia t) (lr t) ~modifier:(sp t) in
       set_lr t lr;
       set_pc t lr;
@@ -662,38 +653,38 @@ let compile_op image nops idx instr : t -> int =
   | Instr.Pacia (rd, rn) ->
     let cell = if rn = Reg.cr then 7 else 0 in
     fun t ->
-      op_pre_pac t cyc cell instr;
+      op_pre_pac t cyc cell;
       set t rd (Pac.add t.cfg (ia t) (get t rd) ~modifier:(get t rn));
       set_pc t next;
       nexti
   | Instr.Autia (rd, rn) ->
     let cell = if rn = Reg.cr then 8 else 1 in
     fun t ->
-      op_pre_pac t cyc cell instr;
+      op_pre_pac t cyc cell;
       set t rd (Pac.auth_value t.cfg (ia t) (get t rd) ~modifier:(get t rn));
       set_pc t next;
       nexti
   | Instr.Paciasp ->
     fun t ->
-      op_pre_pac t cyc 2 instr;
+      op_pre_pac t cyc 2;
       set_lr t (Pac.add t.cfg (ia t) (lr t) ~modifier:(sp t));
       set_pc t next;
       nexti
   | Instr.Autiasp ->
     fun t ->
-      op_pre_pac t cyc 3 instr;
+      op_pre_pac t cyc 3;
       set_lr t (Pac.auth_value t.cfg (ia t) (lr t) ~modifier:(sp t));
       set_pc t next;
       nexti
   | Instr.Xpaci r ->
     fun t ->
-      op_pre_pac t cyc 6 instr;
+      op_pre_pac t cyc 6;
       set t r (Pac.strip t.cfg (get t r));
       set_pc t next;
       nexti
   | Instr.Pacga (rd, rn, rm) ->
     fun t ->
-      op_pre_pac t cyc 5 instr;
+      op_pre_pac t cyc 5;
       set t rd (Pac.generic t.cfg (ga t) (get t rn) ~modifier:(get t rm));
       set_pc t next;
       nexti
@@ -702,27 +693,27 @@ let compile_op image nops idx instr : t -> int =
      the dispatch loop must re-run its full boundary checks after them. *)
   | Instr.Svc n ->
     fun t ->
-      op_pre t cyc instr;
+      op_pre t cyc;
       set_pc t next;
       t.on_syscall t n;
       -1
-  | Instr.Nop -> fun t -> op_pre t cyc instr; set_pc t next; nexti
+  | Instr.Nop -> fun t -> op_pre t cyc; set_pc t next; nexti
   | Instr.Hlt ->
     fun t ->
-      op_pre t cyc instr;
+      op_pre t cyc;
       t.halted <- Some (Int64.to_int (get t (Reg.X 0)));
       set_pc t next;
       -1
   | Instr.Hook name ->
     fun t ->
-      op_pre t cyc instr;
+      op_pre t cyc;
       set_pc t next;
       (match Hashtbl.find_opt t.hooks name with
       | Some f -> f t
       | None -> ());
       -1
 
-(* --- threaded step ---------------------------------------------------- *)
+(* --- runners ---------------------------------------------------------- *)
 
 (* [xcache_gen] sentinel: [Memory.generation] restarts at 0 after a
    [Memory.copy], so 0 is a reachable value and the sentinel must be one
@@ -740,27 +731,6 @@ let refill_exec_cache t =
     Bytes.unsafe_set t.xpages i (if ok then '\001' else '\000')
   done;
   t.xcache_gen <- Memory.generation t.mem
-
-(* One unchecked threaded step (the single-step [step] path). The fast
-   path replaces the reference's translate + check_exec + fetch with
-   three compares and two unsafe reads; every condition it cannot prove
-   (PC outside the image or misaligned, page not executable, [fast_ok]
-   false because the config's VA size does not cover the image) falls
-   back to [exec_reference], so all traps are produced by exactly the
-   reference code. *)
-let exec_threaded t =
-  let off = Int64.sub (Bytes.get_int64_le t.regs pc_slot) Image.code_base in
-  if t.fast_ok && Int64.logand off 3L = 0L && off >= 0L && off < t.code_limit
-  then begin
-    if t.xcache_gen <> Memory.generation t.mem then refill_exec_cache t;
-    let offi = Int64.to_int off in
-    if Bytes.unsafe_get t.xpages (offi lsr Memory.page_bits) = '\001' then
-      ignore ((Array.unsafe_get t.ops (offi lsr 2)) t : int)
-    else exec_reference t
-  end
-  else exec_reference t
-
-let step t = match t.halted with Some _ -> () | None -> exec_threaded t
 
 type outcome = Halted of int | Faulted of Trap.t | Out_of_fuel
 
@@ -813,7 +783,13 @@ let runner_threaded t ~stop ~fuel =
       else if budget = 0 then Paused_fuel
       else dispatch budget
   and dispatch budget =
-    (* boundary checks for pc already done; budget ≥ 1 *)
+    (* Boundary checks for pc already done; budget ≥ 1. The fast path
+       replaces the reference's translate + check_exec + fetch with three
+       compares and two unsafe reads; every condition it cannot prove (PC
+       outside the image or misaligned, page not executable, [fast_ok]
+       false because the config's VA size does not cover the image) falls
+       back to [exec_reference], so all traps are produced by exactly the
+       reference code. *)
     let off = Int64.sub (Bytes.get_int64_le t.regs pc_slot) Image.code_base in
     if t.fast_ok && Int64.logand off 3L = 0L && off >= 0L && off < t.code_limit
     then begin
@@ -847,6 +823,9 @@ let runner_threaded t ~stop ~fuel =
    drift; the per-instruction boundary checks live in the runners. The
    fault handler is installed once around the whole loop, not per step. *)
 let drive ~runner ~stop ~fuel t =
+  (* the runners count the budget down to exactly 0, which a negative
+     one never reaches *)
+  if fuel < 0 then invalid_arg "Machine.run: negative fuel";
   let outcome =
     try
       match runner t ~stop ~fuel with
@@ -875,7 +854,6 @@ let run ?fuel t = run_with runner_threaded ?fuel t
 let run_until ?fuel t ~stop = run_until_with runner_threaded ?fuel t ~stop
 
 module Reference = struct
-  let step t = match t.halted with Some _ -> () | None -> exec_reference t
   let run ?fuel t = run_with runner_reference ?fuel t
   let run_until ?fuel t ~stop = run_until_with runner_reference ?fuel t ~stop
 end
@@ -973,7 +951,6 @@ let instantiate ?(cfg = Config.default) ?keys ?rng p =
       instret = 0;
       mem_ops = 0;
       forward_cfi = true;
-      tracer = None;
       hooks = Hashtbl.create 4;
       on_syscall = default_syscall;
       out = [];
@@ -1017,11 +994,6 @@ let clone t =
     xpages = Bytes.copy t.xpages;
     xcache_gen = stale_gen;
   }
-
-let pp_state fmt t =
-  Format.fprintf fmt "pc=%a sp=%a lr=%a cr=%a x0=%a cycles=%d" Word64.pp (pc t) Word64.pp
-    (sp t) Word64.pp (get t Reg.lr) Word64.pp (get t Reg.cr) Word64.pp (get t (Reg.X 0))
-    t.cycles
 
 (* --- contexts -------------------------------------------------------- *)
 

@@ -54,7 +54,6 @@ val clone : t -> t
 
 val config : t -> Pacstack_pa.Config.t
 val keys : t -> Pacstack_pa.Keys.t
-val set_keys : t -> Pacstack_pa.Keys.t -> unit
 val memory : t -> Memory.t
 val image : t -> Image.t
 
@@ -67,7 +66,6 @@ val set : t -> Pacstack_isa.Reg.t -> Pacstack_util.Word64.t -> unit
 val pc : t -> Pacstack_util.Word64.t
 val set_pc : t -> Pacstack_util.Word64.t -> unit
 val flags : t -> Pacstack_isa.Cond.flags
-val set_flags : t -> Pacstack_isa.Cond.flags -> unit
 
 val cycles : t -> int
 val instructions_retired : t -> int
@@ -82,25 +80,11 @@ val set_halted : t -> int -> unit
 val canary_symbol : string
 (** Name of the data object holding the stack-protector guard value. *)
 
-val forward_cfi : t -> bool
 val set_forward_cfi : t -> bool -> unit
 (** Coarse-grained forward-edge CFI (assumption A2): when enabled (the
     default, as the paper assumes), indirect calls may only target
     function entry points; violations raise {!Trap.Fault} with
     [Cfi_violation]. Disable to study PACStack without its prerequisite. *)
-
-val set_tracer : t -> (t -> Pacstack_isa.Instr.t -> unit) option -> unit
-(** Per-instruction observer invoked before execution (PC still points at
-    the instruction). Used by {!Profile}; [None] removes it.
-
-    The tracer is an observer: it must not change control state (PC,
-    halted) or the page table. The threaded engine resolves the next
-    instruction when an instruction is compiled and chains compiled ops
-    without consulting PC between straight-line instructions, so a
-    tracer that moved PC or halted the machine mid-step would be seen
-    by the reference engine and missed by the threaded one. Mutating
-    registers, flags or mapped data memory is fine — both engines apply
-    the tracer at the same point. *)
 
 val set_obs_label : t -> string -> unit
 (** Attribution label for the lib/obs metrics this machine publishes at
@@ -129,31 +113,42 @@ val push_output : t -> int64 -> unit
 
 (** {1 Execution} *)
 
-val step : t -> unit
-(** Executes one instruction; raises {!Trap.Fault}. No-op once halted.
+type outcome = Halted of int | Faulted of Trap.t | Out_of_fuel
+
+val run : ?fuel:int -> t -> outcome
+(** Executes until halt, fault or [fuel] instructions (default 10
+    million); [run ~fuel:1] executes one. Raises [Invalid_argument] on a
+    negative [fuel]. A halted machine stays halted.
 
     Dispatches through the threaded-code engine: each instruction is
     compiled, on its first visit, into a per-instruction closure
     (operands, cycle costs, mem_ops deltas, branch targets and obs
-    classification all resolved at compile time) and the per-step
-    translate/execute check
-    is a page-granular cache invalidated by any
+    classification all resolved at compile time), and the per-step
+    translate/execute check is a page-granular cache invalidated by any
     [Memory.map]/[unmap]/[protect]. Observable behaviour is
-    bit-identical to {!Reference.step} — pinned by the differential
-    suite in test_engine.ml. *)
-
-type outcome = Halted of int | Faulted of Trap.t | Out_of_fuel
-
-val run : ?fuel:int -> t -> outcome
-(** Steps until halt, fault or [fuel] instructions (default 10 million). *)
+    bit-identical to {!Reference.run}, pinned by the differential suite
+    in test_engine.ml. *)
 
 val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
-(** Like {!run}, but returns [None] as soon as [stop t] holds (checked
-    before each instruction, so the machine is paused with PC at the
-    next, not-yet-executed instruction); [Some outcome] if the program
-    halted, faulted or ran out of fuel first. Fault injection uses this
-    to reach a trigger point mid-run, mutate state, and continue with
-    {!run}. *)
+(** Like {!run}, but returns [None] as soon as [stop t] holds, with the
+    machine paused and PC at the next, not-yet-executed instruction;
+    [Some outcome] if the program halted, faulted or ran out of fuel
+    first. Fault injection uses this to reach a trigger point mid-run,
+    mutate state, and continue with {!run}.
+
+    [stop] runs once at every instruction boundary while the machine is
+    not halted, before the instruction: that includes the boundary of a
+    [hlt], one whose fetch then faults, and the one where the fuel runs
+    out. A predicate that records and answers [false] is an observer of
+    every instruction: it reads the instruction with
+    [Image.fetch (image m) (pc m)], as {!Profile.run} does.
+
+    A predicate may read anything and may write registers, flags and
+    mapped data memory. It must not change PC, [halted] or the page
+    table: the threaded engine resolves the next instruction when it
+    compiles one and chains compiled ops without re-reading PC between
+    straight-line instructions, so such a change would be seen by the
+    reference engine and missed by the threaded one. *)
 
 (** The original fetch-then-match interpreter, kept verbatim as the
     oracle for the threaded engine (the [Qarma64.Reference] pattern):
@@ -161,13 +156,9 @@ val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
     dispatch at a time. The engines may be interleaved freely on one
     machine — they share all state and differ only in dispatch. *)
 module Reference : sig
-  val step : t -> unit
   val run : ?fuel:int -> t -> outcome
   val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
 end
-
-val pp_state : Format.formatter -> t -> unit
-(** One-line register dump for diagnostics. *)
 
 (** {1 Context save/restore (used by the kernel)} *)
 

@@ -1,5 +1,4 @@
 module Instr = Pacstack_isa.Instr
-module Reg = Pacstack_isa.Reg
 
 type entry = {
   mutable cycles : int;
@@ -45,8 +44,8 @@ let entry t name =
     Hashtbl.replace t.table name e;
     e
 
-let trace t m instr =
-  match function_of t (Machine.pc m) with
+let trace t pc instr =
+  match function_of t pc with
   | None -> ()
   | Some name ->
     let e = entry t name in
@@ -66,8 +65,7 @@ let trace t m instr =
     | Instr.Bl _ | Instr.Blr _ -> t.pending_call <- Some name
     | _ -> ())
 
-let attach m =
-  let image = Machine.image m in
+let create image =
   let program = Image.program image in
   let bounds =
     List.filter_map
@@ -77,25 +75,29 @@ let attach m =
   in
   let bounds = Array.of_list bounds in
   Array.sort (fun (a, _, _) (b, _, _) -> Int64.unsigned_compare a b) bounds;
-  let t =
-    {
-      table = Hashtbl.create 32;
-      edges = Hashtbl.create 32;
-      bounds;
-      cached = None;
-      total_instr = 0;
-      total_calls = 0;
-      pending_call = None;
-    }
+  {
+    table = Hashtbl.create 32;
+    edges = Hashtbl.create 32;
+    bounds;
+    cached = None;
+    total_instr = 0;
+    total_calls = 0;
+    pending_call = None;
+  }
+
+(* An observer: it records the instruction at each boundary and never
+   stops the run. *)
+let run ?fuel m =
+  let image = Machine.image m in
+  let t = create image in
+  let observe m =
+    let pc = Machine.pc m in
+    (match Image.fetch image pc with Some instr -> trace t pc instr | None -> ());
+    false
   in
-  Machine.set_tracer m (Some (fun m instr -> trace t m instr));
-  t
-
-let detach m = Machine.set_tracer m None
-
-let functions t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table []
-  |> List.sort (fun (_, a) (_, b) -> Int.compare b.cycles a.cycles)
+  match Machine.run_until ?fuel m ~stop:observe with
+  | Some outcome -> (outcome, t)
+  | None -> invalid_arg "Profile.run: the observer stopped the run"
 
 let entry_of t name = Hashtbl.find_opt t.table name
 
@@ -108,10 +110,3 @@ let total_calls t = t.total_calls
 let call_density t =
   if t.total_instr = 0 then 0.0
   else 1000.0 *. float_of_int t.total_calls /. float_of_int t.total_instr
-
-let pp fmt t =
-  Format.fprintf fmt "%-24s %10s %10s %8s@." "function" "cycles" "instrs" "calls";
-  List.iter
-    (fun (name, e) ->
-      Format.fprintf fmt "%-24s %10d %10d %8d@." name e.cycles e.instructions e.activations)
-    (functions t)

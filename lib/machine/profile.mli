@@ -14,13 +14,13 @@ type entry = {
 
 type t
 
-val attach : Machine.t -> t
-(** Installs the profiler as the machine's tracer (replacing any other). *)
-
-val detach : Machine.t -> unit
-
-val functions : t -> (string * entry) list
-(** Per-function totals, hottest (by cycles) first. *)
+val run : ?fuel:int -> Machine.t -> Machine.outcome * t
+(** [Machine.run ?fuel m] under a {!Machine.run_until} observer that
+    attributes each instruction boundary to the function covering PC,
+    and counts a call wherever the previous boundary was a [bl]/[blr].
+    The profile covers this run only. Like every observer it also sees
+    the boundary where a run faults or runs out of fuel, whose
+    instruction never retires. *)
 
 val entry_of : t -> string -> entry option
 
@@ -30,7 +30,4 @@ val call_edges : t -> ((string * string) * int) list
 val total_calls : t -> int
 
 val call_density : t -> float
-(** Calls per 1000 retired instructions. *)
-
-val pp : Format.formatter -> t -> unit
-(** A sorted flat profile. *)
+(** Calls per 1000 observed instructions. *)

@@ -73,12 +73,9 @@ let paper_table2 scheme =
    paper's §7.1 "overhead is proportional to call frequency" evidence *)
 let call_density bench =
   let program = Compile.compile ~scheme:Scheme.unprotected (bench.Speclike.program Speclike.Rate) in
-  let m = Machine.load program in
-  let profile = Pacstack_machine.Profile.attach m in
-  (match Machine.run ~fuel:100_000_000 m with
-  | Machine.Halted 0 -> ()
-  | _ -> failwith (bench.Speclike.name ^ ": profiling run failed"));
-  Pacstack_machine.Profile.call_density profile
+  match Pacstack_machine.Profile.run ~fuel:100_000_000 (Machine.load program) with
+  | Machine.Halted 0, profile -> Pacstack_machine.Profile.call_density profile
+  | _ -> failwith (bench.Speclike.name ^ ": profiling run failed")
 
 type overheads = {
   figure5 : (string * float * (Scheme.t * float) list) list;
@@ -321,19 +318,22 @@ let sp_collisions fmt =
       | Some bench ->
         let program = Compile.compile ~scheme:Scheme.unprotected (bench.Speclike.program Speclike.Rate) in
         let m = Machine.load program in
+        let image = Machine.image m in
         let seen = Hashtbl.create 256 in
         let calls = ref 0 in
-        Machine.set_tracer m
-          (Some
-             (fun m instr ->
-               match instr with
-               | Pacstack_isa.Instr.Bl _ | Pacstack_isa.Instr.Blr _ ->
-                 incr calls;
-                 let sp = Machine.get m Pacstack_isa.Reg.SP in
-                 Hashtbl.replace seen sp (1 + Option.value (Hashtbl.find_opt seen sp) ~default:0)
-               | _ -> ()));
-        (match Machine.run ~fuel:100_000_000 m with
-        | Machine.Halted 0 -> ()
+        (* an observer: at each call boundary, before the call executes,
+           record the SP a return-address signature would use *)
+        let observe m =
+          (match Pacstack_machine.Image.fetch image (Machine.pc m) with
+          | Some (Pacstack_isa.Instr.Bl _ | Pacstack_isa.Instr.Blr _) ->
+            incr calls;
+            let sp = Machine.get m Pacstack_isa.Reg.SP in
+            Hashtbl.replace seen sp (1 + Option.value (Hashtbl.find_opt seen sp) ~default:0)
+          | _ -> ());
+          false
+        in
+        (match Machine.run_until ~fuel:100_000_000 m ~stop:observe with
+        | Some (Machine.Halted 0) -> ()
         | _ -> failwith (name ^ ": SP-stat run failed"));
         let distinct = Hashtbl.length seen in
         let repeats = !calls - distinct in

@@ -287,16 +287,11 @@ let run ~scheme t =
       let kernel = Kernel.create (Rng.create 99L) in
       let proc = Kernel.boot kernel program in
       let m = Kernel.machine proc in
-      let rec warmup () =
-        if Machine.instructions_retired m < 300 && Machine.halted m = None then (
-          Machine.step m;
-          warmup ())
-      in
-      match warmup () with
-      | exception Trap.Fault f -> Fail ("fault during warmup: " ^ Trap.to_string f)
-      | () -> (
+      match Machine.run_until m ~stop:(fun m -> Machine.instructions_retired m >= 300) with
+      | Some (Machine.Faulted f) -> Fail ("fault during warmup: " ^ Trap.to_string f)
+      | None | Some (Machine.Halted _ | Machine.Out_of_fuel) -> (
         Kernel.deliver_signal kernel proc ~handler:"handler" ~signum:5;
-        match Kernel.run kernel proc with
+        match Machine.run m with
         | Machine.Halted 0 -> check_output t (Machine.output m)
         | Machine.Halted c -> Fail (Printf.sprintf "exit code %d" c)
         | Machine.Faulted f -> Fail ("fault: " ^ Trap.to_string f)

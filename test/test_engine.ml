@@ -1,10 +1,11 @@
 (* Differential suite pinning the threaded-code engine to the reference
-   interpreter.  [Machine.run]/[step] dispatch through per-image compiled
-   closures (machine.ml, "threaded-code compilation"); [Machine.Reference]
-   is the original fetch-then-match loop kept as the oracle.  Everything
-   observable must be bit-identical across the two: outcome, trap, every
-   register, flags, pc, all counters, program output, the full memory
-   state (via [Memory.digest]) and the per-instruction pc trace.
+   interpreter.  [Machine.run]/[run_until] dispatch through per-image
+   compiled closures (machine.ml, "threaded-code compilation");
+   [Machine.Reference] is the original fetch-then-match loop kept as the
+   oracle.  Everything observable must be bit-identical across the two:
+   outcome, trap, every register, flags, pc, all counters, program
+   output, the full memory state (via [Memory.digest]) and the
+   per-instruction pc trace, recorded by a [run_until] observer.
 
    The suite also pins the execute-check invalidation: the threaded
    engine caches per-code-page execute permission keyed by
@@ -68,12 +69,24 @@ let snap_of m outcome ~trace_len ~trace_hash =
     trace_hash;
   }
 
-let observe runf m =
-  let h = ref 0xcbf29ce484222325L in
+let fnv_basis = 0xcbf29ce484222325L
+
+(* [untilf] runs [m] under a pc-trace observer: a [run_until] predicate
+   that hashes pc at every instruction boundary and never stops. *)
+let observe untilf m =
+  let h = ref fnv_basis in
   let n = ref 0 in
-  Machine.set_tracer m (Some (fun m _ -> incr n; h := fnv !h (Machine.pc m)));
-  let outcome = runf m in
-  snap_of m outcome ~trace_len:!n ~trace_hash:!h
+  let stop m = incr n; h := fnv !h (Machine.pc m); false in
+  match untilf m ~stop with
+  | Some outcome -> snap_of m outcome ~trace_len:!n ~trace_hash:!h
+  | None -> Alcotest.fail "the observer stopped the run"
+
+(* A run with no predicate: [Machine.run]'s [stop == never] loop, a
+   separate branch of the threaded runner. *)
+let plain runf m = snap_of m (runf m) ~trace_len:0 ~trace_hash:fnv_basis
+
+let threaded_until m ~stop = Machine.run_until ~fuel m ~stop
+let reference_until m ~stop = Machine.Reference.run_until ~fuel m ~stop
 
 let outcome_equal a b =
   match a, b with
@@ -117,18 +130,19 @@ let test_differential () =
     List.iter
       (fun scheme ->
         let program = Compile.compile ~scheme ast in
-        let threaded = observe (fun m -> Machine.run ~fuel m) (Machine.load program) in
-        let reference =
-          observe (fun m -> Machine.Reference.run ~fuel m) (Machine.load program)
-        in
+        let threaded = observe threaded_until (Machine.load program) in
+        let reference = observe reference_until (Machine.load program) in
         let what =
           Format.asprintf "seed %d / %a" seed Scheme.pp scheme
         in
-        check_same ~what threaded reference)
+        check_same ~what threaded reference;
+        check_same ~what:(what ^ " (plain run)")
+          (plain (fun m -> Machine.run ~fuel m) (Machine.load program))
+          { reference with trace_len = 0; trace_hash = fnv_basis })
       Scheme.all
   done
 
-(* --- single-step lockstep: [step] vs [Reference.step] ------------------ *)
+(* --- lockstep: one-instruction runs on both engines --------------------- *)
 
 let test_step_lockstep () =
   for seed = 0 to 19 do
@@ -142,18 +156,19 @@ let test_step_lockstep () =
     let continue = ref true in
     while !continue && !steps < 5_000 do
       incr steps;
-      let ta = try Machine.step a; None with Trap.Fault f -> Some f in
-      let tb = try Machine.Reference.step b; None with Trap.Fault f -> Some f in
-      (match ta, tb with
-      | None, None -> ()
-      | Some f, Some g when Trap.equal f g -> continue := false
-      | _ -> Alcotest.failf "seed %d: trap divergence at step %d" seed !steps);
+      let oa = Machine.run ~fuel:1 a in
+      let ob = Machine.Reference.run ~fuel:1 b in
+      if not (outcome_equal oa ob) then
+        Alcotest.failf "seed %d: %a vs %a at step %d" seed pp_outcome oa pp_outcome ob
+          !steps;
       if not (Int64.equal (Machine.pc a) (Machine.pc b)) then
         Alcotest.failf "seed %d: pc %Lx vs %Lx at step %d" seed (Machine.pc a)
           (Machine.pc b) !steps;
       if Machine.cycles a <> Machine.cycles b then
         Alcotest.failf "seed %d: cycle divergence at step %d" seed !steps;
-      if Machine.halted a <> None then continue := false
+      match oa with
+      | Machine.Out_of_fuel -> ()
+      | Machine.Halted _ | Machine.Faulted _ -> continue := false
     done
   done
 
@@ -191,6 +206,20 @@ let test_run_until_pauses () =
     | _ -> Alcotest.failf "seed %d: final outcome differs after resume" seed
   done
 
+(* --- negative fuel ------------------------------------------------------- *)
+
+(* The runners count the budget down to exactly 0: a negative budget is
+   refused, where it would otherwise never run out, and nothing runs.
+   The program halts, so an engine that accepted the budget fails here
+   rather than hanging. *)
+let rejects_negative_fuel run run_until () =
+  let m = Machine.load (Asm.parse ".entry main\n.func main\n  mov x0, #0\n  hlt\n.endfunc") in
+  let refused = Invalid_argument "Machine.run: negative fuel" in
+  Alcotest.check_raises "run" refused (fun () -> ignore (run ~fuel:(-1) m));
+  Alcotest.check_raises "run_until" refused (fun () ->
+      ignore (run_until ~fuel:(-1) m ~stop:(fun _ -> false)));
+  Alcotest.(check int) "nothing ran" 0 (Machine.instructions_retired m)
+
 (* --- execute-check invalidation --------------------------------------- *)
 
 (* [n] straight-line marker instructions then hlt: long enough to cross
@@ -209,17 +238,24 @@ let straightline n =
 let page2 = Int64.add Image.code_base (Int64.of_int Memory.page_size)
 
 let both_engines f =
-  f "threaded" Machine.step (fun m -> Machine.run ~fuel m);
-  f "reference" Machine.Reference.step (fun m -> Machine.Reference.run ~fuel m)
+  f "threaded" (fun ~fuel m -> Machine.run ~fuel m);
+  f "reference" (fun ~fuel m -> Machine.Reference.run ~fuel m)
+
+(* Pause a fresh machine after 500 instructions, in the first code page. *)
+let paused_straightline name run =
+  let m = Machine.load (straightline 1500) in
+  (match run ~fuel:500 m with
+  | Machine.Out_of_fuel -> ()
+  | oc -> Alcotest.failf "%s: expected a pause, got %a" name pp_outcome oc);
+  m
 
 let test_protect_mid_run () =
-  both_engines (fun name step run ->
-    let m = Machine.load (straightline 1500) in
-    for _ = 1 to 500 do step m done;
+  both_engines (fun name run ->
+    let m = paused_straightline name run in
     (* revoke execute on the second code page while paused in the first *)
     Memory.protect (Machine.memory m) ~addr:page2 ~size:Memory.page_size
       Memory.perm_r;
-    (match run m with
+    (match run ~fuel m with
     | Machine.Faulted (Trap.Permission (a, Trap.Execute)) ->
       Alcotest.(check int64) (name ^ ": faulting pc") page2 a;
       Alcotest.(check int64) (name ^ ": pc at fault") page2 (Machine.pc m);
@@ -229,16 +265,15 @@ let test_protect_mid_run () =
     (* restore execute: the cached check must revalidate and finish *)
     Memory.protect (Machine.memory m) ~addr:page2 ~size:Memory.page_size
       Memory.perm_rx;
-    match run m with
+    match run ~fuel m with
     | Machine.Halted 0 -> ()
     | oc -> Alcotest.failf "%s: expected halt after restore, got %a" name pp_outcome oc)
 
 let test_unmap_mid_run () =
-  both_engines (fun name step run ->
-    let m = Machine.load (straightline 1500) in
-    for _ = 1 to 500 do step m done;
+  both_engines (fun name run ->
+    let m = paused_straightline name run in
     Memory.unmap (Machine.memory m) ~addr:page2 ~size:Memory.page_size;
-    match run m with
+    match run ~fuel m with
     | Machine.Faulted (Trap.Unmapped (a, Trap.Execute)) ->
       Alcotest.(check int64) (name ^ ": faulting pc") page2 a
     | oc -> Alcotest.failf "%s: expected unmapped fault, got %a" name pp_outcome oc)
@@ -247,7 +282,7 @@ let test_hook_protects_own_page () =
   (* a hook revokes execute on the page it runs in: the very next
      instruction must fault, on both engines, even though the run loop
      never left [run] between the hook and the fault *)
-  both_engines (fun name _step run ->
+  both_engines (fun name run ->
     let program =
       Program.make ~entry:"main"
         [
@@ -266,7 +301,7 @@ let test_hook_protects_own_page () =
     Machine.attach_hook m "mprot" (fun m ->
         Memory.protect (Machine.memory m) ~addr:Image.code_base
           ~size:Memory.page_size Memory.perm_r);
-    match run m with
+    match run ~fuel m with
     | Machine.Faulted (Trap.Permission (_, Trap.Execute)) ->
       Alcotest.(check int) (name ^ ": faulted on the next instruction") 1
         (Machine.instructions_retired m)
@@ -284,7 +319,7 @@ let test_prepare_instantiate () =
       (fun scheme ->
         let program = Compile.compile ~scheme ast in
         let rng () = Rng.create (Int64.of_int seed) in
-        let run = observe (fun m -> Machine.run ~fuel m) in
+        let run = observe threaded_until in
         let loaded = run (Machine.load ~rng:(rng ()) program) in
         let prepared = Machine.prepare program in
         for i = 1 to 2 do
@@ -314,26 +349,22 @@ let self_modifying =
    prepared value, which finds the original encoding and runs alike. *)
 let test_instances_isolated () =
   let prepared = Machine.prepare self_modifying in
-  let boot () =
-    let k = Kernel.create (Rng.create 5L) in
-    (k, Kernel.boot_prepared k prepared)
-  in
-  let k1, p1 = boot () in
-  let m1 = Kernel.machine p1 in
+  let boot () = Kernel.machine (Kernel.boot_prepared (Kernel.create (Rng.create 5L)) prepared) in
+  let run = observe threaded_until in
+  let m1 = boot () in
   let words, _ = Image.encoded (Machine.image m1) in
   let original =
     Int64.logor
       (Int64.logand (Int64.of_int32 words.(0)) 0xffff_ffffL)
       (Int64.shift_left (Int64.of_int32 words.(1)) 32)
   in
-  let first = observe (fun _ -> Kernel.run k1 p1) m1 in
+  let first = run m1 in
   Alcotest.(check (list int64)) "first instance: original, mprotect ok, overwritten"
     [ original; 0L; 291L ] first.output;
-  let k2, p2 = boot () in
-  let m2 = Kernel.machine p2 in
+  let m2 = boot () in
   Alcotest.(check int64) "later instance sees the original bytes" original
     (Memory.load64 (Machine.memory m2) Image.code_base);
-  check_same ~what:"later instance" first (observe (fun _ -> Kernel.run k2 p2) m2)
+  check_same ~what:"later instance" first (run m2)
 
 (* --- ops compile on first visit ------------------------------------- *)
 
@@ -365,10 +396,8 @@ let dangling ~call =
 let test_dangling_label () =
   let run_both program =
     let prepared = Machine.prepare program in
-    let threaded = observe (fun m -> Machine.run ~fuel m) (Machine.instantiate prepared) in
-    let reference =
-      observe (fun m -> Machine.Reference.run ~fuel m) (Machine.instantiate prepared)
-    in
+    let threaded = observe threaded_until (Machine.instantiate prepared) in
+    let reference = observe reference_until (Machine.instantiate prepared) in
     check_same ~what:"dangling label" threaded reference;
     threaded
   in
@@ -410,6 +439,17 @@ let () =
           Alcotest.test_case "step lockstep" `Quick test_step_lockstep;
           Alcotest.test_case "run_until pauses identically" `Quick
             test_run_until_pauses;
+        ] );
+      ( "fuel",
+        [
+          Alcotest.test_case "threaded rejects negative fuel" `Quick
+            (rejects_negative_fuel
+               (fun ~fuel m -> Machine.run ~fuel m)
+               (fun ~fuel m ~stop -> Machine.run_until ~fuel m ~stop));
+          Alcotest.test_case "reference rejects negative fuel" `Quick
+            (rejects_negative_fuel
+               (fun ~fuel m -> Machine.Reference.run ~fuel m)
+               (fun ~fuel m ~stop -> Machine.Reference.run_until ~fuel m ~stop));
         ] );
       ( "invalidation",
         [

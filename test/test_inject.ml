@@ -138,8 +138,9 @@ let test_signal_frame_chained_vs_unprotected () =
 (* --- trap paths of corrupted returns -------------------------------------- *)
 
 (* Run the victim with one corruption applied at the first window-hook
-   firing, tracing every instruction so the faulting one is known
-   exactly. Returns (outcome, last traced instruction). *)
+   firing, observing every instruction boundary so the faulting
+   instruction is known exactly. Returns (outcome, last instruction
+   fetched before the outcome). *)
 let run_corrupted ~scheme ~corrupt =
   let compiled = Compile.compile ~scheme (Victim.program ()) in
   let m = Machine.load ~cfg:(Config.make ~pac_bits:4 ()) compiled in
@@ -150,9 +151,15 @@ let run_corrupted ~scheme ~corrupt =
         corrupt hm
       end);
   let last = ref None in
-  Machine.set_tracer m (Some (fun _ instr -> last := Some instr));
-  let outcome = Machine.run m in
-  (outcome, !last)
+  let observe m =
+    (match Image.fetch (Machine.image m) (Machine.pc m) with
+    | Some instr -> last := Some instr
+    | None -> ());
+    false
+  in
+  match Machine.run_until m ~stop:observe with
+  | Some outcome -> (outcome, !last)
+  | None -> Alcotest.fail "the observer stopped the run"
 
 let xor_mem m addr pattern =
   let mem = Machine.memory m in

@@ -591,7 +591,7 @@ let test_kernel_fork () =
   hlt
 .endfunc|}
   in
-  (match Kernel.run k p with
+  (match Machine.run m with
   | Machine.Halted 0 -> ()
   | _ -> Alcotest.fail "parent failed");
   (* parent printed the child pid *)
@@ -601,7 +601,7 @@ let test_kernel_fork () =
   match Kernel.children k p with
   | [ child ] -> (
     (* child resumes after the svc with x0 = 0 and prints it *)
-    match Kernel.run k child with
+    match Machine.run (Kernel.machine child) with
     | Machine.Halted 0 ->
       Alcotest.(check (list int64)) "child printed 0" [ 0L ]
         (Machine.output (Kernel.machine child));
@@ -618,10 +618,10 @@ let test_kernel_exec_regenerates_keys () =
     (Keys.equal keys_before (Machine.keys (Kernel.machine p)))
 
 let test_kernel_getpid () =
-  let k, p, m =
+  let _, p, m =
     boot ".entry main\n.func main\n  svc #6\n  svc #1\n  mov x0, #0\n  hlt\n.endfunc"
   in
-  ignore (Kernel.run k p);
+  ignore (Machine.run m);
   Alcotest.(check (list int64)) "pid printed" [ Int64.of_int (Kernel.pid p) ] (Machine.output m)
 
 let thread_src =
@@ -646,8 +646,8 @@ let thread_src =
 
 let test_kernel_threads () =
   (* main spawns a worker, yields to it, worker prints then yields back *)
-  let k, p, m = boot thread_src in
-  (match Kernel.run k p with
+  let _, _, m = boot thread_src in
+  (match Machine.run m with
   | Machine.Halted 0 -> ()
   | Machine.Halted c -> Alcotest.fail (Printf.sprintf "exit %d" c)
   | Machine.Faulted f -> Alcotest.fail (Trap.to_string f)
@@ -658,7 +658,7 @@ let test_thread_context_not_in_user_memory () =
   (* §5.4: a suspended thread's registers live in the kernel, so no scan of
      user memory can find a sentinel value parked in a register *)
   let sentinel = 0x5e17_13e1_dead_beefL in
-  let k, p, m =
+  let _, p, m =
     boot
       {|.entry main
 .func main
@@ -677,12 +677,7 @@ let test_thread_context_not_in_user_memory () =
   in
   (* run until the worker has been spawned and we are back in main *)
   Machine.set m (Reg.x 27) sentinel;
-  let rec step_until_spawned () =
-    if Kernel.thread_count p = 0 && Machine.halted m = None then (
-      Machine.step m;
-      step_until_spawned ())
-  in
-  step_until_spawned ();
+  ignore (Machine.run_until m ~stop:(fun _ -> Kernel.thread_count p > 0));
   Alcotest.(check bool) "thread parked" true (Kernel.thread_count p > 0);
   let found = ref false in
   List.iter
@@ -694,7 +689,7 @@ let test_thread_context_not_in_user_memory () =
         | _ -> ()
       done)
     (Memory.mapped_ranges (Machine.memory m));
-  ignore (Kernel.run k p);
+  ignore (Machine.run m);
   Alcotest.(check bool) "sentinel never hit user memory" false !found
 
 let signal_src =
@@ -718,11 +713,11 @@ loop:
 
 let test_signal_roundtrip () =
   let k, p, m = boot signal_src in
-  for _ = 1 to 50 do Machine.step m done;
+  ignore (Machine.run ~fuel:50 m);
   let x1_before = Machine.get m (Reg.x 1) in
   Kernel.deliver_signal k p ~handler:"handler" ~signum:7;
   Alcotest.(check int) "depth 1" 1 (Kernel.signal_depth p);
-  (match Kernel.run k p with
+  (match Machine.run m with
   | Machine.Halted 0 -> ()
   | _ -> Alcotest.fail "run failed");
   ignore x1_before;
@@ -735,13 +730,13 @@ let test_chained_sigreturn_rejects_forgery () =
     let p = Kernel.boot kernel (Asm.parse signal_src) in
     (kernel, p, Kernel.machine p)
   in
-  for _ = 1 to 50 do Machine.step m done;
+  ignore (Machine.run ~fuel:50 m);
   Kernel.deliver_signal k p ~handler:"handler" ~signum:7;
   (* adversary corrupts the saved PC in the signal frame *)
   let sp = Machine.get m Reg.SP in
   let pc_slot = Int64.add sp (Int64.of_int (8 * 32)) in
   Memory.store64 (Machine.memory m) pc_slot 0x4242L;
-  (match Kernel.run k p with
+  (match Machine.run m with
   | Machine.Halted 139 -> ()
   | Machine.Halted c -> Alcotest.fail (Printf.sprintf "exit %d, wanted kill 139" c)
   | Machine.Faulted f -> Alcotest.fail (Trap.to_string f)
@@ -751,13 +746,13 @@ let test_unprotected_sigreturn_accepts_forgery () =
   let k = Kernel.create ~signal_policy:Kernel.Sig_unprotected (Rng.create 2L) in
   let p = Kernel.boot k (Asm.parse signal_src) in
   let m = Kernel.machine p in
-  for _ = 1 to 50 do Machine.step m done;
+  ignore (Machine.run ~fuel:50 m);
   Kernel.deliver_signal k p ~handler:"handler" ~signum:7;
   let sp = Machine.get m Reg.SP in
   (* corrupt saved x1 so the loop terminates immediately: mainline kernels
      restore whatever the frame says *)
   Memory.store64 (Machine.memory m) (Int64.add sp 8L) 1_999_999L;
-  (match Kernel.run k p with
+  (match Machine.run m with
   | Machine.Halted 0 -> ()
   | _ -> Alcotest.fail "run failed");
   match Machine.output m with
@@ -810,6 +805,38 @@ cloop:
     Alcotest.(check (list int64)) "child output" [ 20L ] (Machine.output (Kernel.machine child))
   | _ -> Alcotest.fail "expected one child"
 
+(* Parent and child each count to 4000, far past the budget: the
+   schedule stops when the budget is spent, partway through a round. *)
+let test_run_all_fuel () =
+  let src =
+    {|.entry main
+.func main
+  svc #2
+  mov x1, #0
+loop:
+  add x1, x1, #1
+  cmp x1, #4000
+  b.lt loop
+  mov x0, #0
+  hlt
+.endfunc|}
+  in
+  let k = Kernel.create (Rng.create 8L) in
+  let parent = Kernel.boot k (Asm.parse src) in
+  let outcomes = Kernel.run_all ~fuel:1500 ~quantum:1000 k in
+  Alcotest.(check int) "two processes" 2 (List.length outcomes);
+  List.iter
+    (fun (p, o) ->
+      match o with
+      | Machine.Out_of_fuel -> ()
+      | _ -> Alcotest.fail (Printf.sprintf "process %d did not run out of fuel" (Kernel.pid p)))
+    outcomes;
+  let retired p = Machine.instructions_retired (Kernel.machine p) in
+  Alcotest.(check int) "parent ran the whole budget" 1500 (retired parent);
+  match Kernel.children k parent with
+  | [ child ] -> Alcotest.(check int) "child ran nothing past the fork" 1 (retired child)
+  | _ -> Alcotest.fail "expected one child"
+
 let test_chained_full_rejects_any_register () =
   (* the pacga-over-everything variant detects forgery of a register the
      plain chain does not cover *)
@@ -817,11 +844,11 @@ let test_chained_full_rejects_any_register () =
     let k = Kernel.create ~signal_policy:policy (Rng.create 2L) in
     let p = Kernel.boot k (Asm.parse signal_src) in
     let m = Kernel.machine p in
-    for _ = 1 to 50 do Machine.step m done;
+    ignore (Machine.run ~fuel:50 m);
     Kernel.deliver_signal k p ~handler:"handler" ~signum:7;
     let sp = Machine.get m Reg.SP in
     Memory.store64 (Machine.memory m) (Int64.add sp (Int64.of_int (8 * 5))) 0xbadL;
-    Kernel.run k p
+    Machine.run m
   in
   (match forged_x5 Kernel.Sig_chained with
   | Machine.Halted 0 -> ()  (* PC/CR-only chain accepts the forged X5 *)
@@ -834,9 +861,9 @@ let test_chained_full_benign () =
   let k = Kernel.create ~signal_policy:Kernel.Sig_chained_full (Rng.create 2L) in
   let p = Kernel.boot k (Asm.parse signal_src) in
   let m = Kernel.machine p in
-  for _ = 1 to 50 do Machine.step m done;
+  ignore (Machine.run ~fuel:50 m);
   Kernel.deliver_signal k p ~handler:"handler" ~signum:7;
-  match Kernel.run k p with
+  match Machine.run m with
   | Machine.Halted 0 ->
     Alcotest.(check (list int64)) "output" [ 41L; 2000L ] (Machine.output m)
   | _ -> Alcotest.fail "benign signal failed under full chaining"
@@ -865,7 +892,7 @@ let test_guest_mprotect () =
   let k = Kernel.create (Rng.create 3L) in
   let p = Kernel.boot k (Asm.parse src) in
   let m = Kernel.machine p in
-  match Kernel.run k p with
+  match Machine.run m with
   | Machine.Faulted (Trap.Permission (_, Trap.Write)) ->
     (* W+X on code refused, read-only remap succeeded, then the store to
        the now read-only data page faulted *)
@@ -924,15 +951,15 @@ let test_preemptive_scheduling () =
   Alcotest.(check bool) "worker progressed without yielding" true (read "c2" > 0L);
   (* without preemption the worker never runs *)
   let k2 = Kernel.create (Rng.create 5L) in
-  let p2 = Kernel.boot k2 (Asm.parse preemptive_src) in
-  (match Kernel.run k2 p2 with Machine.Halted 0 -> () | _ -> Alcotest.fail "plain run failed");
-  let m2 = Kernel.machine p2 in
+  let m2 = Kernel.machine (Kernel.boot k2 (Asm.parse preemptive_src)) in
+  (match Machine.run m2 with Machine.Halted 0 -> () | _ -> Alcotest.fail "plain run failed");
   let read2 sym = Memory.load64 (Machine.memory m2) (Option.get (Image.symbol (Machine.image m2) sym)) in
   Alcotest.(check int64) "cooperative run starves the worker" 0L (read2 "c2")
 
-(* --- debugger ----------------------------------------------------------------------- *)
+(* --- debugging with run_until ---------------------------------------------------- *)
 
-module Debug = Pacstack_machine.Debug
+(* A breakpoint or a watchpoint is a [run_until] predicate; inspection
+   reads the paused machine. *)
 
 let debug_machine () =
   Machine.load
@@ -956,49 +983,70 @@ let debug_machine () =
   ret
 .endfunc|})
 
+(* A breakpoint: pc at the entry of function [name]. *)
+let at_entry m name =
+  let entry = Option.get (Image.symbol (Machine.image m) name) in
+  fun m -> Int64.equal (Machine.pc m) entry
+
 let test_debug_breakpoints () =
   let m = debug_machine () in
-  let d = Debug.create m in
-  Debug.break_at d "helper";
-  (match Debug.continue_ d with
-  | Debug.Breakpoint _ -> Alcotest.(check string) "stopped at entry" "helper+0" (Debug.where d)
-  | _ -> Alcotest.fail "expected first breakpoint");
-  (match Debug.continue_ d with
-  | Debug.Breakpoint _ -> ()
-  | _ -> Alcotest.fail "expected second breakpoint");
-  match Debug.continue_ d with
-  | Debug.Halted 0 -> ()
+  let at_helper = at_entry m "helper" in
+  (match Machine.run_until m ~stop:at_helper with
+  | None ->
+    Alcotest.(check (option string)) "stopped in helper" (Some "helper")
+      (Image.function_at (Machine.image m) (Machine.pc m))
+  | Some _ -> Alcotest.fail "expected first breakpoint");
+  (* the pause holds pc at the breakpoint: continue past it first *)
+  ignore (Machine.run ~fuel:1 m);
+  (match Machine.run_until m ~stop:at_helper with
+  | None -> ()
+  | Some _ -> Alcotest.fail "expected second breakpoint");
+  ignore (Machine.run ~fuel:1 m);
+  match Machine.run_until m ~stop:at_helper with
+  | Some (Machine.Halted 0) -> ()
   | _ -> Alcotest.fail "expected halt"
 
 let test_debug_watchpoint () =
   let m = debug_machine () in
-  let d = Debug.create m in
   let counter = Option.get (Image.symbol (Machine.image m) "counter") in
-  Debug.watch d counter;
-  match Debug.continue_ d with
-  | Debug.Watchpoint (addr, old, now) ->
-    Alcotest.(check int64) "address" counter addr;
-    Alcotest.(check int64) "old" 0L old;
-    Alcotest.(check int64) "new" 1L now
-  | _ -> Alcotest.fail "expected watchpoint"
+  let watched m = Memory.peek64 (Machine.memory m) counter in
+  let old = watched m in
+  match Machine.run_until m ~stop:(fun m -> watched m <> old) with
+  | None ->
+    Alcotest.(check (option int64)) "old" (Some 0L) old;
+    Alcotest.(check (option int64)) "new" (Some 1L) (watched m);
+    Alcotest.(check bool) "paused right after the store" true
+      (match Image.fetch (Machine.image m) (Int64.sub (Machine.pc m) 4L) with
+      | Some (Pacstack_isa.Instr.Str _) -> true
+      | _ -> false)
+  | Some _ -> Alcotest.fail "expected watchpoint"
 
 let test_debug_inspection () =
   let m = debug_machine () in
-  let d = Debug.create m in
-  Debug.break_at d "helper";
-  (match Debug.continue_ d with Debug.Breakpoint _ -> () | _ -> Alcotest.fail "no bp");
+  (match Machine.run_until m ~stop:(at_entry m "helper") with
+  | None -> ()
+  | Some _ -> Alcotest.fail "no bp");
   (* step into the prologue so the frame record exists *)
-  ignore (Debug.step d);
-  ignore (Debug.step d);
-  let bt = Debug.backtrace d in
-  Alcotest.(check bool) "backtrace mentions main" true
-    (List.exists (fun s -> s = "main") bt);
-  Alcotest.(check bool) "disassembly marks pc" true
-    (String.length (Debug.disassemble_around d) > 0);
-  Debug.clear d;
-  match Debug.continue_ d with
-  | Debug.Halted 0 -> ()
-  | _ -> Alcotest.fail "clear removed breakpoints"
+  ignore (Machine.run ~fuel:2 m);
+  let image = Machine.image m in
+  let mem = Machine.memory m in
+  (* each frame record holds the caller's fp and the return address *)
+  let rec frames acc fp =
+    if Word64.equal fp 0L then List.rev acc
+    else
+      match Memory.peek64 mem fp, Memory.peek64 mem (Int64.add fp 8L) with
+      | Some caller_fp, Some ret -> frames (Image.function_at image ret :: acc) caller_fp
+      | _ -> List.rev acc
+  in
+  Alcotest.(check (list (option string))) "backtrace" [ Some "helper"; Some "main" ]
+    (Image.function_at image (Machine.pc m) :: frames [] (Machine.get m Reg.fp));
+  Alcotest.(check bool) "pc past the prologue" true
+    (match Image.fetch image (Machine.pc m) with
+    | Some (Pacstack_isa.Instr.Adr _) -> true
+    | _ -> false);
+  match Machine.run m with
+  | Machine.Halted 0 -> ()
+  | _ -> Alcotest.fail "runs on to the halt"
 
 (* --- Unwinder ------------------------------------------------------------------ *)
 
@@ -1063,8 +1111,9 @@ module Profile = Pacstack_machine.Profile
 
 let test_profile_attribution () =
   let m = Machine.load pacstack_chain_src in
-  let p = Profile.attach m in
-  (match Machine.run m with Machine.Halted 0 -> () | _ -> Alcotest.fail "run failed");
+  let p =
+    match Profile.run m with Machine.Halted 0, p -> p | _ -> Alcotest.fail "run failed"
+  in
   (* every function in the chain was activated exactly once, id twice
      (once from f3, once... no — once) *)
   List.iter
@@ -1080,12 +1129,50 @@ let test_profile_attribution () =
   Alcotest.(check bool) "density positive" true (Profile.call_density p > 0.0);
   Alcotest.(check int) "total calls" 4 (Profile.total_calls p)
 
+(* A profile covers its own run only: a plain run that continues the
+   machine afterwards attributes nothing to it. *)
 let test_profile_detach () =
   let m = Machine.load pacstack_chain_src in
-  let p = Profile.attach m in
-  Profile.detach m;
-  ignore (Machine.run m);
-  Alcotest.(check int) "no attribution after detach" 0 (Profile.total_calls p)
+  let p =
+    match Profile.run ~fuel:10 m with
+    | Machine.Out_of_fuel, p -> p
+    | _ -> Alcotest.fail "expected a paused run"
+  in
+  let calls = Profile.total_calls p in
+  Alcotest.(check bool) "fewer calls than the whole run" true (calls < 4);
+  (match Machine.run m with Machine.Halted 0 -> () | _ -> Alcotest.fail "run failed");
+  Alcotest.(check int) "no attribution after detach" calls (Profile.total_calls p)
+
+(* Figure 5's calls/ki: every kernel's unprotected Rate build, profiled
+   to its halt, counts these calls over these instructions. *)
+let test_profile_kernels () =
+  List.iter
+    (fun (name, calls, instructions) ->
+      let bench = Option.get (Pacstack_workloads.Speclike.find name) in
+      let m =
+        Machine.load
+          (Pacstack_minic.Compile.compile ~scheme:Scheme.unprotected
+             (bench.Pacstack_workloads.Speclike.program Pacstack_workloads.Speclike.Rate))
+      in
+      match Profile.run ~fuel:100_000_000 m with
+      | Machine.Halted 0, p ->
+        Alcotest.(check int) (name ^ " calls") calls (Profile.total_calls p);
+        Alcotest.(check int) (name ^ " instructions") instructions
+          (Machine.instructions_retired m);
+        Alcotest.(check (float 0.0)) (name ^ " calls/ki")
+          (1000.0 *. float_of_int calls /. float_of_int instructions)
+          (Profile.call_density p)
+      | _ -> Alcotest.fail (name ^ ": profiling run failed"))
+    [
+      ("perlbench", 2_438, 329_499);
+      ("gcc", 1_896, 449_133);
+      ("mcf", 797, 139_532);
+      ("lbm", 0, 897_286);
+      ("xz", 16_928, 670_647);
+      ("x264", 660, 140_947);
+      ("imagick", 360, 332_859);
+      ("nab", 120, 417_621);
+    ]
 
 (* --- validated longjmp -------------------------------------------------------- *)
 
@@ -1246,6 +1333,7 @@ let () =
             test_unprotected_sigreturn_accepts_forgery;
           Alcotest.test_case "guest mprotect respects W^X" `Quick test_guest_mprotect;
           Alcotest.test_case "run_all round-robin" `Quick test_run_all_processes;
+          Alcotest.test_case "run_all stops when its fuel is spent" `Quick test_run_all_fuel;
           Alcotest.test_case "full chain covers all registers" `Quick
             test_chained_full_rejects_any_register;
           Alcotest.test_case "full chain benign round-trip" `Quick test_chained_full_benign;
@@ -1274,6 +1362,8 @@ let () =
         [
           Alcotest.test_case "attribution" `Quick test_profile_attribution;
           Alcotest.test_case "detach" `Quick test_profile_detach;
+          Alcotest.test_case "SPEC-like kernels: calls and instructions" `Quick
+            test_profile_kernels;
         ] );
       ( "cfi+code",
         [

@@ -65,6 +65,26 @@ let test_figure5_header () =
     [ "=== Figure 5: per-benchmark overhead w.r.t. baseline (%, SPECrate-like) ===" ];
   Alcotest.(check bool) "no doubled percent sign" false (contains out "%%")
 
+(* The SP-modifier section counts calls and their SP values with a
+   [run_until] observer; it prints exactly these lines. *)
+let test_sp_collisions () =
+  let lines =
+    [
+      "=== SP-modifier reuse (paper 2.2.1: why the SP is a weak modifier) ===";
+      "perlbench       2438 calls use only     2 distinct SP values (99.9% of signatures \
+       reuse a modifier)";
+      "gcc             1896 calls use only    40 distinct SP values (97.9% of signatures \
+       reuse a modifier)";
+      "mcf              797 calls use only     2 distinct SP values (99.7% of signatures \
+       reuse a modifier)";
+      "x264             660 calls use only     2 distinct SP values (99.7% of signatures \
+       reuse a modifier)";
+    ]
+  in
+  Alcotest.(check string) "SP-modifier section"
+    (String.concat "\n" ("" :: lines) ^ "\n")
+    (render Report.sp_collisions)
+
 (* --- CSV export: golden headers, row shape and agreement with the report -- *)
 
 let with_temp_dir f =
@@ -120,6 +140,7 @@ let () =
           Alcotest.test_case "birthday tiny-scale" `Quick test_birthday_smoke;
           Alcotest.test_case "bruteforce tiny-scale" `Quick test_bruteforce_smoke;
           Alcotest.test_case "figure5 header" `Quick test_figure5_header;
+          Alcotest.test_case "SP-modifier reuse counts" `Quick test_sp_collisions;
         ] );
       ("export", [ Alcotest.test_case "table1 csv golden" `Quick test_export_table1_golden ]);
     ]
