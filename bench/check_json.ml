@@ -3,7 +3,7 @@
 
      check_json BENCH.json        validate a bench export: parses with
                                   the campaign Json codec and carries the
-                                  documented schema v6 keys, every
+                                  documented schema v7 keys, every
                                   required section and gate, and only
                                   same-run "before" sections (see
                                   README.md)
@@ -52,19 +52,19 @@ let list_member name v =
   | Some l -> l
   | None -> fail "field %S is not a list in %s" name (Json.to_string v)
 
-(* --- the bench export schema (v6) ------------------------------------------ *)
+(* --- the bench export schema (v7) ------------------------------------------ *)
 
 let required_sections =
   [
-    "qarma_mac_reference"; "qarma_mac_fast"; "machine_step_reference";
-    "machine_step_threaded"; "machine_load"; "machine_instantiate";
+    "machine_step_reference"; "machine_step_threaded"; "machine_load";
+    "machine_instantiate";
   ]
 
 let required_gates =
   [
-    "mac_speedup"; "mac_rate"; "step_rate"; "step_speedup"; "threaded_step_rate";
-    "obs_machine_overhead"; "obs_fuzz_overhead"; "campaign_overhead"; "alu_no_alloc";
-    "logic_no_alloc"; "cmp_no_alloc"; "global_no_alloc"; "unprotected_no_alloc"; "pac_no_alloc";
+    "step_rate"; "step_speedup"; "threaded_step_rate"; "obs_machine_overhead";
+    "obs_fuzz_overhead"; "campaign_overhead"; "alu_no_alloc"; "logic_no_alloc";
+    "cmp_no_alloc"; "global_no_alloc"; "unprotected_no_alloc"; "pac_no_alloc";
   ]
 
 let positive what v = if not (Float.is_finite v && v > 0.) then fail "%s: not a positive number" what
@@ -106,7 +106,7 @@ let check_bench path =
     | Error e -> fail "%s does not parse: %s" path e
   in
   let version = int_member "schema_version" doc in
-  if version <> 6 then fail "schema_version %d, expected 6" version;
+  if version <> 7 then fail "schema_version %d, expected 7" version;
   if str_member "bench" doc <> "pacstack-hot-path" then fail "unexpected bench id";
   let obs = require_member "obs_overhead" doc in
   ignore (float_member "guard_ns" obs);

@@ -1,14 +1,14 @@
 (* The same-run performance gates that the end-to-end benchmark
-   (perfbench/) cannot measure: each engine rewrite against its in-tree
-   reference oracle (the QARMA-64 MAC, the threaded machine), the lib/obs
-   disabled-path bound, the campaign engine's tax over the raw streaming
-   fold, and the threaded engine's allocation per step. Every gated ratio
-   divides two numbers measured in this run; the absolute floors catch a
-   slowdown that hits both sides of a ratio alike.
+   (perfbench/) cannot measure: the threaded engine against its in-tree
+   reference oracle, the lib/obs disabled-path bound, the campaign
+   engine's tax over the raw streaming fold, and the threaded engine's
+   allocation per step. Every gated ratio divides two numbers measured in
+   this run; the absolute floors catch a slowdown that hits both sides of
+   a ratio alike.
 
      bench [--out FILE]   measure, print and evaluate every gate, exit 1
                           on a miss; --out also writes the sections and
-                          gates as JSON (schema v6, see README.md) *)
+                          gates as JSON (schema v7, see README.md) *)
 
 module Stats = Pacstack_util.Stats
 module Scheme = Pacstack_harden.Scheme
@@ -16,8 +16,6 @@ module Machine = Pacstack_machine.Machine
 module Json = Pacstack_campaign.Json
 module Campaign = Pacstack_campaign.Campaign
 module Plans = Pacstack_report.Plans
-module Qarma64 = Pacstack_qarma.Qarma64
-module Prf = Pacstack_qarma.Prf
 module Obs = Pacstack_obs.Obs
 module Inject_engine = Pacstack_inject.Engine
 module Fuzz_driver = Pacstack_fuzz.Driver
@@ -84,12 +82,6 @@ let median xs = Stats.percentile xs 50.0
 
 let perf_sections () =
   Format.printf "measuring hot-path sections...@.";
-  let key = Qarma64.key ~w0:0x0123456789abcdefL ~k0:0xfedcba9876543210L in
-  let prf = Prf.create key in
-  let ref_ns =
-    time_per_op ~iters:3_000 (fun () -> Qarma64.Reference.encrypt key ~tweak:7L 42L)
-  in
-  let fast_ns = time_per_op ~iters:200_000 (fun () -> Prf.mac64 prf ~data:42L ~modifier:7L) in
   (* The Reference and threaded engines timed in paired, interleaved
      rounds (alternating which goes first), so host-speed drift hits both
      sides of a round alike: [step_speedup] is the median over rounds of
@@ -117,8 +109,6 @@ let perf_sections () =
     time_per_op ~iters:50 (fun () -> Machine.instantiate prepared)
   in
   ( [
-      section "qarma_mac_reference" ref_ns;
-      section ~before:"qarma_mac_reference" "qarma_mac_fast" fast_ns;
       section "machine_step_reference" step_ref_ns;
       section ~before:"machine_step_reference" "machine_step_threaded" step_thr_ns;
       section "machine_load" load_ns;
@@ -401,11 +391,6 @@ let gate_op_string g = match g.op with Floor -> ">=" | Ceiling -> "<="
 let gates sections ~step_speedup obs cost alloc =
   let rate name = 1e9 /. (find sections name).ns_per_op in
   [
-    { gname = "mac_speedup"; metric = "fast MAC speedup over reference (x)";
-      op = Floor; limit = 5.0;
-      value = Option.value ~default:0. (speedup sections (find sections "qarma_mac_fast")) };
-    { gname = "mac_rate"; metric = "QARMA MACs per second";
-      op = Floor; limit = 200_000.; value = rate "qarma_mac_fast" };
     { gname = "step_rate"; metric = "Machine.Reference steps per second";
       op = Floor; limit = 5_000_000.; value = rate "machine_step_reference" };
     (* median paired Reference/threaded ratio: 2.12-2.85 (median 2.42)
@@ -436,7 +421,7 @@ let json_of sections obs cost alloc gate_results =
   let opt f = function Some v -> f v | None -> Json.Null in
   Json.Obj
     [
-      ("schema_version", Json.Int 6);
+      ("schema_version", Json.Int 7);
       ("bench", Json.String "pacstack-hot-path");
       ( "obs_overhead",
         Json.Obj

@@ -13,14 +13,14 @@
     at the tail-callee's return. *)
 
 val forge_with_gadget :
-  Pacstack_pa.Config.t -> Pacstack_qarma.Prf.t ->
+  Pacstack_pa.Config.t -> Pacstack_pa.Prf.t ->
   target:Pacstack_util.Word64.t -> modifier:Pacstack_util.Word64.t ->
   Pacstack_util.Word64.t
 (** The signed pointer an adversary obtains for an arbitrary [target] by
     driving a forged pointer through [aut; pac] and flipping bit [p]. *)
 
 val gadget_forges_valid_pointer :
-  Pacstack_pa.Config.t -> Pacstack_qarma.Prf.t ->
+  Pacstack_pa.Config.t -> Pacstack_pa.Prf.t ->
   target:Pacstack_util.Word64.t -> modifier:Pacstack_util.Word64.t -> bool
 (** True: the gadget works against a scheme that lets the adversary touch
     the intermediate value (demonstrates the vulnerability exists in our

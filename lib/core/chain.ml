@@ -2,7 +2,7 @@ module Word64 = Pacstack_util.Word64
 module Config = Pacstack_pa.Config
 module Pointer = Pacstack_pa.Pointer
 module Pac = Pacstack_pa.Pac
-module Prf = Pacstack_qarma.Prf
+module Prf = Pacstack_pa.Prf
 
 type t = {
   cfg : Config.t;

@@ -25,7 +25,7 @@ val create :
   ?masked:bool ->
   ?seed:Pacstack_util.Word64.t ->
   cfg:Pacstack_pa.Config.t ->
-  Pacstack_qarma.Prf.t -> t
+  Pacstack_pa.Prf.t -> t
 (** [masked] defaults to true; [seed] (the §4.3 re-seeding value, e.g. a
     thread id) defaults to 0. *)
 

@@ -1,7 +1,7 @@
 module Word64 = Pacstack_util.Word64
 module Rng = Pacstack_util.Rng
 module Stats = Pacstack_util.Stats
-module Prf = Pacstack_qarma.Prf
+module Prf = Pacstack_pa.Prf
 
 type estimate = {
   successes : int;
@@ -23,8 +23,6 @@ let merge_estimates a b = estimate ~successes:(a.successes + b.successes) ~trial
 let pp_estimate fmt e =
   Format.fprintf fmt "%d/%d = %.2e [%.2e, %.2e]" e.successes e.trials e.rate e.ci_low e.ci_high
 
-let fresh_prf rng = Prf.create_fast (Rng.next64 rng)
-
 let token prf ~bits ~data ~modifier = Prf.mac prf ~bits ~data ~modifier
 
 (* --- §6.2.1 birthday harvesting -------------------------------------- *)
@@ -33,7 +31,7 @@ let birthday_total ?(bits = 16) ~trials rng =
   if trials <= 0 then invalid_arg "Games.birthday_total";
   let total = ref 0 in
   for _ = 1 to trials do
-    let prf = fresh_prf rng in
+    let prf = Prf.of_rng rng in
     let ret_c = Rng.next64 rng in
     let seen = Hashtbl.create 512 in
     let rec harvest n =
@@ -121,7 +119,7 @@ let violation_success ~masked ~kind ~bits ?(harvest = 2000) ~trials rng =
   if trials <= 0 then invalid_arg "Games.violation_success";
   let successes = ref 0 in
   for _ = 1 to trials do
-    let prf = fresh_prf rng in
+    let prf = Prf.of_rng rng in
     let ok =
       match (kind : Analysis.violation_kind) with
       | Analysis.On_graph -> on_graph_trial ~masked ~bits ~harvest prf rng
@@ -138,7 +136,7 @@ let mask_distinguisher_advantage ~bits ~queries ~trials rng =
   if trials <= 0 || queries < 2 then invalid_arg "Games.mask_distinguisher_advantage";
   let correct = ref 0 in
   for _ = 1 to trials do
-    let prf = fresh_prf rng in
+    let prf = Prf.of_rng rng in
     let real = Rng.bool rng in
     let data = Rng.next64 rng in
     (* Sample the visible stream: masked real tokens or uniform noise. *)
@@ -179,7 +177,7 @@ let theorem1_check ~bits ~queries ~trials rng =
      the blind 2^-b baseline. *)
   let successes = ref 0 in
   for _ = 1 to trials do
-    let prf = fresh_prf rng in
+    let prf = Prf.of_rng rng in
     let data = Rng.next64 rng in
     let entries =
       Array.init queries (fun _ ->

@@ -43,13 +43,7 @@ let run_variant cfg (compiled : Program.t) : Trace.t =
     match cfg.transform with Some f -> f compiled | None -> compiled
   in
   let m = Machine.load compiled in
-  let outcome =
-    match Machine.run ~fuel:cfg.machine_fuel m with
-    | Machine.Halted code -> Trace.Exit code
-    | Machine.Faulted _ -> Trace.Trap
-    | Machine.Out_of_fuel -> Trace.Fuel
-  in
-  { Trace.outcome; output = Machine.output m }
+  Trace.of_run m (Machine.run ~fuel:cfg.machine_fuel m)
 
 (* The peephole variant is derived from the unoptimised compile, which
    equals compiling with [~optimize:true] (pinned in test_minic): one

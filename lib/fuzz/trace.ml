@@ -27,6 +27,17 @@ type t = { outcome : outcome; output : int64 list }
 
 let exit_code code = { outcome = Exit code; output = [] }
 
+(* The trace of a machine run that ended in [outcome]: the oracle's
+   machine side and the fault-injection classifier both map a run here. *)
+let of_run m (outcome : Pacstack_machine.Machine.outcome) =
+  let outcome =
+    match outcome with
+    | Halted code -> Exit code
+    | Faulted _ -> Trap
+    | Out_of_fuel -> Fuel
+  in
+  { outcome; output = Pacstack_machine.Machine.output m }
+
 let pp_outcome fmt = function
   | Exit c -> Format.fprintf fmt "exit %d" c
   | Trap -> Format.fprintf fmt "trap"

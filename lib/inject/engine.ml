@@ -105,15 +105,6 @@ type result = { spec : Fault.spec; scheme : Scheme.t; classification : classific
 
 let machine_cfg cfg = Config.make ~pac_bits:cfg.pac_bits ()
 
-let trace_of m (outcome : Machine.outcome) =
-  let o =
-    match outcome with
-    | Machine.Halted c -> Trace.Exit c
-    | Machine.Faulted _ -> Trace.Trap
-    | Machine.Out_of_fuel -> Trace.Fuel
-  in
-  { Trace.outcome = o; output = Machine.output m }
-
 (* The runtime aborts detection turns into exit codes; both victims
    return [s land 63], so 134/139 are unambiguous here. *)
 let classify ~ref_trace ~injected_cycles m (outcome : Machine.outcome) =
@@ -123,7 +114,7 @@ let classify ~ref_trace ~injected_cycles m (outcome : Machine.outcome) =
   | Machine.Halted 134 -> Detected { cause = "canary-abort"; latency = latency () }
   | Machine.Halted 139 -> Detected { cause = "sigreturn-kill"; latency = latency () }
   | Machine.Halted _ | Machine.Out_of_fuel ->
-    if Trace.equal ref_trace (trace_of m outcome) then Benign else Silent
+    if Trace.equal ref_trace (Trace.of_run m outcome) then Benign else Silent
 
 (* ------------------------------------------------------------------ *)
 (* Generic sites: pause at the trigger, xor, resume                    *)
@@ -187,7 +178,7 @@ let instance cfg scheme victim keys_rng =
 let reference cfg scheme victim keys_rng =
   let m = instance cfg scheme victim keys_rng in
   let outcome = Machine.run ~fuel:cfg.fuel m in
-  (trace_of m outcome, max 1 (Machine.instructions_retired m))
+  (Trace.of_run m outcome, max 1 (Machine.instructions_retired m))
 
 let run_generic cfg (spec : Fault.spec) scheme victim keys_rng =
   let ref_trace, total = reference cfg scheme victim keys_rng in
@@ -344,7 +335,7 @@ let run_signal cfg (spec : Fault.spec) scheme victim keys_rng =
       Machine.run_until ~fuel:cfg.fuel m ~stop:(fun m ->
           Machine.instructions_retired m >= trigger)
     with
-    | Some outcome -> (trace_of m outcome, Machine.cycles m, m, outcome)
+    | Some outcome -> (Trace.of_run m outcome, Machine.cycles m, m, outcome)
     | None ->
       Kernel.deliver_signal k p ~handler:Victim.handler_name ~signum:14;
       let at = Machine.cycles m in
@@ -358,7 +349,7 @@ let run_signal cfg (spec : Fault.spec) scheme victim keys_rng =
           Memory.store64 (Machine.memory m) addr (Int64.logxor v pc_flip)
       end;
       let outcome = Machine.run ~fuel:cfg.fuel m in
-      (trace_of m outcome, at, m, outcome)
+      (Trace.of_run m outcome, at, m, outcome)
   in
   let ref_trace, _, _, _ = run ~corrupt:false in
   let _, at, m, outcome = run ~corrupt:true in

@@ -1,14 +1,13 @@
 module Word64 = Pacstack_util.Word64
 module Rng = Pacstack_util.Rng
 module Keys = Pacstack_pa.Keys
-module Prf = Pacstack_qarma.Prf
+module Prf = Pacstack_pa.Prf
 module Reg = Pacstack_isa.Reg
 
 type signal_policy = Sig_unprotected | Sig_chained | Sig_chained_full
 
 type t = {
   rng : Rng.t;
-  fast_keys : bool;
   signal_policy : signal_policy;
   mutable next_pid : int;
   mutable procs : proc list;  (* newest first *)
@@ -23,8 +22,8 @@ and proc = {
   mutable threads : Machine.context list;  (* suspended contexts, kernel-side *)
 }
 
-let create ?(signal_policy = Sig_unprotected) ?(fast_keys = true) rng =
-  { rng; fast_keys; signal_policy; next_pid = 1; procs = [] }
+let create ?(signal_policy = Sig_unprotected) rng =
+  { rng; signal_policy; next_pid = 1; procs = [] }
 
 let machine p = p.m
 let pid p = p.pid
@@ -150,7 +149,7 @@ let register t machine ~parent =
 (* A fresh process image: new keys from the kernel's stream, then the
    canary from a split of it. *)
 let instance t prepared =
-  let keys = Keys.generate ~fast:t.fast_keys t.rng in
+  let keys = Keys.generate t.rng in
   Machine.instantiate ~keys ~rng:(Rng.split t.rng) prepared
 
 let boot_prepared t prepared = register t (instance t prepared) ~parent:None

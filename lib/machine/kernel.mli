@@ -30,12 +30,9 @@ type signal_policy =
 type t
 type proc
 
-val create :
-  ?signal_policy:signal_policy ->
-  ?fast_keys:bool ->
-  Pacstack_util.Rng.t -> t
-(** [fast_keys] (default true) selects the mixer-backed PRF for generated
-    key sets. *)
+val create : ?signal_policy:signal_policy -> Pacstack_util.Rng.t -> t
+(** A kernel drawing every process's PA keys and canary from the
+    generator; [signal_policy] defaults to [Sig_unprotected]. *)
 
 val boot : t -> Pacstack_isa.Program.t -> proc
 (** [boot_prepared t (Machine.prepare program)]. *)

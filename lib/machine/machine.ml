@@ -919,7 +919,7 @@ let prepare program =
 
 let instantiate ?(cfg = Config.default) ?keys ?rng p =
   let rng = match rng with Some r -> r | None -> Rng.create 0x9ac57ac4L in
-  let keys = match keys with Some k -> k | None -> Keys.generate ~fast:true rng in
+  let keys = match keys with Some k -> k | None -> Keys.generate rng in
   let image = p.p_image in
   let mem = Memory.create () in
   (* the code pages hold the real encoding (what an adversary can

@@ -151,10 +151,10 @@ val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
     reference engine and missed by the threaded one. *)
 
 (** The original fetch-then-match interpreter, kept verbatim as the
-    oracle for the threaded engine (the [Qarma64.Reference] pattern):
-    same machine state, same traps, same counters, one instruction
-    dispatch at a time. The engines may be interleaved freely on one
-    machine — they share all state and differ only in dispatch. *)
+    oracle for the threaded engine: same machine state, same traps, same
+    counters, one instruction dispatch at a time. The engines may be
+    interleaved freely on one machine — they share all state and differ
+    only in dispatch. *)
 module Reference : sig
   val run : ?fuel:int -> t -> outcome
   val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option

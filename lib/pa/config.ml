@@ -2,7 +2,9 @@ type t = { va_size : int; pac_bits : int }
 
 let make ?(va_size = 39) ?pac_bits () =
   if va_size < 16 || va_size > 52 then invalid_arg "Pa.Config.make: va_size";
-  let max_bits = 55 - va_size in
+  (* The PAC field spans bits [va_size, 54], and [Prf.mac] yields at most
+     32 bits. *)
+  let max_bits = min 32 (55 - va_size) in
   let pac_bits = Option.value pac_bits ~default:max_bits in
   if pac_bits < 1 || pac_bits > max_bits then invalid_arg "Pa.Config.make: pac_bits";
   { va_size; pac_bits }

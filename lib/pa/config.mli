@@ -10,12 +10,13 @@
 
 type t = private {
   va_size : int;   (** significant address bits, e.g. 39 *)
-  pac_bits : int;  (** PAC width [b]; at most [55 - va_size] *)
+  pac_bits : int;  (** PAC width [b]; at most [min 32 (55 - va_size)] *)
 }
 
 val make : ?va_size:int -> ?pac_bits:int -> unit -> t
-(** Defaults: [va_size = 39], [pac_bits = 55 - va_size = 16]. Raises
-    [Invalid_argument] if the PAC does not fit. *)
+(** Defaults: [va_size = 39], [pac_bits = min 32 (55 - va_size)] (16 at
+    the default [va_size]). Raises [Invalid_argument] if the PAC does not
+    fit or is wider than the 32 bits {!Prf.mac} produces. *)
 
 val default : t
 (** [make ()]. *)

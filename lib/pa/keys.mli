@@ -11,11 +11,10 @@ val pp_which : Format.formatter -> which -> unit
 
 type t
 
-val generate : ?fast:bool -> ?rounds:int -> Pacstack_util.Rng.t -> t
-(** Fresh random key set. [fast] (default false) selects the mixer-backed
-    PRF instantiation; [rounds] the QARMA round count otherwise. *)
+val generate : Pacstack_util.Rng.t -> t
+(** Fresh random key set: five [Prf.of_rng] draws from the generator. *)
 
-val get : t -> which -> Pacstack_qarma.Prf.t
+val get : t -> which -> Prf.t
 
 val equal : t -> t -> bool
 (** Key-material equality — used by tests to check the kernel really does

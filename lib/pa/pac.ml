@@ -1,5 +1,4 @@
 module Word64 = Pacstack_util.Word64
-module Prf = Pacstack_qarma.Prf
 
 type result = Valid of Pointer.t | Invalid of Pointer.t
 

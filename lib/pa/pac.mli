@@ -18,23 +18,23 @@ type result = Valid of Pointer.t | Invalid of Pointer.t
     [Invalid p]: failed, [p] carries the error bit. *)
 
 val compute :
-  Config.t -> Pacstack_qarma.Prf.t ->
+  Config.t -> Prf.t ->
   address:Pointer.t -> modifier:Pacstack_util.Word64.t -> Pacstack_util.Word64.t
 (** The [pac_bits]-wide PAC for a (stripped) address under a modifier. *)
 
 val add :
-  Config.t -> Pacstack_qarma.Prf.t ->
+  Config.t -> Prf.t ->
   Pointer.t -> modifier:Pacstack_util.Word64.t -> Pointer.t
 (** [pacia]-style signing, including the flipped-PAC-bit behaviour on
     non-canonical input. *)
 
 val auth :
-  Config.t -> Pacstack_qarma.Prf.t ->
+  Config.t -> Prf.t ->
   Pointer.t -> modifier:Pacstack_util.Word64.t -> result
 (** [autia]-style verification. *)
 
 val auth_value :
-  Config.t -> Pacstack_qarma.Prf.t ->
+  Config.t -> Prf.t ->
   Pointer.t -> modifier:Pacstack_util.Word64.t -> Pointer.t
 (** {!auth} without the [result] box, for the execution hot paths: the
     stripped address on success, the error-bit-tagged pointer on
@@ -45,7 +45,7 @@ val strip : Config.t -> Pointer.t -> Pointer.t
 (** [xpac]: remove the PAC without verification. *)
 
 val generic :
-  Config.t -> Pacstack_qarma.Prf.t ->
+  Config.t -> Prf.t ->
   Pacstack_util.Word64.t -> modifier:Pacstack_util.Word64.t -> Pacstack_util.Word64.t
 (** [pacga]: a 32-bit MAC over an arbitrary 64-bit value, returned in the
     upper half of the result (lower half zero). Used by the Appendix B

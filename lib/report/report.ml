@@ -193,7 +193,7 @@ let bruteforce ?seed ?workers ?scale ?progress fmt =
 let gadget fmt =
   section fmt "PA signing gadget (paper 6.3.1)";
   let rng = Rng.create 4L in
-  let prf = Pacstack_qarma.Prf.of_rng ~fast:true rng in
+  let prf = Pacstack_pa.Prf.of_rng rng in
   let cfg = Pacstack_pa.Config.default in
   Format.fprintf fmt "aut;pac gadget forges a valid PAC for an arbitrary pointer: %b@."
     (Gadget.gadget_forges_valid_pointer cfg prf ~target:0x1234_5678L ~modifier:0xabcdL);

@@ -22,8 +22,6 @@ let stddev xs =
     let ss = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs in
     sqrt (ss /. float_of_int (n - 1))
 
-let sorted xs = List.sort compare xs
-
 let percentile xs p =
   (* Validate the rank before touching the data: an out-of-range [p]
      used to compute an out-of-range [rank] and die on array bounds,
@@ -33,7 +31,7 @@ let percentile xs p =
     invalid_arg (Printf.sprintf "Stats.percentile: p = %g not in [0, 100]" p);
   if List.exists Float.is_nan xs then
     invalid_arg "Stats.percentile: NaN element";
-  match sorted xs with
+  match List.sort compare xs with
   | [] -> invalid_arg "Stats.percentile"
   | s ->
     let a = Array.of_list s in
@@ -45,34 +43,6 @@ let percentile xs p =
       let hi = min (lo + 1) (n - 1) in
       let frac = rank -. float_of_int lo in
       a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
-
-let median xs = percentile xs 50.0
-
-(* One sort, many ranks: the per-scheme tail-latency tables ask for
-   p50/p95/p99/p999 of the same samples, and sorting once is what makes
-   that linear instead of quadratic in the number of ranks. *)
-let percentiles xs ps =
-  List.iter
-    (fun p ->
-      if Float.is_nan p || p < 0.0 || p > 100.0 then
-        invalid_arg (Printf.sprintf "Stats.percentiles: p = %g not in [0, 100]" p))
-    ps;
-  if List.exists Float.is_nan xs then invalid_arg "Stats.percentiles: NaN element";
-  match sorted xs with
-  | [] -> invalid_arg "Stats.percentiles"
-  | s ->
-    let a = Array.of_list s in
-    let n = Array.length a in
-    List.map
-      (fun p ->
-        if n = 1 then a.(0)
-        else
-          let rank = p /. 100.0 *. float_of_int (n - 1) in
-          let lo = int_of_float (floor rank) in
-          let hi = min (lo + 1) (n - 1) in
-          let frac = rank -. float_of_int lo in
-          a.(lo) +. (frac *. (a.(hi) -. a.(lo))))
-      ps
 
 let weighted_percentile ~bounds ~counts p =
   if Float.is_nan p || p < 0.0 || p > 100.0 then

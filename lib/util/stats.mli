@@ -11,18 +11,10 @@ val geometric_mean : float list -> float
 val stddev : float list -> float
 (** Sample standard deviation (n-1 denominator); 0 for fewer than 2 values. *)
 
-val median : float list -> float
-
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0, 100], linear interpolation.
     Raises [Invalid_argument] if [xs] is empty, if [p] is NaN or outside
     [0, 100], or if any element is NaN (NaN has no rank). *)
-
-val percentiles : float list -> float list -> float list
-(** [percentiles xs ps] is [List.map (percentile xs) ps] computed with a
-    single sort — use it when asking several ranks of the same samples
-    (the p50/p95/p99/p999 latency tables). Same validation and
-    interpolation as {!percentile}, so the results agree exactly. *)
 
 val weighted_percentile : bounds:float array -> counts:int array -> float -> float
 (** [weighted_percentile ~bounds ~counts p]: the [p]-th percentile of a

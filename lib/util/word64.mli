@@ -1,5 +1,5 @@
-(** 64-bit word utilities shared by the cipher, the pointer-authentication
-    layer and the machine simulator.
+(** 64-bit word utilities shared by the pointer-authentication layer and
+    the machine simulator.
 
     All values are [int64] treated as unsigned 64-bit words. *)
 
@@ -45,9 +45,8 @@ val parity : t -> int
 
 (** {1 Nibbles}
 
-    The QARMA cipher views a 64-bit block as 16 4-bit cells, cell 0 being
-    the most significant nibble (big-endian cell order, as in the QARMA
-    specification). *)
+    A 64-bit word as 16 4-bit cells, cell 0 being the most significant
+    nibble (big-endian cell order, as in the QARMA specification). *)
 
 val nibble : t -> int -> int
 (** [nibble w i] is cell [i] (0 = most significant), in [0, 15]. *)

@@ -5,7 +5,7 @@
 module Word64 = Pacstack_util.Word64
 module Rng = Pacstack_util.Rng
 module Config = Pacstack_pa.Config
-module Prf = Pacstack_qarma.Prf
+module Prf = Pacstack_pa.Prf
 module Chain = Pacstack_acs.Chain
 module Analysis = Pacstack_acs.Analysis
 module Games = Pacstack_acs.Games
@@ -13,7 +13,7 @@ module Games = Pacstack_acs.Games
 let qtest name count gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
 
 let cfg = Config.default
-let fresh_chain ?masked ?seed () = Chain.create ?masked ?seed ~cfg (Prf.create_fast 0xc4a1L)
+let fresh_chain ?masked ?seed () = Chain.create ?masked ?seed ~cfg (Prf.create 0xc4a1L)
 
 let ret_gen = QCheck2.Gen.(map (fun a -> Int64.logor 4L (Int64.logand (Int64.of_int a) (Word64.mask 39))) int)
 

@@ -5,7 +5,7 @@
 module Word64 = Pacstack_util.Word64
 module Rng = Pacstack_util.Rng
 module Config = Pacstack_pa.Config
-module Prf = Pacstack_qarma.Prf
+module Prf = Pacstack_pa.Prf
 module Scheme = Pacstack_harden.Scheme
 module Kernel = Pacstack_machine.Kernel
 module Machine = Pacstack_machine.Machine
@@ -77,7 +77,7 @@ let test_matrix_shape () =
 (* --- signing gadget -------------------------------------------------------------- *)
 
 let cfg = Config.default
-let prf = Prf.create_fast 0x6ad6e7L
+let prf = Prf.create 0x6ad6e7L
 
 let test_gadget_forges () =
   Alcotest.(check bool) "forgery validates" true

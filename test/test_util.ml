@@ -213,7 +213,7 @@ let test_stddev () =
 
 let test_percentiles () =
   let xs = [ 1.0; 2.0; 3.0; 4.0 ] in
-  Alcotest.check feq "median" 2.5 (Stats.median xs);
+  Alcotest.check feq "p50" 2.5 (Stats.percentile xs 50.0);
   Alcotest.check feq "p0" 1.0 (Stats.percentile xs 0.0);
   Alcotest.check feq "p100" 4.0 (Stats.percentile xs 100.0)
 
@@ -234,23 +234,6 @@ let test_percentile_validates_rank () =
   Alcotest.check_raises "NaN element"
     (Invalid_argument "Stats.percentile: NaN element") (fun () ->
       ignore (Stats.percentile [ 1.0; Float.nan ] 50.0))
-
-let test_percentiles_many_ranks () =
-  (* one sort, many ranks must agree exactly with the one-rank function *)
-  let rng = Rng.create 91L in
-  let xs = List.init 257 (fun _ -> Rng.float rng *. 1000.0) in
-  let ps = [ 0.0; 12.5; 50.0; 90.0; 95.0; 99.0; 99.9; 100.0 ] in
-  List.iter2
-    (fun p got ->
-      Alcotest.check (Alcotest.float 1e-12)
-        (Printf.sprintf "p%g matches Stats.percentile" p)
-        (Stats.percentile xs p) got)
-    ps (Stats.percentiles xs ps);
-  Alcotest.check_raises "empty" (Invalid_argument "Stats.percentiles") (fun () ->
-      ignore (Stats.percentiles [] [ 50.0 ]));
-  Alcotest.check_raises "bad rank"
-    (Invalid_argument "Stats.percentiles: p = 101 not in [0, 100]") (fun () ->
-      ignore (Stats.percentiles xs [ 50.0; 101.0 ]))
 
 let test_weighted_percentile () =
   (* histogram percentiles must land within one bucket width of the exact
@@ -470,8 +453,6 @@ let () =
           Alcotest.test_case "stddev" `Quick test_stddev;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
           Alcotest.test_case "percentile rank validation" `Quick test_percentile_validates_rank;
-          Alcotest.test_case "percentiles: one sort, many ranks" `Quick
-            test_percentiles_many_ranks;
           Alcotest.test_case "weighted percentile over buckets" `Quick
             test_weighted_percentile;
           Alcotest.test_case "binomial CI" `Quick test_binomial_ci;
