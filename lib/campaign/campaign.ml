@@ -3,8 +3,6 @@ type isolation = Domains | Processes
 type policy = {
   retries : int;
   backoff_s : int -> float;
-  shard_fuel : int option;
-  fail_fast : bool;
   isolation : isolation;
   shard_timeout_s : float option;
 }
@@ -16,8 +14,6 @@ let default_policy =
        enough to step over a transient (fd pressure, allocator spike),
        short enough that a deterministic failure costs milliseconds *)
     backoff_s = (fun attempt -> 0.005 *. float_of_int (1 lsl (attempt - 1)));
-    shard_fuel = None;
-    fail_fast = false;
     isolation = Domains;
     shard_timeout_s = None;
   }
@@ -59,15 +55,12 @@ let results_exn outcome =
       (Printf.sprintf "Campaign %s: %d shard(s) quarantined: %s" outcome.plan_name
          (List.length qs) detail)
 
-(* Run one shard attempt under the watchdog budget (if any). The rng is
-   re-derived per attempt from (campaign seed, shard index) alone, so a
-   retry that succeeds produces the same result a first-attempt success
-   would have: crash tolerance never changes campaign results. *)
-let attempt_shard policy (plan : 'r Plan.t) (shard : Shard.t) =
-  let body () = plan.Plan.run shard (Shard.rng ~campaign_seed:plan.Plan.seed shard) in
-  match policy.shard_fuel with
-  | None -> body ()
-  | Some fuel -> Watchdog.with_budget fuel body
+(* Run one shard attempt. The rng is re-derived per attempt from
+   (campaign seed, shard index) alone, so a retry that succeeds produces
+   the same result a first-attempt success would have: crash tolerance
+   never changes campaign results. *)
+let attempt_shard (plan : 'r Plan.t) (shard : Shard.t) =
+  plan.Plan.run shard (Shard.rng ~campaign_seed:plan.Plan.seed shard)
 
 (* Test hook for the crash-isolation path: when the named shard runs its
    first attempt inside a forked child, the child SIGKILLs itself —
@@ -154,12 +147,11 @@ let run ?(workers = 1) ?(progress = Progress.null) ?checkpoint ?compaction
     let s0 = Unix.gettimeofday () in
     let rec attempt n =
       (* n is 1-based; policy.retries extra attempts follow the first *)
-      match attempt_shard policy plan shard with
+      match attempt_shard plan shard with
       | result -> Either.Left result
       | exception exn ->
         let backtrace = Printexc.get_backtrace () in
-        if policy.fail_fast then raise exn
-        else if n <= policy.retries then begin
+        if n <= policy.retries then begin
           progress
             (Progress.Shard_retried
                { name = plan.Plan.name; shard; attempt = n; error = Printexc.to_string exn });
@@ -191,10 +183,10 @@ let run ?(workers = 1) ?(progress = Progress.null) ?checkpoint ?compaction
     let body ~task ~attempt =
       let shard = shard_of task in
       test_kill_hook shard ~attempt;
-      attempt_shard policy plan shard
+      attempt_shard plan shard
     in
     Procpool.run ~workers ?timeout_s:policy.shard_timeout_s ~retries:policy.retries
-      ~backoff_s:policy.backoff_s ~fail_fast:policy.fail_fast
+      ~backoff_s:policy.backoff_s
       ~on_start:(fun ~task ->
         progress (Progress.Shard_started { name = plan.Plan.name; shard = shard_of task }))
       ~on_result:(fun ~task ~elapsed_s result ->

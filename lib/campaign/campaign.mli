@@ -29,25 +29,16 @@ type policy = {
       (** seconds to sleep before retry [n] (1-based). Must be a pure
           function of its argument for the deterministic-backoff
           guarantee. *)
-  shard_fuel : int option;
-      (** {!Watchdog} budget installed around each attempt; [None]
-          disables the watchdog *)
-  fail_fast : bool;
-      (** abort the whole campaign on the first shard failure (the
-          pre-quarantine behaviour): the failure propagates as
-          {!Pool.Task_failed} under [Domains] and
-          {!Procpool.Task_failed} under [Processes]. Completed shards
-          are still checkpointed. *)
   isolation : isolation;  (** which executor runs the shards *)
   shard_timeout_s : float option;
       (** wall-clock deadline per shard attempt, enforced by SIGKILL —
-          only meaningful under [Processes] (the in-process executor
-          relies on [shard_fuel], which is deterministic). *)
+          only meaningful under [Processes]; [Domains] has no per-shard
+          deadline *)
 }
 
 val default_policy : policy
-(** Tolerant: 2 retries with 5ms/10ms exponential backoff, no watchdog,
-    no fail-fast, [Domains] isolation, no wall-clock timeout. *)
+(** Tolerant: 2 retries with 5ms/10ms exponential backoff, [Domains]
+    isolation, no wall-clock timeout. *)
 
 type quarantine = {
   shard : int;  (** shard index in the plan *)

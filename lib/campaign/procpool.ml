@@ -19,14 +19,6 @@
    loop; [Campaign] treats Domains and Processes as alternative
    executors, never nested. *)
 
-exception Task_failed of { task : int; error : string }
-
-let () =
-  Printexc.register_printer (function
-    | Task_failed { task; error } ->
-      Some (Printf.sprintf "Procpool.Task_failed(task %d: %s)" task error)
-    | _ -> None)
-
 type 'a outcome = Done of 'a | Gave_up of { attempts : int; error : string }
 
 type child = {
@@ -69,7 +61,7 @@ let rec waitpid_retry pid =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
 
 let run ~workers ?timeout_s ?(retries = 0) ?(backoff_s = fun _ -> 0.)
-    ?(fail_fast = false) ?(on_start = fun ~task:_ -> ())
+    ?(on_start = fun ~task:_ -> ())
     ?(on_result = fun ~task:_ ~elapsed_s:_ _ -> ())
     ?(on_retry = fun ~task:_ ~attempt:_ ~error:_ -> ())
     ?(on_give_up = fun ~task:_ ~attempts:_ ~error:_ -> ())
@@ -139,8 +131,7 @@ let run ~workers ?timeout_s ?(retries = 0) ?(backoff_s = fun _ -> 0.)
     else begin
       results.(child.task) <- Some (Gave_up { attempts = child.attempt; error });
       incr finished;
-      on_give_up ~task:child.task ~attempts:child.attempt ~error;
-      if fail_fast then raise (Task_failed { task = child.task; error })
+      on_give_up ~task:child.task ~attempts:child.attempt ~error
     end
   in
   let reap child =

@@ -4,12 +4,10 @@
 
     The parent is a single-threaded [Unix.select] event loop; children
     marshal an [('a, string) result] back over a pipe and [_exit]. The
-    pool enforces an optional wall-clock deadline per attempt (the fuel
-    watchdog still runs inside the child for deterministic budgets),
-    retries failed attempts after a deterministic backoff, and shrinks
-    its own concurrency — never below one — every time a child dies
-    abnormally, so a sick machine degrades throughput instead of
-    crashing the run.
+    pool enforces an optional wall-clock deadline per attempt, retries
+    failed attempts after a deterministic backoff, and shrinks its own
+    concurrency — never below one — every time a child dies abnormally,
+    so a sick machine degrades throughput instead of crashing the run.
 
     Must be called from a program state where no other domains are
     running: OCaml 5 forbids [fork] while domains are active. [Campaign]
@@ -22,16 +20,11 @@ type 'a outcome =
   | Gave_up of { attempts : int; error : string }
       (** every attempt failed; [error] is the last attempt's failure *)
 
-exception Task_failed of { task : int; error : string }
-(** Raised (with a registered printer) when [fail_fast] is set and a task
-    exhausts its attempts; remaining children are killed and reaped. *)
-
 val run :
   workers:int ->
   ?timeout_s:float ->
   ?retries:int ->
   ?backoff_s:(int -> float) ->
-  ?fail_fast:bool ->
   ?on_start:(task:int -> unit) ->
   ?on_result:(task:int -> elapsed_s:float -> 'a -> unit) ->
   ?on_retry:(task:int -> attempt:int -> error:string -> unit) ->
@@ -49,7 +42,7 @@ val run :
     worker cap to [max 1 (workers - deaths)] ([on_degrade] fires on each
     shrink). A failed attempt [n <= retries] is re-queued no earlier
     than [backoff_s n] seconds later ([on_retry]); past that the task is
-    given up ([on_give_up], and [Task_failed] if [fail_fast]).
+    given up ([on_give_up]).
     [on_start] fires once per task at its first spawn; [on_result]
     reports the value and wall-clock seconds since that first spawn.
     All callbacks run in the parent, in the event-loop thread.

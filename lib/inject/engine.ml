@@ -58,7 +58,6 @@ module Kernel = Pacstack_machine.Kernel
 module Compile = Pacstack_minic.Compile
 module Trace = Pacstack_fuzz.Trace
 module Json = Pacstack_campaign.Json
-module Watchdog = Pacstack_campaign.Watchdog
 
 type config = {
   pac_bits : int;
@@ -412,7 +411,6 @@ let run_faults cfg ~campaign_seed ~first ~count =
         let victims = victims scheme in
         Array.mapi
           (fun k spec ->
-            Watchdog.tick ();
             { spec; scheme;
               classification = run_one cfg spec scheme victims (Rng.copy keys.(k)) })
           specs)

@@ -49,8 +49,7 @@ val run_fault : config -> campaign_seed:int64 -> int -> result list
 (** Derives fault [index] and runs it under every configured scheme: a
     one-fault {!run_range}, returning the results in config order
     instead of folding them. Pure in (config, seed, index): same inputs,
-    same classifications, on any worker and in any range. Ticks the
-    {!Pacstack_campaign.Watchdog} once per scheme. *)
+    same classifications, on any worker and in any range. *)
 
 (** {1 Mergeable campaign statistics}
 
@@ -112,10 +111,9 @@ val run_range : config -> campaign_seed:int64 -> first:int -> count:int -> stats
     every reference, injected and kernel-booted machine of every fault
     from it, keeping one scheme's victims live at a time. Results are then folded per fault, in fault order, so the
     statistics, trace events and reproducers equal a fold of
-    {!run_fault} over the range. Ticks the watchdog once per (fault,
-    scheme). When observability is enabled, also feeds detection
-    latencies into the ["inject.detect_latency"] {!Pacstack_obs.Obs}
-    histogram (20 buckets over 0..32768 cycles). *)
+    {!run_fault} over the range. When observability is enabled, also
+    feeds detection latencies into the ["inject.detect_latency"]
+    {!Pacstack_obs.Obs} histogram (20 buckets over 0..32768 cycles). *)
 
 val stats_to_json : stats -> Json.t
 

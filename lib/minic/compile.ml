@@ -257,36 +257,17 @@ let compile_fdef ~scheme (f : Ast.fdef) =
   in
   Program.func f.fname items
 
-(* Separate compilation: the translation unit alone, with unresolved
-   references to the runtime (and any other units) left external. *)
-let compile_unit ~scheme ?(overrides = []) ?(optimize = false) (p : Ast.program) =
+let compile ~scheme ?(overrides = []) ?(optimize = false) (p : Ast.program) =
   let p = Exceptions.desugar p in
   let scheme_of f =
     match List.assoc_opt f.Ast.fname overrides with Some s -> s | None -> scheme
   in
   let post f = if optimize then Peephole.function_pass f else f in
-  {
-    Pacstack_isa.Objfile.funcs =
-      List.map (fun f -> post (compile_fdef ~scheme:(scheme_of f) f)) p.fundefs;
-    data = List.map (fun (dname, size) -> { Program.dname; size }) p.globals;
-  }
-
-(* The libc-flavoured runtime as its own unit: setjmp/longjmp, the
-   PACStack wrappers, the canary failure handler and the guard object. *)
-let runtime_unit () =
-  {
-    Pacstack_isa.Objfile.funcs = Runtime.functions;
-    data = [ { Program.dname = "__stack_chk_guard"; size = 8 } ];
-  }
-
-let compile ~scheme ?overrides ?optimize (p : Ast.program) =
-  let app = compile_unit ~scheme ?overrides ?optimize p in
-  let rt = runtime_unit () in
+  let funcs = List.map (fun f -> post (compile_fdef ~scheme:(scheme_of f) f)) p.fundefs in
   (* the canary guard object referenced by Stack_protector epilogues,
      unless the program declares its own *)
-  let declared (d : Program.data) =
-    List.exists (fun (a : Program.data) -> a.dname = d.dname) app.data
-  in
-  let data = app.data @ List.filter (fun d -> not (declared d)) rt.data in
-  try Program.make ~data ~entry:p.main (app.funcs @ rt.funcs)
+  let guard = "__stack_chk_guard" in
+  let globals = if List.mem_assoc guard p.globals then p.globals else p.globals @ [ (guard, 8) ] in
+  let data = List.map (fun (dname, size) -> { Program.dname; size }) globals in
+  try Program.make ~data ~entry:p.main (funcs @ Runtime.functions)
   with Invalid_argument m -> error "%s" m

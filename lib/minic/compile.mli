@@ -15,22 +15,11 @@ val compile :
   ?optimize:bool ->
   Ast.program -> Pacstack_isa.Program.t
 (** [overrides] assigns individual functions a different scheme — the §9.2
-    mixed instrumented/uninstrumented deployment scenario. Raises {!Error}
-    on malformed programs (unknown variables, too many arguments, too-deep
-    expressions). [optimize] (default false) runs the {!Peephole} pass. *)
-
-val compile_unit :
-  scheme:Pacstack_harden.Scheme.t ->
-  ?overrides:(string * Pacstack_harden.Scheme.t) list ->
-  ?optimize:bool ->
-  Ast.program -> Pacstack_isa.Objfile.t
-(** Separate compilation: lowers only this translation unit, leaving
-    references to the runtime (or other units) unresolved. Link with
-    {!runtime_unit} and any libraries via {!Pacstack_isa.Link}. *)
-
-val runtime_unit : unit -> Pacstack_isa.Objfile.t
-(** The support runtime as an object file — so application and "libc" can
-    be hardened independently, the §9.2 deployment scenario. *)
+    mixed instrumented/uninstrumented deployment scenario, and the only way
+    to build a program whose functions use different schemes. Raises
+    {!Error} on malformed programs (unknown variables or functions, too
+    many arguments, too-deep expressions). [optimize] (default false) runs
+    the {!Peephole} pass. *)
 
 val function_traits : Ast.fdef -> Pacstack_harden.Frame.traits
 (** The traits the compiler derives for a function (exposed for tests and

@@ -21,18 +21,25 @@ type overheads = {
   table2 : (Pacstack_harden.Scheme.t * float * float) list;
       (** per measured scheme: geometric-mean overhead %% over SPECrate
           and over SPECspeed *)
+  cpp : (Pacstack_harden.Scheme.t * float) list;
+      (** PACStack with and without masking: geometric-mean overhead %%
+          over the C++-like benchmarks, which the paper reports
+          separately *)
 }
 
 val overheads : unit -> overheads
-(** Figure 5's and Table 2's rows. Every (variant, benchmark, scheme)
-    cell is measured once, and each build must print the baseline's
-    checksum. Rendered as text by {!table2_and_figure5} and as CSV by
-    {!Export}. *)
+(** Figure 5's, Table 2's and the C++ rows. Every (variant, benchmark,
+    scheme) cell is measured once, and each build must print the
+    baseline's checksum. Rendered as text by {!pp_overheads} and as CSV
+    by {!Export}. *)
+
+val pp_overheads : Format.formatter -> overheads -> unit
+(** Figure 5 (per-benchmark overhead, one column per [table2] scheme),
+    Table 2 (geometric-mean overheads, SPECrate and SPECspeed) and the
+    C++-like benchmarks' means, with the paper's numbers beside them. *)
 
 val table2_and_figure5 : Format.formatter -> unit
-(** Table 2 (geometric-mean overheads, SPECrate and SPECspeed) and
-    Figure 5 (per-benchmark overhead, every measured scheme), plus the
-    C++-like benchmarks' means. *)
+(** [pp_overheads] of [overheads ()]. *)
 
 val table3 : Format.formatter -> unit
 (** Table 3: NGINX-style SSL TPS with 4 and 8 workers — the

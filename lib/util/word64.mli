@@ -6,7 +6,6 @@
 type t = int64
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** {1 Bit access} *)
 
@@ -29,11 +28,9 @@ val insert : t -> lo:int -> width:int -> t -> t
 val mask : int -> t
 (** [mask n] is a word with the [n] low bits set, [0 <= n <= 64]. *)
 
-(** {1 Rotations and shifts} *)
+(** {1 Rotations} *)
 
 val rotl : t -> int -> t
-val rotr : t -> int -> t
-val shift_right_logical : t -> int -> t
 
 (** {1 Counting} *)
 
@@ -41,36 +38,7 @@ val popcount : t -> int
 val hamming : t -> t -> int
 (** [hamming a b] is the number of differing bits. *)
 
-val parity : t -> int
-
-(** {1 Nibbles}
-
-    A 64-bit word as 16 4-bit cells, cell 0 being the most significant
-    nibble (big-endian cell order, as in the QARMA specification). *)
-
-val nibble : t -> int -> int
-(** [nibble w i] is cell [i] (0 = most significant), in [0, 15]. *)
-
-val set_nibble : t -> int -> int -> t
-
-val of_nibbles : int array -> t
-(** [of_nibbles cells] packs 16 cells, [cells.(0)] most significant. *)
-
-val to_nibbles : t -> int array
-
-(** {1 Bytes} *)
-
-val byte : t -> int -> int
-(** [byte w i] is byte [i], byte 0 the least significant. *)
-
-val set_byte : t -> int -> int -> t
-
 (** {1 Formatting} *)
 
-val to_hex : t -> string
-(** 16 lowercase hex digits, zero-padded. *)
-
-val of_hex : string -> t
-(** Parses up to 16 hex digits; raises [Invalid_argument] on bad input. *)
-
 val pp : Format.formatter -> t -> unit
+(** [0x] and 16 lowercase hex digits, zero-padded. *)

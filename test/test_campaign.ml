@@ -283,9 +283,7 @@ let test_checkpoint_ignores_torn_line () =
       Alcotest.(check (array int)) "torn line ignored, results identical" (Campaign.results_exn full)
         (Campaign.results_exn resumed))
 
-(* --- Crash tolerance: retry, quarantine, watchdog (ISSUE 3) -------------- *)
-
-module Watchdog = Pacstack_campaign.Watchdog
+(* --- Crash tolerance: retry and quarantine ------------------------------- *)
 
 (* A tiny synthetic plan whose shard results are pure functions of the
    shard rng, with a hook to make chosen shards fail. *)
@@ -363,60 +361,6 @@ let test_transient_failure_is_retried () =
   Alcotest.(check int) "no quarantine" 0 (List.length outcome.Campaign.quarantined);
   Alcotest.(check (array (option int))) "retried run = untroubled run"
     reference.Campaign.results outcome.Campaign.results
-
-let test_watchdog_budget () =
-  Alcotest.(check (option int)) "no budget outside with_budget" None (Watchdog.remaining ());
-  Watchdog.tick ~cost:1000 () (* free when uninstalled *);
-  let r =
-    Watchdog.with_budget 5 (fun () ->
-        Watchdog.tick ~cost:3 ();
-        Watchdog.with_budget 10 (fun () -> Watchdog.tick ~cost:9 ());
-        (* inner budget restored to outer *)
-        Alcotest.(check (option int)) "outer budget restored" (Some 2) (Watchdog.remaining ());
-        17)
-  in
-  Alcotest.(check int) "body result" 17 r;
-  Alcotest.check_raises "exhaustion raises" (Watchdog.Exhausted { budget = 4 }) (fun () ->
-      Watchdog.with_budget 4 (fun () -> Watchdog.tick ~cost:5 ()))
-
-(* Satellite regression: a negative tick would silently *grow* the fuel
-   budget; it must be rejected with a message naming the cost value,
-   installed budget or not. *)
-let test_watchdog_rejects_negative_cost () =
-  Alcotest.check_raises "uninstalled" (Invalid_argument "Watchdog.tick: cost -3 < 0")
-    (fun () -> Watchdog.tick ~cost:(-3) ());
-  Alcotest.check_raises "installed" (Invalid_argument "Watchdog.tick: cost -7 < 0")
-    (fun () -> Watchdog.with_budget 100 (fun () -> Watchdog.tick ~cost:(-7) ()))
-
-let test_watchdog_quarantines_runaway_shard () =
-  (* shard 3 "hangs": it ticks far beyond the policy budget *)
-  let fail (s : Shard.t) =
-    if s.Shard.index = 3 then
-      for _ = 1 to 1000 do
-        Watchdog.tick ()
-      done
-    else Watchdog.tick ~cost:2 ()
-  in
-  let policy = { no_backoff with Campaign.shard_fuel = Some 100; retries = 1 } in
-  let outcome = Campaign.run ~workers:2 ~policy (synthetic_plan ~seed:13L ~fail ()) in
-  match outcome.Campaign.quarantined with
-  | [ q ] ->
-    Alcotest.(check int) "runaway shard quarantined" 3 q.Campaign.shard;
-    Alcotest.(check bool) "cause is watchdog exhaustion" true
-      (contains q.Campaign.error "Exhausted");
-    Alcotest.(check int) "other shards unharmed" 5
-      (Array.fold_left (fun n r -> if r = None then n else n + 1) 0 outcome.Campaign.results)
-  | qs -> Alcotest.failf "expected exactly one quarantine, got %d" (List.length qs)
-
-let test_fail_fast_policy_aborts () =
-  let fail (s : Shard.t) = if s.Shard.index = 4 then failwith "fatal" in
-  let policy = { Campaign.default_policy with fail_fast = true } in
-  match Campaign.run ~policy (synthetic_plan ~seed:14L ~fail ()) with
-  | _ -> Alcotest.fail "expected Task_failed"
-  | exception Pool.Task_failed { task; exn; _ } ->
-    Alcotest.(check int) "task index attached" 4 task;
-    Alcotest.(check bool) "exception preserved" true
-      (Printexc.to_string exn |> fun s -> contains s "fatal")
 
 (* --- hierarchical checkpoint compaction (inject campaigns) ---------------- *)
 
@@ -576,12 +520,6 @@ let () =
           Alcotest.test_case "quarantine isolates failing shard" `Quick
             test_quarantine_isolates_failing_shard;
           Alcotest.test_case "transient failure retried" `Quick test_transient_failure_is_retried;
-          Alcotest.test_case "watchdog budget" `Quick test_watchdog_budget;
-          Alcotest.test_case "watchdog rejects negative cost" `Quick
-            test_watchdog_rejects_negative_cost;
-          Alcotest.test_case "watchdog quarantines runaway shard" `Quick
-            test_watchdog_quarantines_runaway_shard;
-          Alcotest.test_case "fail-fast policy aborts" `Quick test_fail_fast_policy_aborts;
         ] );
       ( "compaction",
         [

@@ -396,79 +396,38 @@ let test_program_cross_function_symbols () =
   in
   Alcotest.(check (list string)) "symbols" [ "main"; "helper"; "buf" ] (Program.symbols p)
 
-(* --- Objfile / Link ---------------------------------------------------------------- *)
+(* --- Symbol table ------------------------------------------------------------ *)
 
-module Objfile = Pacstack_isa.Objfile
-module Link = Pacstack_isa.Link
+(* Program.make is the one symbol check: functions and data share one
+   namespace, and map_funcs re-validates what a rewrite produces. *)
+let test_symbol_data_clash () =
+  let main = Program.func "main" [ Program.Ins Instr.Hlt ] in
+  Alcotest.check_raises "data named like a function"
+    (Invalid_argument "Program: duplicate data symbol main") (fun () ->
+      ignore (Program.make ~entry:"main" ~data:[ { Program.dname = "main"; size = 8 } ] [ main ]));
+  Alcotest.check_raises "data defined twice"
+    (Invalid_argument "Program: duplicate data symbol buf") (fun () ->
+      ignore
+        (Program.make ~entry:"main"
+           ~data:[ { Program.dname = "buf"; size = 8 }; { Program.dname = "buf"; size = 16 } ]
+           [ main ]))
 
-(* the app unit references [helper] without defining it, so it is built
-   directly (Asm.parse would reject the unresolved symbol) *)
-let app_unit =
-  {
-    Objfile.funcs =
+let test_symbol_map_funcs_revalidates () =
+  let p =
+    Program.make ~entry:"main"
       [
-        Program.func "main"
-          (List.map
-             (fun i -> Program.Ins i)
-             [
-               Instr.Adr (Reg.x 1, "shared");
-               Instr.Bl "helper";
-               Instr.Mov (Reg.x 0, Instr.Imm 0L);
-               Instr.Hlt;
-             ]);
-      ];
-    data = [ { Program.dname = "shared"; size = 16 } ];
-  }
-
-let lib_unit =
-  Objfile.of_program (Asm.parse ".entry helper\n.func helper\n  add x0, x0, #1\n  ret\n.endfunc\n")
-
-let test_objfile_symbols () =
-  Alcotest.(check (list string)) "defined" [ "main"; "shared" ] (Objfile.defined_symbols app_unit);
-  Alcotest.(check (list string)) "referenced" [ "helper" ]
-    (Objfile.referenced_symbols app_unit);
-  Alcotest.(check (list string)) "lib has no refs" [] (Objfile.referenced_symbols lib_unit)
-
-let test_objfile_roundtrip () =
-  List.iter
-    (fun u ->
-      let u' = Objfile.read (Objfile.write u) in
-      Alcotest.(check (list string)) "symbols preserved" (Objfile.defined_symbols u)
-        (Objfile.defined_symbols u');
-      let instrs_of (x : Objfile.t) =
-        List.concat_map Program.instructions x.Objfile.funcs
-      in
-      Alcotest.(check bool) "instructions preserved" true (instrs_of u = instrs_of u'))
-    [ app_unit; lib_unit ]
-
-let test_objfile_corrupt () =
-  let reject s =
-    match Objfile.read s with
-    | exception Objfile.Corrupt _ -> ()
-    | _ -> Alcotest.fail "expected Corrupt"
+        Program.func "main" [ Program.Ins (Instr.Bl "helper"); Program.Ins Instr.Hlt ];
+        Program.func "helper" [ Program.Ins (Instr.Ret Reg.lr) ];
+      ]
   in
-  reject "";
-  reject "NOPE";
-  reject (String.sub (Objfile.write app_unit) 0 10);
-  reject (Objfile.write app_unit ^ "x")
-
-let test_link_success () =
-  let p = Link.link [ app_unit; lib_unit ] in
-  Alcotest.(check string) "entry" "main" p.Program.entry;
-  Alcotest.(check int) "both units linked" 2 (List.length p.Program.funcs)
-
-let test_link_errors () =
-  (match Link.link [ app_unit ] with
-  | exception Link.Link_error (Link.Undefined_symbols [ "helper" ]) -> ()
-  | _ -> Alcotest.fail "expected undefined helper");
-  (match Link.link [ lib_unit; lib_unit ] with
-  | exception Link.Link_error (Link.Duplicate_symbol ("helper", 0, 1)) -> ()
-  | _ -> Alcotest.fail "expected duplicate");
-  (match Link.link [ lib_unit ] with
-  | exception Link.Link_error (Link.Missing_entry "main") -> ()
-  | _ -> Alcotest.fail "expected missing entry");
-  Alcotest.(check (list string)) "undefined listing" [ "helper" ]
-    (Link.undefined_symbols [ app_unit ])
+  let renamed =
+    Program.map_funcs
+      (fun f -> if f.Program.name = "helper" then { f with Program.name = "helper2" } else f)
+  in
+  Alcotest.check_raises "rewrite leaves a call dangling"
+    (Invalid_argument "Program: unknown label helper in main") (fun () -> ignore (renamed p));
+  Alcotest.(check bool) "identity rewrite keeps the program" true
+    (Program.map_funcs (fun f -> f) p = p)
 
 let () =
   Alcotest.run "isa"
@@ -502,14 +461,6 @@ let () =
           Alcotest.test_case "limits" `Quick test_encode_limits;
           Alcotest.test_case "disassembly" `Quick test_disassemble;
         ] );
-      ( "objfile+link",
-        [
-          Alcotest.test_case "symbols" `Quick test_objfile_symbols;
-          Alcotest.test_case "roundtrip" `Quick test_objfile_roundtrip;
-          Alcotest.test_case "corruption detected" `Quick test_objfile_corrupt;
-          Alcotest.test_case "link" `Quick test_link_success;
-          Alcotest.test_case "link errors" `Quick test_link_errors;
-        ] );
       ( "asm+program",
         [
           Alcotest.test_case "parse program" `Quick test_asm_parse_program;
@@ -518,5 +469,10 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_asm_errors;
           Alcotest.test_case "validation" `Quick test_program_validation;
           Alcotest.test_case "cross-function symbols" `Quick test_program_cross_function_symbols;
+        ] );
+      ( "symbol-table",
+        [
+          Alcotest.test_case "function/data clash" `Quick test_symbol_data_clash;
+          Alcotest.test_case "map_funcs revalidates" `Quick test_symbol_map_funcs_revalidates;
         ] );
     ]

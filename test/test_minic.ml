@@ -232,6 +232,11 @@ let test_bad_array_size () =
       Compile.compile ~scheme:Scheme.unprotected
         (main ~locals:[ Ast.Array ("a", 0) ] B.[ ret (i 0) ]))
 
+let test_undefined_function () =
+  expect_error (fun () ->
+      Compile.compile ~scheme:Scheme.unprotected
+        (main B.[ print (call "nowhere" [ i 1 ]); ret (i 0) ]))
+
 (* --- traits --------------------------------------------------------------------- *)
 
 let test_function_traits () =
@@ -554,40 +559,36 @@ let prop_peephole_single_pass =
       (Peephole.function_pass (Program.func "f" body)).Program.body
       = Fixpoint_reference.fixpoint body)
 
-(* --- separate compilation + linking --------------------------------------------------- *)
+(* --- per-function scheme overrides -------------------------------------------------- *)
 
-let test_separate_compilation () =
-  let lib =
-    Ast.program ~main:"lib_add" [ Ast.fdef "lib_add" ~params:[ "a"; "b" ] B.[ ret (v "a" + v "b") ] ]
+(* A PACStack main calls a library function built as baseline. The
+   library function calls another one, so it is non-leaf: PACStack would
+   sign its return address if the override were ignored (leaves get no
+   instrumentation under any scheme). *)
+let test_overrides_mix_schemes () =
+  let program =
+    Compile.compile ~scheme:Scheme.pacstack ~overrides:[ ("lib_add", Scheme.unprotected) ]
+      (Ast.program
+         [
+           Ast.fdef "lib_inc" ~params:[ "a" ] B.[ ret (v "a" + i 1) ];
+           Ast.fdef "lib_add" ~params:[ "a"; "b" ] B.[ ret (call "lib_inc" [ v "a" + v "b" ]) ];
+           Ast.fdef "main" B.[ print (call "lib_add" [ i 40; i 1 ]); ret (i 0) ];
+         ])
   in
-  let app =
-    Ast.program [ Ast.fdef "main" B.[ print (call "lib_add" [ i 40; i 2 ]); ret (i 0) ] ]
+  let signs name =
+    match Program.find_func program name with
+    | None -> Alcotest.fail ("missing " ^ name)
+    | Some f ->
+      List.exists (function Instr.Pacia _ -> true | _ -> false) (Program.instructions f)
   in
-  (* app under PACStack, library unprotected — two units plus the runtime *)
-  let units =
-    [
-      Compile.compile_unit ~scheme:Scheme.pacstack app;
-      Compile.compile_unit ~scheme:Scheme.unprotected lib;
-      Compile.runtime_unit ();
-    ]
-  in
-  (* roundtrip every unit through the binary object format first *)
-  let units = List.map (fun u -> Pacstack_isa.Objfile.read (Pacstack_isa.Objfile.write u)) units in
-  let program = Pacstack_isa.Link.link units in
+  Alcotest.(check bool) "main signs with pacia" true (signs "main");
+  Alcotest.(check bool) "the baseline override emits no pacia" false (signs "lib_add");
   let m = Machine.load program in
   match Machine.run ~fuel:100_000 m with
   | Machine.Halted 0 -> Alcotest.(check (list int64)) "output" [ 42L ] (Machine.output m)
   | Machine.Halted c -> Alcotest.fail (Printf.sprintf "exit %d" c)
   | Machine.Faulted f -> Alcotest.fail (Trap.to_string f)
   | Machine.Out_of_fuel -> Alcotest.fail "fuel"
-
-let test_undefined_reference_refused () =
-  let app = Ast.program [ Ast.fdef "main" B.[ print (call "nowhere" [ i 1 ]); ret (i 0) ] ] in
-  let u = Compile.compile_unit ~scheme:Scheme.unprotected app in
-  match Pacstack_isa.Link.link [ u; Compile.runtime_unit () ] with
-  | exception Pacstack_isa.Link.Link_error (Pacstack_isa.Link.Undefined_symbols [ "nowhere" ]) ->
-    ()
-  | _ -> Alcotest.fail "expected undefined-symbol error"
 
 (* --- concrete syntax --------------------------------------------------------------- *)
 
@@ -837,6 +838,7 @@ let () =
           Alcotest.test_case "too many arguments" `Quick test_too_many_args;
           Alcotest.test_case "expression too deep" `Quick test_expression_too_deep;
           Alcotest.test_case "bad array size" `Quick test_bad_array_size;
+          Alcotest.test_case "undefined function" `Quick test_undefined_function;
         ] );
       ( "traits",
         [
@@ -882,10 +884,7 @@ let () =
             test_peephole_single_pass_fuzz;
           prop_peephole_single_pass;
         ] );
-      ( "separate-compilation",
-        [
-          Alcotest.test_case "link and run" `Quick test_separate_compilation;
-          Alcotest.test_case "undefined refused" `Quick test_undefined_reference_refused;
-        ] );
+      ( "mixed-scheme-program",
+        [ Alcotest.test_case "non-leaf baseline library" `Quick test_overrides_mix_schemes ] );
       ("equivalence", [ prop_schemes_equivalent; prop_callgraphs_equivalent ]);
     ]

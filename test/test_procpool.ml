@@ -92,16 +92,6 @@ let test_procpool_timeout_kills_hung_child () =
       (contains error "timeout")
   | Procpool.Done _ -> Alcotest.fail "hung child should have been killed"
 
-let test_procpool_fail_fast_raises () =
-  match
-    Procpool.run ~workers:2 ~fail_fast:true ~tasks:4 (fun ~task ~attempt:_ ->
-        if task = 3 then failwith "fatal" else task)
-  with
-  | _ -> Alcotest.fail "expected Task_failed"
-  | exception Procpool.Task_failed { task; error } ->
-    Alcotest.(check int) "task index attached" 3 task;
-    Alcotest.(check bool) "error preserved" true (contains error "fatal")
-
 let test_procpool_rejects_bad_args () =
   Alcotest.check_raises "workers < 1" (Invalid_argument "Procpool.run: workers < 1")
     (fun () -> ignore (Procpool.run ~workers:0 ~tasks:1 (fun ~task ~attempt:_ -> task)))
@@ -174,7 +164,6 @@ let () =
             test_procpool_gives_up_on_persistent_failure;
           Alcotest.test_case "timeout kills hung child" `Quick
             test_procpool_timeout_kills_hung_child;
-          Alcotest.test_case "fail-fast raises" `Quick test_procpool_fail_fast_raises;
           Alcotest.test_case "rejects bad args" `Quick test_procpool_rejects_bad_args;
         ] );
       ( "process isolation",

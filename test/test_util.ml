@@ -43,9 +43,9 @@ let prop_insert_extract =
       Word64.equal (Word64.extract w' ~lo ~width) (Int64.logand v (Word64.mask width)))
 
 let prop_rot_inverse =
-  qtest "rotl/rotr inverse" 500
+  qtest "rotl inverse" 500
     QCheck2.Gen.(tup2 full64 (int_range 0 63))
-    (fun (w, n) -> Word64.equal (Word64.rotr (Word64.rotl w n) n) w)
+    (fun (w, n) -> Word64.equal (Word64.rotl (Word64.rotl w n) (64 - n)) w)
 
 let prop_rot_popcount =
   qtest "rotation preserves popcount" 500
@@ -56,35 +56,7 @@ let test_popcount () =
   Alcotest.(check int) "popcount 0" 0 (Word64.popcount 0L);
   Alcotest.(check int) "popcount -1" 64 (Word64.popcount (-1L));
   Alcotest.(check int) "popcount 0xf0" 4 (Word64.popcount 0xf0L);
-  Alcotest.(check int) "hamming" 2 (Word64.hamming 0b1100L 0b1010L);
-  Alcotest.(check int) "parity odd" 1 (Word64.parity 0b111L)
-
-let prop_nibbles =
-  qtest "nibble pack/unpack roundtrip" 300 full64 (fun w ->
-      Word64.equal (Word64.of_nibbles (Word64.to_nibbles w)) w)
-
-let test_nibble_order () =
-  (* cell 0 is the most significant nibble, per the QARMA convention *)
-  Alcotest.(check int) "cell 0" 0xd (Word64.nibble 0xd000000000000000L 0);
-  Alcotest.(check int) "cell 15" 0x7 (Word64.nibble 0x7L 15);
-  Alcotest.check check_w64 "set cell 0" 0xa000000000000001L
-    (Word64.set_nibble 1L 0 0xa)
-
-let test_bytes () =
-  Alcotest.(check int) "byte 0" 0xef (Word64.byte 0xdeadbeefL 0);
-  Alcotest.(check int) "byte 3" 0xde (Word64.byte 0xdeadbeefL 3);
-  Alcotest.check check_w64 "set byte" 0xde00beefL (Word64.set_byte 0xdeadbeefL 2 0)
-
-let prop_hex =
-  qtest "hex roundtrip" 300 full64 (fun w -> Word64.equal (Word64.of_hex (Word64.to_hex w)) w)
-
-let test_hex_parse () =
-  Alcotest.check check_w64 "0x prefix" 255L (Word64.of_hex "0xff");
-  Alcotest.check check_w64 "upper" 0xABCL (Word64.of_hex "ABC");
-  Alcotest.check_raises "empty" (Invalid_argument "Word64.of_hex") (fun () ->
-      ignore (Word64.of_hex ""));
-  Alcotest.check_raises "bad digit" (Invalid_argument "Word64.of_hex") (fun () ->
-      ignore (Word64.of_hex "xyz"))
+  Alcotest.(check int) "hamming" 2 (Word64.hamming 0b1100L 0b1010L)
 
 (* --- Rng ---------------------------------------------------------------- *)
 
@@ -427,11 +399,6 @@ let () =
           prop_rot_inverse;
           prop_rot_popcount;
           Alcotest.test_case "popcount family" `Quick test_popcount;
-          prop_nibbles;
-          Alcotest.test_case "nibble order" `Quick test_nibble_order;
-          Alcotest.test_case "bytes" `Quick test_bytes;
-          prop_hex;
-          Alcotest.test_case "hex parsing" `Quick test_hex_parse;
         ] );
       ( "rng",
         [
