@@ -3,7 +3,7 @@
 
      check_json BENCH.json        validate a bench export: parses with
                                   the campaign Json codec and carries the
-                                  documented schema v7 keys, every
+                                  documented schema v8 keys, every
                                   required section and gate, and only
                                   same-run "before" sections (see
                                   README.md)
@@ -52,7 +52,7 @@ let list_member name v =
   | Some l -> l
   | None -> fail "field %S is not a list in %s" name (Json.to_string v)
 
-(* --- the bench export schema (v7) ------------------------------------------ *)
+(* --- the bench export schema (v8) ------------------------------------------ *)
 
 let required_sections =
   [
@@ -106,7 +106,7 @@ let check_bench path =
     | Error e -> fail "%s does not parse: %s" path e
   in
   let version = int_member "schema_version" doc in
-  if version <> 7 then fail "schema_version %d, expected 7" version;
+  if version <> 8 then fail "schema_version %d, expected 8" version;
   if str_member "bench" doc <> "pacstack-hot-path" then fail "unexpected bench id";
   let obs = require_member "obs_overhead" doc in
   ignore (float_member "guard_ns" obs);

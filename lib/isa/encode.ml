@@ -140,10 +140,25 @@ let word_idx ~op ~a ~b ~idx =
   if idx < 0 || idx >= pool_limit then raise (Unencodable "pool index");
   word ~op ~a ~b ~c:(idx lsr 8) ~d:(idx land 0xff)
 
+(* The range checks of one instruction, made before its word is built
+   (see [encode_one]) and alone by [validate]: the pools aside, these
+   are everything the encoding refuses. *)
+let check_one (instr : Instr.t) =
+  match instr with
+  | Instr.Ldr (_, { Instr.offset; _ }) | Instr.Str (_, { Instr.offset; _ })
+  | Instr.Ldrb (_, { Instr.offset; _ }) | Instr.Strb (_, { Instr.offset; _ }) ->
+    if offset < -2048 || offset > 2047 then
+      raise (Unencodable (Printf.sprintf "memory offset %d out of 12-bit range" offset))
+  | Instr.Ldp (_, _, { Instr.offset; _ }) | Instr.Stp (_, _, { Instr.offset; _ }) ->
+    if offset land 7 <> 0 then raise (Unencodable "pair offset must be 8-byte aligned");
+    let scaled = offset asr 3 in
+    if scaled < -32 || scaled > 31 then
+      raise (Unencodable (Printf.sprintf "pair offset %d out of scaled 6-bit range" offset))
+  | Instr.Svc n -> if n < 0 || n > 255 then raise (Unencodable "svc immediate out of range")
+  | _ -> ()
+
 (* single-transfer memory operand: c = mode:2 | offset[11:8], d = offset[7:0] *)
 let word_mem ~op ~a ({ Instr.base; offset; index } : Instr.mem) =
-  if offset < -2048 || offset > 2047 then
-    raise (Unencodable (Printf.sprintf "memory offset %d out of 12-bit range" offset));
   let off12 = offset land 0xfff in
   word ~op ~a ~b:(reg_code base) ~c:((index_code index lsl 4) lor (off12 lsr 8)) ~d:(off12 land 0xff)
 
@@ -151,16 +166,13 @@ let word_mem ~op ~a ({ Instr.base; offset; index } : Instr.mem) =
    packed with mode is impossible in 6 bits, so c = mode:2 | scaled
    offset:4 high bits and d = base:6 | scaled offset low 2 bits. *)
 let word_pair ~op ~rt1 ~rt2 ({ Instr.base; offset; index } : Instr.mem) =
-  if offset land 7 <> 0 then raise (Unencodable "pair offset must be 8-byte aligned");
-  let scaled = offset asr 3 in
-  if scaled < -32 || scaled > 31 then
-    raise (Unencodable (Printf.sprintf "pair offset %d out of scaled 6-bit range" offset));
-  let off6 = scaled land 0x3f in
+  let off6 = (offset asr 3) land 0x3f in
   word ~op ~a:(reg_code rt1) ~b:(reg_code rt2)
     ~c:((index_code index lsl 4) lor (off6 lsr 2))
     ~d:((reg_code base lsl 2) lor (off6 land 3))
 
 let encode_one bld instr =
+  check_one instr;
   let r = reg_code in
   let rrr op rd rn rm = word ~op ~a:(r rd) ~b:(r rn) ~c:(r rm) ~d:0 in
   let rr_operand opr opi rd rn = function
@@ -201,17 +213,25 @@ let encode_one bld instr =
   | Instr.Autiasp -> word ~op:op_autiasp ~a:0 ~b:0 ~c:0 ~d:0
   | Instr.Xpaci rt -> word ~op:op_xpaci ~a:(r rt) ~b:0 ~c:0 ~d:0
   | Instr.Pacga (rd, rn, rm) -> rrr op_pacga rd rn rm
-  | Instr.Svc n ->
-    if n < 0 || n > 255 then raise (Unencodable "svc immediate out of range");
-    word ~op:op_svc ~a:0 ~b:0 ~c:0 ~d:n
+  | Instr.Svc n -> word ~op:op_svc ~a:0 ~b:0 ~c:0 ~d:n
   | Instr.Nop -> word ~op:op_nop ~a:0 ~b:0 ~c:0 ~d:0
   | Instr.Hlt -> word ~op:op_hlt ~a:0 ~b:0 ~c:0 ~d:0
   | Instr.Hook l -> word_idx ~op:op_hook ~a:0 ~b:0 ~idx:(sym_id bld l)
 
+(* The word array starts from a constant, not from [Array.map]'s first
+   word: OCaml 5 forces a minor collection to create a major-heap array
+   from a young initial value. *)
 let encode instrs =
   let bld = { consts = Consts.create (); syms = Syms.create () } in
-  let words = Array.map (encode_one bld) instrs in
+  let words = Array.make (Array.length instrs) 0l in
+  Array.iteri (fun i instr -> words.(i) <- encode_one bld instr) instrs;
   (words, { constants = Consts.contents bld.consts; symbols = Syms.contents bld.syms })
+
+(* Each instruction interns at most one pool entry, so only a sequence
+   of [pool_limit] or more can overflow a pool; it is encoded in full. *)
+let validate instrs =
+  if Array.length instrs >= pool_limit then ignore (encode instrs)
+  else Array.iter check_one instrs
 
 let sign_extend v bits =
   let shift = 64 - bits in

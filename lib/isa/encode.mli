@@ -2,10 +2,10 @@
 
     Instructions encode to fixed 32-bit words (as on AArch64), with two
     side tables playing the role of literal pools: a constant pool for
-    immediates and a symbol pool for label references. The machine loader
-    writes the encoded words into the executable pages, so the code an
-    adversary can read through the W⊕X lens is real bytes, and the
-    disassembler reproduces the assembly listing.
+    immediates and a symbol pool for label references. The machine
+    fills each executable page with the encoded words on its first data
+    access, so the code an adversary can read through the W⊕X lens is
+    real bytes, and the disassembler reproduces the assembly listing.
 
     Encoding limits (checked, {!Unencodable} on violation): memory-operand
     offsets fit 12 signed bits for single transfers and 6 signed
@@ -22,6 +22,12 @@ type pools = {
 val encode : Instr.t array -> int32 array * pools
 (** Encodes an instruction sequence, word [i] from instruction [i],
     building the pools. *)
+
+val validate : Instr.t array -> unit
+(** Raises {!Unencodable} exactly when {!encode} would, with the same
+    message. Below 2^14 instructions the pools cannot overflow, so it
+    makes the per-instruction range checks alone and builds no words;
+    a longer sequence is encoded in full. *)
 
 val decode : int32 -> pools -> Instr.t
 (** Decodes one word against the pools; raises [Invalid_argument] on a

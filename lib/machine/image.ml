@@ -6,8 +6,10 @@ module Encode = Pacstack_isa.Encode
 type t = {
   program : Program.t;
   code : Instr.t array;
-  words : int32 array;
-  pools : Encode.pools;
+  (* The binary encoding, made on the first [encoded]. Machines on
+     several domains may share an image: two that race here both encode
+     the same code and publish equal values, so the race is benign. *)
+  encoding : (int32 array * Encode.pools) option Atomic.t;
   globals : (string, Word64.t) Hashtbl.t;
   locals : (string * string, Word64.t) Hashtbl.t;  (* (function, label) *)
   bounds : (string * Word64.t * Word64.t) list;    (* name, first, past-last *)
@@ -44,21 +46,32 @@ let build (p : Program.t) =
   let program = { p with funcs; data } in
   let globals = Hashtbl.create 32 in
   let locals = Hashtbl.create 32 in
-  let code = ref [] in
-  let addr = ref code_base in
+  (* The code array starts from a constant and is filled in one pass
+     over [int] slot numbers: OCaml 5 forces a minor collection to
+     create a major-heap array from a young initial value (DESIGN.md,
+     "Loading"), and a boxed address per instruction is waste. *)
+  let n =
+    List.fold_left
+      (fun n (f : Program.func) ->
+        List.fold_left (fun n -> function Program.Ins _ -> n + 1 | Program.Lbl _ -> n) n f.body)
+      0 funcs
+  in
+  let code = Array.make n Instr.Nop in
+  let addr slot = Int64.add code_base (Int64.of_int (4 * slot)) in
+  let next = ref 0 in
   let bounds = ref [] in
   List.iter
     (fun (f : Program.func) ->
-      let first = !addr in
-      Hashtbl.replace globals f.name !addr;
+      let first = addr !next in
+      Hashtbl.replace globals f.name first;
       List.iter
         (function
-          | Program.Lbl l -> Hashtbl.replace locals (f.name, l) !addr
+          | Program.Lbl l -> Hashtbl.replace locals (f.name, l) (addr !next)
           | Program.Ins i ->
-            code := i :: !code;
-            addr := Int64.add !addr 4L)
+            code.(!next) <- i;
+            incr next)
         f.body;
-      bounds := (f.name, first, !addr) :: !bounds)
+      bounds := (f.name, first, addr !next) :: !bounds)
     funcs;
   (* data objects, 16-byte aligned *)
   let daddr = ref data_base in
@@ -68,8 +81,7 @@ let build (p : Program.t) =
       let size = (d.size + 15) land lnot 15 in
       daddr := Int64.add !daddr (Int64.of_int size))
     program.data;
-  let code = Array.of_list (List.rev !code) in
-  let words, pools = Encode.encode code in
+  Encode.validate code;
   let entries = Hashtbl.create 16 in
   List.iter (fun (_, first, _) -> Hashtbl.replace entries first ()) !bounds;
   (* Formatted once here instead of on every raise: the message names the
@@ -78,11 +90,10 @@ let build (p : Program.t) =
   let fetch_trap =
     Trap.Fault
       (Trap.Undefined
-         (Printf.sprintf "fetch outside code image [%Lx..%Lx)" code_base
-            (Int64.add code_base (Int64.of_int (4 * Array.length code)))))
+         (Printf.sprintf "fetch outside code image [%Lx..%Lx)" code_base (addr n)))
   in
   {
-    program; code; words; pools; globals; locals;
+    program; code; encoding = Atomic.make None; globals; locals;
     bounds = List.rev !bounds; entries; fetch_trap;
   }
 
@@ -147,8 +158,16 @@ let sigreturn_trampoline t = required t "__sigreturn_trampoline"
 
 let code_size t = 4 * Array.length t.code
 
-let encoded t = (t.words, t.pools)
+let encoded t =
+  match Atomic.get t.encoding with
+  | Some e -> e
+  | None ->
+    let e = Encode.encode t.code in
+    Atomic.set t.encoding (Some e);
+    e
 
 let is_function_entry t addr = Hashtbl.mem t.entries addr
 
-let disassemble t = Encode.disassemble t.words t.pools
+let disassemble t =
+  let words, pools = encoded t in
+  Encode.disassemble words pools

@@ -16,7 +16,9 @@ val shadow_size : int
 val build : Pacstack_isa.Program.t -> t
 (** Lays the program out (appending the [__halt] and
     [__sigreturn_trampoline] runtime stubs if the program does not define
-    them) and computes the symbol tables. *)
+    them) and computes the symbol tables. Raises
+    {!Pacstack_isa.Encode.Unencodable} for code the encoding cannot hold
+    ({!Pacstack_isa.Encode.validate}), but encodes nothing itself. *)
 
 val program : t -> Pacstack_isa.Program.t
 
@@ -55,8 +57,9 @@ val code_size : t -> int
 (** Bytes of code. *)
 
 val encoded : t -> int32 array * Pacstack_isa.Encode.pools
-(** The binary encoding of the code image — what the loader writes into
-    the executable pages. *)
+(** The binary encoding of the code image — what a machine's executable
+    pages hold once read as data. Made on the first call and shared by
+    every later one, on any domain; callers must not mutate it. *)
 
 val is_function_entry : t -> Pacstack_util.Word64.t -> bool
 (** Whether an address is the first instruction of some function — the

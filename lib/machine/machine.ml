@@ -861,47 +861,54 @@ end
 (* --- construction ----------------------------------------------------- *)
 
 (* What loading derives from the program alone, built once by [prepare]:
-   every instance shares the image and the ops table and maps its own
-   copy of [p_code]. The table starts with one stub in every slot and
-   each slot is compiled on its first visit (see [lazy_ops]); nothing
-   else in a prepared value changes after [prepare]. *)
+   every instance shares the image and the ops table, and maps its own
+   code pages, which get their bytes on their first data access (see
+   [code_page]). The table starts with one stub in every slot and each
+   slot is compiled on its first visit (see [lazy_ops]); nothing else in
+   a prepared value changes after [prepare]. *)
 type prepared = {
   p_image : Image.t;
   p_ops : (t -> int) array;
-  p_code : Bytes.t;  (* the binary encoding, zero-padded to whole pages *)
+  p_code_pages : int;
   p_data_size : int;
   p_code_limit : Word64.t;  (* 4 * instruction count *)
 }
 
-(* The threaded ops of [image], compiled on first visit: a one-shot
-   image pays for the instructions it runs, not for all it holds. The
-   stub finds its slot from pc, relying on the dispatch invariant that
-   an op is entered with pc = code_base + 4 * its index (the dispatcher
-   derives the index from pc, and an op that returns index i has set pc
-   to code_base + 4i). It stores the compiled closure in the slot and
-   runs it. A slot's closure depends only on (image, index), so
-   instances and clones of one prepared value share the filled slots,
-   and two domains racing on one slot store equivalent closures: the
-   race is benign and takes no lock. *)
-let lazy_ops image =
-  let code = Image.instructions image in
-  let n = Array.length code in
-  let ops = Array.make n (fun (_ : t) -> -1) in
-  let stub t =
-    let idx = Int64.to_int (Int64.sub (pc t) Image.code_base) lsr 2 in
-    let op = compile_op image n idx code.(idx) in
-    ops.(idx) <- op;
-    op t
-  in
-  Array.fill ops 0 n stub;
-  ops
+(* The threaded ops of an image, compiled on first visit: a one-shot
+   image pays for the instructions it runs, not for all it holds. Every
+   slot starts as [compile_stub], which finds its slot from pc, relying
+   on the dispatch invariant that an op is entered with pc = code_base +
+   4 * its index (the dispatcher derives the index from pc, and an op
+   that returns index i has set pc to code_base + 4i). It stores the
+   compiled closure in the slot and runs it. A slot's closure depends
+   only on (image, index), so instances and clones of one prepared value
+   share the filled slots, and two domains racing on one slot store
+   equivalent closures: the race is benign and takes no lock. The stub
+   reads the slots and the image from the machine and closes over
+   nothing, so the table is made from a static value: no minor
+   collection to create it, no remembered-set entry per slot, and
+   nothing that keeps a dead image alive. *)
+let compile_stub t =
+  let idx = Int64.to_int (Int64.sub (pc t) Image.code_base) lsr 2 in
+  let op = compile_op t.image (Array.length t.ops) idx (Image.instructions t.image).(idx) in
+  t.ops.(idx) <- op;
+  op t
+
+let lazy_ops image = Array.make (Array.length (Image.instructions image)) compile_stub
+
+(* Page [k] of a machine's code: the image's encoding, zero-padded past
+   its end. *)
+let code_page image k =
+  let words, _pools = Image.encoded image in
+  let page = Bytes.make Memory.page_size '\000' in
+  let per_page = Memory.page_size / 4 in
+  for i = 0 to min per_page (Array.length words - (k * per_page)) - 1 do
+    Bytes.set_int32_le page (4 * i) words.((k * per_page) + i)
+  done;
+  page
 
 let prepare program =
   let image = Image.build program in
-  let words, _pools = Image.encoded image in
-  let pages = max 1 ((Image.code_size image + Memory.page_size - 1) / Memory.page_size) in
-  let bytes = Bytes.make (pages * Memory.page_size) '\000' in
-  Array.iteri (fun i w -> Bytes.set_int32_le bytes (4 * i) w) words;
   (* one rw data region covering all objects (the image appends the canary
      guard object when the program does not declare one) *)
   let data_size =
@@ -912,7 +919,7 @@ let prepare program =
   {
     p_image = image;
     p_ops = lazy_ops image;
-    p_code = bytes;
+    p_code_pages = max 1 ((Image.code_size image + Memory.page_size - 1) / Memory.page_size);
     p_data_size = max Memory.page_size data_size;
     p_code_limit = Int64.of_int (Image.code_size image);
   }
@@ -923,8 +930,11 @@ let instantiate ?(cfg = Config.default) ?keys ?rng p =
   let image = p.p_image in
   let mem = Memory.create () in
   (* the code pages hold the real encoding (what an adversary can
-     disclose) and are rx from the first fetch: W^X holds throughout *)
-  Memory.map_bytes mem ~addr:Image.code_base p.p_code Memory.perm_rx;
+     disclose) from their first data access, and are rx from the first
+     fetch: W^X holds throughout *)
+  Memory.map mem ~addr:Image.code_base
+    ~size:(p.p_code_pages * Memory.page_size)
+    ~init:(code_page image) Memory.perm_rx;
   Memory.map mem ~addr:Image.data_base ~size:p.p_data_size Memory.perm_rw;
   Memory.map mem
     ~addr:(Int64.sub Image.stack_top (Int64.of_int Image.stack_size))
@@ -963,7 +973,7 @@ let instantiate ?(cfg = Config.default) ?keys ?rng p =
       ops = p.p_ops;
       code_limit;
       fast_ok;
-      xpages = Bytes.make (Bytes.length p.p_code / Memory.page_size) '\000';
+      xpages = Bytes.make p.p_code_pages '\000';
       xcache_gen = stale_gen;
     }
   in

@@ -9,34 +9,40 @@ type t
 (** {1 Construction} *)
 
 type prepared
-(** The per-program half of loading: the {!Image.t}, its threaded-code
-    ops table and the page-padded binary encoding of the code. One value
-    may back any number of machines, in any order, without one run being
-    able to affect another. It is not immutable: each ops slot starts as
-    a stub that compiles its instruction on first visit and stores the
-    closure in the slot, for every later instance and clone to reuse. A
-    slot's closure depends only on the image and the slot index, so two
-    domains that race on one slot store equivalent closures; the race is
-    benign and no lock is taken. *)
+(** The per-program half of loading: the {!Image.t} and its
+    threaded-code ops table. One value may back any number of machines,
+    in any order, on any domains, without one run being able to affect
+    another. It is not immutable: each ops slot starts as a stub that
+    compiles its instruction on first visit and stores the closure in
+    the slot, for every later instance and clone to reuse, and the
+    image's binary encoding is made when a machine first reads its code
+    as data ({!Image.encoded}). A slot's closure depends only on the
+    image and the slot index, and the encoding only on the image, so two
+    domains that race on either store equal values; the races are benign
+    and no lock is taken. *)
 
 val prepare : Pacstack_isa.Program.t -> prepared
-(** Builds and encodes the image and lays out the code pages; threaded
-    ops are compiled later, on first visit. Raises
+(** Builds the image; threaded ops are compiled later, on first visit,
+    and the code is encoded on its first data read. Raises
     {!Pacstack_isa.Encode.Unencodable} for code the encoding cannot
-    hold. Draws no randomness. *)
+    hold, checked without encoding ({!Pacstack_isa.Encode.validate}).
+    Forces no minor collection and draws no randomness. *)
 
 val instantiate :
   ?cfg:Pacstack_pa.Config.t ->
   ?keys:Pacstack_pa.Keys.t ->
   ?rng:Pacstack_util.Rng.t ->
   prepared -> t
-(** The per-run half: a fresh machine over fresh memory. Maps a private
-    copy of the code (rx), data (rw), stack (rw) and the shadow stack
-    region (rw), seeds the stack-canary global, points SP at the stack
-    top, X18 at the shadow stack base, LR at [__halt], and PC at the
-    entry symbol. [keys] defaults to a fresh set drawn from [rng]
-    (defaulting to a fixed-seed generator); the canary is drawn from
-    [rng] after the keys. *)
+(** The per-run half: a fresh machine over fresh memory. Maps the code
+    (rx), data (rw), stack (rw) and the shadow stack region (rw), seeds
+    the stack-canary global, points SP at the stack top, X18 at the
+    shadow stack base, LR at [__halt], and PC at the entry symbol.
+    [keys] defaults to a fresh set drawn from [rng] (defaulting to a
+    fixed-seed generator); the canary is drawn from [rng] after the
+    keys. Each code page gets a private copy of its bytes, the image's
+    encoding zero-padded to the page's end, on its first data access
+    (see {!Memory.map}); a run that only executes its code never reads,
+    or encodes, it. *)
 
 val load :
   ?cfg:Pacstack_pa.Config.t ->

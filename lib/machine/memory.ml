@@ -22,14 +22,19 @@ let page_bits = 12
    — every write path materialises a private copy first). So mapping the
    1 MiB stack costs one region record, and a run pays a table entry
    only for each page it touches, and 4 KiB only for each page it
-   writes. *)
+   writes. A region mapped with an initialiser goes one step further:
+   its pages keep [zero_page] and the initialiser in [init] until their
+   first data access ([fill]), so code pages that are only executed are
+   never given bytes. *)
 let zero_page = Bytes.make page_size '\000'
 
-type page = { mutable data : Bytes.t; perm : perm }
+(* [init] comes after [data] and [perm], so the TLB hit path reads the
+   fields it always read. *)
+type page = { mutable data : Bytes.t; perm : perm; mutable init : (int -> Bytes.t) option }
 
 (* A mapped region, [first..last] by page index, whose pages get their
-   table entries on first lookup. *)
-type region = { first : int; last : int; rperm : perm }
+   table entries on first lookup; [init] takes a page index. *)
+type region = { first : int; last : int; rperm : perm; init : (int -> Bytes.t) option }
 
 (* The page table is keyed by page index as an [int] (indices are
    addr lsr 12 < 2^52), so a probe neither boxes nor compares a boxed
@@ -73,6 +78,7 @@ type t = {
      mem_ops/instret — so the TLB hit path stays untouched. *)
   mutable tlb_d_miss : int;
   mutable tlb_x_miss : int;
+  mutable fills : int;  (* pages given their bytes by an initialiser *)
   (* Bumped by every map/unmap/protect. External caches derived from
      the page table (the machine's page-granular execute cache) compare
      this against their snapshot instead of subscribing to
@@ -82,7 +88,7 @@ type t = {
   mutable generation : int;
 }
 
-let no_page = { data = zero_page; perm = perm_none }
+let no_page = { data = zero_page; perm = perm_none; init = None }
 
 let of_pages pages =
   {
@@ -94,6 +100,7 @@ let of_pages pages =
     tlb_x_page = no_page;
     tlb_d_miss = 0;
     tlb_x_miss = 0;
+    fills = 0;
     generation = 0;
   }
 
@@ -122,24 +129,43 @@ let lookup t idx =
     match List.find_opt (in_region idx) t.pending with
     | None -> None
     | Some r ->
-      let p = { data = zero_page; perm = r.rperm } in
+      let p = { data = zero_page; perm = r.rperm; init = r.init } in
       Pages.replace t.pages idx p;
       Some p)
+
+(* Gives page [idx] its bytes if its region has an initialiser and it
+   has none yet. Every data access makes this call first, and only the
+   data TLB's miss path among them is hot, so a page in the data TLB
+   always has its bytes. *)
+let fill t idx (p : page) =
+  match p.init with
+  | None -> ()
+  | Some init ->
+    let data = init idx in
+    if Bytes.length data <> page_size then invalid_arg "Memory.map: initialiser page size";
+    p.data <- data;
+    p.init <- None;
+    t.fills <- t.fills + 1
+
+let lookup_data t idx =
+  let found = lookup t idx in
+  (match found with Some p -> fill t idx p | None -> ());
+  found
 
 let materialise t =
   List.iter
     (fun r ->
       for idx = r.first to r.last do
         if not (Pages.mem t.pages idx) then
-          Pages.replace t.pages idx { data = zero_page; perm = r.rperm }
+          Pages.replace t.pages idx { data = zero_page; perm = r.rperm; init = r.init }
       done)
     t.pending;
   t.pending <- []
 
 (* The lowest mapped page of [first..last]: the nearest start among the
    overlapping pending regions, or a table entry in the range. The
-   table holds the pages filled by [map_bytes] or touched so far, few
-   next to the pages of a region. *)
+   table holds the pages touched so far, few next to the pages of a
+   region. *)
 let lowest_mapped t first last =
   let lowest = ref max_int in
   let note idx = if idx < !lowest then lowest := idx in
@@ -158,22 +184,10 @@ let claim t ~addr ~size perm =
   | None -> ());
   (first, last)
 
-let map t ~addr ~size perm =
+let map ?init t ~addr ~size perm =
   let first, last = claim t ~addr ~size perm in
-  t.pending <- { first; last; rperm = perm } :: t.pending;
-  invalidate_tlb t
-
-(* Each page gets a private copy of its slice of [data]: no two
-   memories ever share a writable page, whatever a guest later
-   mprotects. *)
-let map_bytes t ~addr data perm =
-  let size = Bytes.length data in
-  if size = 0 || size mod page_size <> 0 || page_offset addr <> 0 then
-    invalid_arg "Memory.map_bytes: not whole pages";
-  let first, _ = claim t ~addr ~size perm in
-  for i = 0 to (size / page_size) - 1 do
-    Pages.replace t.pages (first + i) { data = Bytes.sub data (i * page_size) page_size; perm }
-  done;
+  let init = Option.map (fun f idx -> f (idx - first)) init in
+  t.pending <- { first; last; rperm = perm; init } :: t.pending;
   invalidate_tlb t
 
 let unmap t ~addr ~size =
@@ -195,7 +209,9 @@ let protect t ~addr ~size perm =
   for idx = first to last do
     match Pages.find_opt t.pages idx with
     | None -> invalid_arg (Printf.sprintf "Memory.protect: page %x not mapped" idx)
-    | Some p -> Pages.replace t.pages idx { p with perm }
+    | Some p ->
+      fill t idx p;
+      Pages.replace t.pages idx { p with perm }
   done;
   invalidate_tlb t
 
@@ -208,7 +224,7 @@ let perm_at t addr = Option.map (fun p -> p.perm) (find t addr)
    inlines only the hit test: one table probe, then the slot is
    refilled. *)
 let[@inline never] refill_data t addr idx access =
-  match lookup t idx with
+  match lookup_data t idx with
   | Some p ->
     let slot = tlb_slot idx in
     t.tlb_d_miss <- t.tlb_d_miss + 1;
@@ -289,8 +305,12 @@ let check_exec t addr =
   in
   if not p.perm.executable then raise (Trap.Fault (Trap.Permission (addr, Trap.Execute)))
 
+(* The adversary's accesses read or write bytes, so their pages are
+   filled first. *)
+let find_data t addr = lookup_data t (page_index addr)
+
 let peek64 t addr =
-  match find t addr with
+  match find_data t addr with
   | None -> None
   | Some _ -> (
     (* Crossing into an unmapped page also yields None. *)
@@ -298,7 +318,7 @@ let peek64 t addr =
       let rec go i acc =
         if i < 0 then acc
         else
-          match find t (Int64.add addr (Int64.of_int i)) with
+          match find_data t (Int64.add addr (Int64.of_int i)) with
           | None -> raise Exit
           | Some p ->
             let b = Char.code (Bytes.get p.data (page_offset (Int64.add addr (Int64.of_int i)))) in
@@ -309,7 +329,7 @@ let peek64 t addr =
 
 let poke64 t addr v =
   let writable_at a =
-    match find t a with Some p -> p.perm.writable | None -> false
+    match find_data t a with Some p -> p.perm.writable | None -> false
   in
   let ok = ref true in
   for i = 0 to 7 do
@@ -334,6 +354,7 @@ let copy t =
   of_pages pages
 
 let tlb_misses t = (t.tlb_d_miss, t.tlb_x_miss)
+let fills t = t.fills
 
 (* FNV-1a over the mapped pages in index order: permissions and contents
    both feed the hash, so two memories digest equal iff they are
@@ -359,6 +380,7 @@ let digest t =
   List.fold_left
     (fun h idx ->
       let p = Pages.find t.pages idx in
+      fill t idx p;
       let perm_bits =
         (if p.perm.readable then 1 else 0)
         lor (if p.perm.writable then 2 else 0)

@@ -15,7 +15,14 @@
     16-entry direct-mapped data TLB, whose slot function keeps a machine's
     data, stack and shadow pages apart, and a one-entry execute TLB. Both
     are invalidated in full by {!map}/{!unmap}/{!protect}, so a stale
-    translation can never outlive a permission change. *)
+    translation can never outlive a permission change.
+
+    A region mapped with an initialiser gives each page its bytes on the
+    page's first data access: a load or store (on its data-TLB refill),
+    {!peek64}, {!poke64}, {!protect} and {!digest}. {!check_exec},
+    {!is_mapped}, {!perm_at}, {!mapped_ranges} and {!unmap} never fill a
+    page, and {!copy} hands the copy its unfilled pages with their
+    initialiser. A fill is invisible too, except to {!fills}. *)
 
 type perm = { readable : bool; writable : bool; executable : bool }
 
@@ -31,19 +38,17 @@ val create : unit -> t
 val page_size : int
 val page_bits : int
 
-val map : t -> addr:Pacstack_util.Word64.t -> size:int -> perm -> unit
-(** Maps (and zeroes) the pages covering [\[addr, addr+size)]. Only the
+val map :
+  ?init:(int -> Bytes.t) -> t -> addr:Pacstack_util.Word64.t -> size:int -> perm -> unit
+(** Maps the pages covering [\[addr, addr+size)], zeroed or, with
+    [init], holding [init k] from the first data access to the [k]-th of
+    them (the page holding [addr] is page 0). [init] must return a fresh
+    page of {!page_size} bytes, which the memory then owns; a {!copy}
+    calls the same [init] for the pages it has yet to fill. Only the
     region is recorded, so the cost grows with the mappings already
     present, not with [size]. Raises [Invalid_argument] naming the lowest
     page already mapped, if any, or if the permission is simultaneously
     writable and executable (W⊕X, assumption A1). *)
-
-val map_bytes : t -> addr:Pacstack_util.Word64.t -> Bytes.t -> perm -> unit
-(** Like {!map} over [\[addr, addr + length data)], with the pages
-    initialised from [data] instead of zeroed. Every page owns a copy of
-    its bytes, so [data] may be reused for any number of memories. [addr]
-    must be page-aligned and [data] a whole number of pages, else
-    [Invalid_argument]. *)
 
 val unmap : t -> addr:Pacstack_util.Word64.t -> size:int -> unit
 
@@ -74,6 +79,10 @@ val poke64 : t -> Pacstack_util.Word64.t -> Pacstack_util.Word64.t -> bool
 
 val copy : t -> t
 (** Deep copy (used by [fork]). TLB miss counters restart at zero. *)
+
+val fills : t -> int
+(** Pages given their bytes by a {!map} initialiser since creation;
+    restarts at zero in a {!copy}. *)
 
 val tlb_misses : t -> int * int
 (** [(data, exec)] TLB refills since creation. Only the miss path counts

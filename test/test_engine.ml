@@ -429,6 +429,56 @@ let test_unencodable_at_prepare () =
   | exception Pacstack_isa.Encode.Unencodable _ -> ()
   | _ -> Alcotest.fail "prepare accepted an unencodable offset"
 
+(* --- loading costs what the run reads ------------------------------------ *)
+
+(* Seed 0 of the smoke stream under pacstack: 1084 instructions, two
+   code pages. *)
+let two_page_program () =
+  Compile.compile ~scheme:Scheme.pacstack (Driver.program_of_seed ~campaign_seed 0)
+
+(* [prepare] forces no minor collection. OCaml 5 forces one to create a
+   major-heap array (over 256 words) from a young initial value, as the
+   loader once did for the code array, the encoding and the ops table
+   of every image. The program is compiled after a collection, so its
+   instructions are young, as in a fuzz run; compile and prepare
+   allocate far less than the default minor heap. *)
+let test_prepare_no_forced_collection () =
+  Gc.minor ();
+  let program = two_page_program () in
+  let before = (Gc.quick_stat ()).minor_collections in
+  let prepared = Machine.prepare program in
+  let after = (Gc.quick_stat ()).minor_collections in
+  Alcotest.(check int) "minor collections during prepare" 0 (after - before);
+  Alcotest.(check bool) "at least 300 instructions" true
+    (Image.code_size (Machine.image (Machine.instantiate prepared)) >= 4 * 300)
+
+(* Code pages get their bytes on their first data access. A run that
+   only executes its code fills no page, so the instance encodes
+   nothing, and neither do [is_mapped], [perm_at] or [mapped_ranges]. A
+   read fills the page it reads, with the bytes an eagerly encoding
+   loader wrote (the doublewords below were read from one), and a copy
+   of the memory carries its unfilled pages. *)
+let test_code_filled_on_first_read () =
+  let first_doubleword = Some 0x5c07c00011f7c000L in
+  let m = Machine.instantiate (Machine.prepare (two_page_program ())) in
+  Alcotest.(check bool) "the run halts" true
+    (outcome_equal (Machine.run ~fuel m) (Machine.Halted 0));
+  let mem = Machine.memory m in
+  ignore (Memory.is_mapped mem Image.code_base);
+  ignore (Memory.perm_at mem Image.code_base);
+  ignore (Memory.mapped_ranges mem);
+  Alcotest.(check int) "pages filled by the run and the queries" 0 (Memory.fills mem);
+  let copy = Memory.copy mem in
+  Alcotest.(check (option int64)) "first doubleword" first_doubleword
+    (Memory.peek64 mem Image.code_base);
+  Alcotest.(check int) "pages filled by the first read" 1 (Memory.fills mem);
+  Alcotest.(check (option int64)) "second page" (Some 0x5c90006044981f00L)
+    (Memory.peek64 mem (Int64.add Image.code_base 4096L));
+  Alcotest.(check int) "pages filled by a read of the second" 2 (Memory.fills mem);
+  Alcotest.(check int) "pages filled in the copy" 0 (Memory.fills copy);
+  Alcotest.(check (option int64)) "the copy's first doubleword" first_doubleword
+    (Memory.peek64 copy Image.code_base)
+
 let () =
   Alcotest.run "engine"
     [
@@ -469,5 +519,9 @@ let () =
             test_dangling_label;
           Alcotest.test_case "unencodable code refused at prepare" `Quick
             test_unencodable_at_prepare;
+          Alcotest.test_case "prepare forces no minor collection" `Quick
+            test_prepare_no_forced_collection;
+          Alcotest.test_case "code pages fill on their first data read" `Quick
+            test_code_filled_on_first_read;
         ] );
     ]

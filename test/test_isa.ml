@@ -86,7 +86,10 @@ let instr_gen =
   let reg = map Reg.x (int_range 0 30) in
   let operand = oneof [ map (fun r -> Instr.Reg r) reg; map (fun i -> Instr.Imm (Int64.of_int i)) (int_range (-4096) 4096) ] in
   let index = oneofl [ Instr.Offset; Instr.Pre; Instr.Post ] in
-  let mem = map3 (fun base offset index -> { Instr.base; offset; index }) reg (int_range (-256) 256) index in
+  (* offsets mostly within a pair's range, and past the 12-bit single
+     transfer's too *)
+  let offset = oneof [ int_range (-256) 256; int_range (-4096) 4096 ] in
+  let mem = map3 (fun base offset index -> { Instr.base; offset; index }) reg offset index in
   let label = oneofl [ "foo"; "bar"; ".L1" ] in
   let cond = oneofl all_conds in
   oneof
@@ -152,14 +155,25 @@ let test_reads_label () =
 
 module Encode = Pacstack_isa.Encode
 
+(* The message [f] refuses a sequence with, if it does. *)
+let refusal f instrs =
+  match f instrs with exception Encode.Unencodable msg -> Some msg | _ -> None
+
 let prop_encode_roundtrip =
-  (* pair transfers with unaligned offsets are legitimately rejected;
-     everything encodable must roundtrip exactly *)
+  (* out-of-range memory offsets are legitimately rejected, by [validate]
+     (what [Machine.prepare] checks) exactly as by [encode]; everything
+     encodable must roundtrip exactly *)
   qtest "encode/decode roundtrip" 800 instr_gen (fun ins ->
+      let validated = refusal Encode.validate [| ins |] in
       match Encode.encode [| ins |] with
-      | words, pools -> Encode.decode words.(0) pools = ins
-      | exception Encode.Unencodable _ -> (
+      | words, pools -> validated = None && Encode.decode words.(0) pools = ins
+      | exception Encode.Unencodable msg -> (
+        validated = Some msg
+        &&
         match ins with
+        | Instr.Ldr (_, { Instr.offset; _ }) | Instr.Str (_, { Instr.offset; _ })
+        | Instr.Ldrb (_, { Instr.offset; _ }) | Instr.Strb (_, { Instr.offset; _ }) ->
+          offset < -2048 || offset > 2047
         | Instr.Ldp (_, _, { Instr.offset; _ }) | Instr.Stp (_, _, { Instr.offset; _ }) ->
           offset land 7 <> 0 || offset < -256 || offset > 248
         | _ -> false))
@@ -312,16 +326,40 @@ let test_encode_pools_interned () =
   Alcotest.(check int) "constant interned" 1 (Array.length pools.Encode.constants);
   Alcotest.(check int) "symbol interned" 1 (Array.length pools.Encode.symbols)
 
+(* [validate] refuses exactly what [encode] refuses, with its message,
+   at every limit: the range checks, and past 2^14 distinct constants
+   the pool overflow that only a full encoding finds. *)
 let test_encode_limits () =
-  let reject i =
-    match Encode.encode [| i |] with
-    | exception Encode.Unencodable _ -> ()
-    | _ -> Alcotest.fail "expected Unencodable"
+  let agree what instrs =
+    Alcotest.(check (option string)) (what ^ ": validate agrees")
+      (refusal Encode.encode instrs) (refusal Encode.validate instrs)
   in
-  reject (Instr.Ldr (Reg.x 0, { Instr.base = Reg.SP; offset = 5000; index = Instr.Offset }));
-  reject (Instr.Ldp (Reg.x 0, Reg.x 1, { Instr.base = Reg.SP; offset = 12; index = Instr.Offset }));
-  reject (Instr.Stp (Reg.x 0, Reg.x 1, { Instr.base = Reg.SP; offset = 512; index = Instr.Offset }));
-  reject (Instr.Svc 300)
+  let reject i =
+    if refusal Encode.encode [| i |] = None then Alcotest.fail "expected Unencodable";
+    agree (Instr.to_string i) [| i |]
+  in
+  let accept i =
+    if refusal Encode.encode [| i |] <> None then Alcotest.fail "expected encodable";
+    agree (Instr.to_string i) [| i |]
+  in
+  let at offset = { Instr.base = Reg.SP; offset; index = Instr.Offset } in
+  reject (Instr.Ldr (Reg.x 0, at 5000));
+  reject (Instr.Ldr (Reg.x 0, at 2048));
+  reject (Instr.Strb (Reg.x 0, at (-2049)));
+  accept (Instr.Ldr (Reg.x 0, at 2047));
+  accept (Instr.Strb (Reg.x 0, at (-2048)));
+  reject (Instr.Ldp (Reg.x 0, Reg.x 1, at 12));
+  reject (Instr.Stp (Reg.x 0, Reg.x 1, at 512));
+  reject (Instr.Stp (Reg.x 0, Reg.x 1, at (-264)));
+  accept (Instr.Ldp (Reg.x 0, Reg.x 1, at 248));
+  accept (Instr.Stp (Reg.x 0, Reg.x 1, at (-256)));
+  reject (Instr.Svc 300);
+  reject (Instr.Svc (-1));
+  accept (Instr.Svc 255);
+  let constants n = Array.init n (fun i -> Instr.Mov (Reg.x 0, Instr.Imm (Int64.of_int i))) in
+  agree "2^14 distinct constants" (constants (1 lsl 14));
+  Alcotest.(check (option string)) "2^14 + 1 distinct constants" (Some "pool overflow")
+    (refusal Encode.validate (constants ((1 lsl 14) + 1)))
 
 let test_disassemble () =
   let instrs = [ Instr.Paciasp; Instr.Nop; Instr.Retaa ] in

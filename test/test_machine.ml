@@ -167,9 +167,12 @@ let with_region () =
   m
 
 let test_mem_lazy_overlap () =
-  let m = with_region () in
-  (* an eagerly filled page just below the region *)
-  Memory.map_bytes m ~addr:0x1f000L (Bytes.make Memory.page_size '\000') Memory.perm_r;
+  (* a page with its table entry just below the region ([mapped_ranges]
+     gives every page mapped so far its entry), then the region *)
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1f000L ~size:Memory.page_size Memory.perm_r;
+  ignore (Memory.mapped_ranges m);
+  Memory.map m ~addr:region_base ~size:(region_pages * Memory.page_size) Memory.perm_rw;
   let refuse addr pages named =
     Alcotest.check_raises
       (Printf.sprintf "map at %Lx names page %x" addr named)
@@ -243,6 +246,46 @@ let test_mem_first_touch_invisible () =
   Alcotest.(check bool) "mapped ranges unchanged" true
     (Memory.mapped_ranges untouched = Memory.mapped_ranges touched);
   Alcotest.(check int) "digest and ranges move no generation" gen (Memory.generation touched)
+
+(* A region mapped with an initialiser gives a page its bytes on the
+   page's first data access and on nothing else, and a copy carries the
+   pages it has yet to fill (memory.mli). Page k of the region below
+   holds the byte 'A' + k. *)
+let test_mem_init_fill_rules () =
+  let m = Memory.create () in
+  let calls = ref [] in
+  let init k =
+    calls := k :: !calls;
+    Bytes.make Memory.page_size (Char.chr (Char.code 'A' + k))
+  in
+  Memory.map ~init m ~addr:region_base ~size:(4 * Memory.page_size) Memory.perm_rx;
+  let page k = Int64.add region_base (Int64.of_int (k * Memory.page_size)) in
+  let byte k = Char.code 'A' + k in
+  let filled what expected = Alcotest.(check (list int)) what expected (List.rev !calls) in
+  Memory.check_exec m (page 0);
+  ignore (Memory.is_mapped m (page 1));
+  ignore (Memory.perm_at m (page 2));
+  ignore (Memory.mapped_ranges m);
+  filled "check_exec, is_mapped, perm_at and mapped_ranges fill nothing" [];
+  let c = Memory.copy m in
+  Alcotest.(check int) "a load reads the initialiser's bytes" (byte 1) (Memory.load8 m (page 1));
+  ignore (Memory.load64 m (Int64.add (page 1) 8L));
+  filled "a load fills its page once" [ 1 ];
+  Alcotest.(check (option int64)) "peek64" (Some (Int64.mul 0x0101010101010101L (Int64.of_int (byte 2))))
+    (Memory.peek64 m (page 2));
+  filled "peek64 fills" [ 1; 2 ];
+  Memory.protect m ~addr:(page 3) ~size:Memory.page_size Memory.perm_rw;
+  filled "protect fills" [ 1; 2; 3 ];
+  Alcotest.(check int) "the remapped page keeps its bytes" (byte 3) (Memory.load8 m (page 3));
+  Alcotest.(check bool) "poke64 writes it" true (Memory.poke64 m (page 3) 0L);
+  Memory.unmap m ~addr:(page 0) ~size:Memory.page_size;
+  ignore (Memory.digest m);
+  filled "unmap fills nothing, digest nothing left" [ 1; 2; 3 ];
+  Alcotest.(check int) "fills" 3 (Memory.fills m);
+  Alcotest.(check int) "the copy filled nothing" 0 (Memory.fills c);
+  ignore (Memory.digest c);
+  filled "digest fills every page of the copy" [ 1; 2; 3; 0; 1; 2; 3 ];
+  Alcotest.(check int) "the copy's own bytes" (byte 3) (Memory.load8 c (page 3))
 
 (* The data TLB has several slots. A machine's data, stack and shadow
    pages each keep their own, so loads alternating between them refill
@@ -1297,6 +1340,8 @@ let () =
           Alcotest.test_case "first touch invisible" `Quick test_mem_first_touch_invisible;
           Alcotest.test_case "TLB invalidation reaches every slot" `Quick test_mem_tlb_every_slot;
           Alcotest.test_case "TLB refills per page" `Quick test_mem_tlb_refills;
+          Alcotest.test_case "initialised region fills on data access" `Quick
+            test_mem_init_fill_rules;
         ] );
       ( "semantics",
         [
