@@ -412,7 +412,8 @@ let inject_cmd =
           ~doc:
             "Shard executor: $(b,domain) runs shards on an in-process domain pool; \
              $(b,process) forks each shard attempt into its own child so a crash, OOM \
-             kill or hang is an isolated retry instead of the end of the campaign.")
+             kill or hang is an isolated retry instead of the end of the campaign. \
+             $(b,--trace) requires $(b,domain).")
   in
   let shard_timeout =
     Arg.(
@@ -440,6 +441,10 @@ let inject_cmd =
       fail "--shard-timeout must be > 0"
     else if Option.is_some shard_timeout && isolation <> Campaign.Processes then
       fail "--shard-timeout requires --isolation process"
+    else if Option.is_some opts.trace && isolation <> Campaign.Domains then
+      (* forked shards would record their metrics and events in the
+         children, and the trace would silently hold the parent's only *)
+      fail "--trace requires --isolation domain"
     else
       run_campaign opts @@ fun ~workers ~progress ->
       let policy =

@@ -40,6 +40,12 @@
      with exit 139; mainline-Linux-style unprotected frames resume
      wherever the corrupt PC points.
 
+   Victims: both victim programs are constants, so each (scheme,
+   victim) is compiled and prepared once per process, on first use, and
+   every reference, injected and kernel-booted machine of every fault is
+   instantiated from that one value ({!prepared_victim}). A shard is a
+   plain fold of {!run_fault} over its faults, in fault order.
+
    Determinism: everything derives from (campaign seed, fault index)
    through {!Fault}; machine keys come from the fault's private runtime
    stream, copied so reference and injected runs see identical keys.
@@ -52,6 +58,7 @@ module Reg = Pacstack_isa.Reg
 module Scheme = Pacstack_harden.Scheme
 module Surface = Pacstack_harden.Surface
 module Machine = Pacstack_machine.Machine
+module Image = Pacstack_machine.Image
 module Memory = Pacstack_machine.Memory
 module Trap = Pacstack_machine.Trap
 module Kernel = Pacstack_machine.Kernel
@@ -355,23 +362,48 @@ let run_signal cfg (spec : Fault.spec) scheme victim keys_rng =
   classify ~ref_trace ~injected_cycles:at m outcome
 
 (* ------------------------------------------------------------------ *)
-(* Per-fault driver                                                    *)
+(* Prepared victims                                                    *)
 
-(* One scheme's victims, each compiled and prepared at most once per
-   range and only if some fault of the range runs it. *)
-type victims = { main : Machine.prepared Lazy.t; signal : Machine.prepared Lazy.t }
+(* Both victims are constants and compiling is a pure function of the
+   scheme, so each (scheme, victim) is compiled and prepared once per
+   process, on first use, and kept. The lock makes that exactly once
+   across domains: a second compile would publish the harden.emit.*
+   counters again, so a 2-worker trace would differ from a 1-worker one
+   (and a [Lazy.t] raises when two domains force it at once). A new
+   image equal to one already held is dropped for the held one: the ten
+   schemes compile each victim to seven distinct programs. Module
+   initialisation makes the empty table and the lock only. *)
+let memo_lock = Mutex.create ()
+let memo : (Scheme.t * bool, Machine.prepared) Hashtbl.t = Hashtbl.create 32
 
-let victims scheme =
-  let prepare program = lazy (Machine.prepare (Compile.compile ~scheme (program ()))) in
-  { main = prepare Victim.program; signal = prepare Victim.signal_program }
+let prepared_victim scheme ~signal =
+  Mutex.protect memo_lock (fun () ->
+      match Hashtbl.find_opt memo (scheme, signal) with
+      | Some p -> p
+      | None ->
+        let program = if signal then Victim.signal_program () else Victim.program () in
+        let fresh = Machine.prepare (Compile.compile ~scheme program) in
+        let image = Machine.prepared_image fresh in
+        let p =
+          Option.value ~default:fresh
+            (Seq.find
+               (fun held -> Image.equal image (Machine.prepared_image held))
+               (Hashtbl.to_seq_values memo))
+        in
+        Hashtbl.replace memo (scheme, signal) p;
+        p)
 
-let run_one cfg (spec : Fault.spec) scheme victims keys_rng =
+(* ------------------------------------------------------------------ *)
+(* One fault under every scheme                                        *)
+
+let run_one cfg (spec : Fault.spec) scheme keys_rng =
   match spec.site with
-  | Fault.Signal_frame -> run_signal cfg spec scheme (Lazy.force victims.signal) keys_rng
-  | Fault.Reload_window -> run_window cfg spec scheme (Lazy.force victims.main) keys_rng
+  | Fault.Signal_frame -> run_signal cfg spec scheme (prepared_victim scheme ~signal:true) keys_rng
+  | Fault.Reload_window ->
+    run_window cfg spec scheme (prepared_victim scheme ~signal:false) keys_rng
   | Fault.Ret_slot | Fault.Chain_spill | Fault.Cr_reg | Fault.Lr_reg | Fault.Shadow_slot
   | Fault.Pac_bits ->
-    run_generic cfg spec scheme (Lazy.force victims.main) keys_rng
+    run_generic cfg spec scheme (prepared_victim scheme ~signal:false) keys_rng
 
 (* One trace event per fault, keyed by its index — campaign sharding
    hands each index to exactly one worker, so the merged trace is
@@ -398,27 +430,13 @@ let obs_fault (spec : Fault.spec) results =
   end;
   results
 
-(* Faults [first, first + count), scheme-major: each scheme's victims
-   are prepared once and every fault of the range runs against them,
-   so only one scheme's prepared victims are live at a time. Results
-   come back per fault, in fault order, scheme lists in config order. *)
-let run_faults cfg ~campaign_seed ~first ~count =
-  let specs = Array.init count (fun k -> Fault.derive ~campaign_seed (first + k)) in
-  let keys = Array.init count (fun k -> Fault.rng ~campaign_seed (first + k)) in
-  let by_scheme =
-    List.map
-      (fun scheme ->
-        let victims = victims scheme in
-        Array.mapi
-          (fun k spec ->
-            { spec; scheme;
-              classification = run_one cfg spec scheme victims (Rng.copy keys.(k)) })
-          specs)
-      cfg.schemes
-  in
-  Array.mapi (fun k spec -> obs_fault spec (List.map (fun rs -> rs.(k)) by_scheme)) specs
-
-let run_fault cfg ~campaign_seed index = (run_faults cfg ~campaign_seed ~first:index ~count:1).(0)
+let run_fault cfg ~campaign_seed index =
+  let spec = Fault.derive ~campaign_seed index in
+  let keys = Fault.rng ~campaign_seed index in
+  obs_fault spec
+    (List.map
+       (fun scheme -> { spec; scheme; classification = run_one cfg spec scheme (Rng.copy keys) })
+       cfg.schemes)
 
 (* ------------------------------------------------------------------ *)
 (* Mergeable campaign statistics                                       *)
@@ -489,16 +507,13 @@ let site_rank =
   let names = List.map Fault.site_to_string (Array.to_list Fault.all_sites) in
   fun n -> rank_of names n
 
-let sort_cells cells =
-  List.stable_sort
-    (fun (a, _) (b, _) -> compare (scheme_rank a, a) (scheme_rank b, b))
-    cells
+let scheme_order a b = compare (scheme_rank a, a) (scheme_rank b, b)
 
-let sort_site_cells cells =
-  List.stable_sort
-    (fun ((sa, na), _) ((sb, nb), _) ->
-      compare (site_rank sa, sa, scheme_rank na, na) (site_rank sb, sb, scheme_rank nb, nb))
-    cells
+let site_order (sa, na) (sb, nb) =
+  compare (site_rank sa, sa, scheme_rank na, na) (site_rank sb, sb, scheme_rank nb, nb)
+
+let sort_cells cells = List.stable_sort (fun (a, _) (b, _) -> scheme_order a b) cells
+let sort_site_cells cells = List.stable_sort (fun (a, _) (b, _) -> site_order a b) cells
 
 (* The canonical reproducer list: sorted by (fault, scheme), keeping the
    [repro_cap] smallest fault indices of each scheme. *)
@@ -511,21 +526,21 @@ let cap_silents silents =
       n < repro_cap)
     (List.stable_sort (fun a b -> compare (a.fault, a.scheme) (b.fault, b.scheme)) silents)
 
-let bump_cell cells name f =
-  let found = List.mem_assoc name cells in
-  let cells =
-    if found then List.map (fun (n, c) -> if String.equal n name then (n, f c) else (n, c)) cells
-    else cells @ [ (name, f cell_zero) ]
-  in
-  sort_cells cells
+(* Every [stats] value holds its cells sorted by [order], each key once,
+   so the key's cell is bumped in place, or a fresh one inserted where a
+   stable sort would put it, without sorting the list again. *)
+let bump order cells key f =
+  if List.mem_assoc key cells then
+    List.map (fun (k, c) -> if k = key then (k, f c) else (k, c)) cells
+  else
+    let rec insert = function
+      | ((k, _) as cell) :: rest when order k key <= 0 -> cell :: insert rest
+      | rest -> (key, f cell_zero) :: rest
+    in
+    insert cells
 
-let bump_site_cell cells key f =
-  let found = List.mem_assoc key cells in
-  let cells =
-    if found then List.map (fun (k, c) -> if k = key then (k, f c) else (k, c)) cells
-    else cells @ [ (key, f cell_zero) ]
-  in
-  sort_site_cells cells
+let bump_cell = bump scheme_order
+let bump_site_cell = bump site_order
 
 let add_result stats (r : result) =
   let name = Scheme.to_string r.scheme in
@@ -572,8 +587,9 @@ let run_range cfg ~campaign_seed ~first ~count =
      bucket must not clamp them (pinned in test_inject) *)
   if Obs.enabled () then
     Obs.Metrics.register_histogram "inject.detect_latency" ~lo:0. ~hi:32768. ~buckets:20;
-  Array.fold_left
-    (fun stats results ->
+  List.fold_left
+    (fun stats index ->
+      let results = run_fault cfg ~campaign_seed index in
       if Obs.enabled () then
         List.iter
           (fun r ->
@@ -584,7 +600,7 @@ let run_range cfg ~campaign_seed ~first ~count =
           results;
       List.fold_left add_result { stats with faults = stats.faults + 1 } results)
     empty
-    (run_faults cfg ~campaign_seed ~first ~count)
+    (List.init count (fun k -> first + k))
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec (campaign checkpoint payload)                            *)

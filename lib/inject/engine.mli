@@ -45,11 +45,22 @@ type result = {
   classification : classification;
 }
 
+val prepared_victim : Scheme.t -> signal:bool -> Machine.prepared
+(** The scheme's compiled and prepared {!Victim.program} (or, with
+    [~signal:true], {!Victim.signal_program}), kept for the life of the
+    process. The first call for a (scheme, victim) compiles and prepares
+    it under a lock, so it happens exactly once per process whatever the
+    number of domains, and the [harden.emit.*] counters count one
+    compile per (scheme, victim); later calls return the same value.
+    Schemes whose victims compile to equal images
+    ({!Pacstack_machine.Image.equal}) share one physical value. Nothing
+    is compiled before the first call. *)
+
 val run_fault : config -> campaign_seed:int64 -> int -> result list
-(** Derives fault [index] and runs it under every configured scheme: a
-    one-fault {!run_range}, returning the results in config order
-    instead of folding them. Pure in (config, seed, index): same inputs,
-    same classifications, on any worker and in any range. *)
+(** Derives fault [index] and runs it under every configured scheme, in
+    config order, on the {!prepared_victim}s. Pure in (config, seed,
+    index): same inputs, same classifications, on any worker, in any
+    range and whether the victims were prepared already or not. *)
 
 (** {1 Mergeable campaign statistics}
 
@@ -103,15 +114,10 @@ val repro_dropped : stats -> int
     (derived, not stored). *)
 
 val run_range : config -> campaign_seed:int64 -> first:int -> count:int -> stats
-(** Runs faults [first .. first + count - 1] — one campaign shard — and
-    folds every result into the statistics. The shard runs scheme-major:
-    per configured scheme it compiles and {!Machine.prepare}s each victim
-    at most once, and only if some fault of the range runs it (the
-    signal-frame victim only for signal-frame faults), and instantiates
-    every reference, injected and kernel-booted machine of every fault
-    from it, keeping one scheme's victims live at a time. Results are then folded per fault, in fault order, so the
-    statistics, trace events and reproducers equal a fold of
-    {!run_fault} over the range. When observability is enabled, also
+(** Runs faults [first .. first + count - 1] — one campaign shard — as a
+    fold of {!run_fault} over the range, in fault order, with
+    {!add_result}, so its statistics, trace events and reproducers are
+    those of the one-fault calls. When observability is enabled, also
     feeds detection latencies into the ["inject.detect_latency"]
     {!Pacstack_obs.Obs} histogram (20 buckets over 0..32768 cycles). *)
 

@@ -62,7 +62,7 @@ and op_hook = 46
 let reg_code = function Reg.X n -> n | Reg.SP -> 31 | Reg.XZR -> 32
 
 let reg_of_code = function
-  | n when n >= 0 && n <= 30 -> Reg.X n
+  | n when n >= 0 && n <= 30 -> Reg.x n
   | 31 -> Reg.SP
   | 32 -> Reg.XZR
   | n -> invalid_arg (Printf.sprintf "Encode: bad register code %d" n)

@@ -1,12 +1,16 @@
 type t = X of int | SP | XZR
 
-let x n = if n < 0 || n > 30 then invalid_arg "Reg.x" else X n
+(* One shared value per register, so [x] allocates nothing: a compiled
+   program holds one block per register, not one per operand. *)
+let xs = Array.init 31 (fun n -> X n)
 
-let lr = X 30
-let fp = X 29
-let cr = X 28
-let shadow = X 18
-let scratch = X 15
+let x n = if n < 0 || n > 30 then invalid_arg "Reg.x" else Array.unsafe_get xs n
+
+let lr = xs.(30)
+let fp = xs.(29)
+let cr = xs.(28)
+let shadow = xs.(18)
+let scratch = xs.(15)
 
 let equal a b =
   match a, b with
@@ -28,11 +32,11 @@ let of_string s =
   match String.lowercase_ascii s with
   | "sp" -> Some SP
   | "xzr" -> Some XZR
-  | "fp" -> Some (X 29)
-  | "lr" -> Some (X 30)
+  | "fp" -> Some fp
+  | "lr" -> Some lr
   | s when String.length s >= 2 && s.[0] = 'x' -> (
     match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-    | Some n when n >= 0 && n <= 30 -> Some (X n)
+    | Some n when n >= 0 && n <= 30 -> Some (x n)
     | Some _ | None -> None)
   | _ -> None
 

@@ -6,7 +6,8 @@
 type t = X of int | SP | XZR
 
 val x : int -> t
-(** [x n] for [0 <= n <= 30]; raises [Invalid_argument] otherwise. *)
+(** [x n] for [0 <= n <= 30]; raises [Invalid_argument] otherwise.
+    Returns one shared value per register and allocates nothing. *)
 
 val lr : t
 (** X30, the link register. *)

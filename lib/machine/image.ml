@@ -4,7 +4,6 @@ module Instr = Pacstack_isa.Instr
 module Encode = Pacstack_isa.Encode
 
 type t = {
-  program : Program.t;
   code : Instr.t array;
   (* The binary encoding, made on the first [encoded]. Machines on
      several domains may share an image: two that race here both encode
@@ -13,6 +12,8 @@ type t = {
   globals : (string, Word64.t) Hashtbl.t;
   locals : (string * string, Word64.t) Hashtbl.t;  (* (function, label) *)
   bounds : (string * Word64.t * Word64.t) list;    (* name, first, past-last *)
+  data_size : int;                                 (* bytes of data objects *)
+  entry : Word64.t option;                         (* the entry symbol's address *)
   entries : (Word64.t, unit) Hashtbl.t;            (* function entry points *)
   fetch_trap : exn;      (* preformatted out-of-image trap, raised as-is *)
 }
@@ -43,7 +44,6 @@ let build (p : Program.t) =
     if List.exists (fun (d : Program.data) -> d.dname = canary_name) p.data then p.data
     else p.data @ [ { Program.dname = canary_name; size = 8 } ]
   in
-  let program = { p with funcs; data } in
   let globals = Hashtbl.create 32 in
   let locals = Hashtbl.create 32 in
   (* The code array starts from a constant and is filled in one pass
@@ -80,7 +80,7 @@ let build (p : Program.t) =
       Hashtbl.replace globals d.dname !daddr;
       let size = (d.size + 15) land lnot 15 in
       daddr := Int64.add !daddr (Int64.of_int size))
-    program.data;
+    data;
   Encode.validate code;
   let entries = Hashtbl.create 16 in
   List.iter (fun (_, first, _) -> Hashtbl.replace entries first ()) !bounds;
@@ -93,11 +93,30 @@ let build (p : Program.t) =
          (Printf.sprintf "fetch outside code image [%Lx..%Lx)" code_base (addr n)))
   in
   {
-    program; code; encoding = Atomic.make None; globals; locals;
-    bounds = List.rev !bounds; entries; fetch_trap;
+    code; encoding = Atomic.make None; globals; locals; bounds = List.rev !bounds;
+    data_size = Int64.to_int (Int64.sub !daddr data_base);
+    entry = Hashtbl.find_opt globals p.entry; entries; fetch_trap;
   }
 
-let program t = t.program
+(* Every binding of [a] is in [b] with the same address, and neither
+   holds more ([build] binds each key once). *)
+let table_equal a b =
+  Hashtbl.length a = Hashtbl.length b
+  && Hashtbl.fold
+       (fun k v ok ->
+         ok && match Hashtbl.find_opt b k with Some w -> Int64.equal v w | None -> false)
+       a true
+
+(* The cheap, usually differing fields first; [entries] and [fetch_trap]
+   derive from [bounds] and [code], and [encoding] from [code]. *)
+let equal a b =
+  Array.length a.code = Array.length b.code
+  && a.data_size = b.data_size
+  && Option.equal Int64.equal a.entry b.entry
+  && a.bounds = b.bounds
+  && a.code = b.code
+  && table_equal a.globals b.globals
+  && table_equal a.locals b.locals
 
 let fetch t addr =
   let off = Int64.sub addr code_base in
@@ -130,10 +149,7 @@ let function_at t addr =
       else None)
     t.bounds
 
-let function_bounds t name =
-  List.find_map
-    (fun (n, first, past) -> if n = name then Some (first, past) else None)
-    t.bounds
+let functions t = t.bounds
 
 let resolve t ~from label =
   let local =
@@ -144,7 +160,7 @@ let resolve t ~from label =
   match local with Some a -> Some a | None -> symbol t label
 
 let entry t =
-  match symbol t t.program.entry with
+  match t.entry with
   | Some a -> a
   | None -> invalid_arg "Image.entry"
 
@@ -157,6 +173,7 @@ let halt_addr t = required t "__halt"
 let sigreturn_trampoline t = required t "__sigreturn_trampoline"
 
 let code_size t = 4 * Array.length t.code
+let data_size t = t.data_size
 
 let encoded t =
   match Atomic.get t.encoding with

@@ -2,7 +2,10 @@
 
     Code occupies 4 bytes per instruction starting at {!code_base}; data
     objects live in a read-write region; labels local to a function shadow
-    global symbols when resolved from inside that function. *)
+    global symbols when resolved from inside that function. An image keeps
+    the layout only (instructions, symbol tables, function bounds and the
+    data region's size), not the {!Pacstack_isa.Program.t} it was built
+    from. *)
 
 type t
 
@@ -20,7 +23,10 @@ val build : Pacstack_isa.Program.t -> t
     {!Pacstack_isa.Encode.Unencodable} for code the encoding cannot hold
     ({!Pacstack_isa.Encode.validate}), but encodes nothing itself. *)
 
-val program : t -> Pacstack_isa.Program.t
+val equal : t -> t -> bool
+(** Exact equality of two layouts: instructions, function bounds, data
+    size, entry and both symbol tables. Equal images run alike, so one
+    may stand for the other. *)
 
 val fetch : t -> Pacstack_util.Word64.t -> Pacstack_isa.Instr.t option
 (** The instruction at a code address, [None] outside the code image. *)
@@ -50,11 +56,16 @@ val sigreturn_trampoline : t -> Pacstack_util.Word64.t
 val function_at : t -> Pacstack_util.Word64.t -> string option
 (** Name of the function covering a code address. *)
 
-val function_bounds : t -> string -> (Pacstack_util.Word64.t * Pacstack_util.Word64.t) option
-(** [(first, past_last)] code addresses of a function. *)
+val functions : t -> (string * Pacstack_util.Word64.t * Pacstack_util.Word64.t) list
+(** [(name, first, past_last)] of every function, runtime stubs
+    included, in layout order. *)
 
 val code_size : t -> int
 (** Bytes of code. *)
+
+val data_size : t -> int
+(** Bytes from {!data_base} to the end of the last data object, each
+    object 16-byte aligned (the canary guard included). *)
 
 val encoded : t -> int32 array * Pacstack_isa.Encode.pools
 (** The binary encoding of the code image — what a machine's executable

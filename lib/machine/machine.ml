@@ -909,20 +909,17 @@ let code_page image k =
 
 let prepare program =
   let image = Image.build program in
-  (* one rw data region covering all objects (the image appends the canary
-     guard object when the program does not declare one) *)
-  let data_size =
-    List.fold_left
-      (fun acc (d : Pacstack_isa.Program.data) -> acc + ((d.size + 15) land lnot 15))
-      16 (Image.program image).data
-  in
   {
     p_image = image;
     p_ops = lazy_ops image;
     p_code_pages = max 1 ((Image.code_size image + Memory.page_size - 1) / Memory.page_size);
-    p_data_size = max Memory.page_size data_size;
+    (* one rw data region covering all objects (the image appends the
+       canary guard object when the program does not declare one) *)
+    p_data_size = max Memory.page_size (16 + Image.data_size image);
     p_code_limit = Int64.of_int (Image.code_size image);
   }
+
+let prepared_image p = p.p_image
 
 let instantiate ?(cfg = Config.default) ?keys ?rng p =
   let rng = match rng with Some r -> r | None -> Rng.create 0x9ac57ac4L in

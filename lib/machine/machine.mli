@@ -11,15 +11,19 @@ type t
 type prepared
 (** The per-program half of loading: the {!Image.t} and its
     threaded-code ops table. One value may back any number of machines,
-    in any order, on any domains, without one run being able to affect
-    another. It is not immutable: each ops slot starts as a stub that
-    compiles its instruction on first visit and stores the closure in
-    the slot, for every later instance and clone to reuse, and the
-    image's binary encoding is made when a machine first reads its code
-    as data ({!Image.encoded}). A slot's closure depends only on the
-    image and the slot index, and the encoding only on the image, so two
-    domains that race on either store equal values; the races are benign
-    and no lock is taken. *)
+    in any order, on any domains at once, for the life of the process,
+    without one run being able to affect another: the fault-injection
+    engine keeps one per distinct victim and shares it across worker
+    domains (lib/inject's [Engine.prepared_victim]). It is not
+    immutable: each ops slot starts as a stub that compiles its
+    instruction on first visit and stores the closure in the slot, for
+    every later instance and clone to reuse, and the image's binary
+    encoding is made when a machine first reads its code as data
+    ({!Image.encoded}). A slot's closure depends only on the image and
+    the slot index, and the encoding only on the image, so two domains
+    that race on either store equal values; the races are benign and no
+    lock is taken (test_engine's [prepare] group runs one cold value on
+    two domains at once against a sequential run). *)
 
 val prepare : Pacstack_isa.Program.t -> prepared
 (** Builds the image; threaded ops are compiled later, on first visit,
@@ -27,6 +31,9 @@ val prepare : Pacstack_isa.Program.t -> prepared
     {!Pacstack_isa.Encode.Unencodable} for code the encoding cannot
     hold, checked without encoding ({!Pacstack_isa.Encode.validate}).
     Forces no minor collection and draws no randomness. *)
+
+val prepared_image : prepared -> Image.t
+(** The image every instance of the prepared program runs. *)
 
 val instantiate :
   ?cfg:Pacstack_pa.Config.t ->

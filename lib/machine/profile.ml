@@ -66,14 +66,9 @@ let trace t pc instr =
     | _ -> ())
 
 let create image =
-  let program = Image.program image in
   let bounds =
-    List.filter_map
-      (fun (f : Pacstack_isa.Program.func) ->
-        Option.map (fun (first, past) -> (first, past, f.name)) (Image.function_bounds image f.name))
-      program.funcs
+    Array.of_list (List.map (fun (name, first, past) -> (first, past, name)) (Image.functions image))
   in
-  let bounds = Array.of_list bounds in
   Array.sort (fun (a, _, _) (b, _, _) -> Int64.unsigned_compare a b) bounds;
   {
     table = Hashtbl.create 32;

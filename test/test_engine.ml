@@ -479,6 +479,45 @@ let test_code_filled_on_first_read () =
   Alcotest.(check (option int64)) "the copy's first doubleword" first_doubleword
     (Memory.peek64 copy Image.code_base)
 
+(* One cold prepared value backs machines on two domains at once, as
+   the inject engine's victim memo does under [--workers 2]: both
+   domains start together on an unfilled ops table and race to fill its
+   slots. Every run equals a sequential run of a separately prepared
+   copy, state, counters and output alike. *)
+let test_prepared_across_domains () =
+  let programs =
+    [
+      ("fuzz seed 0 / pacstack", two_page_program ());
+      ( "pacstack victim",
+        Compile.compile ~scheme:Scheme.pacstack (Pacstack_inject.Victim.program ()) );
+    ]
+  in
+  let rounds = 4 in
+  List.iter
+    (fun (what, program) ->
+      let run prepared =
+        plain (Machine.run ~fuel) (Machine.instantiate ~rng:(Rng.create 3L) prepared)
+      in
+      let sequential = run (Machine.prepare program) in
+      (match sequential.outcome with
+      | Machine.Halted _ -> ()
+      | oc -> Alcotest.failf "%s: the sequential run ended %a" what pp_outcome oc);
+      let prepared = Machine.prepare program in
+      let ready = Atomic.make 0 in
+      let worker () =
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        List.init rounds (fun _ -> run prepared)
+      in
+      let a = Domain.spawn worker in
+      let b = Domain.spawn worker in
+      List.iteri
+        (fun i snap -> check_same ~what:(Printf.sprintf "%s / run %d" what i) sequential snap)
+        (Domain.join a @ Domain.join b))
+    programs
+
 let () =
   Alcotest.run "engine"
     [
@@ -523,5 +562,7 @@ let () =
             test_prepare_no_forced_collection;
           Alcotest.test_case "code pages fill on their first data read" `Quick
             test_code_filled_on_first_read;
+          Alcotest.test_case "one cold prepared on two domains at once" `Quick
+            test_prepared_across_domains;
         ] );
     ]

@@ -398,9 +398,8 @@ let test_stats_merge_order_independent () =
   let whole = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:12 in
   Alcotest.(check bool) "grouping-free" true (stats_equal left whole)
 
-(* A shard runs scheme-major, each scheme's victims prepared once for
-   the whole range; its statistics must equal the fault-major fold of
-   [run_fault] over the same faults, byte for byte. *)
+(* A shard's statistics equal the fold of [run_fault] over the same
+   faults through [add_result], byte for byte. *)
 let test_range_equals_fault_fold () =
   let cfg = Engine.default_config in
   let range = Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:64 in
@@ -420,6 +419,60 @@ let test_range_equals_fault_fold () =
        (List.sort_uniq compare (List.map (fun ((site, _), _) -> site) range.Engine.site_cells)));
   Alcotest.(check bool) "an empty range is empty" true
     (Engine.run_range cfg ~campaign_seed:7L ~first:5 ~count:0 = Engine.empty)
+
+(* --- the victim memo -------------------------------------------------------- *)
+
+let emitted () =
+  List.fold_left
+    (fun n (name, v) ->
+      match v with
+      | Obs.Metrics.Counter c when String.starts_with ~prefix:"harden.emit." name -> n + c
+      | _ -> n)
+    0 (Obs.Metrics.snapshot ())
+
+(* A second shard over the same faults in one process runs on the
+   memo's prepared victims: byte-identical statistics, and no compile,
+   so no harden.emit.* count. *)
+let test_second_run_warm () =
+  let cfg = Engine.default_config in
+  let json () =
+    Json.to_string (Engine.stats_to_json (Engine.run_range cfg ~campaign_seed:7L ~first:0 ~count:24))
+  in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let first = json () in
+      let compiled = emitted () in
+      let second = json () in
+      Alcotest.(check string) "second run's statistics" first second;
+      Alcotest.(check int) "harden.emit.* counts after the second run" compiled (emitted ()))
+
+(* Schemes whose victims compile to the same program share one physical
+   prepared value, and schemes whose victims differ do not. *)
+let test_victim_sharing_exact () =
+  List.iter
+    (fun (signal, program) ->
+      let compiled = List.map (fun s -> (s, Compile.compile ~scheme:s (program ()))) Scheme.all in
+      let distinct_programs = List.sort_uniq compare (List.map snd compiled) in
+      List.iter
+        (fun (a, pa) ->
+          List.iter
+            (fun (b, pb) ->
+              let shared = Engine.prepared_victim a ~signal == Engine.prepared_victim b ~signal in
+              if shared <> (pa = pb) then
+                Alcotest.failf "signal=%b: %a and %a: same program %b, shared %b" signal
+                  Scheme.pp a Scheme.pp b (pa = pb) shared)
+            compiled)
+        compiled;
+      Alcotest.(check bool)
+        (Printf.sprintf "signal=%b: fewer distinct victims than schemes" signal)
+        true
+        (List.length distinct_programs < List.length Scheme.all))
+    [ (false, Victim.program); (true, Victim.signal_program) ]
 
 (* The obs latency histogram spans every detection of the
    [inject -n 120 --seed 7] campaign: nothing clamps into its top
@@ -619,12 +672,16 @@ let () =
         [
           Alcotest.test_case "json roundtrip" `Quick test_stats_json_roundtrip;
           Alcotest.test_case "merge order independent" `Quick test_stats_merge_order_independent;
-          Alcotest.test_case "scheme-major range = run_fault fold" `Quick
-            test_range_equals_fault_fold;
+          Alcotest.test_case "range = run_fault fold" `Quick test_range_equals_fault_fold;
           Alcotest.test_case "obs latency histogram does not clamp" `Quick
             test_obs_latency_not_clamped;
           Alcotest.test_case "p95 within observed latencies" `Quick
             test_p95_within_observed_latencies;
+        ] );
+      ( "victims",
+        [
+          Alcotest.test_case "second run is warm and identical" `Quick test_second_run_warm;
+          Alcotest.test_case "sharing is exact" `Quick test_victim_sharing_exact;
         ] );
       ( "mega",
         [
