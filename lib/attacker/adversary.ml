@@ -37,8 +37,8 @@ let read m addr = Memory.peek64 (Machine.memory m) addr
 let write m addr v = Memory.poke64 (Machine.memory m) addr v
 
 let frame_record m = Machine.get m Reg.fp
-let return_slot m = Int64.add (frame_record m) 8L
-let chain_slot m = Int64.sub (frame_record m) 16L
+let return_slot m = Int64.add (frame_record m) (Int64.of_int Scheme.return_slot_offset)
+let chain_slot m = Int64.add (frame_record m) (Int64.of_int Scheme.chain_spill_offset)
 
 let shadow_top_slot m =
   let rec scan last addr =

@@ -29,10 +29,12 @@ val frame_record : Pacstack_machine.Machine.t -> Pacstack_util.Word64.t
     the frame-pointer chain is plain data on the stack). *)
 
 val return_slot : Pacstack_machine.Machine.t -> Pacstack_util.Word64.t
-(** [fp + 8]: where the interrupted function's return address is stored. *)
+(** [fp + 8] ({!Pacstack_harden.Scheme.return_slot_offset}): where the
+    interrupted function's return address is stored. *)
 
 val chain_slot : Pacstack_machine.Machine.t -> Pacstack_util.Word64.t
-(** [fp - 16]: the PACStack [aret_{i-1}] spill slot. *)
+(** [fp - 16] ({!Pacstack_harden.Scheme.chain_spill_offset}): the
+    PACStack [aret_{i-1}] spill slot. *)
 
 val shadow_top_slot : Pacstack_machine.Machine.t -> Pacstack_util.Word64.t option
 (** Topmost occupied shadow-stack entry, found by scanning the (known,

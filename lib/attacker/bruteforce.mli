@@ -1,11 +1,12 @@
 (** Machine-level brute-force guessing against forked siblings (§4.3).
 
     A parent process (PACStack-protected, small PAC width so the
-    experiment terminates) is forked repeatedly; each child inherits the
-    parent's PA keys, the adversary corrupts the child's chain slot with a
+    experiment terminates) is forked repeatedly, each fork a
+    {!Pacstack_machine.Machine.clone}; each child inherits the parent's
+    PA keys, the adversary corrupts the child's chain slot with a
     guessed token and observes whether the child crashes. The pure-model
     statistics live in {!Pacstack_acs.Games}; this experiment demonstrates
-    the same effect end-to-end through the kernel's fork and the real
+    the same effect end-to-end on the machine and the real
     instrumentation. *)
 
 type result = {

@@ -3,7 +3,6 @@ module Machine = Pacstack_machine.Machine
 module Scheme = Pacstack_harden.Scheme
 module Compile = Pacstack_minic.Compile
 module Scenarios = Pacstack_workloads.Scenarios
-module Surface = Pacstack_harden.Surface
 
 type strategy = Arbitrary_redirect | Sibling_reuse | Linear_overflow
 
@@ -53,10 +52,10 @@ let inject ~scheme ~strategy m loot =
     (* besides the saved LR, hit whatever extra word the scheme's
        epilogue derives the return target from *)
     let poke_control_slot v =
-      match Surface.control_slot scheme with
-      | Surface.Return_slot -> ()
-      | Surface.Chain_slot -> Option.iter (fun x -> poke (Adversary.chain_slot m) x) v
-      | Surface.Shadow_slot -> (
+      match Scheme.control_slot scheme with
+      | Scheme.Return_slot -> ()
+      | Scheme.Chain_slot -> Option.iter (fun x -> poke (Adversary.chain_slot m) x) v
+      | Scheme.Shadow_slot -> (
         match Adversary.shadow_top_slot m with
         | Some slot -> Option.iter (poke slot) v
         | None -> ())
@@ -67,10 +66,10 @@ let inject ~scheme ~strategy m loot =
       poke_control_slot (Some evil)
     | Sibling_reuse -> (
       Option.iter (poke (Adversary.return_slot m)) loot.ret_value;
-      match Surface.control_slot scheme with
-      | Surface.Return_slot -> ()
-      | Surface.Chain_slot -> Option.iter (poke (Adversary.chain_slot m)) loot.chain_value
-      | Surface.Shadow_slot -> (
+      match Scheme.control_slot scheme with
+      | Scheme.Return_slot -> ()
+      | Scheme.Chain_slot -> Option.iter (poke (Adversary.chain_slot m)) loot.chain_value
+      | Scheme.Shadow_slot -> (
         match Adversary.shadow_top_slot m with
         | Some slot -> Option.iter (poke slot) loot.shadow_value
         | None -> ()))

@@ -1,5 +1,3 @@
-module Stats = Pacstack_util.Stats
-
 type violation_kind = On_graph | Off_graph_to_call_site | Off_graph_arbitrary
 
 let pp_violation_kind fmt = function
@@ -16,12 +14,8 @@ let table1_success_probability ~masked kind ~bits =
   | Off_graph_to_call_site, _ -> 1.0 /. pow2 bits
   | Off_graph_arbitrary, _ -> 1.0 /. pow2 (2 * bits)
 
-let collision_harvest_mean ~bits = Stats.birthday_expected_tokens ~bits
-
-let collision_probability ~bits ~harvested =
-  Stats.birthday_collision_probability ~bits ~drawn:harvested
+let collision_harvest_mean ~bits = sqrt (Float.pi *. pow2 bits /. 2.0)
 
 let guesses_divide_and_conquer ~bits = 2.0 *. ((pow2 bits +. 1.0) /. 2.0)
 let guesses_reseeded ~bits = 2.0 *. pow2 bits
 let guesses_independent ~bits = pow2 (2 * bits)
-let single_process_guesses ~bits ~p = Stats.guesses_for_success ~bits ~p

@@ -19,9 +19,6 @@ val collision_harvest_mean : bits:int -> float
 (** Mean number of harvested tokens before two collide,
     √(π·2^b/2) (§6.2.1) — ≈ 321 for b = 16. *)
 
-val collision_probability : bits:int -> harvested:int -> float
-(** Birthday bound for [harvested] tokens. *)
-
 (** Expected number of guesses for the §4.3 brute-force strategies. *)
 
 val guesses_divide_and_conquer : bits:int -> float
@@ -35,7 +32,3 @@ val guesses_reseeded : bits:int -> float
 
 val guesses_independent : bits:int -> float
 (** Both tokens must be guessed in one shot: 2^(2b). *)
-
-val single_process_guesses : bits:int -> p:float -> float
-(** Guesses to reach success probability [p] when one failure is fatal
-    (fresh key per run): log(1-p)/log(1-2^-b). *)

@@ -12,7 +12,8 @@ type estimate = {
 }
 
 let estimate ~successes ~trials =
-  let ci_low, ci_high = Stats.binomial_ci ~successes ~trials in
+  if trials <= 0 then invalid_arg "Games.estimate";
+  let ci_low, ci_high = Stats.wilson ~successes ~trials in
   { successes; trials; rate = float_of_int successes /. float_of_int trials; ci_low; ci_high }
 
 (* Pooling two binomial samples is associative and commutative on the
@@ -46,10 +47,6 @@ let birthday_total ?(bits = 16) ~trials rng =
     total := !total + harvest 0
   done;
   !total
-
-let birthday_harvest ?bits ~trials rng =
-  if trials <= 0 then invalid_arg "Games.birthday_harvest";
-  float_of_int (birthday_total ?bits ~trials rng) /. float_of_int trials
 
 (* --- Table 1 cells ---------------------------------------------------- *)
 
@@ -259,7 +256,3 @@ let guessing_total ~strategy ~bits ~trials rng =
     total := !total + !guesses
   done;
   !total
-
-let guessing_mean ~strategy ~bits ~trials rng =
-  if trials <= 0 then invalid_arg "Games.guessing_mean";
-  float_of_int (guessing_total ~strategy ~bits ~trials rng) /. float_of_int trials

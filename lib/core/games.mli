@@ -16,7 +16,8 @@ type estimate = {
 val pp_estimate : Format.formatter -> estimate -> unit
 
 val estimate : successes:int -> trials:int -> estimate
-(** Wraps a raw (successes, trials) count, deriving rate and interval. *)
+(** Wraps a raw (successes, trials) count, deriving rate and interval.
+    Raises [Invalid_argument] when [trials <= 0]. *)
 
 val merge_estimates : estimate -> estimate -> estimate
 (** Pools two binomial samples. Associative and commutative, so shard
@@ -25,15 +26,11 @@ val merge_estimates : estimate -> estimate -> estimate
 
 (** {1 §6.2.1 — collisions} *)
 
-val birthday_harvest : ?bits:int -> trials:int -> Pacstack_util.Rng.t -> float
-(** Mean number of tokens an adversary must harvest before two (unmasked)
-    tokens collide. [bits] defaults to 16; the paper's expectation is
-    ≈ 321. *)
-
 val birthday_total : ?bits:int -> trials:int -> Pacstack_util.Rng.t -> int
-(** Shardable form of {!birthday_harvest}: the summed harvest count over
-    [trials] runs. Shard totals add; divide by the summed trials for the
-    campaign mean. *)
+(** The summed number of tokens an adversary harvests before two
+    (unmasked) tokens collide, over [trials] runs. [bits] defaults to 16;
+    the paper's expected mean is ≈ 321 per run. Shard totals add; divide
+    by the summed trials for the campaign mean. *)
 
 val violation_success :
   masked:bool ->
@@ -80,14 +77,9 @@ type guess_strategy =
 
 val pp_guess_strategy : Format.formatter -> guess_strategy -> unit
 
-val guessing_mean :
-  strategy:guess_strategy -> bits:int -> trials:int -> Pacstack_util.Rng.t -> float
-(** Measured mean number of guesses until the adversary can jump to an
-    arbitrary address. Expectations: ≈ 2^b, 2^(b+1) and 2^(2b)
-    respectively (§4.3). *)
-
 val guessing_total :
   strategy:guess_strategy -> bits:int -> trials:int -> Pacstack_util.Rng.t -> int
-(** Shardable form of {!guessing_mean}: the summed guess count over
-    [trials] attacks. Shard totals add; divide by the summed trials for
-    the campaign mean. *)
+(** The summed number of guesses until the adversary can jump to an
+    arbitrary address, over [trials] attacks. Expected means per attack:
+    ≈ 2^b, 2^(b+1) and 2^(2b) respectively (§4.3). Shard totals add;
+    divide by the summed trials for the campaign mean. *)

@@ -100,12 +100,6 @@ let run_range cfg ~campaign_seed ~lo ~hi : stats =
   done;
   !acc
 
-let triage_entries (s : stats) =
-  List.map
-    (fun (f : failure) ->
-      { Triage.seed = f.seed; scheme = f.scheme; optimize = f.optimize; site = f.site })
-    s.failures
-
 let pp_stats fmt (s : stats) =
   Format.fprintf fmt
     "@[<v>programs %d, machine runs %d, skipped %d, crashes %d, divergences %d@]"

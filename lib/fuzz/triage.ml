@@ -6,32 +6,20 @@
    bug produces many failing seeds.  The report prints one exemplar
    seed per bucket, cheapest first. *)
 
-module Scheme = Pacstack_harden.Scheme
-
-type entry = { seed : int; scheme : string; optimize : bool; site : string }
-
-let bucket_key (e : entry) =
-  Printf.sprintf "%s%s @ %s" e.scheme (if e.optimize then "+peephole" else "") e.site
-
-let of_divergence ~seed (d : Oracle.divergence) =
-  {
-    seed;
-    scheme = Scheme.to_string d.scheme;
-    optimize = d.optimize;
-    site = Oracle.site_to_string d.site;
-  }
+let bucket_key (f : Driver.failure) =
+  Printf.sprintf "%s%s @ %s" f.scheme (if f.optimize then "+peephole" else "") f.site
 
 type bucket = { key : string; count : int; exemplar : int (* lowest seed *) }
 
-let buckets (entries : entry list) : bucket list =
+let buckets (failures : Driver.failure list) : bucket list =
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun e ->
-      let key = bucket_key e in
+    (fun (f : Driver.failure) ->
+      let key = bucket_key f in
       match Hashtbl.find_opt tbl key with
-      | None -> Hashtbl.replace tbl key (1, e.seed)
-      | Some (n, ex) -> Hashtbl.replace tbl key (n + 1, min ex e.seed))
-    entries;
+      | None -> Hashtbl.replace tbl key (1, f.seed)
+      | Some (n, ex) -> Hashtbl.replace tbl key (n + 1, min ex f.seed))
+    failures;
   Hashtbl.fold (fun key (count, exemplar) acc -> { key; count; exemplar } :: acc) tbl []
   |> List.sort (fun a b ->
          match compare b.count a.count with 0 -> compare a.key b.key | c -> c)

@@ -129,10 +129,10 @@ let pacstack_longjmp_fn =
        ])
 
 let stack_chk_fail_fn =
-  Program.func Frame.stack_chk_fail_symbol
+  Program.func Scheme.stack_chk_fail_symbol
     (ins
        [
-         Instr.Mov (x0, Instr.Imm (Int64.of_int Frame.canary_failure_exit_code));
+         Instr.Mov (x0, Instr.Imm (Int64.of_int Scheme.canary_failure_exit_code));
          Instr.Hlt;
        ])
 

@@ -1,16 +1,13 @@
 (* The hardening-scheme registry.
 
-   A scheme used to be a closed variant dispatched by match ladders in
-   frame.ml, surface.ml, runtime.ml and every downstream consumer;
-   adding one meant a cross-cutting edit of all of them.  A scheme is
-   now one self-describing {!descriptor} — name/aliases, the
+   A scheme is one self-describing {!descriptor} — name/aliases, the
    prologue/epilogue codegen, the injectable control slot, observability
    (§3 adversary), chain-register use, setjmp/longjmp entries and
    function-pointer sealing hooks — registered once here.  [t] is an
    opaque registry index (a plain immediate int, so it marshals across
    the campaign engine's fork-based process pools and compares with
-   polymorphic equality), and [Frame]/[Surface]/[Runtime] are thin
-   facades over descriptor lookups.
+   polymorphic equality), and every consumer reads descriptors through
+   the accessors of this module.
 
    The six legacy schemes emit byte-for-byte the sequences the old
    match ladders produced (pinned by test_engine's differential suite
@@ -34,8 +31,6 @@ type descriptor = {
   aliases : string list;  (** extra spellings accepted by [of_string] *)
   prologue : traits -> Instr.t list;
   epilogue : traits -> Instr.t list;  (** ends in the returning instruction *)
-  protects_return : traits -> bool;
-  frame_overhead_bytes : traits -> int;
   control_slot : slot;
   observable : bool;
   uses_chain_register : bool;
@@ -89,11 +84,26 @@ let uses_chain_register t = (descriptor t).uses_chain_register
 let chained_signal t = (descriptor t).chained_signal
 let fnptr_seal t = (descriptor t).fnptr_seal
 let fnptr_call t = (descriptor t).fnptr_call
+let prologue t = (descriptor t).prologue
+let epilogue t = (descriptor t).epilogue
+let control_slot t = (descriptor t).control_slot
+let observable t = (descriptor t).observable
+
+let traits ?(is_leaf = false) ?(has_arrays = false) ?(locals_bytes = 0) () =
+  if locals_bytes < 0 || locals_bytes land 15 <> 0 then
+    invalid_arg "Scheme.traits: locals_bytes must be 16-byte aligned";
+  { is_leaf; has_arrays; locals_bytes }
 
 (* ------------------------------------------------------------------ *)
-(* Shared codegen (the moral AArch64FrameLowering; Frame re-exports)   *)
+(* Shared codegen (the moral AArch64FrameLowering)                     *)
+
+(* Relative to a non-leaf function's FP (see push_record and
+   pacstack_prologue below). *)
+let return_slot_offset = 8
+let chain_spill_offset = -16
 
 let stack_chk_fail_symbol = "__stack_chk_fail"
+let canary_failure_exit_code = 134
 let guard_symbol = "__stack_chk_guard"
 let canary_slot t = t.locals_bytes + 8
 
@@ -199,8 +209,6 @@ let base name =
     aliases = [];
     prologue = (fun t -> obs_count_emitted name (if t.is_leaf then leaf_prologue t else plain_prologue t));
     epilogue = (fun t -> obs_count_emitted name (if t.is_leaf then leaf_epilogue t else plain_epilogue t));
-    protects_return = (fun _ -> false);
-    frame_overhead_bytes = (fun _ -> 0);
     control_slot = Return_slot;
     observable = true;
     uses_chain_register = false;
@@ -237,8 +245,6 @@ let stack_protector =
                canary_check t @ add_sp (t.locals_bytes + 16) @ pop_record @ [ Instr.Ret Reg.lr ]
              else if t.is_leaf then leaf_epilogue t
              else plain_epilogue t));
-      protects_return = (fun t -> t.has_arrays);
-      frame_overhead_bytes = (fun t -> if t.has_arrays then 16 else 0);
     }
 
 let branch_protection =
@@ -257,7 +263,6 @@ let branch_protection =
           obs_count_emitted name
             (if t.is_leaf then leaf_epilogue t
              else add_sp t.locals_bytes @ pop_record @ [ Instr.Retaa ]));
-      protects_return = (fun t -> not t.is_leaf);
     }
 
 let shadow_stack =
@@ -279,8 +284,6 @@ let shadow_stack =
              else
                add_sp t.locals_bytes @ pop_record
                @ [ Instr.Ldr (Reg.lr, mem x18 (-8) Instr.Pre); Instr.Ret Reg.lr ]));
-      protects_return = (fun t -> not t.is_leaf);
-      frame_overhead_bytes = (fun t -> if t.is_leaf then 0 else 8);
       control_slot = Shadow_slot;
     }
 
@@ -299,8 +302,6 @@ let pacstack_variant ~masked =
           obs_count_emitted name
             (if t.is_leaf then leaf_epilogue t
              else add_sp t.locals_bytes @ pacstack_epilogue ~masked));
-      protects_return = (fun t -> not t.is_leaf);
-      frame_overhead_bytes = (fun t -> if t.is_leaf then 0 else 16);
       control_slot = Chain_slot;
       (* masked spills are indistinguishable from random (Appendix A) *)
       observable = not masked;
@@ -350,8 +351,6 @@ let pcan =
         (fun t -> obs_count_emitted name (if t.is_leaf then leaf_prologue t else prologue t));
       epilogue =
         (fun t -> obs_count_emitted name (if t.is_leaf then leaf_epilogue t else epilogue t));
-      protects_return = (fun t -> not t.is_leaf);
-      frame_overhead_bytes = (fun t -> if t.is_leaf then 0 else 16);
     }
 
 (* Zipper Stack: the top register X28 holds a running hash of the whole
@@ -396,8 +395,6 @@ let zipper =
         (fun t -> obs_count_emitted name (if t.is_leaf then leaf_prologue t else prologue t));
       epilogue =
         (fun t -> obs_count_emitted name (if t.is_leaf then leaf_epilogue t else epilogue t));
-      protects_return = (fun t -> not t.is_leaf);
-      frame_overhead_bytes = (fun t -> if t.is_leaf then 0 else 16);
       (* the hash tokens sit readable on the stack; nothing masks them *)
       uses_chain_register = true;
     }
@@ -440,7 +437,6 @@ let parts =
           obs_count_emitted name
             (if t.is_leaf then leaf_epilogue t
              else add_sp t.locals_bytes @ pop_record @ [ Instr.Retaa ]));
-      protects_return = (fun t -> not t.is_leaf);
       fnptr_seal =
         (fun rd ->
           [

@@ -1,12 +1,25 @@
-(** The hardening-scheme registry.
+(** The hardening-scheme registry, and the one statement of the frame
+    layout.
 
     A scheme is one self-describing {!descriptor}: its names, its
     prologue/epilogue codegen, the stack word an adversary must corrupt
     to redirect its return ({!slot}), whether its spilled control words
     are observable, its chain-register and setjmp/longjmp conventions,
-    and the sealing hooks applied to function pointers.  {!Frame},
-    {!Surface} and {!Runtime} are facades over descriptor lookups, so
-    adding a scheme is one {!register} call in one module.
+    and the sealing hooks applied to function pointers.  The compiler,
+    the runtime, the attacks and the fault-injection engine read these
+    through the accessors below, so adding a scheme is one {!register}
+    call in one module.
+
+    Frame layout, the contract between the codegen and the compiler:
+    - the body runs with SP at the bottom of a [locals_bytes] region;
+    - FP points at the frame record, so [\[fp\]] is the caller's FP and
+      [\[fp + 8\]] ({!return_slot_offset}) the return address;
+    - PACStack and Zipper Stack spill the chain register at
+      [\[fp - 16\]] ({!chain_spill_offset}), the word
+      {!Pacstack_machine.Unwind} authenticates;
+    - the body ends by falling into the epilogue;
+    - leaf functions (no calls) never spill LR and are skipped by the
+      LR-protecting schemes, mirroring the paper's §7.1 heuristic.
 
     Ships ten schemes: the paper's six (§7) plus four from the related
     work — PCan, Zipper Stack, PACTight sealing and PARTS forward-edge
@@ -33,8 +46,6 @@ type descriptor = {
   prologue : traits -> Pacstack_isa.Instr.t list;
   epilogue : traits -> Pacstack_isa.Instr.t list;
       (** ends in the returning instruction *)
-  protects_return : traits -> bool;
-  frame_overhead_bytes : traits -> int;
   control_slot : slot;
   observable : bool;
   uses_chain_register : bool;
@@ -85,6 +96,36 @@ val of_string : string -> t option
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
+val traits : ?is_leaf:bool -> ?has_arrays:bool -> ?locals_bytes:int -> unit -> traits
+(** Defaults: a non-leaf function without arrays or locals. Raises
+    [Invalid_argument] unless [locals_bytes] is a non-negative multiple
+    of 16. *)
+
+val prologue : t -> traits -> Pacstack_isa.Instr.t list
+
+val epilogue : t -> traits -> Pacstack_isa.Instr.t list
+(** Ends in the returning instruction. *)
+
+val control_slot : t -> slot
+(** The word whose value the scheme's epilogue turns into the return
+    target: the saved LR for unprotected / stack-protector /
+    branch-protection style frames, the shadow-stack entry for shadow
+    frames, and the spilled chain value for PACStack (the epilogue
+    authenticates the register-held aret against it). *)
+
+val observable : t -> bool
+(** Whether control words read from memory are correlatable by the §3
+    adversary — [false] only for masked PACStack, whose spilled tokens
+    are indistinguishable from random (Appendix A), so harvesting them
+    supports no reuse strategy. *)
+
+val return_slot_offset : int
+(** [+8]: the frame record's saved LR, relative to a non-leaf
+    function's FP. *)
+
+val chain_spill_offset : int
+(** [-16]: the PACStack/Zipper chain-register spill, relative to FP. *)
+
 val uses_chain_register : t -> bool
 (** True when X28 is reserved (§5.1): PACStack variants and Zipper. *)
 
@@ -98,6 +139,9 @@ val fnptr_call : t -> Pacstack_isa.Reg.t -> Pacstack_isa.Instr.t list
 val stack_chk_fail_symbol : string
 (** ["__stack_chk_fail"] — the abort entry the canary-style schemes
     branch to on a failed check. *)
+
+val canary_failure_exit_code : int
+(** [134]: the exit code of [__stack_chk_fail]. *)
 
 val canary_slot : traits -> int
 (** SP-relative offset of the canary slot in a canary frame. *)

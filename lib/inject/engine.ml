@@ -32,7 +32,7 @@
      sibling by matching harvested aret values (collisions are visible,
      §6.1); under the masked variant the spills are masked and the pick
      is blind, succeeding with probability 2^-b — the Appendix A
-     argument, mirrored from [Pacstack_harden.Surface.observable].
+     argument, mirrored from [Pacstack_harden.Scheme.observable].
    - [Signal_frame] boots the victim under the kernel personality,
      delivers a signal at the trigger point and flips bits in the saved
      PC inside the user-visible signal frame.  Under [Sig_chained]
@@ -56,7 +56,6 @@ module Sketch = Pacstack_util.Sketch
 module Config = Pacstack_pa.Config
 module Reg = Pacstack_isa.Reg
 module Scheme = Pacstack_harden.Scheme
-module Surface = Pacstack_harden.Surface
 module Machine = Pacstack_machine.Machine
 module Image = Pacstack_machine.Image
 module Memory = Pacstack_machine.Memory
@@ -136,13 +135,14 @@ let pac_pattern (mcfg : Config.t) flip =
   done;
   if !p = 0L then Int64.shift_left 1L lo else !p
 
+(* The frame word at one of {!Scheme}'s FP-relative offsets. *)
+let at fp offset = Int64.add fp (Int64.of_int offset)
+
 let control_slot_addr scheme m =
-  match Surface.control_slot scheme with
-  | Surface.Return_slot ->
-    Int64.add (Machine.get m Reg.fp) (Int64.of_int Surface.return_slot_offset)
-  | Surface.Chain_slot ->
-    Int64.add (Machine.get m Reg.fp) (Int64.of_int Surface.chain_spill_offset)
-  | Surface.Shadow_slot -> Int64.sub (Machine.get m Reg.shadow) 8L
+  match Scheme.control_slot scheme with
+  | Scheme.Return_slot -> at (Machine.get m Reg.fp) Scheme.return_slot_offset
+  | Scheme.Chain_slot -> at (Machine.get m Reg.fp) Scheme.chain_spill_offset
+  | Scheme.Shadow_slot -> Int64.sub (Machine.get m Reg.shadow) 8L
 
 let apply_site cfg (spec : Fault.spec) scheme m =
   match cfg.tamper with
@@ -159,8 +159,8 @@ let apply_site cfg (spec : Fault.spec) scheme m =
     let xor_reg r = Machine.set m r (Int64.logxor (Machine.get m r) spec.flip) in
     let fp = Machine.get m Reg.fp in
     match spec.site with
-    | Fault.Ret_slot -> xor_mem (Int64.add fp 8L) spec.flip
-    | Fault.Chain_spill -> xor_mem (Int64.sub fp 16L) spec.flip
+    | Fault.Ret_slot -> xor_mem (at fp Scheme.return_slot_offset) spec.flip
+    | Fault.Chain_spill -> xor_mem (at fp Scheme.chain_spill_offset) spec.flip
     | Fault.Cr_reg -> xor_reg Reg.cr
     | Fault.Lr_reg -> xor_reg Reg.lr
     | Fault.Shadow_slot -> xor_mem (Int64.sub (Machine.get m Reg.shadow) 8L) spec.flip
@@ -207,7 +207,7 @@ let run_generic cfg (spec : Fault.spec) scheme victim keys_rng =
 (* Walk the saved-FP chain from the hook frame (probe) back to the path
    function's frame, and name the two control words whose substitution
    diverts mid's and the path's returns to a sibling site.  Offsets per
-   scheme come from {!Surface.control_slot}:
+   scheme come from {!Scheme.control_slot}:
 
    - return-slot schemes: the saved LRs [fp_mid + 8] (return into the
      path's tail) and [fp_path + 8] (return to main's call site);
@@ -225,11 +225,14 @@ let window_slots scheme m =
   let fp_inner = load fp_probe in
   let fp_mid = load fp_inner in
   let fp_path = load fp_mid in
-  match Surface.control_slot scheme with
-  | Surface.Return_slot -> (Int64.add fp_mid 8L, Int64.add fp_path 8L, Int64.add fp_mid 8L)
-  | Surface.Chain_slot ->
-    (Int64.sub fp_inner 16L, Int64.sub fp_mid 16L, Int64.sub fp_probe 16L)
-  | Surface.Shadow_slot ->
+  match Scheme.control_slot scheme with
+  | Scheme.Return_slot ->
+    let ret fp = at fp Scheme.return_slot_offset in
+    (ret fp_mid, ret fp_path, ret fp_mid)
+  | Scheme.Chain_slot ->
+    let spill fp = at fp Scheme.chain_spill_offset in
+    (spill fp_inner, spill fp_mid, spill fp_probe)
+  | Scheme.Shadow_slot ->
     let x18 = Machine.get m Reg.shadow in
     (Int64.sub x18 24L, Int64.sub x18 32L, Int64.sub x18 24L)
 
@@ -279,7 +282,7 @@ let run_window cfg (spec : Fault.spec) scheme victim keys_rng =
     else begin
       (if !plan = None then
          let pair =
-           if Surface.observable scheme then
+           if Scheme.observable scheme then
              match first_collision handles with
              | Some p -> p
              | None -> blind_pair spec

@@ -149,8 +149,6 @@ let function_at t addr =
       else None)
     t.bounds
 
-let functions t = t.bounds
-
 let resolve t ~from label =
   let local =
     match function_at t from with

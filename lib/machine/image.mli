@@ -56,10 +56,6 @@ val sigreturn_trampoline : t -> Pacstack_util.Word64.t
 val function_at : t -> Pacstack_util.Word64.t -> string option
 (** Name of the function covering a code address. *)
 
-val functions : t -> (string * Pacstack_util.Word64.t * Pacstack_util.Word64.t) list
-(** [(name, first, past_last)] of every function, runtime stubs
-    included, in layout order. *)
-
 val code_size : t -> int
 (** Bytes of code. *)
 

@@ -60,8 +60,8 @@ val load :
     one program many times prepare it once instead. *)
 
 val clone : t -> t
-(** Deep copy: memory, registers and keys (used by [fork]). Hooks and the
-    syscall handler are shared. *)
+(** Deep copy: memory, registers and keys (a forked sibling shares its
+    parent's keys). Hooks and the syscall handler are shared. *)
 
 (** {1 State access} *)
 
@@ -154,7 +154,7 @@ val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
     [hlt], one whose fetch then faults, and the one where the fuel runs
     out. A predicate that records and answers [false] is an observer of
     every instruction: it reads the instruction with
-    [Image.fetch (image m) (pc m)], as {!Profile.run} does.
+    [Image.fetch (image m) (pc m)].
 
     A predicate may read anything and may write registers, flags and
     mapped data memory. It must not change PC, [halted] or the page

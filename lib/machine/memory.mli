@@ -78,7 +78,8 @@ val poke64 : t -> Pacstack_util.Word64.t -> Pacstack_util.Word64.t -> bool
     writable pages (W⊕X still binds the adversary); returns success. *)
 
 val copy : t -> t
-(** Deep copy (used by [fork]). TLB miss counters restart at zero. *)
+(** Deep copy (used by {!Machine.clone}). TLB miss counters restart at
+    zero. *)
 
 val fills : t -> int
 (** Pages given their bytes by a {!map} initialiser since creation;

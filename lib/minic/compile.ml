@@ -3,7 +3,6 @@ module Reg = Pacstack_isa.Reg
 module Cond = Pacstack_isa.Cond
 module Program = Pacstack_isa.Program
 module Scheme = Pacstack_harden.Scheme
-module Frame = Pacstack_harden.Frame
 module Runtime = Pacstack_harden.Runtime
 
 exception Error of string
@@ -50,10 +49,11 @@ let layout_of (f : Ast.fdef) =
   let total = !off + (if makes_calls then 8 * temp_count else 0) in
   { slots; arrays; spill_base; locals_bytes = align16 total }
 
-let function_traits (f : Ast.fdef) =
-  let l = layout_of f in
-  Frame.traits ~is_leaf:(not (Ast.calls_in_body f.body)) ~has_arrays:(Ast.has_arrays f)
-    ~locals_bytes:l.locals_bytes ()
+let traits_of (f : Ast.fdef) layout =
+  Scheme.traits ~is_leaf:(not (Ast.calls_in_body f.body)) ~has_arrays:(Ast.has_arrays f)
+    ~locals_bytes:layout.locals_bytes ()
+
+let function_traits f = traits_of f (layout_of f)
 
 let temp d = Reg.x (9 + d)
 
@@ -237,19 +237,16 @@ and compile_body ctx ~epilogue body =
 let compile_fdef ~scheme (f : Ast.fdef) =
   if List.length f.params > max_args then error "%s: too many parameters" f.fname;
   let layout = layout_of f in
-  let traits =
-    Frame.traits ~is_leaf:(not (Ast.calls_in_body f.body)) ~has_arrays:(Ast.has_arrays f)
-      ~locals_bytes:layout.locals_bytes ()
-  in
+  let traits = traits_of f layout in
   let ctx = { fname = f.fname; layout; scheme; next_label = 0 } in
-  let epilogue = Frame.epilogue scheme traits in
+  let epilogue = Scheme.epilogue scheme traits in
   let param_stores =
     List.mapi (fun i p -> Instr.Str (Reg.x i, sp_slot (slot_of ctx p))) f.params
   in
   let items =
     List.concat
       [
-        List.map (fun i -> Program.Ins i) (Frame.prologue scheme traits @ param_stores);
+        List.map (fun i -> Program.Ins i) (Scheme.prologue scheme traits @ param_stores);
         compile_body ctx ~epilogue f.body;
         [ Program.Lbl return_label ];
         List.map (fun i -> Program.Ins i) epilogue;

@@ -4,7 +4,7 @@
     the AAPCS64-flavoured convention (arguments in X0–X5, result in X0,
     expression temporaries in X9–X14 spilled around calls) and wraps the
     body in the prologue/epilogue of the selected hardening scheme
-    ({!Pacstack_harden.Frame}). The {!Pacstack_harden.Runtime} support
+    ({!Pacstack_harden.Scheme}). The {!Pacstack_harden.Runtime} support
     functions are linked into every output. *)
 
 exception Error of string
@@ -21,6 +21,6 @@ val compile :
     many arguments, too-deep expressions). [optimize] (default false) runs
     the {!Peephole} pass. *)
 
-val function_traits : Ast.fdef -> Pacstack_harden.Frame.traits
+val function_traits : Ast.fdef -> Pacstack_harden.Scheme.traits
 (** The traits the compiler derives for a function (exposed for tests and
     for static overhead analysis). *)

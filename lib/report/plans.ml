@@ -460,7 +460,7 @@ let fuzz ?schemes ?optimize ?seeds () =
         Format.fprintf fmt "%a@." Fuzz_driver.pp_stats totals;
         Format.fprintf fmt "throughput: %.1f programs/s@."
           (float_of_int totals.Fuzz_driver.programs /. max 1e-9 elapsed_s);
-        match Pacstack_fuzz.Triage.buckets (Fuzz_driver.triage_entries totals) with
+        match Pacstack_fuzz.Triage.buckets totals.Fuzz_driver.failures with
         | [] -> ()
         | buckets ->
           Format.fprintf fmt "@[<v>divergence buckets:@,%a@]@." Pacstack_fuzz.Triage.pp_buckets

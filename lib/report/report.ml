@@ -76,13 +76,34 @@ let paper_cpp scheme =
   | "pacstack-nomask" -> "0.9%"
   | _ -> "-"
 
+(* Runs [bench]'s unprotected Rate build to its halt under a [run_until]
+   observer that calls [on_call m] at each call boundary, before the
+   [bl]/[blr] executes, and returns the halted machine. Figure 5's
+   calls/ki and the SP-modifier section both count through it. *)
+let observe_calls bench ~on_call =
+  let program = Compile.compile ~scheme:Scheme.unprotected (bench.Speclike.program Speclike.Rate) in
+  let m = Machine.load program in
+  let image = Machine.image m in
+  let observe m =
+    (match Pacstack_machine.Image.fetch image (Machine.pc m) with
+    | Some (Pacstack_isa.Instr.Bl _ | Pacstack_isa.Instr.Blr _) -> on_call m
+    | _ -> ());
+    false
+  in
+  match Machine.run_until ~fuel:100_000_000 m ~stop:observe with
+  | Some (Machine.Halted 0) -> m
+  | _ -> failwith (bench.Speclike.name ^ ": observed run failed")
+
+let call_counts bench =
+  let calls = ref 0 in
+  let m = observe_calls bench ~on_call:(fun _ -> incr calls) in
+  (!calls, Machine.instructions_retired m)
+
 (* measured calls per 1000 instructions of the baseline build — the
    paper's §7.1 "overhead is proportional to call frequency" evidence *)
 let call_density bench =
-  let program = Compile.compile ~scheme:Scheme.unprotected (bench.Speclike.program Speclike.Rate) in
-  match Pacstack_machine.Profile.run ~fuel:100_000_000 (Machine.load program) with
-  | Machine.Halted 0, profile -> Pacstack_machine.Profile.call_density profile
-  | _ -> failwith (bench.Speclike.name ^ ": profiling run failed")
+  let calls, instructions = call_counts bench in
+  1000.0 *. float_of_int calls /. float_of_int instructions
 
 type overheads = {
   figure5 : (string * float * (Scheme.t * float) list) list;
@@ -323,25 +344,14 @@ let sp_collisions fmt =
       match Speclike.find name with
       | None -> ()
       | Some bench ->
-        let program = Compile.compile ~scheme:Scheme.unprotected (bench.Speclike.program Speclike.Rate) in
-        let m = Machine.load program in
-        let image = Machine.image m in
         let seen = Hashtbl.create 256 in
         let calls = ref 0 in
-        (* an observer: at each call boundary, before the call executes,
-           record the SP a return-address signature would use *)
-        let observe m =
-          (match Pacstack_machine.Image.fetch image (Machine.pc m) with
-          | Some (Pacstack_isa.Instr.Bl _ | Pacstack_isa.Instr.Blr _) ->
-            incr calls;
-            let sp = Machine.get m Pacstack_isa.Reg.SP in
-            Hashtbl.replace seen sp (1 + Option.value (Hashtbl.find_opt seen sp) ~default:0)
-          | _ -> ());
-          false
-        in
-        (match Machine.run_until ~fuel:100_000_000 m ~stop:observe with
-        | Some (Machine.Halted 0) -> ()
-        | _ -> failwith (name ^ ": SP-stat run failed"));
+        (* at each call boundary, record the SP a return-address
+           signature would use *)
+        ignore
+          (observe_calls bench ~on_call:(fun m ->
+               incr calls;
+               Hashtbl.replace seen (Machine.get m Pacstack_isa.Reg.SP) ()));
         let distinct = Hashtbl.length seen in
         let repeats = !calls - distinct in
         Format.fprintf fmt

@@ -33,6 +33,12 @@ val overheads : unit -> overheads
     baseline's checksum. Rendered as text by {!pp_overheads} and as CSV
     by {!Export}. *)
 
+val call_counts : Pacstack_workloads.Speclike.benchmark -> int * int
+(** Calls ([bl]/[blr] boundaries) and retired instructions of the
+    benchmark's unprotected SPECrate-like build, run to its halt under a
+    call-boundary observer: Figure 5's calls/ki is [1000 * calls /
+    instructions]. *)
+
 val pp_overheads : Format.formatter -> overheads -> unit
 (** Figure 5 (per-benchmark overhead, one column per [table2] scheme),
     Table 2 (geometric-mean overheads, SPECrate and SPECspeed) and the

@@ -96,30 +96,8 @@ let wilson ~successes ~trials =
     ( (if successes = 0 then 0.0 else max 0.0 (centre -. half)),
       if successes = trials then 1.0 else min 1.0 (centre +. half) )
 
-let binomial_ci ~successes ~trials =
-  if trials <= 0 then invalid_arg "Stats.binomial_ci";
-  wilson ~successes ~trials
-
 let overhead_pct ~baseline ~measured =
   if baseline = 0.0 then invalid_arg "Stats.overhead_pct"
   else (measured -. baseline) /. baseline *. 100.0
-
-let birthday_expected_tokens ~bits =
-  sqrt (Float.pi *. (2.0 ** float_of_int bits) /. 2.0)
-
-let birthday_collision_probability ~bits ~drawn =
-  (* 1 - prod_{i=1}^{q-1} (1 - i/2^b), computed in log space. *)
-  let space = 2.0 ** float_of_int bits in
-  if float_of_int drawn >= space then 1.0
-  else
-    let rec go i acc =
-      if i >= drawn then acc
-      else go (i + 1) (acc +. log1p (-.float_of_int i /. space))
-    in
-    1.0 -. exp (go 1 0.0)
-
-let guesses_for_success ~bits ~p =
-  if p <= 0.0 || p >= 1.0 then invalid_arg "Stats.guesses_for_success";
-  log1p (-.p) /. log1p (-.(2.0 ** float_of_int (-bits)))
 
 let expected_guesses_geometric ~bits = 2.0 ** float_of_int bits

@@ -36,26 +36,8 @@ val wilson : successes:int -> trials:int -> float * float
     Raises [Invalid_argument] if [trials < 0] or [successes] is outside
     [[0, trials]]. *)
 
-val binomial_ci : successes:int -> trials:int -> float * float
-(** 95 % Wilson score interval for a binomial proportion. Same as
-    {!wilson} but raises [Invalid_argument] when [trials <= 0] (the
-    historical contract). *)
-
 val overhead_pct : baseline:float -> measured:float -> float
 (** [(measured - baseline) / baseline * 100]. *)
-
-(** {1 Closed forms from the paper} *)
-
-val birthday_expected_tokens : bits:int -> float
-(** Expected number of harvested [b]-bit tokens before the first collision,
-    [sqrt (pi * 2^b / 2)] — 321 for b = 16 (paper §6.2.1). *)
-
-val birthday_collision_probability : bits:int -> drawn:int -> float
-(** Probability that [drawn] uniform [b]-bit tokens contain a collision. *)
-
-val guesses_for_success : bits:int -> p:float -> float
-(** Number of independent 2^-b guesses needed to succeed with probability
-    [p] when failure is fatal: [log(1-p) / log(1-2^-b)] (paper §4.3). *)
 
 val expected_guesses_geometric : bits:int -> float
 (** Mean of the geometric distribution with success probability 2^-b. *)

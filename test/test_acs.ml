@@ -154,7 +154,7 @@ let in_range label lo hi v = Alcotest.(check bool) (Printf.sprintf "%s: %g" labe
 
 let test_birthday_game () =
   let rng = Rng.create 21L in
-  let mean = Games.birthday_harvest ~bits:16 ~trials:150 rng in
+  let mean = float_of_int (Games.birthday_total ~bits:16 ~trials:150 rng) /. 150.0 in
   in_range "birthday mean" 290.0 350.0 mean
 
 let test_on_graph_unmasked () =
@@ -200,11 +200,14 @@ let test_mask_distinguisher () =
 
 let test_guessing_means () =
   let rng = Rng.create 28L in
-  let dnc = Games.guessing_mean ~strategy:Games.Divide_and_conquer ~bits:8 ~trials:2500 rng in
+  let mean strategy ~bits ~trials =
+    float_of_int (Games.guessing_total ~strategy ~bits ~trials rng) /. float_of_int trials
+  in
+  let dnc = mean Games.Divide_and_conquer ~bits:8 ~trials:2500 in
   in_range "divide-and-conquer ~257" 240.0 275.0 dnc;
-  let reseed = Games.guessing_mean ~strategy:Games.Reseeded ~bits:8 ~trials:2500 rng in
+  let reseed = mean Games.Reseeded ~bits:8 ~trials:2500 in
   in_range "reseeded ~512" 470.0 560.0 reseed;
-  let indep = Games.guessing_mean ~strategy:Games.Independent ~bits:5 ~trials:500 rng in
+  let indep = mean Games.Independent ~bits:5 ~trials:500 in
   in_range "independent ~1024" 880.0 1180.0 indep;
   Alcotest.(check bool) "reseeding raises the cost" true (reseed > dnc *. 1.5)
 
@@ -217,8 +220,10 @@ let test_theorem1 () =
 
 let test_game_argument_validation () =
   let rng = Rng.create 29L in
-  Alcotest.check_raises "zero trials" (Invalid_argument "Games.birthday_harvest") (fun () ->
-      ignore (Games.birthday_harvest ~trials:0 rng))
+  Alcotest.check_raises "zero trials" (Invalid_argument "Games.birthday_total") (fun () ->
+      ignore (Games.birthday_total ~trials:0 rng));
+  Alcotest.check_raises "empty estimate" (Invalid_argument "Games.estimate") (fun () ->
+      ignore (Games.estimate ~successes:0 ~trials:0))
 
 let () =
   Alcotest.run "acs"

@@ -174,12 +174,10 @@ let test_planted_bug_caught_and_shrunk () =
        (Ast.program_size prog) size)
     true (size <= 10);
   (* triage buckets the divergences coherently *)
-  let entries =
-    List.map (fun d -> Triage.of_divergence ~seed d) ds
-  in
-  match Triage.buckets entries with
+  let failures = List.map (Driver.failure_of_divergence ~seed) ds in
+  match Triage.buckets failures with
   | [] -> Alcotest.fail "no triage bucket"
-  | b :: _ -> Alcotest.(check int) "bucket counts all entries" (List.length entries) b.Triage.count
+  | b :: _ -> Alcotest.(check int) "bucket counts all entries" (List.length failures) b.Triage.count
 
 (* A scheme-conditional miscompilation: the wrong constant is planted
    only where [main] links the pacstack chain ([pacia lr, cr] in its

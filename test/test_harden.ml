@@ -6,7 +6,6 @@ module Instr = Pacstack_isa.Instr
 module Reg = Pacstack_isa.Reg
 module Program = Pacstack_isa.Program
 module Scheme = Pacstack_harden.Scheme
-module Frame = Pacstack_harden.Frame
 module Runtime = Pacstack_harden.Runtime
 
 let show_seq l = String.concat "; " (List.map Instr.to_string l)
@@ -37,33 +36,14 @@ let test_chain_register_reservation () =
 
 (* --- Frame -------------------------------------------------------------------- *)
 
-let nonleaf = Frame.traits ~locals_bytes:32 ()
-let leaf = Frame.traits ~is_leaf:true ~locals_bytes:16 ()
-let arrays = Frame.traits ~has_arrays:true ~locals_bytes:32 ()
+let nonleaf = Scheme.traits ~locals_bytes:32 ()
+let leaf = Scheme.traits ~is_leaf:true ~locals_bytes:16 ()
+let arrays = Scheme.traits ~has_arrays:true ~locals_bytes:32 ()
 
 let test_traits_validation () =
   Alcotest.check_raises "unaligned locals"
-    (Invalid_argument "Frame.traits: locals_bytes must be 16-byte aligned") (fun () ->
-      ignore (Frame.traits ~locals_bytes:8 ()))
-
-let test_protects_return () =
-  Alcotest.(check bool) "baseline never" false (Frame.protects_return Scheme.unprotected nonleaf);
-  Alcotest.(check bool) "canary needs arrays" false
-    (Frame.protects_return Scheme.stack_protector nonleaf);
-  Alcotest.(check bool) "canary with arrays" true
-    (Frame.protects_return Scheme.stack_protector arrays);
-  Alcotest.(check bool) "pacstack non-leaf" true (Frame.protects_return Scheme.pacstack nonleaf);
-  Alcotest.(check bool) "pacstack skips leaves" false (Frame.protects_return Scheme.pacstack leaf);
-  Alcotest.(check bool) "bp skips leaves" false
-    (Frame.protects_return Scheme.branch_protection leaf)
-
-let test_frame_overhead () =
-  Alcotest.(check int) "pacstack +16" 16 (Frame.frame_overhead_bytes Scheme.pacstack nonleaf);
-  Alcotest.(check int) "scs +8" 8 (Frame.frame_overhead_bytes Scheme.shadow_stack nonleaf);
-  Alcotest.(check int) "canary +16 on arrays" 16
-    (Frame.frame_overhead_bytes Scheme.stack_protector arrays);
-  Alcotest.(check int) "bp +0" 0 (Frame.frame_overhead_bytes Scheme.branch_protection nonleaf);
-  Alcotest.(check int) "leaf +0" 0 (Frame.frame_overhead_bytes Scheme.pacstack leaf)
+    (Invalid_argument "Scheme.traits: locals_bytes must be 16-byte aligned") (fun () ->
+      ignore (Scheme.traits ~locals_bytes:8 ()))
 
 let sp = Reg.SP
 let fp = Reg.fp
@@ -74,7 +54,7 @@ let mem base offset index = { Instr.base; offset; index }
 
 (* Listing 2: PACStack without masking. *)
 let test_pacstack_nomask_listing2 () =
-  let t = Frame.traits () in
+  let t = Scheme.traits () in
   Alcotest.check check_seq "prologue"
     [
       Instr.Str (x28, mem sp (-32) Instr.Pre);
@@ -83,7 +63,7 @@ let test_pacstack_nomask_listing2 () =
       Instr.Pacia (lr, x28);
       Instr.Mov (x28, Instr.Reg lr);
     ]
-    (Frame.prologue Scheme.pacstack_nomask t);
+    (Scheme.prologue Scheme.pacstack_nomask t);
   Alcotest.check check_seq "epilogue"
     [
       Instr.Mov (lr, Instr.Reg x28);
@@ -92,14 +72,14 @@ let test_pacstack_nomask_listing2 () =
       Instr.Autia (lr, x28);
       Instr.Ret lr;
     ]
-    (Frame.epilogue Scheme.pacstack_nomask t)
+    (Scheme.epilogue Scheme.pacstack_nomask t)
 
 (* Listing 3: the masked variant recreates and clears the mask around every
    use. *)
 let test_pacstack_masked_listing3 () =
-  let t = Frame.traits () in
-  let prologue = Frame.prologue Scheme.pacstack t in
-  let epilogue = Frame.epilogue Scheme.pacstack t in
+  let t = Scheme.traits () in
+  let prologue = Scheme.prologue Scheme.pacstack t in
+  let epilogue = Scheme.epilogue Scheme.pacstack t in
   let mask_seq =
     [
       Instr.Mov (x15, Instr.Reg Reg.XZR);
@@ -124,36 +104,36 @@ let test_pacstack_masked_listing3 () =
 
 (* Listing 1: -mbranch-protection. *)
 let test_branch_protection_listing1 () =
-  let t = Frame.traits () in
+  let t = Scheme.traits () in
   Alcotest.check check_seq "prologue"
     [ Instr.Paciasp; Instr.Stp (fp, lr, mem sp (-16) Instr.Pre); Instr.Mov (fp, Instr.Reg sp) ]
-    (Frame.prologue Scheme.branch_protection t);
+    (Scheme.prologue Scheme.branch_protection t);
   Alcotest.check check_seq "epilogue"
     [ Instr.Ldp (fp, lr, mem sp 16 Instr.Post); Instr.Retaa ]
-    (Frame.epilogue Scheme.branch_protection t)
+    (Scheme.epilogue Scheme.branch_protection t)
 
 let test_shadow_stack_sequences () =
-  let t = Frame.traits () in
-  (match Frame.prologue Scheme.shadow_stack t with
+  let t = Scheme.traits () in
+  (match Scheme.prologue Scheme.shadow_stack t with
   | Instr.Str (r, { Instr.base; offset = 8; index = Instr.Post }) :: _ ->
     Alcotest.(check bool) "pushes LR via X18" true (Reg.equal r lr && Reg.equal base Reg.shadow)
   | _ -> Alcotest.fail "expected shadow push first");
-  match List.rev (Frame.epilogue Scheme.shadow_stack t) with
+  match List.rev (Scheme.epilogue Scheme.shadow_stack t) with
   | Instr.Ret _ :: Instr.Ldr (r, { Instr.base; offset = -8; index = Instr.Pre }) :: _ ->
     Alcotest.(check bool) "pops LR from X18" true (Reg.equal r lr && Reg.equal base Reg.shadow)
   | _ -> Alcotest.fail "expected shadow pop before ret"
 
 let test_canary_sequences () =
   let t = arrays in
-  let prologue = Frame.prologue Scheme.stack_protector t in
-  let epilogue = Frame.epilogue Scheme.stack_protector t in
+  let prologue = Scheme.prologue Scheme.stack_protector t in
+  let epilogue = Scheme.epilogue Scheme.stack_protector t in
   Alcotest.(check bool) "prologue stores canary" true
     (List.exists
-       (function Instr.Str (_, { Instr.offset; _ }) -> offset = Frame.canary_slot t | _ -> false)
+       (function Instr.Str (_, { Instr.offset; _ }) -> offset = Scheme.canary_slot t | _ -> false)
        prologue);
   Alcotest.(check bool) "epilogue branches to failure handler" true
     (List.exists
-       (function Instr.Bcond (_, l) -> l = Frame.stack_chk_fail_symbol | _ -> false)
+       (function Instr.Bcond (_, l) -> l = Scheme.stack_chk_fail_symbol | _ -> false)
        epilogue)
 
 let test_leaf_frames_minimal () =
@@ -162,19 +142,19 @@ let test_leaf_frames_minimal () =
       Alcotest.check check_seq
         (Scheme.to_string scheme ^ " leaf prologue")
         [ Instr.Sub (sp, sp, Instr.Imm 16L) ]
-        (Frame.prologue scheme leaf);
+        (Scheme.prologue scheme leaf);
       Alcotest.check check_seq
         (Scheme.to_string scheme ^ " leaf epilogue")
         [ Instr.Add (sp, sp, Instr.Imm 16L); Instr.Ret lr ]
-        (Frame.epilogue scheme leaf))
+        (Scheme.epilogue scheme leaf))
     [ Scheme.unprotected; Scheme.branch_protection; Scheme.shadow_stack; Scheme.pacstack ]
 
 let test_locals_allocation () =
-  let t = Frame.traits ~locals_bytes:48 () in
+  let t = Scheme.traits ~locals_bytes:48 () in
   Alcotest.(check bool) "prologue allocates locals" true
-    (List.exists (fun i -> i = Instr.Sub (sp, sp, Instr.Imm 48L)) (Frame.prologue Scheme.pacstack t));
+    (List.exists (fun i -> i = Instr.Sub (sp, sp, Instr.Imm 48L)) (Scheme.prologue Scheme.pacstack t));
   Alcotest.(check bool) "epilogue releases locals" true
-    (List.exists (fun i -> i = Instr.Add (sp, sp, Instr.Imm 48L)) (Frame.epilogue Scheme.pacstack t))
+    (List.exists (fun i -> i = Instr.Add (sp, sp, Instr.Imm 48L)) (Scheme.epilogue Scheme.pacstack t))
 
 (* --- Runtime ------------------------------------------------------------------- *)
 
@@ -273,8 +253,8 @@ let test_registry_conformance () =
       (* codegen over the trait corners used throughout this file *)
       List.iter
         (fun t ->
-          let prologue = Frame.prologue scheme t in
-          let epilogue = Frame.epilogue scheme t in
+          let prologue = Scheme.prologue scheme t in
+          let epilogue = Scheme.epilogue scheme t in
           Alcotest.(check bool)
             (name ^ ": epilogue returns")
             true
@@ -365,14 +345,12 @@ let () =
       ( "frame",
         [
           Alcotest.test_case "traits validation" `Quick test_traits_validation;
-          Alcotest.test_case "protects_return" `Quick test_protects_return;
-          Alcotest.test_case "frame overhead" `Quick test_frame_overhead;
+          Alcotest.test_case "shadow stack sequences" `Quick test_shadow_stack_sequences;
+          Alcotest.test_case "canary sequences" `Quick test_canary_sequences;
           Alcotest.test_case "Listing 2 (nomask)" `Quick test_pacstack_nomask_listing2;
           Alcotest.test_case "Listing 3 (masked)" `Quick test_pacstack_masked_listing3;
           Alcotest.test_case "Listing 1 (branch protection)" `Quick
             test_branch_protection_listing1;
-          Alcotest.test_case "shadow stack sequences" `Quick test_shadow_stack_sequences;
-          Alcotest.test_case "canary sequences" `Quick test_canary_sequences;
           Alcotest.test_case "leaf frames minimal" `Quick test_leaf_frames_minimal;
           Alcotest.test_case "locals allocation" `Quick test_locals_allocation;
         ] );

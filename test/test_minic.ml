@@ -9,7 +9,6 @@ module Compile = Pacstack_minic.Compile
 module Scheme = Pacstack_harden.Scheme
 module Machine = Pacstack_machine.Machine
 module Trap = Pacstack_machine.Trap
-module Frame = Pacstack_harden.Frame
 
 let qtest name count gen prop = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
 
@@ -242,18 +241,18 @@ let test_undefined_function () =
 let test_function_traits () =
   let leaf = Ast.fdef "f" ~params:[ "x" ] B.[ ret (v "x" + i 1) ] in
   let t = Compile.function_traits leaf in
-  Alcotest.(check bool) "leaf" true t.Frame.is_leaf;
-  Alcotest.(check bool) "no arrays" false t.Frame.has_arrays;
+  Alcotest.(check bool) "leaf" true t.Scheme.is_leaf;
+  Alcotest.(check bool) "no arrays" false t.Scheme.has_arrays;
   let caller = Ast.fdef "g" ~locals:[ Ast.Array ("buf", 24) ] B.[ ret (call "f" [ i 1 ]) ] in
   let t = Compile.function_traits caller in
-  Alcotest.(check bool) "non-leaf" false t.Frame.is_leaf;
-  Alcotest.(check bool) "arrays" true t.Frame.has_arrays;
+  Alcotest.(check bool) "non-leaf" false t.Scheme.is_leaf;
+  Alcotest.(check bool) "arrays" true t.Scheme.has_arrays;
   (* 24-byte array padded to 8-alignment, plus 48 spill bytes, 16-aligned *)
-  Alcotest.(check int) "locals bytes" 80 t.Frame.locals_bytes
+  Alcotest.(check int) "locals bytes" 80 t.Scheme.locals_bytes
 
 let test_tail_call_counts_as_call () =
   let f = Ast.fdef "f" ~params:[ "x" ] [ Ast.Tail_call ("f", [ B.(v "x") ]) ] in
-  Alcotest.(check bool) "tail-caller not leaf" false (Compile.function_traits f).Frame.is_leaf
+  Alcotest.(check bool) "tail-caller not leaf" false (Compile.function_traits f).Scheme.is_leaf
 
 (* --- semantic checker --------------------------------------------------------------- *)
 

@@ -241,10 +241,10 @@ let test_weighted_percentile () =
     (fun () -> ignore (Stats.weighted_percentile ~bounds:[| 0.0 |] ~counts:[| 1 |] 50.0))
 
 let test_binomial_ci () =
-  let lo, hi = Stats.binomial_ci ~successes:50 ~trials:100 in
+  let lo, hi = Stats.wilson ~successes:50 ~trials:100 in
   Alcotest.(check bool) "covers 0.5" true (lo < 0.5 && hi > 0.5);
   Alcotest.(check bool) "non-degenerate" true (hi -. lo > 0.0 && hi -. lo < 0.25);
-  let lo0, _ = Stats.binomial_ci ~successes:0 ~trials:10 in
+  let lo0, _ = Stats.wilson ~successes:0 ~trials:10 in
   Alcotest.check feq "zero successes lower bound" 0.0 lo0
 
 let test_wilson () =
@@ -286,19 +286,7 @@ let test_overhead () =
   Alcotest.check feq "10%" 10.0 (Stats.overhead_pct ~baseline:100.0 ~measured:110.0);
   Alcotest.check feq "negative" (-10.0) (Stats.overhead_pct ~baseline:100.0 ~measured:90.0)
 
-let test_birthday () =
-  Alcotest.check (Alcotest.float 0.5) "paper's 321 tokens at b=16" 320.8
-    (Stats.birthday_expected_tokens ~bits:16);
-  Alcotest.(check bool) "certainty beyond space" true
-    (Stats.birthday_collision_probability ~bits:4 ~drawn:17 = 1.0);
-  let p = Stats.birthday_collision_probability ~bits:16 ~drawn:321 in
-  Alcotest.(check bool) "~50% at the mean" true (p > 0.4 && p < 0.7)
-
 let test_guesses () =
-  (* log(1-p)/log(1-2^-b) *)
-  let g = Stats.guesses_for_success ~bits:16 ~p:0.5 in
-  Alcotest.(check bool) "about 45k guesses for a coin flip at b=16" true
-    (g > 45000.0 && g < 46000.0);
   Alcotest.check feq "geometric mean" 256.0 (Stats.expected_guesses_geometric ~bits:8)
 
 (* The linear layout [Obs.Metrics] histograms use: four unit buckets over
@@ -426,7 +414,6 @@ let () =
           Alcotest.test_case "wilson interval" `Quick test_wilson;
           prop_wilson_contains_estimate;
           Alcotest.test_case "overhead" `Quick test_overhead;
-          Alcotest.test_case "birthday closed forms" `Quick test_birthday;
           Alcotest.test_case "guess counts" `Quick test_guesses;
           Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
