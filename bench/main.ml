@@ -155,7 +155,7 @@ type campaign_cost = {
 
 let campaign_cost () =
   Format.printf "@.measuring campaign engine tax...@.";
-  let co_faults = 64 and shards = 8 and seed = 7L in
+  let co_faults = 128 and shards = 16 and seed = 7L in
   let raw () =
     let per = co_faults / shards in
     List.fold_left
@@ -179,13 +179,18 @@ let campaign_cost () =
         in
         Plans.inject_totals outcome)
   in
-  (* The gated tax is the median over 7 paired, interleaved rounds
+  (* The gated tax is the median over 21 paired, interleaved rounds
      (alternating which side goes first) of the per-round engine/raw
      ratio, as for [step_speedup]: a short side is enough for contention
      on a shared host to swing it by 15-40%, and pairing cancels what
      the two sides of a round share. One untimed raw pass first fills
      the process's victim memo (Engine.prepared_victim), so neither side
-     of the first round pays the victims' one-time compile. *)
+     of the first round pays the victims' one-time compile. Each side
+     runs 128 faults in 16 shards of 8, and 21 rounds: with the victims
+     running as straight-line blocks, shorter sides or fewer rounds let
+     contention swing the ratio to within a few points of the limit, and
+     more shards per side raise the tax itself (compaction runs more
+     often). *)
   let timed f =
     let t0 = cpu_time () in
     let r = f () in
@@ -193,7 +198,7 @@ let campaign_cost () =
   in
   ignore (raw ());
   let rounds =
-    List.init 7 (fun i ->
+    List.init 21 (fun i ->
         if i mod 2 = 0 then
           let r = timed raw in
           (r, timed engine)
@@ -297,10 +302,11 @@ let print_alloc_residuals alloc =
    guards (one atomic load + predictable branch) at sites the hot loops
    already branch on — PA instructions, TLB refills, one publish per
    machine run — so the overhead bound is
-   (guards per op) x (guard cost) / (op cost). Guard cost is timed on a
-   64-deep unrolled loop; guard frequency comes from an *enabled*
-   profiling run of the same op, whose counters record how often each
-   guarded site fired. Summing emission-side counters overestimates the
+   (guards per op) x (guard cost) / (op cost). Guard cost is timed on 64
+   guards written out in a row, each loading the flag as a call site
+   does, so no loop counter or safepoint poll is charged to it; guard
+   frequency comes from an *enabled* profiling run of the same op, whose
+   counters record how often each guarded site fired. Summing emission-side counters overestimates the
    number of guard executions, which only makes the bound more
    conservative. The op costs are the threaded step that [Machine.run]
    executes and the very fuzz seed whose guards are counted, both timed
@@ -319,13 +325,9 @@ type obs_cost = {
 }
 
 let obs_guard_ns () =
-  let f () =
-    let acc = ref 0 in
-    for _ = 1 to 64 do
-      if Obs.enabled () then incr acc
-    done;
-    !acc
-  in
+  let[@inline] guard n = if Obs.enabled () then n + 1 else n in
+  let[@inline] guard8 n = guard (guard (guard (guard (guard (guard (guard (guard n))))))) in
+  let f () = guard8 (guard8 (guard8 (guard8 (guard8 (guard8 (guard8 (guard8 0))))))) in
   time_per_op ~iters:20_000 f /. 64.
 
 let prefixed p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p

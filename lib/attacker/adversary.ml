@@ -2,6 +2,7 @@ module Word64 = Pacstack_util.Word64
 module Machine = Pacstack_machine.Machine
 module Memory = Pacstack_machine.Memory
 module Image = Pacstack_machine.Image
+module Kernel = Pacstack_machine.Kernel
 module Trap = Pacstack_machine.Trap
 module Reg = Pacstack_isa.Reg
 module Scenarios = Pacstack_workloads.Scenarios
@@ -56,8 +57,9 @@ let classify ~expected m outcome =
   match outcome with
   | _ when hijacked -> Hijacked
   | Machine.Faulted f -> Detected (Trap.to_string f)
-  | Machine.Halted 134 -> Detected "stack canary"
-  | Machine.Halted 139 -> Detected "kernel sigreturn validation"
+  | Machine.Halted c when c = Scheme.canary_failure_exit_code -> Detected "stack canary"
+  | Machine.Halted c when c = Kernel.sigreturn_kill_exit_code ->
+    Detected "kernel sigreturn validation"
   | Machine.Halted _ | Machine.Out_of_fuel -> if out = expected then No_effect else Bent
 
 let benign_output scheme program =

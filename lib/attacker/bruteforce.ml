@@ -8,13 +8,6 @@ module B = Pacstack_minic.Build
 module Compile = Pacstack_minic.Compile
 module Scenarios = Pacstack_workloads.Scenarios
 
-type result = {
-  pac_bits : int;
-  trials : int;
-  mean_guesses : float;
-  expected : float;
-}
-
 (* main prints f's result before returning, so a surviving stage-1 guess
    (f returned despite the forged chain slot) is observable to the
    adversary even though main's own return then crashes. *)
@@ -64,12 +57,3 @@ let total_guesses ?(pac_bits = 6) ~trials rng =
     total := !total + guess 0
   done;
   !total
-
-let run ?(pac_bits = 6) ?(trials = 20) ?(seed = 0xb4c3L) () =
-  let total = total_guesses ~pac_bits ~trials (Rng.create seed) in
-  {
-    pac_bits;
-    trials;
-    mean_guesses = float_of_int total /. float_of_int trials;
-    expected = 2.0 ** float_of_int pac_bits;
-  }

@@ -9,17 +9,9 @@
     the same effect end-to-end on the machine and the real
     instrumentation. *)
 
-type result = {
-  pac_bits : int;
-  trials : int;
-  mean_guesses : float;  (** guesses until a forged return survives *)
-  expected : float;  (** (2^b + 1) / 2 for enumerated guessing *)
-}
-
-val run : ?pac_bits:int -> ?trials:int -> ?seed:int64 -> unit -> result
-(** Defaults: [pac_bits = 6], [trials = 20]. *)
-
 val total_guesses : ?pac_bits:int -> trials:int -> Pacstack_util.Rng.t -> int
-(** Shardable form of {!run}: the summed guess count over [trials]
-    end-to-end attacks driven from the given generator. Shard totals add;
-    divide by the summed trials for the campaign mean. *)
+(** The summed guess count over [trials] end-to-end attacks driven from
+    the given generator: each attack enumerates tokens against one
+    parent's forked siblings until a forged return survives, and counts
+    the guesses that took. [pac_bits] defaults to 6. Totals of separate
+    generators add; divide by the summed trials for the mean. *)

@@ -61,40 +61,43 @@ let mask prf ~bits ~modifier = token prf ~bits ~data:0L ~modifier
 let on_graph_trial ~masked ~bits ~harvest prf rng =
   let ret_c = Rng.next64 rng in
   (* Harvest [harvest] authenticated return addresses for ret_C along
-     distinct paths (distinct previous-aret modifiers). The adversary sees
-     the stored (possibly masked) token together with its modifier. *)
-  let entries =
-    Array.init harvest (fun _ ->
-        let modifier = Rng.next64 rng in
-        let t = token prf ~bits ~data:ret_c ~modifier in
-        let visible = if masked then Int64.logxor t (mask prf ~bits ~modifier) else t in
-        (modifier, t, visible))
+     distinct paths (distinct previous-aret modifiers): entry k's
+     modifier is the k-th of the next [harvest] draws. The adversary sees
+     the stored (possibly masked) token together with its modifier. The
+     first visible collision alone decides the pair, so entries are read
+     lazily ([Rng.peek]) and the scan stops there: at b = 8 that is ~20
+     draws into a harvest of hundreds. The stream skips the whole
+     harvest, so every later draw is where drawing it in full leaves it. *)
+  let harvested = Rng.copy rng in
+  Rng.skip rng harvest;
+  let token_at k = token prf ~bits ~data:ret_c ~modifier:(Rng.peek harvested k) in
+  let visible k =
+    let t = token_at k in
+    if masked then Int64.logxor t (mask prf ~bits ~modifier:(Rng.peek harvested k)) else t
   in
-  (* Pick the substitution pair: with visible collisions, a real one;
+  let seen = Hashtbl.create 64 in
+  let rec first_visible_collision k =
+    if k = harvest then None
+    else
+      let v = visible k in
+      match Hashtbl.find_opt seen v with
+      | Some j -> Some (j, k)
+      | None ->
+        Hashtbl.replace seen v k;
+        first_visible_collision (k + 1)
+  in
+  (* The substitution pair: with visible collisions, a real one;
      otherwise (masking) any pair. *)
-  let pick_visible_collision () =
-    let seen = Hashtbl.create harvest in
-    let found = ref None in
-    Array.iteri
-      (fun i (_, _, visible) ->
-        match Hashtbl.find_opt seen visible with
-        | Some j when !found = None -> found := Some (j, i)
-        | Some _ | None -> Hashtbl.replace seen visible i)
-      entries;
-    !found
-  in
-  let pair =
-    match pick_visible_collision () with
+  let i, j =
+    match first_visible_collision 0 with
     | Some p -> p
     | None ->
       let i = Rng.int rng harvest in
       let j = (i + 1 + Rng.int rng (harvest - 1)) mod harvest in
       (i, j)
   in
-  let i, j = pair in
-  let (_, t_a, _), (_, t_b, _) = (entries.(i), entries.(j)) in
   (* AG-Load succeeds iff the true (unmasked) tokens collide. *)
-  Word64.equal t_a t_b
+  Word64.equal (token_at i) (token_at j)
 
 let off_graph_trial ~arbitrary ~bits prf rng =
   let ret_c = Rng.next64 rng in

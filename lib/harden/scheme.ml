@@ -33,7 +33,6 @@ type descriptor = {
   epilogue : traits -> Instr.t list;  (** ends in the returning instruction *)
   control_slot : slot;
   observable : bool;
-  uses_chain_register : bool;
   chained_signal : bool;  (** kernel validates sigreturn frames (Appendix B) *)
   setjmp_symbol : string;
   longjmp_symbol : string;
@@ -80,7 +79,6 @@ let of_string s = Hashtbl.find_opt by_name (String.lowercase_ascii s)
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 let equal (a : t) (b : t) = Int.equal a b
-let uses_chain_register t = (descriptor t).uses_chain_register
 let chained_signal t = (descriptor t).chained_signal
 let fnptr_seal t = (descriptor t).fnptr_seal
 let fnptr_call t = (descriptor t).fnptr_call
@@ -211,7 +209,6 @@ let base name =
     epilogue = (fun t -> obs_count_emitted name (if t.is_leaf then leaf_epilogue t else plain_epilogue t));
     control_slot = Return_slot;
     observable = true;
-    uses_chain_register = false;
     chained_signal = false;
     setjmp_symbol = "setjmp";
     longjmp_symbol = "longjmp";
@@ -305,7 +302,6 @@ let pacstack_variant ~masked =
       control_slot = Chain_slot;
       (* masked spills are indistinguishable from random (Appendix A) *)
       observable = not masked;
-      uses_chain_register = true;
       chained_signal = true;
       setjmp_symbol = "__pacstack_setjmp";
       longjmp_symbol = "__pacstack_longjmp";
@@ -396,7 +392,6 @@ let zipper =
       epilogue =
         (fun t -> obs_count_emitted name (if t.is_leaf then leaf_epilogue t else epilogue t));
       (* the hash tokens sit readable on the stack; nothing masks them *)
-      uses_chain_register = true;
     }
 
 (* PACTight-style pointer sealing: function pointers are signed with

@@ -48,7 +48,6 @@ type descriptor = {
       (** ends in the returning instruction *)
   control_slot : slot;
   observable : bool;
-  uses_chain_register : bool;
   chained_signal : bool;
       (** kernel binds signal frames to the ACS (Appendix B) *)
   setjmp_symbol : string;
@@ -125,9 +124,6 @@ val return_slot_offset : int
 
 val chain_spill_offset : int
 (** [-16]: the PACStack/Zipper chain-register spill, relative to FP. *)
-
-val uses_chain_register : t -> bool
-(** True when X28 is reserved (§5.1): PACStack variants and Zipper. *)
 
 val chained_signal : t -> bool
 (** True when the kernel authenticates sigreturn frames against the

@@ -111,13 +111,16 @@ type result = { spec : Fault.spec; scheme : Scheme.t; classification : classific
 let machine_cfg cfg = Config.make ~pac_bits:cfg.pac_bits ()
 
 (* The runtime aborts detection turns into exit codes; both victims
-   return [s land 63], so 134/139 are unambiguous here. *)
+   return [s land 63], so the canary abort (134) and the sigreturn kill
+   (139) are unambiguous here. *)
 let classify ~ref_trace ~injected_cycles m (outcome : Machine.outcome) =
   let latency () = Machine.cycles m - injected_cycles in
   match outcome with
   | Machine.Faulted t -> Detected { cause = Trap.to_string t; latency = latency () }
-  | Machine.Halted 134 -> Detected { cause = "canary-abort"; latency = latency () }
-  | Machine.Halted 139 -> Detected { cause = "sigreturn-kill"; latency = latency () }
+  | Machine.Halted c when c = Scheme.canary_failure_exit_code ->
+    Detected { cause = "canary-abort"; latency = latency () }
+  | Machine.Halted c when c = Kernel.sigreturn_kill_exit_code ->
+    Detected { cause = "sigreturn-kill"; latency = latency () }
   | Machine.Halted _ | Machine.Out_of_fuel ->
     if Trace.equal ref_trace (Trace.of_run m outcome) then Benign else Silent
 

@@ -36,6 +36,8 @@ let sig_token_full m ~words ~prev =
   let ga = Keys.get (Machine.keys m) Keys.GA in
   Array.fold_left (fun acc w -> Prf.mac64 ga ~data:w ~modifier:acc) prev words
 
+let sigreturn_kill_exit_code = 139
+
 let do_sigreturn t p =
   let m = p.m in
   let sp = Machine.get m Reg.SP in
@@ -61,7 +63,7 @@ let do_sigreturn t p =
     if Word64.equal expected p.sig_ref && p.sig_depth > 0 then accept ()
     else
       (* forged or replayed frame: the kernel terminates the process *)
-      Machine.set_halted m 139
+      Machine.set_halted m sigreturn_kill_exit_code
 
 let handler t p m n =
   match n with

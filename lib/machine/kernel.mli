@@ -56,3 +56,8 @@ val deliver_signal : t -> proc -> handler:string -> signum:int -> unit
 
 val signal_depth : proc -> int
 (** Signal frames delivered and not yet returned from. *)
+
+val sigreturn_kill_exit_code : int
+(** [139]: the exit code of a process whose [sigreturn] frame fails the
+    Appendix B chain check (a forged or replayed frame): the kernel
+    terminates it, as Linux does with SIGSEGV. *)

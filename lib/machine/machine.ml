@@ -9,22 +9,28 @@ module Cond = Pacstack_isa.Cond
 module Instr = Pacstack_isa.Instr
 module Obs = Pacstack_obs.Obs
 
-(* Register file layout: X0..X30, SP and PC as raw little-endian int64
-   slots in one Bytes buffer. Raw slots keep the hot loop free of both
+(* Register file layout: X0..X30, SP and PC as raw int64 slots in one
+   Bytes buffer, then two slots for XZR: it reads from [zero_slot], which
+   nothing writes, and writes to [discard_slot], which nothing reads. So
+   every register operand is a byte offset ([read_slot]/[write_slot]),
+   resolved once when an instruction is compiled, with no [match] on
+   [Reg.t] left at run time. Raw slots keep the hot loop free of both
    the write barrier and the per-store Int64 box that an [int64 array]
    or a mutable int64 record field pays on every write — a register
-   write is a bounds-checked raw store, and int64 temporaries stay
-   unboxed inside each operation. *)
+   write is one raw store, and int64 temporaries stay unboxed inside
+   each operation. *)
 let sp_slot = 31 * 8
 let pc_slot = 32 * 8
-let regs_bytes = 33 * 8
+let zero_slot = 33 * 8
+let discard_slot = 34 * 8
+let regs_bytes = 35 * 8
 
 type t = {
   cfg : Config.t;
   mem : Memory.t;
   image : Image.t;
   keys : Keys.t;
-  regs : Bytes.t;  (* X0..X30, SP, PC — see the layout note above *)
+  regs : Bytes.t;  (* X0..X30, SP, PC, XZR's zero and discard slots — see above *)
   mutable flags_bits : int;  (* packed NZCV, Cond.bits_* layout *)
   mutable halted : int option;
   mutable cycles : int;
@@ -46,8 +52,8 @@ type t = {
   mutable obs_mark_dmiss : int;
   mutable obs_mark_xmiss : int;
   (* Threaded-code engine (DESIGN.md, "Threaded-code execution"): one
-     compiled closure per instruction (a compiling stub until its first
-     visit, see [lazy_ops]), indexed by (pc-code_base)/4,
+     compiled closure per instruction in [prep.p_ops] (a compiling stub
+     until its first visit, see [lazy_ops]), indexed by (pc-code_base)/4,
      plus a page-granular cached execute check over the code region.
      Each op returns the index of the next op (resolved at compile time
      for straight-line code and static branches) or -1 when the
@@ -55,29 +61,63 @@ type t = {
      compiled ops directly instead of re-validating pc every step.
      [fast_ok] certifies at load time that every in-image address is
      canonical for [cfg], so the fast path may skip [translate]. *)
-  ops : (t -> int) array;
-  code_limit : Word64.t;  (* 4 * instruction count *)
+  prep : prepared;  (* the program's shared half, see [prepared] *)
+  mutable block_at : int;  (* the body instruction a block runs, see [run_body] *)
   fast_ok : bool;
   xpages : Bytes.t;       (* '\001' per executable code page *)
   mutable xcache_gen : int;
 }
 
-let get t = function
-  | Reg.X n -> Bytes.get_int64_le t.regs (n lsl 3)
-  | Reg.SP -> Bytes.get_int64_le t.regs sp_slot
-  | Reg.XZR -> 0L
+(* What loading derives from the program alone, built once by [prepare]:
+   every instance shares the image and the ops table, and maps its own
+   code pages, which get their bytes on their first data access (see
+   [code_page]). The table starts with one stub in every slot and each
+   slot is compiled on its first visit (see [lazy_ops]). Once the
+   program's runs under [run] have made [warmup_steps] steps, it also
+   gains a block table (see [runner_run]); nothing else in a prepared
+   value changes after [prepare]. *)
+and prepared = {
+  p_image : Image.t;
+  p_ops : (t -> int) array;
+  p_code_pages : int;
+  p_data_size : int;
+  p_code_limit : int;  (* 4 * instruction count *)
+  mutable p_steps : int;  (* steps made under [run] while [p_blocks] was [None] *)
+  mutable p_blocks : blocks option;
+}
 
-let set t r v =
-  match r with
-  | Reg.X n -> Bytes.set_int64_le t.regs (n lsl 3) v
-  | Reg.SP -> Bytes.set_int64_le t.regs sp_slot v
-  | Reg.XZR -> ()
+(* Straight-line blocks (see "straight-line blocks" below), both arrays
+   indexed like the ops and filled on first use. *)
+and blocks = {
+  sems : (t -> unit) array;  (* each instruction's effect, see [compile_sem] *)
+  shapes : int array;  (* each entry index's packed block shape, 0 until built *)
+}
 
-let pc t = Bytes.get_int64_le t.regs pc_slot
-let set_pc t v = Bytes.set_int64_le t.regs pc_slot v
-let sp t = Bytes.get_int64_le t.regs sp_slot
-let lr t = Bytes.get_int64_le t.regs (30 lsl 3)
-let set_lr t v = Bytes.set_int64_le t.regs (30 lsl 3) v
+(* Slot reads and writes skip the bounds check: every slot is one of the
+   offsets above, all inside [regs_bytes], since [read_slot] and
+   [write_slot] refuse a register number outside 0-30. The byte order is
+   the host's, the same for every access. *)
+external get_slot : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_slot : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let ( .%{} ) t slot = get_slot t.regs slot
+let ( .%{}<- ) t slot v = set_slot t.regs slot v
+
+let x_slot n =
+  if n < 0 || n > 30 then invalid_arg (Printf.sprintf "Machine: no register X%d" n);
+  n lsl 3
+
+let read_slot = function Reg.X n -> x_slot n | Reg.SP -> sp_slot | Reg.XZR -> zero_slot
+let write_slot = function Reg.X n -> x_slot n | Reg.SP -> sp_slot | Reg.XZR -> discard_slot
+
+let get t r = t.%{read_slot r}
+let set t r v = t.%{write_slot r} <- v
+
+let pc t = t.%{pc_slot}
+let set_pc t v = t.%{pc_slot} <- v
+let sp t = t.%{sp_slot}
+let lr t = t.%{30 lsl 3}
+let set_lr t v = t.%{30 lsl 3} <- v
 
 let canary_symbol = "__stack_chk_guard"
 
@@ -348,15 +388,20 @@ let exec_reference t =
 (* Each instruction compiles to one closure doing exactly what one
    reference step does after fetch: bump the counters, record obs,
    execute. Everything derivable from the instruction alone — cycle
-   cost, mem_ops delta, obs cell, branch targets, the operand shape — is
-   resolved here, once per (image, instruction) on its first visit (see
-   [lazy_ops]), instead of per step.
+   cost, mem_ops delta, obs cell, branch targets, register slots, the
+   addressing mode — is resolved here, once per (image, instruction) on
+   its first visit (see [lazy_ops]), instead of per step.
+
+   A straight-line instruction's effect is defined once, by
+   [compile_sem]: its per-op closure wraps it in the counters and the PC
+   update, and a block runs it bare (see "straight-line blocks").
 
    Fidelity rules (the differential suite enforces them):
    - counters and obs fire before semantics, as in the reference;
    - side effects ordered as in [exec]: Bl writes LR before an
      unresolved-label raise, Adr resolves before writing, pre/post
-     indexing commits before a load/store trap;
+     indexing commits before a load/store trap, and a store reads the
+     value it stores before the writeback;
    - a label a conditional branch never takes is allowed to stay
      unresolved, exactly like the lazy [resolve] in the reference. *)
 
@@ -369,12 +414,182 @@ let op_pre_mem t cyc memops =
   t.instret <- t.instret + 1;
   t.mem_ops <- t.mem_ops + memops
 
-let op_pre_pac t cyc cell =
-  t.cycles <- t.cycles + cyc;
-  t.instret <- t.instret + 1;
-  if Obs.enabled () then t.obs_pac.(cell) <- t.obs_pac.(cell) + 1
+let count_pac t cell = if Obs.enabled () then t.obs_pac.(cell) <- t.obs_pac.(cell) + 1
+
+let mem_ops_of = function
+  | Instr.Ldr _ | Instr.Str _ | Instr.Ldrb _ | Instr.Strb _ -> 1
+  | Instr.Ldp _ | Instr.Stp _ -> 2
+  | _ -> 0
+
+let code_address idx = Int64.add Image.code_base (Int64.of_int (idx lsl 2))
 
 let unresolved label = Trap.Fault (Trap.Undefined ("unresolved label " ^ label))
+
+(* A memory operand's addressing mode, resolved to slots: the access
+   goes to base + [aoff] and base + offset is written back to [wb]. The
+   offset mode writes back to [discard_slot] and post-indexing has
+   [aoff] = 0, so no [match] on the mode is left at run time, and the
+   writeback commits before the access can trap, as in [effective]. *)
+let[@inline] mode ({ base; offset; index } : Instr.mem) =
+  match index with
+  | Instr.Offset -> (read_slot base, offset, discard_slot)
+  | Instr.Pre -> (read_slot base, offset, write_slot base)
+  | Instr.Post -> (read_slot base, 0, write_slot base)
+
+let address t base aoff wb offset =
+  let b = t.%{base} in
+  t.%{wb} <- Int64.add b (Int64.of_int offset);
+  Int64.add b (Int64.of_int aoff)
+
+(* The effect of a straight-line instruction on registers, flags and
+   memory (and the obs count of a PA instruction), without its counters
+   or the PC update, or [None] for an instruction that can leave
+   straight-line flow: a branch, call, return, [svc], [hlt] or hook. An
+   [adr] whose label does not resolve raises when run, like a load that
+   faults. *)
+let compile_sem image idx instr : (t -> unit) option =
+  let r = read_slot and w = write_slot in
+  match instr with
+  | Instr.Add (d, n, Instr.Reg m) ->
+    let d = w d and n = r n and m = r m in
+    Some (fun t -> t.%{d} <- Int64.add t.%{n} t.%{m})
+  | Instr.Add (d, n, Instr.Imm i) ->
+    let d = w d and n = r n in
+    Some (fun t -> t.%{d} <- Int64.add t.%{n} i)
+  | Instr.Sub (d, n, Instr.Reg m) ->
+    let d = w d and n = r n and m = r m in
+    Some (fun t -> t.%{d} <- Int64.sub t.%{n} t.%{m})
+  | Instr.Sub (d, n, Instr.Imm i) ->
+    let d = w d and n = r n in
+    Some (fun t -> t.%{d} <- Int64.sub t.%{n} i)
+  | Instr.Mul (d, n, m) ->
+    let d = w d and n = r n and m = r m in
+    Some (fun t -> t.%{d} <- Int64.mul t.%{n} t.%{m})
+  | Instr.Udiv (d, n, m) ->
+    let d = w d and n = r n and m = r m in
+    Some
+      (fun t ->
+        let q = t.%{m} in
+        t.%{d} <- (if q = 0L then 0L else Int64.unsigned_div t.%{n} q))
+  | Instr.And_ (d, n, Instr.Reg m) ->
+    let d = w d and n = r n and m = r m in
+    Some (fun t -> t.%{d} <- Int64.logand t.%{n} t.%{m})
+  | Instr.And_ (d, n, Instr.Imm i) ->
+    let d = w d and n = r n in
+    Some (fun t -> t.%{d} <- Int64.logand t.%{n} i)
+  | Instr.Orr (d, n, Instr.Reg m) ->
+    let d = w d and n = r n and m = r m in
+    Some (fun t -> t.%{d} <- Int64.logor t.%{n} t.%{m})
+  | Instr.Orr (d, n, Instr.Imm i) ->
+    let d = w d and n = r n in
+    Some (fun t -> t.%{d} <- Int64.logor t.%{n} i)
+  | Instr.Eor (d, n, Instr.Reg m) ->
+    let d = w d and n = r n and m = r m in
+    Some (fun t -> t.%{d} <- Int64.logxor t.%{n} t.%{m})
+  | Instr.Eor (d, n, Instr.Imm i) ->
+    let d = w d and n = r n in
+    Some (fun t -> t.%{d} <- Int64.logxor t.%{n} i)
+  | Instr.Lsl_ (d, n, Instr.Imm i) ->
+    let d = w d and n = r n and sh = Int64.to_int i land 63 in
+    Some (fun t -> t.%{d} <- Int64.shift_left t.%{n} sh)
+  | Instr.Lsl_ (d, n, Instr.Reg m) ->
+    let d = w d and n = r n and m = r m in
+    Some (fun t -> t.%{d} <- Int64.shift_left t.%{n} (Int64.to_int t.%{m} land 63))
+  | Instr.Lsr_ (d, n, Instr.Imm i) ->
+    let d = w d and n = r n and sh = Int64.to_int i land 63 in
+    Some (fun t -> t.%{d} <- Int64.shift_right_logical t.%{n} sh)
+  | Instr.Lsr_ (d, n, Instr.Reg m) ->
+    let d = w d and n = r n and m = r m in
+    Some (fun t -> t.%{d} <- Int64.shift_right_logical t.%{n} (Int64.to_int t.%{m} land 63))
+  | Instr.Mov (d, Instr.Reg m) ->
+    let d = w d and m = r m in
+    Some (fun t -> t.%{d} <- t.%{m})
+  | Instr.Mov (d, Instr.Imm i) ->
+    let d = w d in
+    Some (fun t -> t.%{d} <- i)
+  | Instr.Cmp (n, Instr.Reg m) ->
+    let n = r n and m = r m in
+    Some (fun t -> t.flags_bits <- Cond.bits_of_compare t.%{n} t.%{m})
+  | Instr.Cmp (n, Instr.Imm i) ->
+    let n = r n in
+    Some (fun t -> t.flags_bits <- Cond.bits_of_compare t.%{n} i)
+  | Instr.Adr (d, l) -> (
+    let d = w d in
+    match Image.resolve image ~from:(code_address idx) l with
+    | Some a -> Some (fun t -> t.%{d} <- a)
+    | None ->
+      let e = unresolved l in
+      Some (fun _ -> raise e))
+  | Instr.Ldr (d, m) ->
+    let d = w d and b, aoff, wb = mode m and off = m.offset in
+    Some (fun t -> t.%{d} <- load64 t (address t b aoff wb off))
+  | Instr.Str (s, m) ->
+    let s = r s and b, aoff, wb = mode m and off = m.offset in
+    Some
+      (fun t ->
+        let v = t.%{s} in
+        store64 t (address t b aoff wb off) v)
+  | Instr.Ldrb (d, m) ->
+    let d = w d and b, aoff, wb = mode m and off = m.offset in
+    Some (fun t -> t.%{d} <- Int64.of_int (load8 t (address t b aoff wb off)))
+  | Instr.Strb (s, m) ->
+    let s = r s and b, aoff, wb = mode m and off = m.offset in
+    Some
+      (fun t ->
+        let v = Int64.to_int (Int64.logand t.%{s} 0xffL) in
+        store8 t (address t b aoff wb off) v)
+  | Instr.Ldp (d1, d2, m) ->
+    let d1 = w d1 and d2 = w d2 and b, aoff, wb = mode m and off = m.offset in
+    Some
+      (fun t ->
+        let a = address t b aoff wb off in
+        t.%{d1} <- load64 t a;
+        t.%{d2} <- load64 t (Int64.add a 8L))
+  | Instr.Stp (s1, s2, m) ->
+    let s1 = r s1 and s2 = r s2 and b, aoff, wb = mode m and off = m.offset in
+    Some
+      (fun t ->
+        let a = address t b aoff wb off in
+        store64 t a t.%{s1};
+        store64 t (Int64.add a 8L) t.%{s2})
+  | Instr.Pacia (d, n) ->
+    let cell = if n = Reg.cr then 7 else 0 and v = r d and d = w d and n = r n in
+    Some
+      (fun t ->
+        count_pac t cell;
+        t.%{d} <- Pac.add t.cfg (ia t) t.%{v} ~modifier:t.%{n})
+  | Instr.Autia (d, n) ->
+    let cell = if n = Reg.cr then 8 else 1 and v = r d and d = w d and n = r n in
+    Some
+      (fun t ->
+        count_pac t cell;
+        t.%{d} <- Pac.auth_value t.cfg (ia t) t.%{v} ~modifier:t.%{n})
+  | Instr.Paciasp ->
+    Some
+      (fun t ->
+        count_pac t 2;
+        set_lr t (Pac.add t.cfg (ia t) (lr t) ~modifier:(sp t)))
+  | Instr.Autiasp ->
+    Some
+      (fun t ->
+        count_pac t 3;
+        set_lr t (Pac.auth_value t.cfg (ia t) (lr t) ~modifier:(sp t)))
+  | Instr.Xpaci d ->
+    let v = r d and d = w d in
+    Some
+      (fun t ->
+        count_pac t 6;
+        t.%{d} <- Pac.strip t.cfg t.%{v})
+  | Instr.Pacga (d, n, m) ->
+    let d = w d and n = r n and m = r m in
+    Some
+      (fun t ->
+        count_pac t 5;
+        t.%{d} <- Pac.generic t.cfg (ga t) t.%{n} ~modifier:t.%{m})
+  | Instr.Nop -> Some ignore
+  | Instr.B _ | Instr.Bcond _ | Instr.Cbz _ | Instr.Cbnz _ | Instr.Bl _ | Instr.Blr _
+  | Instr.Br _ | Instr.Ret _ | Instr.Retaa | Instr.Svc _ | Instr.Hlt | Instr.Hook _ ->
+    None
 
 (* Next-op index for a pc value produced at run time (ret/br/blr/retaa).
    -1 means "outside the ops array / misaligned": the dispatch loop then
@@ -383,335 +598,202 @@ let unresolved label = Trap.Fault (Trap.Undefined ("unresolved label " ^ label))
    otherwise), so an in-image result needs no canonicality check. *)
 let live_index t v =
   let off = Int64.sub v Image.code_base in
-  if Int64.logand off 3L = 0L && off >= 0L && off < t.code_limit then
+  if Int64.logand off 3L = 0L && off >= 0L && off < Int64.of_int t.prep.p_code_limit then
     Int64.to_int off lsr 2
   else -1
 
 let compile_op image nops idx instr : t -> int =
-  let addr = Int64.add Image.code_base (Int64.of_int (4 * idx)) in
-  let next = Int64.add addr 4L in
   let cyc = Instr.cycles instr in
-  (* Index of the op for a compile-time-known target address. *)
-  let static_index a =
-    let off = Int64.sub a Image.code_base in
-    if Int64.logand off 3L = 0L && off >= 0L && off < Int64.of_int (4 * nops)
-    then Int64.to_int off lsr 2
-    else -1
-  in
   let nexti = if idx + 1 < nops then idx + 1 else -1 in
-  (* Static view of what [resolve] would do with pc = addr; the error
-     case is a preallocated exception raised only if execution actually
-     needs the label. *)
-  let target label =
-    match Image.resolve image ~from:addr label with
-    | Some a -> Ok a
-    | None -> Error (unresolved label)
-  in
-  (* Conditional branches evaluate the label lazily in the reference, so
-     a dangling label only traps when the branch is taken. *)
-  let cond_branch test l =
-    match target l with
-    | Ok a ->
-      let ti = static_index a in
+  match compile_sem image idx instr with
+  | Some sem ->
+    (* PC is derived from an [int] here rather than captured as a boxed
+       [next], so the op holds no block besides itself and [sem]. *)
+    let mem = mem_ops_of instr and after = idx + 1 in
+    if mem = 0 then fun t -> op_pre t cyc; sem t; set_pc t (code_address after); nexti
+    else fun t -> op_pre_mem t cyc mem; sem t; set_pc t (code_address after); nexti
+  | None -> (
+    let addr = code_address idx in
+    let next = Int64.add addr 4L in
+    (* Index of the op for a compile-time-known target address. *)
+    let static_index a =
+      let off = Int64.sub a Image.code_base in
+      if Int64.logand off 3L = 0L && off >= 0L && off < Int64.of_int (4 * nops)
+      then Int64.to_int off lsr 2
+      else -1
+    in
+    (* Static view of what [resolve] would do with pc = addr; the error
+       case is a preallocated exception raised only if execution actually
+       needs the label. *)
+    let target label =
+      match Image.resolve image ~from:addr label with
+      | Some a -> Ok a
+      | None -> Error (unresolved label)
+    in
+    (* Conditional branches evaluate the label lazily in the reference, so
+       a dangling label only traps when the branch is taken. *)
+    let cond_branch test l =
+      match target l with
+      | Ok a ->
+        let ti = static_index a in
+        fun t ->
+          op_pre t cyc;
+          if test t then (set_pc t a; ti) else (set_pc t next; nexti)
+      | Error e ->
+        fun t ->
+          op_pre t cyc;
+          if test t then raise e else (set_pc t next; nexti)
+    in
+    match instr with
+    | Instr.B l -> (
+      match target l with
+      | Ok a ->
+        let ti = static_index a in
+        fun t -> op_pre t cyc; set_pc t a; ti
+      | Error e -> fun t -> op_pre t cyc; raise e)
+    | Instr.Bcond (c, l) -> cond_branch (fun t -> Cond.holds_bits c t.flags_bits) l
+    | Instr.Cbz (r, l) ->
+      let s = read_slot r in
+      cond_branch (fun t -> t.%{s} = 0L) l
+    | Instr.Cbnz (r, l) ->
+      let s = read_slot r in
+      cond_branch (fun t -> t.%{s} <> 0L) l
+    | Instr.Bl l -> (
+      match target l with
+      | Ok a ->
+        let ti = static_index a in
+        fun t ->
+          op_pre t cyc;
+          set_lr t next;
+          set_pc t a;
+          ti
+      | Error e ->
+        (* LR is written before [resolve] raises in the reference. *)
+        fun t ->
+          op_pre t cyc;
+          set_lr t next;
+          raise e)
+    | Instr.Blr r ->
+      let s = read_slot r in
       fun t ->
         op_pre t cyc;
-        if test t then (set_pc t a; ti) else (set_pc t next; nexti)
-    | Error e ->
-      fun t ->
-        op_pre t cyc;
-        if test t then raise e else (set_pc t next; nexti)
-  in
-  match instr with
-  | Instr.Add (rd, rn, op) -> (
-    match op with
-    | Instr.Reg rm ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.add (get t rn) (get t rm));
-        set_pc t next;
-        nexti
-    | Instr.Imm i ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.add (get t rn) i);
-        set_pc t next;
-        nexti)
-  | Instr.Sub (rd, rn, op) -> (
-    match op with
-    | Instr.Reg rm ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.sub (get t rn) (get t rm));
-        set_pc t next;
-        nexti
-    | Instr.Imm i ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.sub (get t rn) i);
-        set_pc t next;
-        nexti)
-  | Instr.Mul (rd, rn, rm) ->
-    fun t ->
-      op_pre t cyc;
-      set t rd (Int64.mul (get t rn) (get t rm));
-      set_pc t next;
-      nexti
-  | Instr.Udiv (rd, rn, rm) ->
-    fun t ->
-      op_pre t cyc;
-      let d = get t rm in
-      set t rd (if d = 0L then 0L else Int64.unsigned_div (get t rn) d);
-      set_pc t next;
-      nexti
-  | Instr.And_ (rd, rn, op) -> (
-    match op with
-    | Instr.Reg rm ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.logand (get t rn) (get t rm));
-        set_pc t next;
-        nexti
-    | Instr.Imm i ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.logand (get t rn) i);
-        set_pc t next;
-        nexti)
-  | Instr.Orr (rd, rn, op) -> (
-    match op with
-    | Instr.Reg rm ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.logor (get t rn) (get t rm));
-        set_pc t next;
-        nexti
-    | Instr.Imm i ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.logor (get t rn) i);
-        set_pc t next;
-        nexti)
-  | Instr.Eor (rd, rn, op) -> (
-    match op with
-    | Instr.Reg rm ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.logxor (get t rn) (get t rm));
-        set_pc t next;
-        nexti
-    | Instr.Imm i ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.logxor (get t rn) i);
-        set_pc t next;
-        nexti)
-  | Instr.Lsl_ (rd, rn, op) -> (
-    match op with
-    | Instr.Imm i ->
-      let sh = Int64.to_int i land 63 in
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.shift_left (get t rn) sh);
-        set_pc t next;
-        nexti
-    | Instr.Reg rm ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.shift_left (get t rn) (Int64.to_int (get t rm) land 63));
-        set_pc t next;
-        nexti)
-  | Instr.Lsr_ (rd, rn, op) -> (
-    match op with
-    | Instr.Imm i ->
-      let sh = Int64.to_int i land 63 in
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.shift_right_logical (get t rn) sh);
-        set_pc t next;
-        nexti
-    | Instr.Reg rm ->
-      fun t ->
-        op_pre t cyc;
-        set t rd (Int64.shift_right_logical (get t rn) (Int64.to_int (get t rm) land 63));
-        set_pc t next;
-        nexti)
-  | Instr.Mov (rd, op) -> (
-    match op with
-    | Instr.Reg rm ->
-      fun t -> op_pre t cyc; set t rd (get t rm); set_pc t next; nexti
-    | Instr.Imm i -> fun t -> op_pre t cyc; set t rd i; set_pc t next; nexti)
-  | Instr.Cmp (rn, op) -> (
-    match op with
-    | Instr.Reg rm ->
-      fun t ->
-        op_pre t cyc;
-        t.flags_bits <- Cond.bits_of_compare (get t rn) (get t rm);
-        set_pc t next;
-        nexti
-    | Instr.Imm i ->
-      fun t ->
-        op_pre t cyc;
-        t.flags_bits <- Cond.bits_of_compare (get t rn) i;
-        set_pc t next;
-        nexti)
-  | Instr.Adr (rd, l) -> (
-    match target l with
-    | Ok a -> fun t -> op_pre t cyc; set t rd a; set_pc t next; nexti
-    | Error e -> fun t -> op_pre t cyc; raise e)
-  | Instr.Ldr (rt, m) ->
-    fun t ->
-      op_pre_mem t cyc 1;
-      set t rt (load64 t (effective t m));
-      set_pc t next;
-      nexti
-  | Instr.Str (rt, m) ->
-    fun t ->
-      op_pre_mem t cyc 1;
-      store64 t (effective t m) (get t rt);
-      set_pc t next;
-      nexti
-  | Instr.Ldrb (rt, m) ->
-    fun t ->
-      op_pre_mem t cyc 1;
-      set t rt (Int64.of_int (load8 t (effective t m)));
-      set_pc t next;
-      nexti
-  | Instr.Strb (rt, m) ->
-    fun t ->
-      op_pre_mem t cyc 1;
-      store8 t (effective t m) (Int64.to_int (Int64.logand (get t rt) 0xffL));
-      set_pc t next;
-      nexti
-  | Instr.Ldp (r1, r2, m) ->
-    fun t ->
-      op_pre_mem t cyc 2;
-      let a = effective t m in
-      set t r1 (load64 t a);
-      set t r2 (load64 t (Int64.add a 8L));
-      set_pc t next;
-      nexti
-  | Instr.Stp (r1, r2, m) ->
-    fun t ->
-      op_pre_mem t cyc 2;
-      let a = effective t m in
-      store64 t a (get t r1);
-      store64 t (Int64.add a 8L) (get t r2);
-      set_pc t next;
-      nexti
-  | Instr.B l -> (
-    match target l with
-    | Ok a ->
-      let ti = static_index a in
-      fun t -> op_pre t cyc; set_pc t a; ti
-    | Error e -> fun t -> op_pre t cyc; raise e)
-  | Instr.Bcond (c, l) -> cond_branch (fun t -> Cond.holds_bits c t.flags_bits) l
-  | Instr.Cbz (r, l) -> cond_branch (fun t -> get t r = 0L) l
-  | Instr.Cbnz (r, l) -> cond_branch (fun t -> get t r <> 0L) l
-  | Instr.Bl l -> (
-    match target l with
-    | Ok a ->
-      let ti = static_index a in
-      fun t ->
-        op_pre t cyc;
+        let target = t.%{s} in
+        if t.forward_cfi && not (Image.is_function_entry image target) then
+          raise (Trap.Fault (Trap.Cfi_violation target));
         set_lr t next;
-        set_pc t a;
-        ti
-    | Error e ->
-      (* LR is written before [resolve] raises in the reference. *)
+        set_pc t target;
+        live_index t target
+    | Instr.Br r | Instr.Ret r ->
+      let s = read_slot r in
       fun t ->
         op_pre t cyc;
-        set_lr t next;
-        raise e)
-  | Instr.Blr r ->
-    fun t ->
-      op_pre t cyc;
-      let target = get t r in
-      if t.forward_cfi && not (Image.is_function_entry image target) then
-        raise (Trap.Fault (Trap.Cfi_violation target));
-      set_lr t next;
-      set_pc t target;
-      live_index t target
-  | Instr.Br r ->
-    fun t ->
-      op_pre t cyc;
-      let v = get t r in
-      set_pc t v;
-      live_index t v
-  | Instr.Ret r ->
-    fun t ->
-      op_pre t cyc;
-      let v = get t r in
-      set_pc t v;
-      live_index t v
-  | Instr.Retaa ->
-    fun t ->
-      op_pre_pac t cyc 4;
-      let lr = Pac.auth_value t.cfg (ia t) (lr t) ~modifier:(sp t) in
-      set_lr t lr;
-      set_pc t lr;
-      live_index t lr
-  | Instr.Pacia (rd, rn) ->
-    let cell = if rn = Reg.cr then 7 else 0 in
-    fun t ->
-      op_pre_pac t cyc cell;
-      set t rd (Pac.add t.cfg (ia t) (get t rd) ~modifier:(get t rn));
-      set_pc t next;
-      nexti
-  | Instr.Autia (rd, rn) ->
-    let cell = if rn = Reg.cr then 8 else 1 in
-    fun t ->
-      op_pre_pac t cyc cell;
-      set t rd (Pac.auth_value t.cfg (ia t) (get t rd) ~modifier:(get t rn));
-      set_pc t next;
-      nexti
-  | Instr.Paciasp ->
-    fun t ->
-      op_pre_pac t cyc 2;
-      set_lr t (Pac.add t.cfg (ia t) (lr t) ~modifier:(sp t));
-      set_pc t next;
-      nexti
-  | Instr.Autiasp ->
-    fun t ->
-      op_pre_pac t cyc 3;
-      set_lr t (Pac.auth_value t.cfg (ia t) (lr t) ~modifier:(sp t));
-      set_pc t next;
-      nexti
-  | Instr.Xpaci r ->
-    fun t ->
-      op_pre_pac t cyc 6;
-      set t r (Pac.strip t.cfg (get t r));
-      set_pc t next;
-      nexti
-  | Instr.Pacga (rd, rn, rm) ->
-    fun t ->
-      op_pre_pac t cyc 5;
-      set t rd (Pac.generic t.cfg (ga t) (get t rn) ~modifier:(get t rm));
-      set_pc t next;
-      nexti
-  (* The remaining ops return -1 unconditionally: a syscall handler or
-     hook may halt the machine, remap memory or move pc, and Hlt halts —
-     the dispatch loop must re-run its full boundary checks after them. *)
-  | Instr.Svc n ->
-    fun t ->
-      op_pre t cyc;
-      set_pc t next;
-      t.on_syscall t n;
-      -1
-  | Instr.Nop -> fun t -> op_pre t cyc; set_pc t next; nexti
-  | Instr.Hlt ->
-    fun t ->
-      op_pre t cyc;
-      t.halted <- Some (Int64.to_int (get t (Reg.X 0)));
-      set_pc t next;
-      -1
-  | Instr.Hook name ->
-    fun t ->
-      op_pre t cyc;
-      set_pc t next;
-      (match Hashtbl.find_opt t.hooks name with
-      | Some f -> f t
-      | None -> ());
-      -1
+        let v = t.%{s} in
+        set_pc t v;
+        live_index t v
+    | Instr.Retaa ->
+      fun t ->
+        op_pre t cyc;
+        count_pac t 4;
+        let lr = Pac.auth_value t.cfg (ia t) (lr t) ~modifier:(sp t) in
+        set_lr t lr;
+        set_pc t lr;
+        live_index t lr
+    (* The remaining ops return -1 unconditionally: a syscall handler or
+       hook may halt the machine, remap memory or move pc, and Hlt halts —
+       the dispatch loop must re-run its full boundary checks after them. *)
+    | Instr.Svc n ->
+      fun t ->
+        op_pre t cyc;
+        set_pc t next;
+        t.on_syscall t n;
+        -1
+    | Instr.Hlt ->
+      fun t ->
+        op_pre t cyc;
+        t.halted <- Some (Int64.to_int (get t (Reg.X 0)));
+        set_pc t next;
+        -1
+    | Instr.Hook name ->
+      fun t ->
+        op_pre t cyc;
+        set_pc t next;
+        (match Hashtbl.find_opt t.hooks name with
+        | Some f -> f t
+        | None -> ());
+        -1
+    | _ -> assert false (* [compile_sem] has an effect for every other instruction *))
+
+(* --- straight-line blocks ---------------------------------------------- *)
+
+(* Under [run], once a prepared program is warm, the loop runs a block
+   per step instead of an op (DESIGN.md, "Threaded-code execution"). A
+   block is entered at any op index and holds the straight-line
+   instructions from there, its body, up to and including the first
+   instruction that can leave straight-line flow, its exit, or the last
+   instruction of its code page or of the image. The body runs through
+   the shared [sems] with no counter or PC update per instruction; the
+   exit is the ordinary op, which returns the next index or -1.
+
+   A block's shape is packed into one int, so a slot is filled in one
+   store: its length (body and exit) in bits 0-15, its body's memory
+   operations in bits 16-31 and its body's cycles above. A page holds
+   1,024 instructions, so each field fits; 0 means not built. *)
+
+let ops_per_page = Memory.page_size / 4
+
+(* Every [sems] slot starts as this stub. A block's builder fills the
+   slots of its body before it stores the block's shape, but another
+   domain may see the shape before those slots: the stub then compiles
+   the same effect for itself. It finds its index in [block_at]. *)
+let sem_stub t =
+  let i = t.block_at in
+  (Option.get (compile_sem t.image i (Image.instructions t.image).(i))) t
+
+let build_block t tbl idx =
+  let code = Image.instructions t.image in
+  let last = min (Array.length code) ((idx lor (ops_per_page - 1)) + 1) - 1 in
+  let rec scan i cyc mems =
+    let straight =
+      i < last
+      && (tbl.sems.(i) != sem_stub
+         ||
+         match compile_sem t.image i code.(i) with
+         | Some s ->
+           tbl.sems.(i) <- s;
+           true
+         | None -> false
+         (* a register outside X0-X30: the block ends here, so the
+            instruction raises only if it runs, as an op *)
+         | exception Invalid_argument _ -> false)
+    in
+    if straight then scan (i + 1) (cyc + Instr.cycles code.(i)) (mems + mem_ops_of code.(i))
+    else (i - idx + 1) lor (mems lsl 16) lor (cyc lsl 32)
+  in
+  let shape = scan idx 0 0 in
+  tbl.shapes.(idx) <- shape;
+  shape
+
+(* Runs the body [first, last) of a block. If an instruction traps, the
+   machine is left as the reference leaves it: the effects before it
+   (and its own, such as a pre-index writeback) are done, so only the
+   counters of [first] up to it, which the caller adds once the body
+   completes, and PC at it remain to be set. *)
+let run_body t sems first last =
+  try
+    for i = first to last - 1 do
+      t.block_at <- i;
+      (Array.unsafe_get sems i) t
+    done
+  with Trap.Fault _ as e ->
+    let code = Image.instructions t.image in
+    let f = t.block_at in
+    for i = first to f do
+      t.cycles <- t.cycles + Instr.cycles code.(i);
+      t.mem_ops <- t.mem_ops + mem_ops_of code.(i)
+    done;
+    t.instret <- t.instret + (f - first + 1);
+    set_pc t (code_address f);
+    raise e
 
 (* --- runners ---------------------------------------------------------- *)
 
@@ -760,6 +842,25 @@ let runner_reference t ~stop ~fuel =
 (* ops are indexed per instruction word, xpages per page. *)
 let xpage_shift = Memory.page_bits - 2
 
+(* The op index at PC when compiled ops may run from there: [fast_ok],
+   PC inside the image and aligned, and its page executable (the bitmap
+   refilled first if the page table changed since). -1 otherwise: the
+   caller then steps through [exec_reference], so every trap the fast
+   path cannot prove absent (PC outside the image or misaligned, page
+   not executable, [fast_ok] false because the config's VA size does not
+   cover the image) is produced by exactly the reference code. It
+   replaces the reference's translate + check_exec + fetch with three
+   compares and one byte read. *)
+let fast_index t =
+  let off = Int64.sub (pc t) Image.code_base in
+  if t.fast_ok && Int64.logand off 3L = 0L && off >= 0L && off < Int64.of_int t.prep.p_code_limit
+  then begin
+    if t.xcache_gen <> Memory.generation t.mem then refill_exec_cache t;
+    let idx = Int64.to_int off lsr 2 in
+    if Bytes.unsafe_get t.xpages (idx lsr xpage_shift) = '\001' then idx else -1
+  end
+  else -1
+
 (* The threaded hot loop: compiled ops return the index of the next op,
    so straight-line runs and static branches chain compiled closures
    with no pc re-validation — per step only the stop/fuel boundary
@@ -770,7 +871,7 @@ let xpage_shift = Memory.page_bits - 2
    protocol and pc re-derivation; hence no halted or generation check
    inside the loop. *)
 let runner_threaded t ~stop ~fuel =
-  let ops = t.ops in
+  let ops = t.prep.p_ops in
   let xpages = t.xpages in
   (* [run] passes the top-level [never]: recognising it by identity lets
      the hot loop replace an indirect call per step with one branch. *)
@@ -783,24 +884,9 @@ let runner_threaded t ~stop ~fuel =
       else if budget = 0 then Paused_fuel
       else dispatch budget
   and dispatch budget =
-    (* Boundary checks for pc already done; budget ≥ 1. The fast path
-       replaces the reference's translate + check_exec + fetch with three
-       compares and two unsafe reads; every condition it cannot prove (PC
-       outside the image or misaligned, page not executable, [fast_ok]
-       false because the config's VA size does not cover the image) falls
-       back to [exec_reference], so all traps are produced by exactly the
-       reference code. *)
-    let off = Int64.sub (Bytes.get_int64_le t.regs pc_slot) Image.code_base in
-    if t.fast_ok && Int64.logand off 3L = 0L && off >= 0L && off < t.code_limit
-    then begin
-      if t.xcache_gen <> Memory.generation t.mem then refill_exec_cache t;
-      let idx = Int64.to_int off lsr 2 in
-      if Bytes.unsafe_get xpages (idx lsr xpage_shift) = '\001' then fast budget idx
-      else begin
-        exec_reference t;
-        boundary (budget - 1)
-      end
-    end
+    (* Boundary checks for pc already done; budget ≥ 1. *)
+    let idx = fast_index t in
+    if idx >= 0 then fast budget idx
     else begin
       exec_reference t;
       boundary (budget - 1)
@@ -817,6 +903,88 @@ let runner_threaded t ~stop ~fuel =
     else boundary budget
   in
   boundary fuel
+
+(* [runner_threaded] under [run] with a block per step: the boundary
+   checks, one fuel check and one execute-bitmap byte per block. A block
+   runs only when the budget covers all of it; otherwise the rest of the
+   run, shorter than one page of instructions, takes the per-op loop, so
+   fuel runs out at exactly the instruction it does there. A block adds
+   its body's counters once, and writes PC once, just before its exit,
+   which can trap at its own address. *)
+let runner_blocks t tbl ~fuel =
+  let ops = t.prep.p_ops and xpages = t.xpages and sems = tbl.sems and shapes = tbl.shapes in
+  let rec boundary budget =
+    match t.halted with
+    | Some code -> Paused_halt code
+    | None -> if budget = 0 then Paused_fuel else dispatch budget
+  and dispatch budget =
+    let idx = fast_index t in
+    if idx >= 0 then block budget idx
+    else begin
+      exec_reference t;
+      boundary (budget - 1)
+    end
+  and block budget idx =
+    let shape = Array.unsafe_get shapes idx in
+    let shape = if shape = 0 then build_block t tbl idx else shape in
+    let len = shape land 0xffff in
+    if budget < len then runner_threaded t ~stop:never ~fuel:budget
+    else begin
+      let exit = idx + len - 1 in
+      if len > 1 then begin
+        run_body t sems idx exit;
+        t.cycles <- t.cycles + (shape lsr 32);
+        t.instret <- t.instret + (len - 1);
+        t.mem_ops <- t.mem_ops + ((shape lsr 16) land 0xffff);
+        set_pc t (code_address exit)
+      end;
+      let nxt = (Array.unsafe_get ops exit) t in
+      let budget = budget - len in
+      if nxt >= 0 then
+        if budget = 0 then Paused_fuel
+        else if Bytes.unsafe_get xpages (nxt lsr xpage_shift) = '\001' then block budget nxt
+        else dispatch budget
+      else boundary budget
+    end
+  in
+  boundary fuel
+
+(* Steps a prepared program runs under [run], counted over all its
+   instances, before it gets its block table, which costs a table of two
+   words per instruction and a block build per entry point. A one-shot
+   fuzz image runs ~1,078 steps over 429 distinct instructions and is
+   discarded, so it never pays; an inject victim runs ~5,150 steps per
+   run and serves every fault, and a spec cell runs 140k-900k steps, so
+   both cross this within their first run. *)
+let warmup_steps = 4096
+
+(* The block table is published with one write of one record holding
+   every new array, so no domain sees half of it. Two domains that both
+   publish one leave two equivalent tables; the later write wins. *)
+let publish p =
+  let n = Array.length p.p_ops in
+  let tbl = { sems = Array.make n sem_stub; shapes = Array.make n 0 } in
+  p.p_blocks <- Some tbl;
+  tbl
+
+(* [run]'s runner: the block loop once the prepared program is warm, the
+   per-op loop before that, switching mid-run at the step where it gets
+   warm. *)
+let runner_run t ~stop:_ ~fuel =
+  let p = t.prep in
+  match p.p_blocks with
+  | Some tbl -> runner_blocks t tbl ~fuel
+  | None -> (
+    let warm = max 0 (warmup_steps - p.p_steps) in
+    let start = t.instret in
+    match runner_threaded t ~stop:never ~fuel:(min fuel warm) with
+    | Paused_fuel when fuel > warm -> runner_blocks t (publish p) ~fuel:(fuel - warm)
+    | pause ->
+      p.p_steps <- p.p_steps + (t.instret - start);
+      pause
+    | exception e ->
+      p.p_steps <- p.p_steps + (t.instret - start);
+      raise e)
 
 (* One driver owns the pause/fault-to-outcome protocol and the obs
    flush, shared by [run]/[run_until] on both engines so they cannot
@@ -850,7 +1018,7 @@ let run_with runner ?(fuel = 10_000_000) t =
 
 let run_until_with runner ?(fuel = 10_000_000) t ~stop = drive ~runner ~stop ~fuel t
 
-let run ?fuel t = run_with runner_threaded ?fuel t
+let run ?fuel t = run_with runner_run ?fuel t
 let run_until ?fuel t ~stop = run_until_with runner_threaded ?fuel t ~stop
 
 module Reference = struct
@@ -859,20 +1027,6 @@ module Reference = struct
 end
 
 (* --- construction ----------------------------------------------------- *)
-
-(* What loading derives from the program alone, built once by [prepare]:
-   every instance shares the image and the ops table, and maps its own
-   code pages, which get their bytes on their first data access (see
-   [code_page]). The table starts with one stub in every slot and each
-   slot is compiled on its first visit (see [lazy_ops]); nothing else in
-   a prepared value changes after [prepare]. *)
-type prepared = {
-  p_image : Image.t;
-  p_ops : (t -> int) array;
-  p_code_pages : int;
-  p_data_size : int;
-  p_code_limit : Word64.t;  (* 4 * instruction count *)
-}
 
 (* The threaded ops of an image, compiled on first visit: a one-shot
    image pays for the instructions it runs, not for all it holds. Every
@@ -890,8 +1044,9 @@ type prepared = {
    nothing that keeps a dead image alive. *)
 let compile_stub t =
   let idx = Int64.to_int (Int64.sub (pc t) Image.code_base) lsr 2 in
-  let op = compile_op t.image (Array.length t.ops) idx (Image.instructions t.image).(idx) in
-  t.ops.(idx) <- op;
+  let ops = t.prep.p_ops in
+  let op = compile_op t.image (Array.length ops) idx (Image.instructions t.image).(idx) in
+  ops.(idx) <- op;
   op t
 
 let lazy_ops image = Array.make (Array.length (Image.instructions image)) compile_stub
@@ -916,10 +1071,17 @@ let prepare program =
     (* one rw data region covering all objects (the image appends the
        canary guard object when the program does not declare one) *)
     p_data_size = max Memory.page_size (16 + Image.data_size image);
-    p_code_limit = Int64.of_int (Image.code_size image);
+    p_code_limit = Image.code_size image;
+    p_steps = 0;
+    p_blocks = None;
   }
 
 let prepared_image p = p.p_image
+
+let blocks_built p =
+  match p.p_blocks with
+  | None -> 0
+  | Some tbl -> Array.fold_left (fun n shape -> if shape = 0 then n else n + 1) 0 tbl.shapes
 
 let instantiate ?(cfg = Config.default) ?keys ?rng p =
   let rng = match rng with Some r -> r | None -> Rng.create 0x9ac57ac4L in
@@ -937,13 +1099,12 @@ let instantiate ?(cfg = Config.default) ?keys ?rng p =
     ~addr:(Int64.sub Image.stack_top (Int64.of_int Image.stack_size))
     ~size:Image.stack_size Memory.perm_rw;
   Memory.map mem ~addr:Image.shadow_base ~size:Image.shadow_size Memory.perm_rw;
-  let code_limit = p.p_code_limit in
   (* [Pointer.is_canonical] is monotone (p >> va_size = 0), so the last
      in-image address being canonical certifies the whole range; an empty
      image never takes the fast path, the flag is then irrelevant. *)
   let fast_ok =
-    code_limit > 0L
-    && Pointer.is_canonical cfg (Int64.add Image.code_base (Int64.sub code_limit 1L))
+    p.p_code_limit > 0
+    && Pointer.is_canonical cfg (Int64.add Image.code_base (Int64.of_int (p.p_code_limit - 1)))
   in
   let t =
     {
@@ -967,8 +1128,8 @@ let instantiate ?(cfg = Config.default) ?keys ?rng p =
       obs_mark_memops = 0;
       obs_mark_dmiss = 0;
       obs_mark_xmiss = 0;
-      ops = p.p_ops;
-      code_limit;
+      prep = p;
+      block_at = 0;
       fast_ok;
       xpages = Bytes.make p.p_code_pages '\000';
       xcache_gen = stale_gen;
@@ -1013,7 +1174,7 @@ type context = {
 
 let save_context t =
   {
-    c_xregs = Array.init 31 (fun i -> Bytes.get_int64_le t.regs (i lsl 3));
+    c_xregs = Array.init 31 (fun i -> t.%{i lsl 3});
     c_sp = sp t;
     c_pc = pc t;
     c_flags = Cond.flags_of_bits t.flags_bits;
@@ -1021,7 +1182,7 @@ let save_context t =
 
 let restore_context t c =
   for i = 0 to 30 do
-    Bytes.set_int64_le t.regs (i lsl 3) c.c_xregs.(i)
+    t.%{i lsl 3} <- c.c_xregs.(i)
   done;
   set t Reg.SP c.c_sp;
   set_pc t c.c_pc;

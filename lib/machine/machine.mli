@@ -9,21 +9,25 @@ type t
 (** {1 Construction} *)
 
 type prepared
-(** The per-program half of loading: the {!Image.t} and its
-    threaded-code ops table. One value may back any number of machines,
-    in any order, on any domains at once, for the life of the process,
-    without one run being able to affect another: the fault-injection
-    engine keeps one per distinct victim and shares it across worker
-    domains (lib/inject's [Engine.prepared_victim]). It is not
-    immutable: each ops slot starts as a stub that compiles its
+(** The per-program half of loading: the {!Image.t}, its threaded-code
+    ops table and, once warm, its block table. One value may back any
+    number of machines, in any order, on any domains at once, for the
+    life of the process, without one run being able to affect another:
+    the fault-injection engine keeps one per distinct victim and shares
+    it across worker domains (lib/inject's [Engine.prepared_victim]). It
+    is not immutable: each ops slot starts as a stub that compiles its
     instruction on first visit and stores the closure in the slot, for
     every later instance and clone to reuse, and the image's binary
     encoding is made when a machine first reads its code as data
-    ({!Image.encoded}). A slot's closure depends only on the image and
-    the slot index, and the encoding only on the image, so two domains
-    that race on either store equal values; the races are benign and no
-    lock is taken (test_engine's [prepare] group runs one cold value on
-    two domains at once against a sequential run). *)
+    ({!Image.encoded}). Once the program's runs under {!run}, over all
+    its instances, have made a fixed number of steps (4,096), it also
+    gains a block table for {!run}'s straight-line blocks, published in
+    one write and filled on each block's first entry. A slot's closure or
+    block depends only on the image and the slot index, and the encoding
+    only on the image, so two domains that race on either store equal
+    values; the races are benign and no lock is taken (test_engine's
+    [prepare] group runs cold values on two domains at once, getting
+    warm during the runs, against a sequential run). *)
 
 val prepare : Pacstack_isa.Program.t -> prepared
 (** Builds the image; threaded ops are compiled later, on first visit,
@@ -34,6 +38,12 @@ val prepare : Pacstack_isa.Program.t -> prepared
 
 val prepared_image : prepared -> Image.t
 (** The image every instance of the prepared program runs. *)
+
+val blocks_built : prepared -> int
+(** How many entry points have a straight-line block built so far: 0
+    until the program is warm, then one more for each entry index {!run}
+    first enters. The engine tests read it to check that the block path
+    runs. *)
 
 val instantiate :
   ?cfg:Pacstack_pa.Config.t ->
@@ -71,10 +81,13 @@ val memory : t -> Memory.t
 val image : t -> Image.t
 
 val get : t -> Pacstack_isa.Reg.t -> Pacstack_util.Word64.t
-(** Reads a register; [XZR] reads as zero. *)
+(** Reads a register; [XZR] reads as zero. Raises [Invalid_argument]
+    for [X n] outside 0-30, as does running an instruction that names
+    one. *)
 
 val set : t -> Pacstack_isa.Reg.t -> Pacstack_util.Word64.t -> unit
-(** Writes a register; writes to [XZR] are discarded. *)
+(** Writes a register; writes to [XZR] are discarded. Raises
+    [Invalid_argument] for [X n] outside 0-30. *)
 
 val pc : t -> Pacstack_util.Word64.t
 val set_pc : t -> Pacstack_util.Word64.t -> unit
@@ -135,12 +148,18 @@ val run : ?fuel:int -> t -> outcome
 
     Dispatches through the threaded-code engine: each instruction is
     compiled, on its first visit, into a per-instruction closure
-    (operands, cycle costs, mem_ops deltas, branch targets and obs
+    (register slots, cycle costs, mem_ops deltas, branch targets and obs
     classification all resolved at compile time), and the per-step
     translate/execute check is a page-granular cache invalidated by any
-    [Memory.map]/[unmap]/[protect]. Observable behaviour is
-    bit-identical to {!Reference.run}, pinned by the differential suite
-    in test_engine.ml. *)
+    [Memory.map]/[unmap]/[protect]. Once the prepared program is warm
+    (see {!prepared}), [run] executes straight-line blocks: the
+    instructions from an entry point to the first branch, call, return,
+    [svc], [hlt] or hook, within one code page, each block with one fuel
+    check, one execute check and one counter update. A block runs only
+    when the remaining fuel covers it, and a trap inside one leaves PC,
+    registers and counters at the trapping instruction. Observable
+    behaviour is bit-identical to {!Reference.run}, pinned by the
+    differential suite in test_engine.ml, on cold and on warm programs. *)
 
 val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
 (** Like {!run}, but returns [None] as soon as [stop t] holds, with the

@@ -268,13 +268,24 @@ let load64_straddle t addr =
   done;
   !v
 
+(* The in-page fast paths of [load64]/[store64] skip the bounds check:
+   they run only for [off <= page_size - 8], and every page's data is
+   [page_size] bytes (the zero page, a fresh page, a copy of one, or an
+   initialiser's page, whose size [map] checks). *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let get64le b off = if Sys.big_endian then bswap64 (get64u b off) else get64u b off
+let set64le b off v = set64u b off (if Sys.big_endian then bswap64 v else v)
+
 let load64 t addr =
   (* Fast path: the common aligned access within one page. *)
   let off = page_offset addr in
   if off <= page_size - 8 then begin
     let p = page_for t addr Trap.Read in
     if not p.perm.readable then raise (Trap.Fault (Trap.Permission (addr, Trap.Read)));
-    Bytes.get_int64_le p.data off
+    get64le p.data off
   end
   else load64_straddle t addr
 
@@ -283,7 +294,7 @@ let store64 t addr v =
   if off <= page_size - 8 then begin
     let p = page_for t addr Trap.Write in
     if not p.perm.writable then raise (Trap.Fault (Trap.Permission (addr, Trap.Write)));
-    Bytes.set_int64_le (writable_data p) off v
+    set64le (writable_data p) off v
   end
   else
     for i = 0 to 7 do

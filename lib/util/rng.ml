@@ -14,6 +14,16 @@ let next64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
+(* The state is additive, so draw [k] from now and a skip of [n] draws
+   are one multiply-add each. *)
+let peek t k =
+  if k < 0 then invalid_arg "Rng.peek";
+  mix (Int64.add t.state (Int64.mul (Int64.of_int (k + 1)) golden_gamma))
+
+let skip t n =
+  if n < 0 then invalid_arg "Rng.skip";
+  t.state <- Int64.add t.state (Int64.mul (Int64.of_int n) golden_gamma)
+
 let split t = create (next64 t)
 
 let split_n t n =

@@ -25,6 +25,15 @@ val copy : t -> t
 val next64 : t -> int64
 (** Uniform 64-bit word. *)
 
+val peek : t -> int -> int64
+(** [peek t k] is what [next64 t] returns after [k] other draws, without
+    advancing [t]: [peek t 0] is the next draw. O(1). Raises
+    [Invalid_argument] for [k < 0]. *)
+
+val skip : t -> int -> unit
+(** [skip t n] advances [t] past [n] draws, as [n] calls of [next64]
+    would. O(1). Raises [Invalid_argument] for [n < 0]. *)
+
 val bits : t -> int -> int64
 (** [bits t n] is a uniform [n]-bit word, [0 <= n <= 64]. *)
 

@@ -162,6 +162,55 @@ let test_on_graph_unmasked () =
   let e = Games.violation_success ~masked:false ~kind:Analysis.On_graph ~bits:8 ~harvest:120 ~trials:400 rng in
   in_range "unmasked on-graph near certainty" 0.97 1.0 e.Games.rate
 
+(* The on-graph trial as it was before it scanned lazily: every harvested
+   entry built up front, each costing one or two MACs. The reference for
+   [prop_on_graph_lazy_is_eager]. *)
+let eager_on_graph_trial ~masked ~bits ~harvest prf rng =
+  let token modifier data = Prf.mac prf ~bits ~data ~modifier in
+  let ret_c = Rng.next64 rng in
+  let entries =
+    Array.init harvest (fun _ ->
+        let modifier = Rng.next64 rng in
+        let t = token modifier ret_c in
+        let visible = if masked then Int64.logxor t (token modifier 0L) else t in
+        (t, visible))
+  in
+  let seen = Hashtbl.create harvest in
+  let found = ref None in
+  Array.iteri
+    (fun i (_, visible) ->
+      match Hashtbl.find_opt seen visible with
+      | Some j when !found = None -> found := Some (j, i)
+      | Some _ | None -> Hashtbl.replace seen visible i)
+    entries;
+  let i, j =
+    match !found with
+    | Some p -> p
+    | None ->
+      let i = Rng.int rng harvest in
+      let j = (i + 1 + Rng.int rng (harvest - 1)) mod harvest in
+      (i, j)
+  in
+  Word64.equal (fst entries.(i)) (fst entries.(j))
+
+(* The lazy scan wins the same trials as the eager harvest and leaves the
+   stream at the same draw, with and without a visible collision (large
+   b and small harvests have none). *)
+let prop_on_graph_lazy_is_eager =
+  qtest "on-graph: lazy scan = eager harvest" 200
+    QCheck2.Gen.(tup4 (int_range 2 20) (int_range 2 400) bool int)
+    (fun (bits, harvest, masked, seed) ->
+      let trials = 5 in
+      let lazy_rng = Rng.create (Int64.of_int seed) and eager_rng = Rng.create (Int64.of_int seed) in
+      let e = Games.violation_success ~masked ~kind:Analysis.On_graph ~bits ~harvest ~trials lazy_rng in
+      let eager_successes = ref 0 in
+      for _ = 1 to trials do
+        let prf = Prf.of_rng eager_rng in
+        if eager_on_graph_trial ~masked ~bits ~harvest prf eager_rng then incr eager_successes
+      done;
+      e.Games.successes = !eager_successes
+      && Word64.equal (Rng.next64 lazy_rng) (Rng.next64 eager_rng))
+
 let test_on_graph_masked () =
   let rng = Rng.create 23L in
   let e = Games.violation_success ~masked:true ~kind:Analysis.On_graph ~bits:8 ~harvest:120 ~trials:20_000 rng in
@@ -259,5 +308,6 @@ let () =
           Alcotest.test_case "guessing means" `Quick test_guessing_means;
           Alcotest.test_case "Theorem 1 bound" `Quick test_theorem1;
           Alcotest.test_case "argument validation" `Quick test_game_argument_validation;
+          prop_on_graph_lazy_is_eager;
         ] );
     ]

@@ -13,9 +13,15 @@
    outside a run or from a hook in mid-run — must trap exactly like the
    reference.
 
-   Finally it pins the loader split: [Machine.load] is
+   It pins the loader split: [Machine.load] is
    [instantiate (prepare p)], and a prepared program backs any number
-   of instances that must each run exactly like a fresh [load]. *)
+   of instances that must each run exactly like a fresh [load].
+
+   Finally it pins the straight-line blocks that [Machine.run] executes
+   once a prepared program is warm: the fuzz corpus on warm programs, a
+   trap in the middle of a block and fuel running out at every position
+   of a block. The [prepare] group's two-domain case gets its programs
+   warm while both domains run them. *)
 
 module Machine = Pacstack_machine.Machine
 module Memory = Pacstack_machine.Memory
@@ -278,26 +284,39 @@ let test_unmap_mid_run () =
       Alcotest.(check int64) (name ^ ": faulting pc") page2 a
     | oc -> Alcotest.failf "%s: expected unmapped fault, got %a" name pp_outcome oc)
 
+(* Runs fresh instances of [prepared] under [run] until its block table
+   holds at least one block. A program's runs count towards its warm-up
+   together, so even a fuzz program that runs a few hundred steps gets
+   there. *)
+let warm ~what prepared =
+  let runs = ref 0 in
+  while Machine.blocks_built prepared = 0 do
+    incr runs;
+    if !runs > 20_000 then Alcotest.failf "%s: no block built after %d runs" what !runs;
+    ignore (Machine.run ~fuel (Machine.instantiate prepared))
+  done
+
 let test_hook_protects_own_page () =
   (* a hook revokes execute on the page it runs in: the very next
      instruction must fault, on both engines, even though the run loop
-     never left [run] between the hook and the fault *)
-  both_engines (fun name run ->
-    let program =
-      Program.make ~entry:"main"
-        [
-          {
-            Program.name = "main";
-            body =
-              [
-                Program.Ins (Instr.Hook "mprot");
-                Program.Ins Instr.Nop;
-                Program.Ins Instr.Hlt;
-              ];
-          };
-        ]
-    in
-    let m = Machine.load program in
+     never left [run] between the hook and the fault; on a warm program
+     the hook is a block's exit and the next block's execute check must
+     see the change *)
+  let program =
+    Program.make ~entry:"main"
+      [
+        {
+          Program.name = "main";
+          body =
+            [
+              Program.Ins (Instr.Hook "mprot");
+              Program.Ins Instr.Nop;
+              Program.Ins Instr.Hlt;
+            ];
+        };
+      ]
+  in
+  let check name run m =
     Machine.attach_hook m "mprot" (fun m ->
         Memory.protect (Machine.memory m) ~addr:Image.code_base
           ~size:Memory.page_size Memory.perm_r);
@@ -305,7 +324,156 @@ let test_hook_protects_own_page () =
     | Machine.Faulted (Trap.Permission (_, Trap.Execute)) ->
       Alcotest.(check int) (name ^ ": faulted on the next instruction") 1
         (Machine.instructions_retired m)
-    | oc -> Alcotest.failf "%s: expected execute fault, got %a" name pp_outcome oc)
+    | oc -> Alcotest.failf "%s: expected execute fault, got %a" name pp_outcome oc
+  in
+  both_engines (fun name run -> check name run (Machine.load program));
+  let prepared = Machine.prepare program in
+  warm ~what:"hook program" prepared;
+  check "threaded, warm" (fun ~fuel m -> Machine.run ~fuel m) (Machine.instantiate prepared)
+
+(* --- straight-line blocks ------------------------------------------------- *)
+
+let plain_threaded m = plain (Machine.run ~fuel) m
+let plain_reference m = plain (Machine.Reference.run ~fuel) m
+
+(* Every fuzz program of the corpus, once its prepared value has its
+   block table, runs under [run] exactly like the reference: a fresh
+   instance then takes the block path from its first step. *)
+let test_differential_blocks () =
+  for seed = 0 to 199 do
+    let ast = Driver.program_of_seed ~campaign_seed seed in
+    List.iter
+      (fun scheme ->
+        let what = Format.asprintf "seed %d / %a (blocks)" seed Scheme.pp scheme in
+        let prepared = Machine.prepare (Compile.compile ~scheme ast) in
+        warm ~what prepared;
+        check_same ~what
+          (plain_threaded (Machine.instantiate prepared))
+          (plain_reference (Machine.instantiate prepared)))
+      Scheme.all
+  done
+
+(* A hot loop of ten instructions, one block from [loop] to [b.ne]. Its
+   body stores, then loads through x3 with pre-index writeback: x3 is the
+   stack pointer until x1 reaches 1024, when it becomes sp + 2^40, so the
+   1,024th load traps in the middle of the block, after the writeback,
+   ~10,240 steps in: long after the program got warm. *)
+let hot_loop =
+  Asm.parse
+    {|.entry main
+.func main
+  mov x1, #0
+  mov x5, #0
+  mov x6, #0
+loop:
+  add x1, x1, #1
+  lsr x3, x1, #10
+  lsl x3, x3, #40
+  add x3, x3, sp
+  str x1, [sp, #-16]
+  add x5, x5, x1
+  ldr x4, [x3, #-8]!
+  eor x6, x6, x4
+  cmp x1, #2000
+  b.ne loop
+  mov x0, #0
+  hlt
+.endfunc|}
+
+let hot_loop_ldr = Int64.add Image.code_base (Int64.of_int (4 * 9))
+
+(* A trap inside a block leaves PC at the trapping load, the writeback
+   done, and all three counters where the reference leaves them: on a
+   program that gets warm during the run, and on one warm from the
+   start. *)
+let test_trap_mid_block () =
+  let prepared = Machine.prepare hot_loop in
+  let reference = plain_reference (Machine.instantiate prepared) in
+  (match reference.outcome with
+  | Machine.Faulted _ -> ()
+  | oc -> Alcotest.failf "the reference ended %a, not with a trap" pp_outcome oc);
+  Alcotest.(check int64) "the reference traps at the load" hot_loop_ldr reference.pc;
+  check_same ~what:"warm during the run" (plain_threaded (Machine.instantiate prepared)) reference;
+  Alcotest.(check bool) "blocks built" true (Machine.blocks_built prepared > 0);
+  check_same ~what:"warm from the start" (plain_threaded (Machine.instantiate prepared)) reference
+
+(* Fuel that runs out inside a block stops at exactly the reference's
+   instruction: every budget from 1 to three loop iterations, and across
+   three iterations ~5,000 steps in, on a warm program. *)
+let test_fuel_mid_block () =
+  let prepared = Machine.prepare hot_loop in
+  warm ~what:"hot loop" prepared;
+  List.iter
+    (fun fuel ->
+      let what = Printf.sprintf "fuel %d" fuel in
+      let threaded = plain (Machine.run ~fuel) (Machine.instantiate prepared) in
+      let reference = plain (Machine.Reference.run ~fuel) (Machine.instantiate prepared) in
+      if not (outcome_equal threaded.outcome Machine.Out_of_fuel) then
+        Alcotest.failf "%s: %a, not out of fuel" what pp_outcome threaded.outcome;
+      check_same ~what threaded reference)
+    (List.init 33 (fun i -> i + 1) @ List.init 33 (fun i -> 5000 + i))
+
+(* A hot program takes the block path: one run of the hot loop, from a
+   cold prepared value, builds blocks. A build whose [run] never reaches
+   the block runner fails here. *)
+let test_hot_program_builds_blocks () =
+  let prepared = Machine.prepare hot_loop in
+  Alcotest.(check int) "cold" 0 (Machine.blocks_built prepared);
+  ignore (Machine.run ~fuel (Machine.instantiate prepared));
+  Alcotest.(check bool) "blocks built in the first run" true
+    (Machine.blocks_built prepared > 0)
+
+(* A register number outside X0-X30 names no slot of the register file,
+   whose accesses skip the bounds check: [get] and [set] refuse it, and
+   so does running an instruction that names one, on both engines. The
+   program loops 5,000 times, so the instruction sits in a block after
+   the program got warm; with a load through an unmapped address just
+   before it, both engines trap at the load instead. *)
+let test_register_range () =
+  let m = Machine.load hot_loop in
+  List.iter
+    (fun n ->
+      let refused what f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.failf "%s accepted X %d" what n
+      in
+      refused "get" (fun () -> ignore (Machine.get m (Reg.X n)));
+      refused "set" (fun () -> Machine.set m (Reg.X n) 1L))
+    [ -1; 31; 32; 33; 34; 35; 40 ];
+  let program ~load =
+    let ins i = Program.Ins i in
+    Program.make ~entry:"main"
+      [
+        {
+          Program.name = "main";
+          body =
+            [
+              ins (Instr.Mov (Reg.X 1, Instr.Imm 0L));
+              Program.Lbl "loop";
+              ins (Instr.Add (Reg.X 1, Reg.X 1, Instr.Imm 1L));
+              ins (Instr.Cmp (Reg.X 1, Instr.Imm 5000L));
+              ins (Instr.Bcond (Pacstack_isa.Cond.NE, "loop"));
+            ]
+            @ (if load then
+                 [ ins (Instr.Ldr (Reg.X 4, { Instr.base = Reg.X 1; offset = 0; index = Offset })) ]
+               else [])
+            @ [ ins (Instr.Mov (Reg.X 35, Instr.Imm 1L)); ins Instr.Hlt ];
+        };
+      ]
+  in
+  both_engines (fun name run ->
+    match run ~fuel (Machine.load (program ~load:false)) with
+    | exception Invalid_argument _ -> ()
+    | oc -> Alcotest.failf "%s: mov x35 ran to %a" name pp_outcome oc);
+  let prepared = Machine.prepare (program ~load:true) in
+  let threaded = plain_threaded (Machine.instantiate prepared) in
+  Alcotest.(check bool) "blocks built" true (Machine.blocks_built prepared > 0);
+  (match threaded.outcome with
+  | Machine.Faulted _ -> ()
+  | oc -> Alcotest.failf "the load through x1 = 5000 ended %a, not with a trap" pp_outcome oc);
+  check_same ~what:"load before mov x35" threaded
+    (plain_reference (Machine.instantiate prepared))
 
 (* --- prepare once, instantiate many ------------------------------------- *)
 
@@ -482,26 +650,36 @@ let test_code_filled_on_first_read () =
 (* One cold prepared value backs machines on two domains at once, as
    the inject engine's victim memo does under [--workers 2]: both
    domains start together on an unfilled ops table and race to fill its
-   slots. Every run equals a sequential run of a separately prepared
-   copy, state, counters and output alike. *)
+   slots. Each program also gets warm during the runs, so the domains
+   race to publish its block table and to fill its blocks and effects.
+   Every run equals a sequential run of a separately prepared copy,
+   state, counters and output alike. The sequential runs of the fuzz
+   program and the victim halt; the hot loop's trap at its load, in the
+   middle of a block. *)
 let test_prepared_across_domains () =
+  let halts snap = match snap.outcome with Machine.Halted _ -> true | _ -> false in
+  let traps_at_load snap =
+    match snap.outcome with Machine.Faulted _ -> Int64.equal snap.pc hot_loop_ldr | _ -> false
+  in
   let programs =
     [
-      ("fuzz seed 0 / pacstack", two_page_program ());
+      ("fuzz seed 0 / pacstack", two_page_program (), "a halt", halts);
       ( "pacstack victim",
-        Compile.compile ~scheme:Scheme.pacstack (Pacstack_inject.Victim.program ()) );
+        Compile.compile ~scheme:Scheme.pacstack (Pacstack_inject.Victim.program ()),
+        "a halt", halts );
+      ("hot loop", hot_loop, "a trap at its load", traps_at_load);
     ]
   in
   let rounds = 4 in
   List.iter
-    (fun (what, program) ->
+    (fun (what, program, ending, ends) ->
       let run prepared =
         plain (Machine.run ~fuel) (Machine.instantiate ~rng:(Rng.create 3L) prepared)
       in
       let sequential = run (Machine.prepare program) in
-      (match sequential.outcome with
-      | Machine.Halted _ -> ()
-      | oc -> Alcotest.failf "%s: the sequential run ended %a" what pp_outcome oc);
+      if not (ends sequential) then
+        Alcotest.failf "%s: the sequential run ended %a at pc %Lx, not with %s" what pp_outcome
+          sequential.outcome sequential.pc ending;
       let prepared = Machine.prepare program in
       let ready = Atomic.make 0 in
       let worker () =
@@ -515,7 +693,9 @@ let test_prepared_across_domains () =
       let b = Domain.spawn worker in
       List.iteri
         (fun i snap -> check_same ~what:(Printf.sprintf "%s / run %d" what i) sequential snap)
-        (Domain.join a @ Domain.join b))
+        (Domain.join a @ Domain.join b);
+      Alcotest.(check bool) (what ^ ": blocks built during the runs") true
+        (Machine.blocks_built prepared > 0))
     programs
 
 let () =
@@ -564,5 +744,15 @@ let () =
             test_code_filled_on_first_read;
           Alcotest.test_case "one cold prepared on two domains at once" `Quick
             test_prepared_across_domains;
+        ] );
+      ( "blocks",
+        [
+          Alcotest.test_case "200 seeds x all schemes, warm, bit-identical" `Quick
+            test_differential_blocks;
+          Alcotest.test_case "trap in the middle of a block" `Quick test_trap_mid_block;
+          Alcotest.test_case "fuel runs out inside a block" `Quick test_fuel_mid_block;
+          Alcotest.test_case "a hot program builds blocks" `Quick
+            test_hot_program_builds_blocks;
+          Alcotest.test_case "register outside X0-X30 refused" `Quick test_register_range;
         ] );
     ]

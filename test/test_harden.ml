@@ -27,13 +27,6 @@ let test_scheme_aliases () =
   Alcotest.(check bool) "none alias" true (Scheme.of_string "none" = Some Scheme.unprotected);
   Alcotest.(check bool) "unknown" true (Scheme.of_string "pac" = None)
 
-let test_chain_register_reservation () =
-  Alcotest.(check bool) "pacstack reserves CR" true (Scheme.uses_chain_register Scheme.pacstack);
-  Alcotest.(check bool) "nomask reserves CR" true
-    (Scheme.uses_chain_register Scheme.pacstack_nomask);
-  Alcotest.(check bool) "baseline does not" false
-    (Scheme.uses_chain_register Scheme.unprotected)
-
 (* --- Frame -------------------------------------------------------------------- *)
 
 let nonleaf = Scheme.traits ~locals_bytes:32 ()
@@ -340,7 +333,6 @@ let () =
         [
           Alcotest.test_case "string roundtrip" `Quick test_scheme_roundtrip;
           Alcotest.test_case "aliases" `Quick test_scheme_aliases;
-          Alcotest.test_case "chain register" `Quick test_chain_register_reservation;
         ] );
       ( "frame",
         [

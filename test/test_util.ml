@@ -66,6 +66,26 @@ let test_rng_determinism () =
     Alcotest.check check_w64 "same stream" (Rng.next64 a) (Rng.next64 b)
   done
 
+(* [peek t k] is the draw [next64] makes after [k] others, without
+   advancing [t]; [skip t n] advances [t] like [n] draws. *)
+let prop_rng_peek_skip =
+  qtest "peek/skip = repeated next64" 300
+    QCheck2.Gen.(tup3 full64 (int_range 0 2000) (int_range 0 2000))
+    (fun (seed, k, n) ->
+      let drawn_after m =
+        let r = Rng.create seed in
+        for _ = 1 to m do
+          ignore (Rng.next64 r)
+        done;
+        Rng.next64 r
+      in
+      let a = Rng.create seed in
+      let peeked = Rng.peek a k in
+      let unmoved = Word64.equal (Rng.next64 a) (drawn_after 0) in
+      let s = Rng.create seed in
+      Rng.skip s n;
+      Word64.equal peeked (drawn_after k) && unmoved && Word64.equal (Rng.next64 s) (drawn_after n))
+
 let test_rng_split () =
   let a = Rng.create 42L in
   let c = Rng.split a in
@@ -400,6 +420,7 @@ let () =
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
+          prop_rng_peek_skip;
         ] );
       ( "stats",
         [
