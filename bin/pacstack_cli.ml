@@ -394,12 +394,6 @@ let inject_cmd =
       & info [ "pac-bits" ]
           ~doc:"PAC width of the simulated machine (default 4, collisions observable).")
   in
-  let gate =
-    Arg.(
-      value & opt scheme_conv Scheme.pacstack
-      & info [ "gate" ]
-          ~doc:"Exit 1 when any fault is silent under this scheme (default: pacstack).")
-  in
   let no_gate =
     Arg.(value & flag & info [ "no-gate" ] ~doc:"Report silent corruption without failing.")
   in
@@ -432,8 +426,8 @@ let inject_cmd =
             "With $(b,--resume): rewrite the manifest as one merged statistics line \
              whenever this many uncompacted shard lines accumulate (default 256).")
   in
-  let action faults seed schemes pac_bits resume gate no_gate isolation shard_timeout
-      compact_every opts =
+  let action faults seed schemes pac_bits resume no_gate isolation shard_timeout compact_every
+      opts =
     if faults < 1 then fail "--faults must be >= 1"
     else if pac_bits < 1 || pac_bits > 16 then fail "--pac-bits must be in [1, 16]"
     else if compact_every < 1 then fail "--compact-every must be >= 1"
@@ -450,11 +444,12 @@ let inject_cmd =
       let policy =
         { Campaign.default_policy with isolation; shard_timeout_s = shard_timeout }
       in
-      let totals, json =
-        Plans.inject_execute ?schemes ~pac_bits ~faults ~policy ~compact_every ~workers
-          ~progress ?checkpoint:resume ~seed Format.std_formatter
+      let compaction = Plans.inject_compaction ~keep:compact_every in
+      let (totals, _, _), json =
+        Plans.execute ~workers ~progress ~policy ~compaction ?checkpoint:resume ~seed
+          (Plans.inject ?schemes ~pac_bits ~faults ()) Format.std_formatter
       in
-      let gate_name = Scheme.to_string gate in
+      let gate_name = Scheme.to_string Scheme.pacstack in
       let offenders =
         List.filter
           (fun (r : Inject_engine.reproducer) -> String.equal r.Inject_engine.scheme gate_name)
@@ -497,10 +492,10 @@ let inject_cmd =
           shadow entries, signal frames and the store-to-reload window under every hardening \
           scheme, and classify each fault as detected, benign or silent against the \
           un-faulted trace. Exits 1 with JSON reproducers when corruption is silent under \
-          the gated scheme.")
+          pacstack.")
     Term.(
-      const action $ faults $ seed $ schemes_arg $ pac_bits $ resume_arg $ gate $ no_gate
-      $ isolation $ shard_timeout $ compact_every $ campaign_opts)
+      const action $ faults $ seed $ schemes_arg $ pac_bits $ resume_arg $ no_gate $ isolation
+      $ shard_timeout $ compact_every $ campaign_opts)
 
 (* --- fleet: open-loop traffic simulation --------------------------------- *)
 
@@ -561,7 +556,8 @@ let fleet_cmd =
     | exception Invalid_argument msg -> fail msg
     | () ->
       run_campaign ?json opts @@ fun ~workers ~progress ->
-      (0, Plans.fleet_execute cfg ~workers ~progress ?checkpoint:resume ~seed Format.std_formatter)
+      let fleet = Plans.fleet cfg in
+      (0, snd (Plans.execute ~workers ~progress ?checkpoint:resume ~seed fleet Format.std_formatter))
   in
   Cmd.v
     (Cmd.info "fleet"

@@ -12,13 +12,6 @@ module Scenarios = Pacstack_workloads.Scenarios
 
 let victim_scheme = Scheme.pacstack
 
-(* Runs the victim until it has retired [instructions] or halted; a
-   fault on the way propagates as the trap. *)
-let warm_up m ~instructions =
-  match Machine.run_until m ~stop:(fun m -> Machine.instructions_retired m >= instructions) with
-  | Some (Machine.Faulted f) -> raise (Trap.Fault f)
-  | None | Some (Machine.Halted _ | Machine.Out_of_fuel) -> ()
-
 (* Fabricate a full signal frame whose restored PC is [evil] and redirect
    the machine to the sigreturn trampoline — the §6.3.2 premise of a raw
    [svc] gadget reachable by the adversary. *)
@@ -53,7 +46,11 @@ let run_victim ~policy ~attach ~deliver_real_signal =
   let proc = Kernel.adopt kernel machine in
   if attach then Machine.attach_hook machine "gadget" forge_and_trigger;
   if deliver_real_signal then begin
-    warm_up machine ~instructions:400;
+    (* run the victim 400 instructions in (or to its halt); a fault on
+       the way propagates as the trap *)
+    (match Machine.run ~fuel:400 machine with
+    | Machine.Faulted f -> raise (Trap.Fault f)
+    | Machine.Halted _ | Machine.Out_of_fuel -> ());
     Kernel.deliver_signal kernel proc ~handler:"handler" ~signum:5
   end;
   let outcome = Machine.run machine ~fuel:2_000_000 in

@@ -16,8 +16,9 @@
      and was never caught.
 
    Generic sites pause the machine at a trigger point (a fraction of
-   the reference run's retired instructions, via {!Machine.run_until}),
-   xor a pattern into the chosen slot and resume.  The two structured
+   the reference run's retired instructions, as {!Machine.run}'s fuel:
+   running out of it is the pause), xor a pattern into the chosen slot
+   and resume.  The two structured
    sites replay the paper's actual attacks:
 
    - [Reload_window] mounts the §6.1 reuse attack inside the §5.2
@@ -189,20 +190,20 @@ let reference cfg scheme victim keys_rng =
   let outcome = Machine.run ~fuel:cfg.fuel m in
   (Trace.of_run m outcome, max 1 (Machine.instructions_retired m))
 
+(* A fresh instance paused after [trigger] instructions is one run with
+   [trigger] fuel: [Out_of_fuel] is the pause. The trigger never exceeds
+   the reference's length, which [cfg.fuel] bounds. *)
 let run_generic cfg (spec : Fault.spec) scheme victim keys_rng =
   let ref_trace, total = reference cfg scheme victim keys_rng in
   let trigger = max 1 (int_of_float (spec.trigger *. float_of_int total)) in
   let m = instance cfg scheme victim keys_rng in
-  match
-    Machine.run_until ~fuel:cfg.fuel m ~stop:(fun m ->
-        Machine.instructions_retired m >= trigger)
-  with
-  | Some outcome -> classify ~ref_trace ~injected_cycles:(Machine.cycles m) m outcome
-  | None ->
+  match Machine.run ~fuel:trigger m with
+  | Machine.Out_of_fuel ->
     let at = Machine.cycles m in
     apply_site cfg spec scheme m;
     let outcome = Machine.run ~fuel:cfg.fuel m in
     classify ~ref_trace ~injected_cycles:at m outcome
+  | outcome -> classify ~ref_trace ~injected_cycles:(Machine.cycles m) m outcome
 
 (* ------------------------------------------------------------------ *)
 (* Reload-window reuse attack (§5.2 window, §6.1 substitution)         *)
@@ -343,12 +344,10 @@ let run_signal cfg (spec : Fault.spec) scheme victim keys_rng =
   in
   let run ~corrupt =
     let k, p, m = boot (Rng.copy keys_rng) in
-    match
-      Machine.run_until ~fuel:cfg.fuel m ~stop:(fun m ->
-          Machine.instructions_retired m >= trigger)
-    with
-    | Some outcome -> (Trace.of_run m outcome, Machine.cycles m, m, outcome)
-    | None ->
+    match Machine.run ~fuel:trigger m with
+    | (Machine.Halted _ | Machine.Faulted _) as outcome ->
+      (Trace.of_run m outcome, Machine.cycles m, m, outcome)
+    | Machine.Out_of_fuel ->
       Kernel.deliver_signal k p ~handler:Victim.handler_name ~signum:14;
       let at = Machine.cycles m in
       if corrupt then begin

@@ -165,8 +165,9 @@ val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
 (** Like {!run}, but returns [None] as soon as [stop t] holds, with the
     machine paused and PC at the next, not-yet-executed instruction;
     [Some outcome] if the program halted, faulted or ran out of fuel
-    first. Fault injection uses this to reach a trigger point mid-run,
-    mutate state, and continue with {!run}.
+    first. An observer that records machine state at every boundary
+    drives a run with this; a pause after a fixed instruction count is
+    {!run} with that much fuel.
 
     [stop] runs once at every instruction boundary while the machine is
     not halted, before the instruction: that includes the boundary of a

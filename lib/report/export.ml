@@ -27,16 +27,16 @@ let table1 ?seed ?scale ~dir () =
 
 let all ?seed ?scale ~dir () =
   let table1 = table1 ?seed ?scale ~dir () in
-  let o = Report.overheads () in
+  let o = Plans.compute Plans.spec in
   let figure5 =
     write_csv ~dir ~name:"figure5.csv"
       (("benchmark" :: "calls_per_ki"
-       :: List.map (fun (scheme, _, _) -> Scheme.to_string scheme) o.Report.table2)
+       :: List.map (fun (scheme, _, _) -> Scheme.to_string scheme) o.Plans.table2)
       :: List.map
            (fun (name, density, per_scheme) ->
              name :: Printf.sprintf "%.2f" density
              :: List.map (fun (_, oh) -> Printf.sprintf "%.3f" oh) per_scheme)
-           o.Report.figure5)
+           o.Plans.figure5)
   in
   let table2 =
     write_csv ~dir ~name:"table2.csv"
@@ -44,7 +44,7 @@ let all ?seed ?scale ~dir () =
       :: List.map
            (fun (scheme, rate, speed) ->
              [ Scheme.to_string scheme; Printf.sprintf "%.3f" rate; Printf.sprintf "%.3f" speed ])
-           o.Report.table2)
+           o.Plans.table2)
   in
   let table3 =
     write_csv ~dir ~name:"table3.csv"

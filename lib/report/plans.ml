@@ -12,6 +12,8 @@ module Sketch = Pacstack_util.Sketch
 module Fleet = Pacstack_fleet.Fleet
 module Fleet_arrival = Pacstack_fleet.Arrival
 module Fleet_json = Pacstack_fleet.Json
+module Machine = Pacstack_machine.Machine
+module Compile = Pacstack_minic.Compile
 module Campaign = Pacstack_campaign.Campaign
 module Plan = Pacstack_campaign.Plan
 module Shard = Pacstack_campaign.Shard
@@ -78,34 +80,35 @@ type ('r, 'rows) experiment = {
   json : 'rows -> (string * Json.t) list;
 }
 
-let run ?policy ?compaction ?(workers = 1) ?(progress = Progress.null) ?checkpoint codec plan =
-  Campaign.run ~workers ~progress ?policy ?compaction
-    ?checkpoint:(Option.map (fun path -> (path, codec)) checkpoint)
-    plan
-
-let outcome_rows ?(scale = 1.0) ?workers ?progress ?checkpoint ?seed x =
+let outcome_rows ?(scale = 1.0) ?workers ?progress ?policy ?compaction ?checkpoint ?seed x =
   let plan = x.plan ~scale ~seed:(Option.value seed ~default:x.default_seed) in
-  let outcome = run ?workers ?progress ?checkpoint x.codec plan in
+  let outcome =
+    Campaign.run ?workers ?progress ?policy ?compaction
+      ?checkpoint:(Option.map (fun path -> (path, x.codec)) checkpoint)
+      plan
+  in
   (outcome, x.rows plan outcome)
 
 let compute ?scale ?workers ?progress ?seed x =
   snd (outcome_rows ?scale ?workers ?progress ?seed x)
 
-let outcome_header (o : _ Campaign.outcome) =
-  [
-    ("campaign", Json.String o.Campaign.plan_name);
-    ("seed", Json.String (Int64.to_string o.Campaign.seed));
-    ("workers", Json.Int o.Campaign.workers);
-    ("elapsed_s", Json.Float o.Campaign.elapsed_s);
-    ("resumed_shards", Json.Int o.Campaign.resumed);
-  ]
-
-let execute ?scale ?workers ?progress ?checkpoint ?seed x fmt =
-  let outcome, rows = outcome_rows ?scale ?workers ?progress ?checkpoint ?seed x in
+let execute ?scale ?workers ?progress ?policy ?compaction ?checkpoint ?seed x fmt =
+  let o, rows = outcome_rows ?scale ?workers ?progress ?policy ?compaction ?checkpoint ?seed x in
   x.pp fmt rows;
-  (rows, Json.Obj (outcome_header outcome @ x.json rows))
+  ( rows,
+    Json.Obj
+      ([
+         ("campaign", Json.String o.Campaign.plan_name);
+         ("seed", Json.String (Int64.to_string o.Campaign.seed));
+         ("workers", Json.Int o.Campaign.workers);
+         ("elapsed_s", Json.Float o.Campaign.elapsed_s);
+         ("resumed_shards", Json.Int o.Campaign.resumed);
+       ]
+      @ x.json rows) )
 
-let quarantine_json (outcome : _ Campaign.outcome) =
+let section fmt title = Format.fprintf fmt "@.=== %s ===@." title
+
+let quarantine_json quarantined =
   ( "quarantined",
     Json.List
       (List.map
@@ -117,7 +120,7 @@ let quarantine_json (outcome : _ Campaign.outcome) =
                ("attempts", Json.Int q.Campaign.attempts);
                ("error", Json.String q.Campaign.error);
              ])
-         outcome.Campaign.quarantined) )
+         quarantined) )
 
 let int_codec = { Checkpoint.encode = (fun total -> Json.Int total); decode = Json.to_int }
 
@@ -139,43 +142,6 @@ let table1_cells =
 
 let violation_name kind = Format.asprintf "%a" Analysis.pp_violation_kind kind
 
-let table1_plan ?(scale = 1.0) ~seed () =
-  rows_plan ~name:"table1" ~scale ~per_row:8 ~seed table1_cells
-    ~label:(fun (kind, masked, _, _) ->
-      violation_name kind ^ if masked then "/masked" else "/unmasked")
-    ~trials:(fun (_, _, _, trials) -> trials)
-    ~run:(fun (kind, masked, bits, _) ~trials rng ->
-      Games.violation_success ~masked ~kind ~bits ~harvest:600 ~trials rng)
-
-let table1_codec =
-  {
-    Checkpoint.encode =
-      (fun (cell, (e : Games.estimate)) ->
-        Json.Obj
-          [
-            ("cell", Json.Int cell);
-            ("successes", Json.Int e.Games.successes);
-            ("trials", Json.Int e.Games.trials);
-          ]);
-    decode =
-      (fun json ->
-        match
-          ( Option.bind (Json.member "cell" json) Json.to_int,
-            Option.bind (Json.member "successes" json) Json.to_int,
-            Option.bind (Json.member "trials" json) Json.to_int )
-        with
-        | Some cell, Some successes, Some trials ->
-          Some (cell, Games.estimate ~successes ~trials)
-        | _ -> None);
-  }
-
-let table1_estimates outcome =
-  let cells = Array.make (List.length table1_cells) None in
-  Campaign.fold outcome ~init:() ~f:(fun () (cell, est) ->
-      cells.(cell) <-
-        Some (match cells.(cell) with None -> est | Some acc -> Games.merge_estimates acc est));
-  Array.map Option.get cells
-
 type table1_row = {
   violation : Analysis.violation_kind;
   masked : bool;
@@ -189,11 +155,45 @@ let table1 =
     name = "table1";
     doc = "Table 1 violation-success probabilities";
     default_seed = 1L;
-    plan = (fun ~scale ~seed -> table1_plan ~scale ~seed ());
-    codec = table1_codec;
+    plan =
+      (fun ~scale ~seed ->
+        rows_plan ~name:"table1" ~scale ~per_row:8 ~seed table1_cells
+          ~label:(fun (kind, masked, _, _) ->
+            violation_name kind ^ if masked then "/masked" else "/unmasked")
+          ~trials:(fun (_, _, _, trials) -> trials)
+          ~run:(fun (kind, masked, bits, _) ~trials rng ->
+            Games.violation_success ~masked ~kind ~bits ~harvest:600 ~trials rng));
+    codec =
+      {
+        Checkpoint.encode =
+          (fun (cell, (e : Games.estimate)) ->
+            Json.Obj
+              [
+                ("cell", Json.Int cell);
+                ("successes", Json.Int e.Games.successes);
+                ("trials", Json.Int e.Games.trials);
+              ]);
+        decode =
+          (fun json ->
+            match
+              ( Option.bind (Json.member "cell" json) Json.to_int,
+                Option.bind (Json.member "successes" json) Json.to_int,
+                Option.bind (Json.member "trials" json) Json.to_int )
+            with
+            | Some cell, Some successes, Some trials ->
+              Some (cell, Games.estimate ~successes ~trials)
+            | _ -> None);
+      };
     rows =
       (fun _ outcome ->
-        let measured = table1_estimates outcome in
+        (* each cell's shards pooled into one estimate *)
+        let measured = Array.make (List.length table1_cells) None in
+        Campaign.fold outcome ~init:() ~f:(fun () (cell, est) ->
+            measured.(cell) <-
+              Some
+                (match measured.(cell) with
+                | None -> est
+                | Some acc -> Games.merge_estimates acc est));
         List.mapi
           (fun i (violation, masked, bits, _) ->
             {
@@ -201,7 +201,7 @@ let table1 =
               masked;
               bits;
               theory = Analysis.table1_success_probability ~masked violation ~bits;
-              measured = measured.(i);
+              measured = Option.get measured.(i);
             })
           table1_cells);
     pp =
@@ -235,20 +235,17 @@ let table1 =
 
 (* --- §6.2.1 birthday harvest ------------------------------------------------- *)
 
-let birthday_plan ?(scale = 1.0) ~seed () =
-  Plan.make ~name:"birthday" ~seed
-    ~shards:(split ~label:"harvest" ~trials:(scaled scale 400) ~shards:8)
-    ~run:(fun shard rng -> Games.birthday_total ~bits:16 ~trials:shard.Shard.trials rng)
-
-let birthday_codec = int_codec
-
 let birthday =
   {
     name = "birthday";
     doc = "§6.2.1 tokens harvested until a PAC collision";
     default_seed = 2L;
-    plan = (fun ~scale ~seed -> birthday_plan ~scale ~seed ());
-    codec = birthday_codec;
+    plan =
+      (fun ~scale ~seed ->
+        Plan.make ~name:"birthday" ~seed
+          ~shards:(split ~label:"harvest" ~trials:(scaled scale 400) ~shards:8)
+          ~run:(fun shard rng -> Games.birthday_total ~bits:16 ~trials:shard.Shard.trials rng));
+    codec = int_codec;
     rows = mean_per_trial;
     pp =
       (fun fmt mean ->
@@ -375,20 +372,6 @@ let bruteforce =
 
 (* --- differential fuzzing ------------------------------------------------------ *)
 
-(* Seed [i]'s program derives from (campaign seed, i) alone — see
-   Driver.seed_rng — so the report is bit-identical at any worker count
-   and any shard split. *)
-let fuzz_plan ?schemes ?optimize ?(seeds = 200) ~seed () =
-  let cfg =
-    {
-      Fuzz_oracle.default_config with
-      schemes = Option.value schemes ~default:Fuzz_oracle.default_config.schemes;
-      optimize = Option.value optimize ~default:Fuzz_oracle.default_config.optimize;
-    }
-  in
-  range_plan ~name:"fuzz" ~what:"seeds" ~total:seeds ~shards:(max 1 (min 8 seeds)) ~seed
-    (fun ~lo ~hi -> Fuzz_driver.run_range cfg ~campaign_seed:seed ~lo ~hi)
-
 let fuzz_codec =
   let failure_to_json (f : Fuzz_driver.failure) =
     Json.Obj
@@ -439,22 +422,30 @@ let fuzz_codec =
         | _ -> None);
   }
 
-let fuzz_totals outcome =
-  Campaign.fold outcome ~init:Fuzz_driver.empty ~f:Fuzz_driver.merge
-
-let fuzz_stats_json (s : Fuzz_driver.stats) =
-  match fuzz_codec.Checkpoint.encode s with
-  | Json.Obj fields -> fields
-  | other -> [ ("stats", other) ]
-
-let fuzz ?schemes ?optimize ?seeds () =
+(* Seed [i]'s program derives from (campaign seed, i) alone — see
+   Driver.seed_rng — so the report is bit-identical at any worker count
+   and any shard split. *)
+let fuzz ?schemes ?optimize ?(seeds = 200) () =
+  let cfg =
+    {
+      Fuzz_oracle.default_config with
+      schemes = Option.value schemes ~default:Fuzz_oracle.default_config.schemes;
+      optimize = Option.value optimize ~default:Fuzz_oracle.default_config.optimize;
+    }
+  in
   {
     name = "fuzz";
     doc = "differential fuzzing of the mini-C pipeline against the reference interpreter";
     default_seed = 1L;
-    plan = (fun ~scale:_ ~seed -> fuzz_plan ?schemes ?optimize ?seeds ~seed ());
+    plan =
+      (fun ~scale:_ ~seed ->
+        range_plan ~name:"fuzz" ~what:"seeds" ~total:seeds ~shards:(max 1 (min 8 seeds)) ~seed
+          (fun ~lo ~hi -> Fuzz_driver.run_range cfg ~campaign_seed:seed ~lo ~hi));
     codec = fuzz_codec;
-    rows = (fun _ outcome -> (fuzz_totals outcome, outcome.Campaign.elapsed_s));
+    rows =
+      (fun _ outcome ->
+        ( Campaign.fold outcome ~init:Fuzz_driver.empty ~f:Fuzz_driver.merge,
+          outcome.Campaign.elapsed_s ));
     pp =
       (fun fmt (totals, elapsed_s) ->
         Format.fprintf fmt "%a@." Fuzz_driver.pp_stats totals;
@@ -465,7 +456,11 @@ let fuzz ?schemes ?optimize ?seeds () =
         | buckets ->
           Format.fprintf fmt "@[<v>divergence buckets:@,%a@]@." Pacstack_fuzz.Triage.pp_buckets
             buckets);
-    json = (fun (totals, _) -> fuzz_stats_json totals);
+    json =
+      (fun (totals, _) ->
+        match fuzz_codec.Checkpoint.encode totals with
+        | Json.Obj fields -> fields
+        | other -> [ ("stats", other) ]);
   }
 
 (* --- fault injection ----------------------------------------------------------- *)
@@ -508,153 +503,217 @@ let silent_rate (c : Inject_engine.cell) =
   let total = cell_total c in
   if total = 0 then 0.0 else float_of_int c.Inject_engine.silent /. float_of_int total
 
-let inject_stats_json (s : Inject_engine.stats) =
-  let rates =
-    List.map
-      (fun (name, (c : Inject_engine.cell)) ->
-        let lo, hi = Stats.wilson ~successes:c.Inject_engine.silent ~trials:(cell_total c) in
-        Json.Obj
-          [
-            ("scheme", Json.String name);
-            ("trials", Json.Int (cell_total c));
-            ("silent_rate", Json.Float (silent_rate c));
-            ("wilson_lo", Json.Float lo);
-            ("wilson_hi", Json.Float hi);
-          ])
-      s.Inject_engine.cells
-  in
-  (match Inject_engine.stats_to_json s with
-  | Json.Obj fields -> fields
-  | other -> [ ("stats", other) ])
-  @ [
-      ("silent_rates", Json.List rates);
-      ("repro_dropped", Json.Int (Inject_engine.repro_dropped s));
-    ]
-
-(* The detection-rate table: per scheme, how the campaign's faults
-   classified, the silent rate with its Wilson interval, and how long
-   detected corruption lived (mean, and p95 from the latency sketch). *)
-let pp_inject_table fmt (s : Inject_engine.stats) =
-  Format.fprintf fmt "%-24s %9s %9s %9s %11s %25s %9s %9s@." "scheme" "detected" "benign"
-    "silent" "silent-rate" "wilson-95%" "mean-lat" "p95-lat";
-  List.iter
-    (fun (name, (c : Inject_engine.cell)) ->
-      let lo, hi = Stats.wilson ~successes:c.Inject_engine.silent ~trials:(cell_total c) in
-      let mean, p95 =
-        if c.Inject_engine.detected = 0 then ("-", "-")
-        else
-          let l = c.Inject_engine.latency in
-          (Printf.sprintf "%.1f" (Sketch.mean l), Printf.sprintf "%.0f" (Sketch.percentile l 95.0))
-      in
-      Format.fprintf fmt "%-24s %9d %9d %9d %11.3e %25s %9s %9s@." name c.Inject_engine.detected
-        c.Inject_engine.benign c.Inject_engine.silent (silent_rate c)
-        (Printf.sprintf "[%.3e, %.3e]" lo hi)
-        mean p95)
-    s.Inject_engine.cells;
-  let dropped = Inject_engine.repro_dropped s in
-  if dropped > 0 then
-    Format.fprintf fmt "(%d silent reproducer%s beyond the %d-per-scheme cap not retained)@."
-      dropped
-      (if dropped = 1 then "" else "s")
-      Inject_engine.repro_cap
-
-(* The long-format detection-rate table: every (injection site, scheme)
-   cell, site-major, with the detection rate and its Wilson interval —
-   the headline site x scheme comparison across the scheme family. *)
-let pp_inject_site_table fmt (s : Inject_engine.stats) =
-  Format.fprintf fmt "@.%-16s %-24s %9s %9s %9s %10s %23s@." "site" "scheme" "detected"
-    "benign" "silent" "det-rate" "wilson-95%";
-  let last_site = ref "" in
-  List.iter
-    (fun ((site, name), (c : Inject_engine.cell)) ->
-      let total = cell_total c in
-      let rate =
-        if total = 0 then 0.0 else float_of_int c.Inject_engine.detected /. float_of_int total
-      in
-      let lo, hi = Stats.wilson ~successes:c.Inject_engine.detected ~trials:total in
-      if !last_site <> "" && !last_site <> site then Format.fprintf fmt "@.";
-      last_site := site;
-      Format.fprintf fmt "%-16s %-24s %9d %9d %9d %10.3f %23s@." site name
-        c.Inject_engine.detected c.Inject_engine.benign c.Inject_engine.silent rate
-        (Printf.sprintf "[%.4f, %.4f]" lo hi))
-    s.Inject_engine.site_cells
-
-let inject_execute ?schemes ?(pac_bits = 4) ?(faults = 120) ?policy ?(compact_every = 256)
-    ?workers ?progress ?checkpoint ~seed fmt =
-  let outcome =
-    run ?policy ~compaction:(inject_compaction ~keep:compact_every) ?workers ?progress
-      ?checkpoint inject_codec
-      (inject_plan ?schemes ~pac_bits ~faults ~seed ())
-  in
-  let totals = inject_totals outcome in
-  Format.fprintf fmt "inject: %d faults x %d schemes at pac_bits=%d, seed %Ld@."
-    totals.Inject_engine.faults
-    (List.length totals.Inject_engine.cells)
-    pac_bits seed;
-  pp_inject_table fmt totals;
-  pp_inject_site_table fmt totals;
-  List.iter
-    (fun (q : Campaign.quarantine) ->
-      Format.fprintf fmt "quarantined shard %d (%s) after %d attempts: %s@." q.Campaign.shard
-        q.Campaign.label q.Campaign.attempts q.Campaign.error)
-    outcome.Campaign.quarantined;
-  ( totals,
-    Json.Obj (outcome_header outcome @ inject_stats_json totals @ [ quarantine_json outcome ]) )
+let inject ?schemes ?(pac_bits = 4) ?(faults = 120) () =
+  {
+    name = "inject";
+    doc = "deterministic fault injection across the hardening schemes";
+    default_seed = 7L;
+    plan = (fun ~scale:_ ~seed -> inject_plan ?schemes ~pac_bits ~faults ~seed ());
+    codec = inject_codec;
+    rows =
+      (fun _ outcome ->
+        (inject_totals outcome, outcome.Campaign.seed, outcome.Campaign.quarantined));
+    pp =
+      (fun fmt ((s : Inject_engine.stats), seed, quarantined) ->
+        Format.fprintf fmt "inject: %d faults x %d schemes at pac_bits=%d, seed %Ld@."
+          s.Inject_engine.faults (List.length s.Inject_engine.cells) pac_bits seed;
+        (* The detection-rate table: per scheme, how the campaign's faults
+           classified, the silent rate with its Wilson interval, and how
+           long detected corruption lived (mean, and p95 from the latency
+           sketch). *)
+        Format.fprintf fmt "%-24s %9s %9s %9s %11s %25s %9s %9s@." "scheme" "detected" "benign"
+          "silent" "silent-rate" "wilson-95%" "mean-lat" "p95-lat";
+        List.iter
+          (fun (name, (c : Inject_engine.cell)) ->
+            let lo, hi = Stats.wilson ~successes:c.Inject_engine.silent ~trials:(cell_total c) in
+            let mean, p95 =
+              if c.Inject_engine.detected = 0 then ("-", "-")
+              else
+                let l = c.Inject_engine.latency in
+                ( Printf.sprintf "%.1f" (Sketch.mean l),
+                  Printf.sprintf "%.0f" (Sketch.percentile l 95.0) )
+            in
+            Format.fprintf fmt "%-24s %9d %9d %9d %11.3e %25s %9s %9s@." name
+              c.Inject_engine.detected c.Inject_engine.benign c.Inject_engine.silent
+              (silent_rate c)
+              (Printf.sprintf "[%.3e, %.3e]" lo hi)
+              mean p95)
+          s.Inject_engine.cells;
+        let dropped = Inject_engine.repro_dropped s in
+        if dropped > 0 then
+          Format.fprintf fmt
+            "(%d silent reproducer%s beyond the %d-per-scheme cap not retained)@." dropped
+            (if dropped = 1 then "" else "s")
+            Inject_engine.repro_cap;
+        (* The long-format detection-rate table: every (injection site,
+           scheme) cell, site-major, with the detection rate and its
+           Wilson interval — the headline site x scheme comparison across
+           the scheme family. *)
+        Format.fprintf fmt "@.%-16s %-24s %9s %9s %9s %10s %23s@." "site" "scheme" "detected"
+          "benign" "silent" "det-rate" "wilson-95%";
+        let last_site = ref "" in
+        List.iter
+          (fun ((site, name), (c : Inject_engine.cell)) ->
+            let total = cell_total c in
+            let rate =
+              if total = 0 then 0.0
+              else float_of_int c.Inject_engine.detected /. float_of_int total
+            in
+            let lo, hi = Stats.wilson ~successes:c.Inject_engine.detected ~trials:total in
+            if !last_site <> "" && !last_site <> site then Format.fprintf fmt "@.";
+            last_site := site;
+            Format.fprintf fmt "%-16s %-24s %9d %9d %9d %10.3f %23s@." site name
+              c.Inject_engine.detected c.Inject_engine.benign c.Inject_engine.silent rate
+              (Printf.sprintf "[%.4f, %.4f]" lo hi))
+          s.Inject_engine.site_cells;
+        List.iter
+          (fun (q : Campaign.quarantine) ->
+            Format.fprintf fmt "quarantined shard %d (%s) after %d attempts: %s@."
+              q.Campaign.shard q.Campaign.label q.Campaign.attempts q.Campaign.error)
+          quarantined);
+    json =
+      (fun (s, _, quarantined) ->
+        let rates =
+          List.map
+            (fun (name, (c : Inject_engine.cell)) ->
+              let lo, hi = Stats.wilson ~successes:c.Inject_engine.silent ~trials:(cell_total c) in
+              Json.Obj
+                [
+                  ("scheme", Json.String name);
+                  ("trials", Json.Int (cell_total c));
+                  ("silent_rate", Json.Float (silent_rate c));
+                  ("wilson_lo", Json.Float lo);
+                  ("wilson_hi", Json.Float hi);
+                ])
+            s.Inject_engine.cells
+        in
+        (match Inject_engine.stats_to_json s with
+        | Json.Obj fields -> fields
+        | other -> [ ("stats", other) ])
+        @ [
+            ("silent_rates", Json.List rates);
+            ("repro_dropped", Json.Int (Inject_engine.repro_dropped s));
+            quarantine_json quarantined;
+          ]);
+  }
 
 (* --- fleet simulation ------------------------------------------------------------ *)
 
-let fleet_execute cfg ?workers ?progress ?checkpoint ~seed fmt =
-  let cfg = { cfg with Fleet.seed } in
-  let outcome = run ?workers ?progress ?checkpoint Fleet_json.checkpoint_codec (Fleet.plan cfg) in
-  let rows = Fleet.tabulate cfg outcome in
-  Format.fprintf fmt "fleet: %d connections, %.2f virtual s, %s arrivals, %d cells x %d cores@."
-    cfg.Fleet.connections cfg.Fleet.duration_s
-    (Fleet_arrival.to_string cfg.Fleet.arrival)
-    cfg.Fleet.cells cfg.Fleet.cores;
-  Fleet.pp_table cfg fmt rows;
-  match Fleet_json.table_to_json cfg rows with
-  | Json.Obj fields -> Json.Obj (outcome_header outcome @ fields @ [ quarantine_json outcome ])
-  | other -> other
+let fleet cfg =
+  {
+    name = "fleet";
+    doc = "fleet-scale open-loop traffic with per-scheme tail latency";
+    default_seed = cfg.Fleet.seed;
+    plan = (fun ~scale:_ ~seed -> Fleet.plan { cfg with Fleet.seed });
+    codec = Fleet_json.checkpoint_codec;
+    rows =
+      (fun plan outcome ->
+        let cfg = { cfg with Fleet.seed = plan.Plan.seed } in
+        (cfg, Fleet.tabulate cfg outcome, outcome.Campaign.quarantined));
+    pp =
+      (fun fmt (cfg, rows, _) ->
+        Format.fprintf fmt
+          "fleet: %d connections, %.2f virtual s, %s arrivals, %d cells x %d cores@."
+          cfg.Fleet.connections cfg.Fleet.duration_s
+          (Fleet_arrival.to_string cfg.Fleet.arrival)
+          cfg.Fleet.cells cfg.Fleet.cores;
+        Fleet.pp_table cfg fmt rows);
+    json =
+      (fun (cfg, rows, quarantined) ->
+        (match Fleet_json.table_to_json cfg rows with
+        | Json.Obj fields -> fields
+        | other -> [ ("table", other) ])
+        @ [ quarantine_json quarantined ]);
+  }
 
-(* --- overhead sweeps ----------------------------------------------------------- *)
+(* --- Figure 5, Table 2 and the C++ rows ------------------------------------ *)
 
-(* Each cell next to its overhead over the unprotected cell of its group. *)
-let against_baseline ~group ~scheme ~overhead outcome =
-  let results = Array.to_list (Campaign.results_exn outcome) in
-  List.map
-    (fun r ->
-      let baseline =
-        List.find (fun b -> group b = group r && Scheme.equal (scheme b) Scheme.unprotected) results
-      in
-      (r, overhead ~baseline r))
-    results
+let schemes_measured =
+  [ Scheme.pacstack; Scheme.pacstack_nomask; Scheme.shadow_stack; Scheme.branch_protection;
+    Scheme.stack_protector; Scheme.pcan; Scheme.zipper; Scheme.pactight; Scheme.parts ]
 
-let variant_of_string = function
-  | "rate" -> Some Speclike.Rate
-  | "speed" -> Some Speclike.Speed
+(* the paper reports the C++ benchmarks separately, for PACStack alone *)
+let cpp_schemes = [ Scheme.pacstack; Scheme.pacstack_nomask ]
+
+(* Runs [bench]'s unprotected Rate build to its halt under a [run_until]
+   observer that calls [on_call m] at each call boundary, before the
+   [bl]/[blr] executes, and returns the halted machine. Figure 5's
+   calls/ki and the SP-modifier section both count through it. *)
+let observe_calls bench ~on_call =
+  let program = Compile.compile ~scheme:Scheme.unprotected (bench.Speclike.program Speclike.Rate) in
+  let m = Machine.load program in
+  let image = Machine.image m in
+  let observe m =
+    (match Pacstack_machine.Image.fetch image (Machine.pc m) with
+    | Some (Pacstack_isa.Instr.Bl _ | Pacstack_isa.Instr.Blr _) -> on_call m
+    | _ -> ());
+    false
+  in
+  match Machine.run_until ~fuel:100_000_000 m ~stop:observe with
+  | Some (Machine.Halted 0) -> m
+  | _ -> failwith (bench.Speclike.name ^ ": observed run failed")
+
+let call_counts bench =
+  let calls = ref 0 in
+  let m = observe_calls bench ~on_call:(fun _ -> incr calls) in
+  (!calls, Machine.instructions_retired m)
+
+(* keyed by canonical name: the registry is open, and the paper only
+   reports numbers for the schemes it measured *)
+let paper_table2 scheme =
+  match Scheme.to_string scheme with
+  | "pacstack" -> Some (2.75, 3.28)
+  | "pacstack-nomask" -> Some (0.86, 1.56)
+  | "shadow-call-stack" -> Some (0.85, 0.77)
+  | "branch-protection" -> Some (0.43, 0.72)
+  | "stack-protector-strong" -> Some (0.43, 0.25)
+  | "baseline" -> Some (0.0, 0.0)
   | _ -> None
+
+let paper_cpp scheme =
+  match Scheme.to_string scheme with
+  | "pacstack" -> "2.0%"
+  | "pacstack-nomask" -> "0.9%"
+  | _ -> "-"
+
+type overheads = {
+  figure5 : (string * float * (Scheme.t * float) list) list;
+  table2 : (Scheme.t * float * float) list;
+  cpp : (Scheme.t * float) list;
+}
 
 let spec =
   {
     name = "spec";
-    doc = "SPECrate-like overhead sweep (benchmark x scheme grid)";
+    doc = "Figure 5, Table 2 and the C++ rows (SPEC-like variant x kernel x scheme cells)";
     default_seed = 0L;
     plan =
       (fun ~scale:_ ~seed ->
+        (* every cell the three tables read, each kernel's unprotected
+           build included *)
+        let grid variant benches schemes =
+          List.concat_map
+            (fun bench ->
+              List.map (fun scheme -> (variant, bench, scheme)) (Scheme.unprotected :: schemes))
+            benches
+        in
         let cells =
-          Array.of_list (Speclike.sweep_cells ~variants:[ Speclike.Rate ] ~schemes:Scheme.all)
+          Array.of_list
+            (grid Speclike.Rate Speclike.all schemes_measured
+            @ grid Speclike.Speed Speclike.all schemes_measured
+            @ grid Speclike.Rate Speclike.cpp cpp_schemes)
         in
         Plan.make ~name:"spec" ~seed
           ~shards:
             (Array.map
                (fun (variant, bench, scheme) ->
-                 ( Printf.sprintf "%s/%s/%s" (Speclike.variant_to_string variant) bench
-                     (Scheme.to_string scheme),
+                 ( Printf.sprintf "%s/%s/%s" (Speclike.variant_to_string variant)
+                     bench.Speclike.name (Scheme.to_string scheme),
                    1 ))
                cells)
           ~run:(fun shard _rng ->
             let variant, bench, scheme = cells.(shard.Shard.index) in
-            Speclike.measure_cell ~variant ~scheme bench));
+            Speclike.measure ~scheme variant bench));
     codec =
       {
         Checkpoint.encode =
@@ -673,9 +732,14 @@ let spec =
           (fun json ->
             let str k = Option.bind (Json.member k json) Json.to_str in
             let int k = Option.bind (Json.member k json) Json.to_int in
+            let variant = function
+              | "rate" -> Some Speclike.Rate
+              | "speed" -> Some Speclike.Speed
+              | _ -> None
+            in
             match
               ( str "bench",
-                Option.bind (str "variant") variant_of_string,
+                Option.bind (str "variant") variant,
                 Option.bind (str "scheme") Scheme.of_string,
                 int "cycles", int "instructions", int "mem_ops",
                 Option.bind (str "checksum") Int64.of_string_opt )
@@ -686,37 +750,135 @@ let spec =
             | _ -> None);
       };
     rows =
-      (fun _ ->
-        against_baseline
-          ~group:(fun (m : Speclike.measurement) -> m.Speclike.bench)
-          ~scheme:(fun m -> m.Speclike.scheme)
-          ~overhead:Speclike.overhead_pct);
+      (fun _ outcome ->
+        let results = Campaign.results_exn outcome in
+        let measured variant (bench : Speclike.benchmark) scheme =
+          Option.get
+            (Array.find_opt
+               (fun (m : Speclike.measurement) ->
+                 m.Speclike.variant = variant
+                 && String.equal m.Speclike.bench bench.Speclike.name
+                 && Scheme.equal m.Speclike.scheme scheme)
+               results)
+        in
+        (* Per kernel, each scheme's overhead over the unprotected build;
+           every build must print the baseline's checksum. *)
+        let overheads variant benches schemes =
+          List.map
+            (fun bench ->
+              let baseline = measured variant bench Scheme.unprotected in
+              ( bench,
+                List.map
+                  (fun scheme ->
+                    let m = measured variant bench scheme in
+                    if not (Int64.equal m.Speclike.checksum baseline.Speclike.checksum) then
+                      failwith
+                        (bench.Speclike.name ^ ": checksum mismatch under "
+                       ^ Scheme.to_string scheme);
+                    (scheme, Speclike.overhead_pct ~baseline m))
+                  schemes ))
+            benches
+        in
+        (* geometric mean of (1 + overhead) ratios over the kernels,
+           reported back as a percentage *)
+        let geomean table scheme =
+          let ratios = List.map (fun (_, per) -> 1.0 +. (List.assoc scheme per /. 100.0)) table in
+          (Stats.geometric_mean ratios -. 1.0) *. 100.0
+        in
+        let rate = overheads Speclike.Rate Speclike.all schemes_measured in
+        let speed = overheads Speclike.Speed Speclike.all schemes_measured in
+        let cpp = overheads Speclike.Rate Speclike.cpp cpp_schemes in
+        {
+          (* calls/ki: calls per 1000 instructions of the baseline build —
+             the paper's §7.1 "overhead is proportional to call
+             frequency" evidence *)
+          figure5 =
+            List.map
+              (fun (bench, per) ->
+                let calls, instructions = call_counts bench in
+                ( bench.Speclike.name,
+                  1000.0 *. float_of_int calls /. float_of_int instructions,
+                  per ))
+              rate;
+          table2 = List.map (fun s -> (s, geomean rate s, geomean speed s)) schemes_measured;
+          cpp = List.map (fun s -> (s, geomean cpp s)) cpp_schemes;
+        });
     pp =
-      (fun fmt rows ->
-        Format.fprintf fmt "%-14s %-24s %12s %10s@." "benchmark" "scheme" "cycles" "overhead";
+      (fun fmt o ->
+        section fmt "Figure 5: per-benchmark overhead w.r.t. baseline (%, SPECrate-like)";
+        Format.fprintf fmt "%-12s %10s" "benchmark" "calls/ki";
+        List.iter (fun (s, _, _) -> Format.fprintf fmt " %18s" (Scheme.to_string s)) o.table2;
+        Format.fprintf fmt "@.";
         List.iter
-          (fun ((m : Speclike.measurement), overhead) ->
-            Format.fprintf fmt "%-14s %-24s %12d %9.2f%%@." m.Speclike.bench
-              (Scheme.to_string m.Speclike.scheme)
-              m.Speclike.cycles overhead)
-          rows);
+          (fun (name, density, per_scheme) ->
+            Format.fprintf fmt "%-12s %10.1f" name density;
+            List.iter (fun (_, oh) -> Format.fprintf fmt " %17.2f%%" oh) per_scheme;
+            Format.fprintf fmt "@.")
+          o.figure5;
+        section fmt "Table 2: geometric mean of overheads";
+        Format.fprintf fmt "%-24s %14s %14s %20s@." "scheme" "SPECrate" "SPECspeed"
+          "paper (rate/speed)";
+        List.iter
+          (fun (scheme, rate, speed) ->
+            let paper =
+              match paper_table2 scheme with
+              | Some (p_rate, p_speed) -> Format.asprintf "%.2f%%/%.2f%%" p_rate p_speed
+              | None -> "-"
+            in
+            Format.fprintf fmt "%-24s %13.2f%% %13.2f%% %20s@." (Scheme.to_string scheme) rate
+              speed paper)
+          o.table2;
+        Format.fprintf fmt "@.C++-like benchmarks (omnetpp, leela, xalancbmk):@.";
+        List.iter
+          (fun (scheme, oh) ->
+            Format.fprintf fmt "  %-15s %5.2f%%  (paper %s)@." (Scheme.to_string scheme) oh
+              (paper_cpp scheme))
+          o.cpp);
     json =
-      (fun rows ->
+      (fun o ->
+        let scheme s = ("scheme", Json.String (Scheme.to_string s)) in
         [
-          ( "cells",
+          ( "figure5",
             Json.List
               (List.map
-                 (fun ((m : Speclike.measurement), overhead) ->
+                 (fun (name, density, per_scheme) ->
                    Json.Obj
                      [
-                       ("bench", Json.String m.Speclike.bench);
-                       ("scheme", Json.String (Scheme.to_string m.Speclike.scheme));
-                       ("cycles", Json.Int m.Speclike.cycles);
-                       ("overhead_pct", Json.Float overhead);
+                       ("bench", Json.String name);
+                       ("calls_per_ki", Json.Float density);
+                       ( "overhead_pct",
+                         Json.Obj
+                           (List.map
+                              (fun (s, oh) -> (Scheme.to_string s, Json.Float oh))
+                              per_scheme) );
                      ])
-                 rows) );
+                 o.figure5) );
+          ( "table2",
+            Json.List
+              (List.map
+                 (fun (s, rate, speed) ->
+                   Json.Obj
+                     [ scheme s; ("specrate_pct", Json.Float rate); ("specspeed_pct", Json.Float speed) ])
+                 o.table2) );
+          ( "cpp",
+            Json.List
+              (List.map (fun (s, oh) -> Json.Obj [ scheme s; ("overhead_pct", Json.Float oh) ]) o.cpp)
+          );
         ]);
   }
+
+(* --- Table 3 ---------------------------------------------------------------------- *)
+
+(* the paper's req/s (and overhead) per (workers, scheme) cell *)
+let paper_table3 workers scheme =
+  match (workers, Scheme.to_string scheme) with
+  | 4, "baseline" -> "14.2k"
+  | 4, "pacstack-nomask" -> "13.7k (3.5%)"
+  | 4, "pacstack" -> "13.5k (4.9%)"
+  | 8, "baseline" -> "30.7k"
+  | 8, "pacstack-nomask" -> "28.6k (6.8%)"
+  | 8, "pacstack" -> "27.2k (11.4%)"
+  | _ -> "-"
 
 let server =
   {
@@ -764,20 +926,32 @@ let server =
             | _ -> None);
       };
     rows =
-      (fun _ ->
-        against_baseline
-          ~group:(fun (r : Server.result) -> r.Server.workers)
-          ~scheme:(fun r -> r.Server.scheme)
-          ~overhead:Server.overhead_pct);
+      (fun _ outcome ->
+        (* each cell next to its overhead over the same worker count's
+           unprotected cell *)
+        let results = Array.to_list (Campaign.results_exn outcome) in
+        List.map
+          (fun (r : Server.result) ->
+            let baseline =
+              List.find
+                (fun (b : Server.result) ->
+                  b.Server.workers = r.Server.workers
+                  && Scheme.equal b.Server.scheme Scheme.unprotected)
+                results
+            in
+            (r, Server.overhead_pct ~baseline r))
+          results);
     pp =
       (fun fmt rows ->
-        Format.fprintf fmt "%-8s %-18s %12s %10s@." "workers" "scheme" "req/s" "overhead";
+        Format.fprintf fmt "%-8s %-18s %12s %8s %10s %18s@." "workers" "scheme" "req/s" "sigma"
+          "overhead" "paper req/s (oh)";
         List.iter
           (fun ((r : Server.result), overhead) ->
-            Format.fprintf fmt "%-8d %-18s %11.1fk %9.1f%%@." r.Server.workers
+            Format.fprintf fmt "%-8d %-18s %11.1fk %8.0f %9.1f%% %18s@." r.Server.workers
               (Scheme.to_string r.Server.scheme)
               (r.Server.req_per_sec /. 1000.0)
-              overhead)
+              r.Server.sigma overhead
+              (paper_table3 r.Server.workers r.Server.scheme))
           rows);
     json =
       (fun rows ->
@@ -831,22 +1005,8 @@ let entries =
     entry spec;
     entry server;
     entry (fuzz ());
-    {
-      name = "inject";
-      doc = "deterministic fault injection across the hardening schemes";
-      default_seed = 7L;
-      execute =
-        (fun ~workers ~seed ~checkpoint ~progress fmt ->
-          snd (inject_execute ~workers ~seed ?checkpoint ~progress fmt));
-    };
-    {
-      name = "fleet";
-      doc = "fleet-scale open-loop traffic with per-scheme tail latency";
-      default_seed = Fleet.default.Fleet.seed;
-      execute =
-        (fun ~workers ~seed ~checkpoint ~progress fmt ->
-          fleet_execute Fleet.default ~workers ~seed ?checkpoint ~progress fmt);
-    };
+    entry (inject ());
+    entry (fleet Fleet.default);
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) entries

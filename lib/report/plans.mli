@@ -4,13 +4,13 @@
     Each plan turns one experiment into independent shards for the
     {!Pacstack_campaign} engine: the Table 1 violation games, the §6.2.1
     birthday harvest, the §4.3 guessing games, the end-to-end machine
-    brute force, differential fuzzing, fault injection, the fleet and the
-    SPEC-like / server overhead sweeps. An {!experiment} bundles a plan
-    with its checkpoint codec, the function that turns the campaign
-    outcome into the experiment's rows, and the text and JSON renderers
-    of those rows; {!Report}, {!Export}, the CLI's [campaign] entries and
-    its dedicated subcommands all go through {!compute} or {!execute}, so
-    a table reads the same in every format.
+    brute force, differential fuzzing, fault injection, the fleet,
+    Figure 5 / Table 2 and Table 3. An {!experiment} bundles a plan with
+    its checkpoint codec, the function that turns the campaign outcome
+    into the experiment's rows, and the text and JSON renderers of those
+    rows; {!Report}, {!Export}, the CLI's [campaign] entries and its
+    dedicated subcommands all go through {!compute} or {!execute}, so a
+    table reads the same in every format.
 
     [?scale] multiplies trial counts (down for tests and
     micro-benchmarks, up for production-size hunts) without changing
@@ -44,28 +44,19 @@ val compute :
     worker count. *)
 
 val execute :
-  ?scale:float -> ?workers:int -> ?progress:Progress.sink -> ?checkpoint:string ->
-  ?seed:int64 -> (_, 'rows) experiment -> Format.formatter -> 'rows * Json.t
-(** {!compute}, checkpointing to the [checkpoint] manifest when given,
-    then prints the rows and returns them with their JSON (the campaign
-    header — name, seed, workers, elapsed, resumed shards — then the
-    experiment's fields). *)
+  ?scale:float -> ?workers:int -> ?progress:Progress.sink -> ?policy:Campaign.policy ->
+  ?compaction:'r Checkpoint.compaction -> ?checkpoint:string -> ?seed:int64 ->
+  ('r, 'rows) experiment -> Format.formatter -> 'rows * Json.t
+(** {!compute}, checkpointing to the [checkpoint] manifest when given
+    (compacted under [compaction]; shards retried and quarantined under
+    [policy], see {!Campaign.run}), then prints the rows and returns
+    them with their JSON (the campaign header — name, seed, workers,
+    elapsed, resumed shards — then the experiment's fields). *)
+
+val section : Format.formatter -> string -> unit
+(** A report section's title line, [=== title ===], after a blank line. *)
 
 (** {1 Table 1 — violation-success probabilities} *)
-
-val table1_cells : (Pacstack_acs.Analysis.violation_kind * bool * int * int) list
-(** The six Table 1 cells as [(kind, masked, bits, trials)]. *)
-
-val table1_plan :
-  ?scale:float -> seed:int64 -> unit -> (int * Pacstack_acs.Games.estimate) Plan.t
-(** Each cell's trials split over 8 shards; a shard reports
-    [(cell_index, estimate)]. *)
-
-val table1_codec : (int * Pacstack_acs.Games.estimate) Checkpoint.codec
-
-val table1_estimates :
-  (int * Pacstack_acs.Games.estimate) Campaign.outcome -> Pacstack_acs.Games.estimate array
-(** Per-cell pooled estimates, in {!table1_cells} order. *)
 
 val violation_name : Pacstack_acs.Analysis.violation_kind -> string
 
@@ -78,18 +69,15 @@ type table1_row = {
 }
 
 val table1 : (int * Pacstack_acs.Games.estimate, table1_row list) experiment
-(** One row per {!table1_cells} entry; default seed 1. *)
+(** One row per Table 1 cell (six: on-graph, off-graph to a call site,
+    off-graph to an arbitrary address, each unmasked and masked), each
+    cell's trials split over 8 shards; default seed 1. *)
 
 (** {1 §6.2.1 and §4.3 — harvest, guessing and brute force} *)
 
-val birthday_plan : ?scale:float -> seed:int64 -> unit -> int Plan.t
-(** Shards report summed harvest counts; 8 shards over 400 trials at
-    [b = 16]. *)
-
-val birthday_codec : int Checkpoint.codec
-
 val birthday : (int, float) experiment
-(** Mean tokens harvested until a PAC collision; default seed 2. *)
+(** Mean tokens harvested until a PAC collision at [b = 16], 8 shards
+    over 400 trials; default seed 2. *)
 
 val guessing :
   ( int * int,
@@ -106,37 +94,20 @@ val bruteforce : (int, int * float) experiment
 
 (** {1 Differential fuzzing} *)
 
-val fuzz_plan :
-  ?schemes:Pacstack_harden.Scheme.t list ->
-  ?optimize:bool list ->
-  ?seeds:int ->
-  seed:int64 ->
-  unit ->
-  Pacstack_fuzz.Driver.stats Plan.t
-(** Differential fuzzing of the mini-C pipeline: each shard fuzzes a
-    contiguous seed range (default 200 seeds over 8 shards) under the
-    given schemes and optimizer settings (defaults: every registered
-    scheme, peephole off and on). Seed [i]'s program depends only on the
-    campaign seed and [i], so results are identical at any worker
-    count. *)
-
-val fuzz_totals :
-  Pacstack_fuzz.Driver.stats Campaign.outcome -> Pacstack_fuzz.Driver.stats
-(** Merge all shard statistics. *)
-
-val fuzz_stats_json : Pacstack_fuzz.Driver.stats -> (string * Json.t) list
-(** The merged statistics as JSON object fields (worker-count
-    independent — no timing). *)
-
 val fuzz :
   ?schemes:Pacstack_harden.Scheme.t list ->
   ?optimize:bool list ->
   ?seeds:int ->
   unit ->
   (Pacstack_fuzz.Driver.stats, Pacstack_fuzz.Driver.stats * float) experiment
-(** {!fuzz_plan} as an experiment: rows are the merged statistics and
-    the campaign's wall-clock seconds; the text adds throughput and the
-    divergence buckets. Default seed 1. *)
+(** Differential fuzzing of the mini-C pipeline: each shard fuzzes a
+    contiguous seed range (default 200 seeds over 8 shards) under the
+    given schemes and optimizer settings (defaults: every registered
+    scheme, peephole off and on). Seed [i]'s program depends only on the
+    campaign seed and [i], so results are identical at any worker
+    count. Rows are the merged statistics and the campaign's wall-clock
+    seconds; the text adds throughput and the divergence buckets, the
+    JSON holds the statistics alone. Default seed 1. *)
 
 (** {1 Fault injection} *)
 
@@ -174,60 +145,84 @@ val inject_totals :
 (** Merge all shard statistics, including the compacted blob of a
     resumed manifest (quarantined shards contribute nothing). *)
 
-val inject_execute :
+val inject :
   ?schemes:Pacstack_harden.Scheme.t list ->
   ?pac_bits:int ->
   ?faults:int ->
-  ?policy:Campaign.policy ->
-  ?compact_every:int ->
-  ?workers:int ->
-  ?progress:Progress.sink ->
-  ?checkpoint:string ->
-  seed:int64 ->
-  Format.formatter ->
-  Pacstack_inject.Engine.stats * Json.t
-(** Runs the {!inject_plan} campaign and prints a header line, the
-    per-scheme table (silent rates as Wilson 95% intervals, mean and
+  unit ->
+  ( Pacstack_inject.Engine.stats,
+    Pacstack_inject.Engine.stats * int64 * Campaign.quarantine list )
+  experiment
+(** {!inject_plan} as an experiment: rows are the merged statistics, the
+    campaign seed and the quarantined shards. The text is a header line,
+    the per-scheme table (silent rates as Wilson 95% intervals, mean and
     p95 detection latency), the (site x scheme) detection-rate table and
-    any quarantined shard; returns the merged statistics with their JSON
-    (per-scheme [silent_rates] with Wilson bounds, [repro_dropped],
-    [quarantined]) — the shared engine behind the [inject] subcommand,
-    the [campaign inject] entry and [Report.injection]. A [checkpoint]
-    manifest is compacted whenever [compact_every] (default 256)
-    uncompacted shard lines accumulate. *)
+    any quarantined shard; the JSON adds per-scheme [silent_rates] with
+    Wilson bounds, [repro_dropped] and [quarantined] to the statistics.
+    Default seed 7. *)
 
 (** {1 Fleet simulation} *)
 
-val fleet_execute :
+val fleet :
   Pacstack_fleet.Fleet.config ->
-  ?workers:int ->
-  ?progress:Progress.sink ->
-  ?checkpoint:string ->
-  seed:int64 ->
-  Format.formatter ->
-  Json.t
-(** Runs the fleet campaign ({!Pacstack_fleet.Fleet.plan}) for the given
-    configuration ([seed] overrides the config's), prints the per-scheme
-    latency table, and returns the merged table as JSON — the shared
-    engine behind both the [campaign fleet] entry (default config) and
-    the dedicated [fleet] subcommand (parsed flags). *)
-
-(** {1 Overhead sweeps} *)
-
-val spec :
-  ( Pacstack_workloads.Speclike.measurement,
-    (Pacstack_workloads.Speclike.measurement * float) list )
+  ( Pacstack_fleet.Fleet.stats,
+    Pacstack_fleet.Fleet.config * Pacstack_fleet.Fleet.stats list * Campaign.quarantine list )
   experiment
-(** One shard per (benchmark x scheme) cell of the SPECrate-like sweep,
-    baseline included; each row carries its overhead %% over the same
-    benchmark's baseline cell. Deterministic — the shard RNG is unused. *)
+(** The fleet campaign ({!Pacstack_fleet.Fleet.plan}) for the given
+    configuration, whose seed the campaign seed replaces (and is the
+    default seed): rows are that configuration, the per-scheme table and
+    the quarantined shards. The text is a header line and the
+    per-scheme latency table; the JSON is the merged table and
+    [quarantined]. *)
+
+(** {1 Figure 5, Table 2 and Table 3} *)
+
+type overheads = {
+  figure5 : (string * float * (Pacstack_harden.Scheme.t * float) list) list;
+      (** per SPECrate-like kernel: name, calls per 1000 instructions
+          of the baseline build, and each measured scheme's overhead %% *)
+  table2 : (Pacstack_harden.Scheme.t * float * float) list;
+      (** per measured scheme: geometric-mean overhead %% over SPECrate
+          and over SPECspeed *)
+  cpp : (Pacstack_harden.Scheme.t * float) list;
+      (** PACStack with and without masking: geometric-mean overhead %%
+          over the C++-like kernels, which the paper reports
+          separately *)
+}
+
+val spec : (Pacstack_workloads.Speclike.measurement, overheads) experiment
+(** One shard per (variant, kernel, scheme) cell that Figure 5, Table 2
+    and the C++ rows read, each kernel's unprotected build included:
+    Rate and Speed x the eight C kernels x the baseline and nine
+    measured schemes, and Rate x the three C++-like kernels x the
+    baseline and both PACStack variants (169 cells). The rows check that
+    every build prints its baseline's checksum. The text is Figure 5
+    (one column per [table2] scheme), Table 2 and the C++ means, with
+    the paper's numbers beside them. Deterministic — the shard RNG is
+    unused. *)
+
+val call_counts : Pacstack_workloads.Speclike.benchmark -> int * int
+(** Calls ([bl]/[blr] boundaries) and retired instructions of the
+    kernel's unprotected SPECrate-like build, run to its halt under a
+    call-boundary observer: Figure 5's calls/ki is [1000 * calls /
+    instructions]. *)
+
+val observe_calls :
+  Pacstack_workloads.Speclike.benchmark ->
+  on_call:(Pacstack_machine.Machine.t -> unit) ->
+  Pacstack_machine.Machine.t
+(** Runs the kernel's unprotected SPECrate-like build to its halt under a
+    [run_until] observer that calls [on_call m] at each call boundary,
+    before the [bl]/[blr] executes, and returns the halted machine.
+    Behind {!call_counts} and [Report.sp_collisions]. *)
 
 val server :
   (Pacstack_workloads.Server.result, (Pacstack_workloads.Server.result * float) list) experiment
 (** One shard per {!Pacstack_workloads.Server.sweep_cells} (workers x
     scheme) cell of Table 3; each row carries its throughput overhead %%
-    over the same worker count's baseline. The rows behind the
-    [campaign server] summary and Table 3's text and CSV. *)
+    over the same worker count's baseline. The text is Table 3's rows —
+    req/s, sigma, overhead and the paper's cell — and the rows are
+    Table 3's CSV too. *)
 
 (** {1 Uniform CLI entries} *)
 

@@ -1,5 +1,4 @@
 module Rng = Pacstack_util.Rng
-module Stats = Pacstack_util.Stats
 module Games = Pacstack_acs.Games
 module Scheme = Pacstack_harden.Scheme
 module Speclike = Pacstack_workloads.Speclike
@@ -15,7 +14,7 @@ module Machine = Pacstack_machine.Machine
 module Unwind = Pacstack_machine.Unwind
 module Compile = Pacstack_minic.Compile
 
-let section fmt title = Format.fprintf fmt "@.=== %s ===@." title
+let section = Plans.section
 
 (* --- Table 1 ----------------------------------------------------------- *)
 
@@ -27,161 +26,13 @@ let table1 ?seed ?workers ?scale ?progress fmt =
   section fmt "Table 1: max success probability of call-stack integrity violations";
   ignore (Plans.execute ?seed ?workers ?scale ?progress Plans.table1 fmt)
 
-(* --- Table 2 / Figure 5 ------------------------------------------------ *)
+(* --- Table 2 / Figure 5 / Table 3 ----------------------------------------- *)
 
-let schemes_measured =
-  [ Scheme.pacstack; Scheme.pacstack_nomask; Scheme.shadow_stack; Scheme.branch_protection;
-    Scheme.stack_protector; Scheme.pcan; Scheme.zipper; Scheme.pactight; Scheme.parts ]
-
-(* Per benchmark, each scheme's overhead over the unprotected build; every
-   build must print the baseline's checksum. *)
-let spec_overheads ?(benches = Speclike.all) ?(schemes = schemes_measured) variant =
-  List.map
-    (fun bench ->
-      let baseline = Speclike.measure ~scheme:Scheme.unprotected variant bench in
-      let per_scheme =
-        List.map
-          (fun scheme ->
-            let m = Speclike.measure ~scheme variant bench in
-            if not (Int64.equal m.Speclike.checksum baseline.Speclike.checksum) then
-              failwith (bench.Speclike.name ^ ": checksum mismatch under " ^ Scheme.to_string scheme);
-            (scheme, Speclike.overhead_pct ~baseline m))
-          schemes
-      in
-      (bench, per_scheme))
-    benches
-
-(* geometric mean of (1 + overhead) ratios over the benchmarks, reported
-   back as a percentage *)
-let geomean_overhead table scheme =
-  let ratios = List.map (fun (_, per) -> 1.0 +. (List.assoc scheme per /. 100.0)) table in
-  (Stats.geometric_mean ratios -. 1.0) *. 100.0
-
-(* keyed by canonical name: the registry is open, and the paper only
-   reports numbers for the schemes it measured *)
-let paper_table2 scheme =
-  match Scheme.to_string scheme with
-  | "pacstack" -> Some (2.75, 3.28)
-  | "pacstack-nomask" -> Some (0.86, 1.56)
-  | "shadow-call-stack" -> Some (0.85, 0.77)
-  | "branch-protection" -> Some (0.43, 0.72)
-  | "stack-protector-strong" -> Some (0.43, 0.25)
-  | "baseline" -> Some (0.0, 0.0)
-  | _ -> None
-
-(* the paper reports the C++ benchmarks separately *)
-let paper_cpp scheme =
-  match Scheme.to_string scheme with
-  | "pacstack" -> "2.0%"
-  | "pacstack-nomask" -> "0.9%"
-  | _ -> "-"
-
-(* Runs [bench]'s unprotected Rate build to its halt under a [run_until]
-   observer that calls [on_call m] at each call boundary, before the
-   [bl]/[blr] executes, and returns the halted machine. Figure 5's
-   calls/ki and the SP-modifier section both count through it. *)
-let observe_calls bench ~on_call =
-  let program = Compile.compile ~scheme:Scheme.unprotected (bench.Speclike.program Speclike.Rate) in
-  let m = Machine.load program in
-  let image = Machine.image m in
-  let observe m =
-    (match Pacstack_machine.Image.fetch image (Machine.pc m) with
-    | Some (Pacstack_isa.Instr.Bl _ | Pacstack_isa.Instr.Blr _) -> on_call m
-    | _ -> ());
-    false
-  in
-  match Machine.run_until ~fuel:100_000_000 m ~stop:observe with
-  | Some (Machine.Halted 0) -> m
-  | _ -> failwith (bench.Speclike.name ^ ": observed run failed")
-
-let call_counts bench =
-  let calls = ref 0 in
-  let m = observe_calls bench ~on_call:(fun _ -> incr calls) in
-  (!calls, Machine.instructions_retired m)
-
-(* measured calls per 1000 instructions of the baseline build — the
-   paper's §7.1 "overhead is proportional to call frequency" evidence *)
-let call_density bench =
-  let calls, instructions = call_counts bench in
-  1000.0 *. float_of_int calls /. float_of_int instructions
-
-type overheads = {
-  figure5 : (string * float * (Scheme.t * float) list) list;
-  table2 : (Scheme.t * float * float) list;
-  cpp : (Scheme.t * float) list;
-}
-
-let overheads () =
-  let rate = spec_overheads Speclike.Rate in
-  let speed = spec_overheads Speclike.Speed in
-  let cpp_schemes = [ Scheme.pacstack; Scheme.pacstack_nomask ] in
-  let cpp = spec_overheads ~benches:Speclike.cpp ~schemes:cpp_schemes Speclike.Rate in
-  {
-    figure5 = List.map (fun (bench, per) -> (bench.Speclike.name, call_density bench, per)) rate;
-    table2 =
-      List.map
-        (fun s -> (s, geomean_overhead rate s, geomean_overhead speed s))
-        schemes_measured;
-    cpp = List.map (fun s -> (s, geomean_overhead cpp s)) cpp_schemes;
-  }
-
-let pp_overheads fmt o =
-  section fmt "Figure 5: per-benchmark overhead w.r.t. baseline (%, SPECrate-like)";
-  Format.fprintf fmt "%-12s %10s" "benchmark" "calls/ki";
-  List.iter (fun (s, _, _) -> Format.fprintf fmt " %18s" (Scheme.to_string s)) o.table2;
-  Format.fprintf fmt "@.";
-  List.iter
-    (fun (name, density, per_scheme) ->
-      Format.fprintf fmt "%-12s %10.1f" name density;
-      List.iter (fun (_, oh) -> Format.fprintf fmt " %17.2f%%" oh) per_scheme;
-      Format.fprintf fmt "@.")
-    o.figure5;
-  section fmt "Table 2: geometric mean of overheads";
-  Format.fprintf fmt "%-24s %14s %14s %20s@." "scheme" "SPECrate" "SPECspeed"
-    "paper (rate/speed)";
-  List.iter
-    (fun (scheme, rate, speed) ->
-      let paper =
-        match paper_table2 scheme with
-        | Some (p_rate, p_speed) -> Format.asprintf "%.2f%%/%.2f%%" p_rate p_speed
-        | None -> "-"
-      in
-      Format.fprintf fmt "%-24s %13.2f%% %13.2f%% %20s@." (Scheme.to_string scheme) rate speed
-        paper)
-    o.table2;
-  Format.fprintf fmt "@.C++-like benchmarks (omnetpp, leela, xalancbmk):@.";
-  List.iter
-    (fun (scheme, oh) ->
-      Format.fprintf fmt "  %-15s %5.2f%%  (paper %s)@." (Scheme.to_string scheme) oh
-        (paper_cpp scheme))
-    o.cpp
-
-let table2_and_figure5 fmt = pp_overheads fmt (overheads ())
-
-(* --- Table 3 ------------------------------------------------------------ *)
+let table2_and_figure5 fmt = ignore (Plans.execute Plans.spec fmt)
 
 let table3 fmt =
   section fmt "Table 3: SSL transactions per second (NGINX-style server)";
-  Format.fprintf fmt "%-8s %-18s %12s %8s %10s %18s@." "workers" "scheme" "req/s" "sigma"
-    "overhead" "paper req/s (oh)";
-  let paper workers scheme =
-    match (workers, Scheme.to_string scheme) with
-    | 4, "baseline" -> "14.2k"
-    | 4, "pacstack-nomask" -> "13.7k (3.5%)"
-    | 4, "pacstack" -> "13.5k (4.9%)"
-    | 8, "baseline" -> "30.7k"
-    | 8, "pacstack-nomask" -> "28.6k (6.8%)"
-    | 8, "pacstack" -> "27.2k (11.4%)"
-    | _ -> "-"
-  in
-  List.iter
-    (fun ((r : Server.result), overhead) ->
-      Format.fprintf fmt "%-8d %-18s %11.1fk %8.0f %9.1f%% %18s@." r.Server.workers
-        (Scheme.to_string r.Server.scheme)
-        (r.Server.req_per_sec /. 1000.0)
-        r.Server.sigma overhead
-        (paper r.Server.workers r.Server.scheme))
-    (Plans.compute Plans.server)
+  ignore (Plans.execute Plans.server fmt)
 
 (* --- security experiments ---------------------------------------------- *)
 
@@ -349,7 +200,7 @@ let sp_collisions fmt =
         (* at each call boundary, record the SP a return-address
            signature would use *)
         ignore
-          (observe_calls bench ~on_call:(fun m ->
+          (Plans.observe_calls bench ~on_call:(fun m ->
                incr calls;
                Hashtbl.replace seen (Machine.get m Pacstack_isa.Reg.SP) ()));
         let distinct = Hashtbl.length seen in
@@ -380,16 +231,16 @@ let confirm fmt =
 
 (* --- fault injection ---------------------------------------------------- *)
 
-let injection ?(seed = 7L) ?workers ?(faults = 120) ?progress fmt =
+let injection ?(seed = 7L) ?workers ?faults ?progress fmt =
   section fmt "Fault injection: detection rate per scheme";
-  ignore (Plans.inject_execute ~faults ?workers ?progress ~seed fmt)
+  ignore (Plans.execute ~seed ?workers ?progress (Plans.inject ?faults ()) fmt)
 
 let fleet ?(seed = 7L) ?workers ?(connections = 192) ?progress fmt =
   section fmt "Fleet simulation: per-scheme tail latency under open-loop load";
   let cfg =
     { Pacstack_fleet.Fleet.default with connections; duration_s = 1.0; cells = 4; seed }
   in
-  ignore (Plans.fleet_execute cfg ?workers ?progress ~seed fmt)
+  ignore (Plans.execute ?workers ?progress (Plans.fleet cfg) fmt)
 
 (* --- observability ------------------------------------------------------ *)
 

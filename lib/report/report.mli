@@ -14,42 +14,13 @@ val table1 :
     counts (tests regenerate the table at tiny scales; the numbers are
     then noisy but the shape is exercised). *)
 
-type overheads = {
-  figure5 : (string * float * (Pacstack_harden.Scheme.t * float) list) list;
-      (** per SPECrate-like benchmark: name, calls per 1000 instructions
-          of the baseline build, and each measured scheme's overhead %% *)
-  table2 : (Pacstack_harden.Scheme.t * float * float) list;
-      (** per measured scheme: geometric-mean overhead %% over SPECrate
-          and over SPECspeed *)
-  cpp : (Pacstack_harden.Scheme.t * float) list;
-      (** PACStack with and without masking: geometric-mean overhead %%
-          over the C++-like benchmarks, which the paper reports
-          separately *)
-}
-
-val overheads : unit -> overheads
-(** Figure 5's, Table 2's and the C++ rows. Every (variant, benchmark,
-    scheme) cell is measured once, and each build must print the
-    baseline's checksum. Rendered as text by {!pp_overheads} and as CSV
-    by {!Export}. *)
-
-val call_counts : Pacstack_workloads.Speclike.benchmark -> int * int
-(** Calls ([bl]/[blr] boundaries) and retired instructions of the
-    benchmark's unprotected SPECrate-like build, run to its halt under a
-    call-boundary observer: Figure 5's calls/ki is [1000 * calls /
-    instructions]. *)
-
-val pp_overheads : Format.formatter -> overheads -> unit
-(** Figure 5 (per-benchmark overhead, one column per [table2] scheme),
-    Table 2 (geometric-mean overheads, SPECrate and SPECspeed) and the
-    C++-like benchmarks' means, with the paper's numbers beside them. *)
-
 val table2_and_figure5 : Format.formatter -> unit
-(** [pp_overheads] of [overheads ()]. *)
+(** Figure 5, Table 2 and the C++-like benchmarks' means: {!Plans.execute}
+    of {!Plans.spec}. *)
 
 val table3 : Format.formatter -> unit
-(** Table 3: NGINX-style SSL TPS with 4 and 8 workers — the
-    {!Plans.server} rows next to the paper's numbers. *)
+(** Table 3: NGINX-style SSL TPS with 4 and 8 workers — the title, then
+    {!Plans.execute} of {!Plans.server}. *)
 
 val reuse_matrix : Format.formatter -> unit
 (** §6.1: the Listing 6 attack strategies against every scheme. *)
@@ -99,7 +70,7 @@ val sp_collisions : Format.formatter -> unit
 val injection :
   ?seed:int64 -> ?workers:int -> ?faults:int ->
   ?progress:Pacstack_campaign.Progress.sink -> Format.formatter -> unit
-(** Fault-injection campaign summary ({!Plans.inject_execute}):
+(** Fault-injection campaign summary ({!Plans.inject}):
     per-scheme detected / benign / silent counts with Wilson intervals
     and mean / p95 detection latency in cycles, then the per-site table,
     at the collision-observable PAC width. Identical for any worker

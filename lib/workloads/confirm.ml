@@ -287,9 +287,9 @@ let run ~scheme t =
       let kernel = Kernel.create (Rng.create 99L) in
       let proc = Kernel.boot kernel program in
       let m = Kernel.machine proc in
-      match Machine.run_until m ~stop:(fun m -> Machine.instructions_retired m >= 300) with
-      | Some (Machine.Faulted f) -> Fail ("fault during warmup: " ^ Trap.to_string f)
-      | None | Some (Machine.Halted _ | Machine.Out_of_fuel) -> (
+      match Machine.run ~fuel:300 m with
+      | Machine.Faulted f -> Fail ("fault during warmup: " ^ Trap.to_string f)
+      | Machine.Halted _ | Machine.Out_of_fuel -> (
         Kernel.deliver_signal kernel proc ~handler:"handler" ~signum:5;
         match Machine.run m with
         | Machine.Halted 0 -> check_output t (Machine.output m)

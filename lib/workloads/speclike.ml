@@ -513,11 +513,3 @@ let measure_cell ~variant ~scheme name =
   match find name with
   | Some bench -> measure ~scheme variant bench
   | None -> failwith ("Speclike.measure_cell: unknown benchmark " ^ name)
-
-let sweep_cells ~variants ~schemes =
-  List.concat_map
-    (fun variant ->
-      List.concat_map
-        (fun bench -> List.map (fun scheme -> (variant, bench.name, scheme)) schemes)
-        (all @ cpp))
-    variants

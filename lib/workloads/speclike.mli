@@ -48,17 +48,8 @@ val measure :
 
 val overhead_pct : baseline:measurement -> measurement -> float
 
-(** {1 Campaign sharding} — the SPEC-like sweep as independent cells. *)
-
 val measure_cell :
   variant:variant -> scheme:Pacstack_harden.Scheme.t -> string -> measurement
-(** [measure_cell ~variant ~scheme name] measures one sweep cell looked
-    up by benchmark name — the shard body for a campaign over the
-    benchmark × scheme grid. Raises [Failure] on an unknown name. *)
-
-val sweep_cells :
-  variants:variant list ->
-  schemes:Pacstack_harden.Scheme.t list ->
-  (variant * string * Pacstack_harden.Scheme.t) list
-(** The full measurement grid (every benchmark, C and C++) in
-    deterministic order, one triple per campaign shard. *)
+(** [measure_cell ~variant ~scheme name] is {!measure} of the kernel
+    looked up by name (C or C++). Raises [Failure] on an unknown
+    name. *)

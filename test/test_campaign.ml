@@ -195,19 +195,23 @@ let test_shard_rng_is_positional () =
 
 let check_estimates = Alcotest.(array (triple int int (float 0.0)))
 
-let table1_fingerprint outcome =
-  Array.map
-    (fun (e : Games.estimate) -> (e.Games.successes, e.Games.trials, e.Games.rate))
-    (Plans.table1_estimates outcome)
+(* the pooled per-cell estimates, as the Table 1 rows carry them *)
+let table1_fingerprint plan outcome =
+  Array.of_list
+    (List.map
+       (fun (r : Plans.table1_row) ->
+         let e = r.Plans.measured in
+         (e.Games.successes, e.Games.trials, e.Games.rate))
+       (Plans.table1.Plans.rows plan outcome))
 
 let test_table1_workers_identical () =
   (* the ISSUE acceptance criterion: a 4-worker campaign run of the
      Table 1 game equals the 1-worker run result-for-result *)
-  let plan () = Plans.table1_plan ~scale:0.01 ~seed:5L () in
-  let sequential = Campaign.run ~workers:1 (plan ()) in
-  let parallel = Campaign.run ~workers:4 (plan ()) in
-  Alcotest.check check_estimates "1 worker = 4 workers" (table1_fingerprint sequential)
-    (table1_fingerprint parallel);
+  let plan = Plans.table1.Plans.plan ~scale:0.01 ~seed:5L in
+  let sequential = Campaign.run ~workers:1 plan in
+  let parallel = Campaign.run ~workers:4 plan in
+  Alcotest.check check_estimates "1 worker = 4 workers" (table1_fingerprint plan sequential)
+    (table1_fingerprint plan parallel);
   (* and per-shard, not only per-cell *)
   Alcotest.(check (array (pair int int)))
     "per-shard results identical"
@@ -222,29 +226,30 @@ let with_temp_checkpoint f =
     (fun () -> f path)
 
 let test_resume_equals_uninterrupted () =
-  let plan () = Plans.table1_plan ~scale:0.01 ~seed:6L () in
-  let uninterrupted = Campaign.run ~workers:1 (plan ()) in
+  let plan = Plans.table1.Plans.plan ~scale:0.01 ~seed:6L in
+  let codec = Plans.table1.Plans.codec in
+  let uninterrupted = Campaign.run ~workers:1 plan in
   with_temp_checkpoint (fun path ->
       (* simulate a killed run: execute fully, then truncate the manifest
          to the header plus the first 7 completed-shard records *)
-      let full = Campaign.run ~checkpoint:(path, Plans.table1_codec) (plan ()) in
+      let full = Campaign.run ~checkpoint:(path, codec) plan in
       Alcotest.check check_estimates "checkpointed run = plain run"
-        (table1_fingerprint uninterrupted) (table1_fingerprint full);
+        (table1_fingerprint plan uninterrupted) (table1_fingerprint plan full);
       let lines = In_channel.with_open_text path In_channel.input_lines in
       let kept = List.filteri (fun i _ -> i < 8) lines in
       Out_channel.with_open_text path (fun oc ->
           List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) kept);
-      let resumed = Campaign.run ~workers:4 ~checkpoint:(path, Plans.table1_codec) (plan ()) in
+      let resumed = Campaign.run ~workers:4 ~checkpoint:(path, codec) plan in
       Alcotest.(check int) "7 shards restored" 7 resumed.Campaign.resumed;
       Alcotest.check check_estimates "resumed = uninterrupted"
-        (table1_fingerprint uninterrupted) (table1_fingerprint resumed))
+        (table1_fingerprint plan uninterrupted) (table1_fingerprint plan resumed))
 
 let test_resume_skips_completed_work () =
-  let plan () = Plans.birthday_plan ~scale:0.2 ~seed:8L () in
+  let plan () = Plans.birthday.Plans.plan ~scale:0.2 ~seed:8L in
   with_temp_checkpoint (fun path ->
-      let first = Campaign.run ~checkpoint:(path, Plans.birthday_codec) (plan ()) in
+      let first = Campaign.run ~checkpoint:(path, Plans.birthday.Plans.codec) (plan ()) in
       Alcotest.(check int) "fresh run resumes nothing" 0 first.Campaign.resumed;
-      let again = Campaign.run ~checkpoint:(path, Plans.birthday_codec) (plan ()) in
+      let again = Campaign.run ~checkpoint:(path, Plans.birthday.Plans.codec) (plan ()) in
       Alcotest.(check int) "second run restores every shard"
         (Plan.shard_count (plan ()))
         again.Campaign.resumed;
@@ -257,10 +262,14 @@ let contains haystack needle =
 
 let test_checkpoint_rejects_foreign_manifest () =
   with_temp_checkpoint (fun path ->
-      let _ = Campaign.run ~checkpoint:(path, Plans.birthday_codec) (Plans.birthday_plan ~scale:0.05 ~seed:8L ()) in
+      let run seed =
+        Campaign.run ~checkpoint:(path, Plans.birthday.Plans.codec)
+          (Plans.birthday.Plans.plan ~scale:0.05 ~seed)
+      in
+      let _ = run 8L in
       (* same campaign name, different seed: must refuse with the typed
          error carrying both headers, not recompute and not a bare Failure *)
-      match Campaign.run ~checkpoint:(path, Plans.birthday_codec) (Plans.birthday_plan ~scale:0.05 ~seed:9L ()) with
+      match run 9L with
       | _ -> Alcotest.fail "foreign manifest accepted"
       | exception (Checkpoint.Stale_manifest { path = p; expected; found } as e) ->
         Alcotest.(check string) "names the file" path p;
@@ -273,13 +282,13 @@ let test_checkpoint_rejects_foreign_manifest () =
           (contains msg path && contains msg "expected header" && contains msg "found header"))
 
 let test_checkpoint_ignores_torn_line () =
-  let plan () = Plans.birthday_plan ~scale:0.05 ~seed:8L () in
+  let plan () = Plans.birthday.Plans.plan ~scale:0.05 ~seed:8L in
   with_temp_checkpoint (fun path ->
-      let full = Campaign.run ~checkpoint:(path, Plans.birthday_codec) (plan ()) in
+      let full = Campaign.run ~checkpoint:(path, Plans.birthday.Plans.codec) (plan ()) in
       (* simulate dying mid-write: append half a record *)
       Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->
           Out_channel.output_string oc "{\"shard\":2,\"resu");
-      let resumed = Campaign.run ~checkpoint:(path, Plans.birthday_codec) (plan ()) in
+      let resumed = Campaign.run ~checkpoint:(path, Plans.birthday.Plans.codec) (plan ()) in
       Alcotest.(check (array int)) "torn line ignored, results identical" (Campaign.results_exn full)
         (Campaign.results_exn resumed))
 
@@ -436,9 +445,9 @@ let test_partial_compacted_manifest_resumes () =
    interior line restores exactly the intact shards and recomputes the
    rest bit-identically. *)
 let test_checkpoint_survives_interior_corruption () =
-  let plan () = Plans.birthday_plan ~scale:0.05 ~seed:8L () in
+  let plan () = Plans.birthday.Plans.plan ~scale:0.05 ~seed:8L in
   with_temp_checkpoint (fun path ->
-      let full = Campaign.run ~checkpoint:(path, Plans.birthday_codec) (plan ()) in
+      let full = Campaign.run ~checkpoint:(path, Plans.birthday.Plans.codec) (plan ()) in
       let shards = Plan.shard_count (plan ()) in
       Alcotest.(check int) "fresh run resumes nothing" 0 full.Campaign.resumed;
       let lines = In_channel.with_open_text path In_channel.input_lines in
@@ -450,7 +459,7 @@ let test_checkpoint_survives_interior_corruption () =
       Out_channel.with_open_text path (fun oc ->
           List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) mangled;
           Out_channel.output_string oc "{\"shard\":5,\"resu");
-      let resumed = Campaign.run ~checkpoint:(path, Plans.birthday_codec) (plan ()) in
+      let resumed = Campaign.run ~checkpoint:(path, Plans.birthday.Plans.codec) (plan ()) in
       Alcotest.(check int) "all but the corrupted shard restored" (shards - 1)
         resumed.Campaign.resumed;
       Alcotest.(check (array int)) "re-run bit-identical" (Campaign.results_exn full)
@@ -459,7 +468,7 @@ let test_checkpoint_survives_interior_corruption () =
 let test_progress_events_cover_campaign () =
   let events = ref [] in
   let sink e = events := e :: !events in
-  let plan = Plans.birthday_plan ~scale:0.05 ~seed:8L () in
+  let plan = Plans.birthday.Plans.plan ~scale:0.05 ~seed:8L in
   let _ = Campaign.run ~workers:2 ~progress:sink plan in
   let count p = List.length (List.filter p !events) in
   let shards = Plan.shard_count plan in

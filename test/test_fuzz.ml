@@ -79,9 +79,11 @@ let test_generator_deterministic () =
 
 (* --- the 200-seed tier-1 differential pass -------------------------------- *)
 
+let smoke = Plans.fuzz ~seeds:200 ()
+
 let run_smoke ?progress ~workers () =
-  Plans.fuzz_totals
-    (Campaign.run ~workers ?progress (Plans.fuzz_plan ~seeds:200 ~seed:smoke_seed ()))
+  let plan = smoke.Plans.plan ~scale:1.0 ~seed:smoke_seed in
+  fst (smoke.Plans.rows plan (Campaign.run ~workers ?progress plan))
 
 (* computed once, shared by the pass/determinism tests below (alcotest
    runs cases sequentially in-process, and every saved pass counts) *)
@@ -110,7 +112,7 @@ let test_smoke_workers_identical () =
   let t1 = Lazy.force smoke_w1 in
   let t2 = Instrumented.run (fun progress -> run_smoke ~progress ~workers:2 ()) in
   Alcotest.(check bool) "merged stats identical" true (t1 = t2);
-  let render t = Json.to_string (Json.Obj (Plans.fuzz_stats_json t)) in
+  let render t = Json.to_string (Json.Obj (smoke.Plans.json (t, 0.0))) in
   Alcotest.(check string) "rendered report identical" (render t1) (render t2)
 
 (* --- planted miscompilation ------------------------------------------------ *)

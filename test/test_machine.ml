@@ -927,7 +927,7 @@ let test_kernel_call_counts () =
     (fun (name, calls, instructions) ->
       let bench = Option.get (Pacstack_workloads.Speclike.find name) in
       Alcotest.(check (pair int int)) name (calls, instructions)
-        (Pacstack_report.Report.call_counts bench))
+        (Pacstack_report.Plans.call_counts bench))
     [
       ("perlbench", 2_438, 329_499);
       ("gcc", 1_896, 449_133);

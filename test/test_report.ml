@@ -31,8 +31,7 @@ let test_table1_smoke () =
   check_contains out
     [ "Table 1"; "violation"; "masking"; "paper(theory)"; "measured" ];
   (* six data rows: one per Table 1 cell *)
-  Alcotest.(check int) "6 cells printed"
-    (List.length Pacstack_report.Plans.table1_cells)
+  Alcotest.(check int) "6 cells printed" 6
     (List.length
        (List.filter
           (fun line -> contains line "e-" || contains line "e+")
@@ -65,12 +64,12 @@ let test_figure5_header () =
   let scheme = Pacstack_harden.Scheme.pacstack in
   let o =
     {
-      Report.figure5 = [ ("mcf", 1.5, [ (scheme, 3.25) ]) ];
+      Plans.figure5 = [ ("mcf", 1.5, [ (scheme, 3.25) ]) ];
       table2 = [ (scheme, 2.5, 3.0) ];
       cpp = [ (scheme, 2.25) ];
     }
   in
-  let out = render (fun fmt -> Report.pp_overheads fmt o) in
+  let out = render (fun fmt -> Plans.spec.Plans.pp fmt o) in
   check_contains out
     [
       "=== Figure 5: per-benchmark overhead w.r.t. baseline (%, SPECrate-like) ===";
@@ -130,9 +129,10 @@ let test_export_table1_golden () =
         Alcotest.(check int) "one row per Table 1 cell" 6 (List.length rows);
         (* the measured column is the campaign estimate that [pacstack
            table1] prints, computed independently from the plan here *)
+        let plan = Plans.table1.Plans.plan ~scale:0.001 ~seed:5L in
         let estimates =
-          Plans.table1_estimates
-            (Pacstack_campaign.Campaign.run (Plans.table1_plan ~scale:0.001 ~seed:5L ()))
+          Array.of_list
+            (Plans.table1.Plans.rows plan (Pacstack_campaign.Campaign.run plan))
         in
         List.iteri
           (fun i row ->
@@ -140,7 +140,7 @@ let test_export_table1_golden () =
             | [ _; _; _; _; measured ] ->
               Alcotest.(check string)
                 (Printf.sprintf "row %d measured = campaign estimate" i)
-                (Printf.sprintf "%.3e" estimates.(i).Pacstack_acs.Games.rate)
+                (Printf.sprintf "%.3e" estimates.(i).Plans.measured.Pacstack_acs.Games.rate)
                 measured
             | fields -> Alcotest.failf "row %d: %d fields, expected 5" i (List.length fields))
           rows)
