@@ -51,16 +51,16 @@ type t = {
   mutable obs_mark_memops : int;
   mutable obs_mark_dmiss : int;
   mutable obs_mark_xmiss : int;
-  (* Threaded-code engine (DESIGN.md, "Threaded-code execution"): one
-     compiled closure per instruction in [prep.p_ops] (a compiling stub
-     until its first visit, see [lazy_ops]), indexed by (pc-code_base)/4,
-     plus a page-granular cached execute check over the code region.
-     Each op returns the index of the next op (resolved at compile time
-     for straight-line code and static branches) or -1 when the
-     dispatcher must re-derive it from pc — so the hot loop chains
-     compiled ops directly instead of re-validating pc every step.
-     [fast_ok] certifies at load time that every in-image address is
-     canonical for [cfg], so the fast path may skip [translate]. *)
+  (* Threaded-code engine (DESIGN.md, "Threaded-code execution"): the
+     straight-line blocks of [prep], each run as its body's effects then
+     its exit's compiled op, indexed by (pc-code_base)/4, plus a
+     page-granular cached execute check over the code region. Each op
+     returns the index of the next block (resolved at compile time for
+     static branches) or -1 when the loop must re-derive it from pc — so
+     the hot loop chains blocks directly instead of re-validating pc
+     every step. [fast_ok] certifies at load time that every in-image
+     address is canonical for [cfg], so the fast path may skip
+     [translate]. *)
   prep : prepared;  (* the program's shared half, see [prepared] *)
   mutable block_at : int;  (* the body instruction a block runs, see [run_body] *)
   fast_ok : bool;
@@ -69,28 +69,21 @@ type t = {
 }
 
 (* What loading derives from the program alone, built once by [prepare]:
-   every instance shares the image and the ops table, and maps its own
-   code pages, which get their bytes on their first data access (see
-   [code_page]). The table starts with one stub in every slot and each
-   slot is compiled on its first visit (see [lazy_ops]). Once the
-   program's runs under [run] have made [warmup_steps] steps, it also
-   gains a block table (see [runner_run]); nothing else in a prepared
-   value changes after [prepare]. *)
+   every instance shares the image, the ops and the block table, and
+   maps its own code pages, which get their bytes on their first data
+   access (see [code_page]). The ops and the effects start with one stub
+   in every slot, each slot compiled on its first visit (see [lazy_ops]
+   and [sem_stub]), and each shape is built on its block's first entry
+   (see "straight-line blocks"); nothing else in a prepared value
+   changes after [prepare]. *)
 and prepared = {
   p_image : Image.t;
   p_ops : (t -> int) array;
+  p_sems : (t -> unit) array;  (* each instruction's effect, see [compile_sem] *)
+  p_shapes : int array;  (* each entry index's packed block shape, 0 until built *)
   p_code_pages : int;
   p_data_size : int;
   p_code_limit : int;  (* 4 * instruction count *)
-  mutable p_steps : int;  (* steps made under [run] while [p_blocks] was [None] *)
-  mutable p_blocks : blocks option;
-}
-
-(* Straight-line blocks (see "straight-line blocks" below), both arrays
-   indexed like the ops and filled on first use. *)
-and blocks = {
-  sems : (t -> unit) array;  (* each instruction's effect, see [compile_sem] *)
-  shapes : int array;  (* each entry index's packed block shape, 0 until built *)
 }
 
 (* Slot reads and writes skip the bounds check: every slot is one of the
@@ -393,8 +386,12 @@ let exec_reference t =
    its first visit (see [lazy_ops]), instead of per step.
 
    A straight-line instruction's effect is defined once, by
-   [compile_sem]: its per-op closure wraps it in the counters and the PC
-   update, and a block runs it bare (see "straight-line blocks").
+   [compile_sem], and a block's body runs it bare (see "straight-line
+   blocks"). Its per-op closure, which wraps it in the counters and the
+   PC update, only runs where the instruction is a block's exit without
+   leaving straight-line flow: the last instruction of its code page or
+   of the image. Such an instruction is never in a body, so each
+   straight-line instruction gets one effect closure.
 
    Fidelity rules (the differential suite enforces them):
    - counters and obs fire before semantics, as in the reference;
@@ -725,13 +722,12 @@ let compile_op image nops idx instr : t -> int =
 
 (* --- straight-line blocks ---------------------------------------------- *)
 
-(* Under [run], once a prepared program is warm, the loop runs a block
-   per step instead of an op (DESIGN.md, "Threaded-code execution"). A
+(* [run] runs a block per step (DESIGN.md, "Straight-line blocks"). A
    block is entered at any op index and holds the straight-line
    instructions from there, its body, up to and including the first
    instruction that can leave straight-line flow, its exit, or the last
    instruction of its code page or of the image. The body runs through
-   the shared [sems] with no counter or PC update per instruction; the
+   the shared [p_sems] with no counter or PC update per instruction; the
    exit is the ordinary op, which returns the next index or -1.
 
    A block's shape is packed into one int, so a slot is filled in one
@@ -741,7 +737,7 @@ let compile_op image nops idx instr : t -> int =
 
 let ops_per_page = Memory.page_size / 4
 
-(* Every [sems] slot starts as this stub. A block's builder fills the
+(* Every [p_sems] slot starts as this stub. A block's builder fills the
    slots of its body before it stores the block's shape, but another
    domain may see the shape before those slots: the stub then compiles
    the same effect for itself. It finds its index in [block_at]. *)
@@ -749,17 +745,18 @@ let sem_stub t =
   let i = t.block_at in
   (Option.get (compile_sem t.image i (Image.instructions t.image).(i))) t
 
-let build_block t tbl idx =
+let build_block t idx =
+  let p = t.prep in
   let code = Image.instructions t.image in
   let last = min (Array.length code) ((idx lor (ops_per_page - 1)) + 1) - 1 in
   let rec scan i cyc mems =
     let straight =
       i < last
-      && (tbl.sems.(i) != sem_stub
+      && (p.p_sems.(i) != sem_stub
          ||
          match compile_sem t.image i code.(i) with
          | Some s ->
-           tbl.sems.(i) <- s;
+           p.p_sems.(i) <- s;
            true
          | None -> false
          (* a register outside X0-X30: the block ends here, so the
@@ -770,14 +767,24 @@ let build_block t tbl idx =
     else (i - idx + 1) lor (mems lsl 16) lor (cyc lsl 32)
   in
   let shape = scan idx 0 0 in
-  tbl.shapes.(idx) <- shape;
+  p.p_shapes.(idx) <- shape;
   shape
 
-(* Runs the body [first, last) of a block. If an instruction traps, the
-   machine is left as the reference leaves it: the effects before it
-   (and its own, such as a pre-index writeback) are done, so only the
-   counters of [first] up to it, which the caller adds once the body
-   completes, and PC at it remain to be set. *)
+(* Adds the counters of the instructions [first, last), one at a time
+   from the image: the rare paths where a body stops short of its end. *)
+let charge t first last =
+  let code = Image.instructions t.image in
+  for i = first to last - 1 do
+    t.cycles <- t.cycles + Instr.cycles code.(i);
+    t.mem_ops <- t.mem_ops + mem_ops_of code.(i)
+  done;
+  t.instret <- t.instret + (last - first)
+
+(* Runs the body instructions [first, last) of a block. If an
+   instruction traps, the machine is left as the reference leaves it:
+   the effects before it (and its own, such as a pre-index writeback)
+   are done, so only the counters of [first] up to it, which the caller
+   adds once the body completes, and PC at it remain to be set. *)
 let run_body t sems first last =
   try
     for i = first to last - 1 do
@@ -785,13 +792,8 @@ let run_body t sems first last =
       (Array.unsafe_get sems i) t
     done
   with Trap.Fault _ as e ->
-    let code = Image.instructions t.image in
     let f = t.block_at in
-    for i = first to f do
-      t.cycles <- t.cycles + Instr.cycles code.(i);
-      t.mem_ops <- t.mem_ops + mem_ops_of code.(i)
-    done;
-    t.instret <- t.instret + (f - first + 1);
+    charge t first (f + 1);
     set_pc t (code_address f);
     raise e
 
@@ -816,11 +818,12 @@ let refill_exec_cache t =
 
 type outcome = Halted of int | Faulted of Trap.t | Out_of_fuel
 
-(* Why a run paused, as reported by a runner to [drive]. A runner
-   performs the boundary checks — halted, then stop, then fuel, the
-   reference order — exactly once per instruction boundary (stop
-   predicates count their calls, e.g. "pause at the k-th visit", so a
-   double check would change trigger timing). *)
+(* Why a run paused, as reported by a runner to [drive]. The reference
+   runner performs the boundary checks — halted, then stop, then fuel —
+   exactly once per instruction boundary (stop predicates count their
+   calls, e.g. "pause at the k-th visit", so a double check would change
+   trigger timing); [runner_blocks] makes the same checks, without a
+   stop predicate, once per block. *)
 type pause = Paused_halt of int | Paused_stop | Paused_fuel
 
 let never _ = false
@@ -842,7 +845,7 @@ let runner_reference t ~stop ~fuel =
 (* ops are indexed per instruction word, xpages per page. *)
 let xpage_shift = Memory.page_bits - 2
 
-(* The op index at PC when compiled ops may run from there: [fast_ok],
+(* The op index at PC when a block may run from there: [fast_ok],
    PC inside the image and aligned, and its page executable (the bitmap
    refilled first if the page table changed since). -1 otherwise: the
    caller then steps through [exec_reference], so every trap the fast
@@ -861,58 +864,19 @@ let fast_index t =
   end
   else -1
 
-(* The threaded hot loop: compiled ops return the index of the next op,
-   so straight-line runs and static branches chain compiled closures
-   with no pc re-validation — per step only the stop/fuel boundary
-   checks and one cached execute-permission byte remain. [fast]'s
-   invariants: ops that can halt, remap memory or leave the image
-   (hlt/svc/hook, and any branch whose target is not provably an op
-   index) return -1, which drops to [boundary]/[dispatch] for the full
-   protocol and pc re-derivation; hence no halted or generation check
-   inside the loop. *)
-let runner_threaded t ~stop ~fuel =
-  let ops = t.prep.p_ops in
-  let xpages = t.xpages in
-  (* [run] passes the top-level [never]: recognising it by identity lets
-     the hot loop replace an indirect call per step with one branch. *)
-  let can_stop = stop != never in
-  let rec boundary budget =
-    match t.halted with
-    | Some code -> Paused_halt code
-    | None ->
-      if stop t then Paused_stop
-      else if budget = 0 then Paused_fuel
-      else dispatch budget
-  and dispatch budget =
-    (* Boundary checks for pc already done; budget ≥ 1. *)
-    let idx = fast_index t in
-    if idx >= 0 then fast budget idx
-    else begin
-      exec_reference t;
-      boundary (budget - 1)
-    end
-  and fast budget idx =
-    let nxt = (Array.unsafe_get ops idx) t in
-    let budget = budget - 1 in
-    if nxt >= 0 then
-      if can_stop && stop t then Paused_stop
-      else if budget = 0 then Paused_fuel
-      else if Bytes.unsafe_get xpages (nxt lsr xpage_shift) = '\001' then
-        fast budget nxt
-      else dispatch budget
-    else boundary budget
-  in
-  boundary fuel
-
-(* [runner_threaded] under [run] with a block per step: the boundary
-   checks, one fuel check and one execute-bitmap byte per block. A block
-   runs only when the budget covers all of it; otherwise the rest of the
-   run, shorter than one page of instructions, takes the per-op loop, so
-   fuel runs out at exactly the instruction it does there. A block adds
-   its body's counters once, and writes PC once, just before its exit,
-   which can trap at its own address. *)
-let runner_blocks t tbl ~fuel =
-  let ops = t.prep.p_ops and xpages = t.xpages and sems = tbl.sems and shapes = tbl.shapes in
+(* [run]'s runner: a block per step, with the boundary checks, one fuel
+   check and one execute-bitmap byte per block. A block adds its body's
+   counters once, and writes PC once, just before its exit, which can
+   trap at its own address. A budget shorter than the block, whose
+   length counts its exit, is at most the body's length: the first
+   [budget] instructions of the body run, their counters are added one
+   at a time, and PC is left at the next, so fuel runs out at exactly
+   the reference's instruction. The loop takes no stop predicate
+   ([run_until] runs on the reference), so it has no boundary inside a
+   block. *)
+let runner_blocks t ~stop:_ ~fuel =
+  let p = t.prep in
+  let ops = p.p_ops and sems = p.p_sems and shapes = p.p_shapes and xpages = t.xpages in
   let rec boundary budget =
     match t.halted with
     | Some code -> Paused_halt code
@@ -926,9 +890,15 @@ let runner_blocks t tbl ~fuel =
     end
   and block budget idx =
     let shape = Array.unsafe_get shapes idx in
-    let shape = if shape = 0 then build_block t tbl idx else shape in
+    let shape = if shape = 0 then build_block t idx else shape in
     let len = shape land 0xffff in
-    if budget < len then runner_threaded t ~stop:never ~fuel:budget
+    if budget < len then begin
+      let last = idx + budget in
+      run_body t sems idx last;
+      charge t idx last;
+      set_pc t (code_address last);
+      Paused_fuel
+    end
     else begin
       let exit = idx + len - 1 in
       if len > 1 then begin
@@ -949,47 +919,11 @@ let runner_blocks t tbl ~fuel =
   in
   boundary fuel
 
-(* Steps a prepared program runs under [run], counted over all its
-   instances, before it gets its block table, which costs a table of two
-   words per instruction and a block build per entry point. A one-shot
-   fuzz image runs ~1,078 steps over 429 distinct instructions and is
-   discarded, so it never pays; an inject victim runs ~5,150 steps per
-   run and serves every fault, and a spec cell runs 140k-900k steps, so
-   both cross this within their first run. *)
-let warmup_steps = 4096
-
-(* The block table is published with one write of one record holding
-   every new array, so no domain sees half of it. Two domains that both
-   publish one leave two equivalent tables; the later write wins. *)
-let publish p =
-  let n = Array.length p.p_ops in
-  let tbl = { sems = Array.make n sem_stub; shapes = Array.make n 0 } in
-  p.p_blocks <- Some tbl;
-  tbl
-
-(* [run]'s runner: the block loop once the prepared program is warm, the
-   per-op loop before that, switching mid-run at the step where it gets
-   warm. *)
-let runner_run t ~stop:_ ~fuel =
-  let p = t.prep in
-  match p.p_blocks with
-  | Some tbl -> runner_blocks t tbl ~fuel
-  | None -> (
-    let warm = max 0 (warmup_steps - p.p_steps) in
-    let start = t.instret in
-    match runner_threaded t ~stop:never ~fuel:(min fuel warm) with
-    | Paused_fuel when fuel > warm -> runner_blocks t (publish p) ~fuel:(fuel - warm)
-    | pause ->
-      p.p_steps <- p.p_steps + (t.instret - start);
-      pause
-    | exception e ->
-      p.p_steps <- p.p_steps + (t.instret - start);
-      raise e)
-
 (* One driver owns the pause/fault-to-outcome protocol and the obs
-   flush, shared by [run]/[run_until] on both engines so they cannot
-   drift; the per-instruction boundary checks live in the runners. The
-   fault handler is installed once around the whole loop, not per step. *)
+   flush, shared by [run], [run_until] and [Reference.run] so they
+   cannot drift; the per-instruction boundary checks live in the
+   runners. The fault handler is installed once around the whole loop,
+   not per step. *)
 let drive ~runner ~stop ~fuel t =
   (* the runners count the budget down to exactly 0, which a negative
      one never reaches *)
@@ -1016,14 +950,11 @@ let run_with runner ?(fuel = 10_000_000) t =
   | Some oc -> oc
   | None -> invalid_arg "Machine.run: [never] stopped the loop"
 
-let run_until_with runner ?(fuel = 10_000_000) t ~stop = drive ~runner ~stop ~fuel t
-
-let run ?fuel t = run_with runner_run ?fuel t
-let run_until ?fuel t ~stop = run_until_with runner_threaded ?fuel t ~stop
+let run ?fuel t = run_with runner_blocks ?fuel t
+let run_until ?(fuel = 10_000_000) t ~stop = drive ~runner:runner_reference ~stop ~fuel t
 
 module Reference = struct
   let run ?fuel t = run_with runner_reference ?fuel t
-  let run_until ?fuel t ~stop = run_until_with runner_reference ?fuel t ~stop
 end
 
 (* --- construction ----------------------------------------------------- *)
@@ -1032,16 +963,16 @@ end
    image pays for the instructions it runs, not for all it holds. Every
    slot starts as [compile_stub], which finds its slot from pc, relying
    on the dispatch invariant that an op is entered with pc = code_base +
-   4 * its index (the dispatcher derives the index from pc, and an op
-   that returns index i has set pc to code_base + 4i). It stores the
-   compiled closure in the slot and runs it. A slot's closure depends
-   only on (image, index), so instances and clones of one prepared value
-   share the filled slots, and two domains racing on one slot store
-   equivalent closures: the race is benign and takes no lock. The stub
-   reads the slots and the image from the machine and closes over
-   nothing, so the table is made from a static value: no minor
-   collection to create it, no remembered-set entry per slot, and
-   nothing that keeps a dead image alive. *)
+   4 * its index (the loop derives the index from pc, an op that returns
+   index i has set pc to code_base + 4i, and a block writes pc before
+   its exit's op). It stores the compiled closure in the slot and runs
+   it. A slot's closure depends only on (image, index), so instances
+   and clones of one prepared value share the filled slots, and two
+   domains racing on one slot store equivalent closures: the race is
+   benign and takes no lock. The stub reads the slots and the image
+   from the machine and closes over nothing, so the table is made from
+   a static value: no minor collection to create it, no remembered-set
+   entry per slot, and nothing that keeps a dead image alive. *)
 let compile_stub t =
   let idx = Int64.to_int (Int64.sub (pc t) Image.code_base) lsr 2 in
   let ops = t.prep.p_ops in
@@ -1064,24 +995,22 @@ let code_page image k =
 
 let prepare program =
   let image = Image.build program in
+  let n = Array.length (Image.instructions image) in
   {
     p_image = image;
     p_ops = lazy_ops image;
+    p_sems = Array.make n sem_stub;
+    p_shapes = Array.make n 0;
     p_code_pages = max 1 ((Image.code_size image + Memory.page_size - 1) / Memory.page_size);
     (* one rw data region covering all objects (the image appends the
        canary guard object when the program does not declare one) *)
     p_data_size = max Memory.page_size (16 + Image.data_size image);
     p_code_limit = Image.code_size image;
-    p_steps = 0;
-    p_blocks = None;
   }
 
 let prepared_image p = p.p_image
 
-let blocks_built p =
-  match p.p_blocks with
-  | None -> 0
-  | Some tbl -> Array.fold_left (fun n shape -> if shape = 0 then n else n + 1) 0 tbl.shapes
+let blocks_built p = Array.fold_left (fun n shape -> if shape = 0 then n else n + 1) 0 p.p_shapes
 
 let instantiate ?(cfg = Config.default) ?keys ?rng p =
   let rng = match rng with Some r -> r | None -> Rng.create 0x9ac57ac4L in

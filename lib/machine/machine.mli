@@ -10,40 +10,40 @@ type t
 
 type prepared
 (** The per-program half of loading: the {!Image.t}, its threaded-code
-    ops table and, once warm, its block table. One value may back any
-    number of machines, in any order, on any domains at once, for the
-    life of the process, without one run being able to affect another:
-    the fault-injection engine keeps one per distinct victim and shares
-    it across worker domains (lib/inject's [Engine.prepared_victim]). It
-    is not immutable: each ops slot starts as a stub that compiles its
-    instruction on first visit and stores the closure in the slot, for
-    every later instance and clone to reuse, and the image's binary
-    encoding is made when a machine first reads its code as data
-    ({!Image.encoded}). Once the program's runs under {!run}, over all
-    its instances, have made a fixed number of steps (4,096), it also
-    gains a block table for {!run}'s straight-line blocks, published in
-    one write and filled on each block's first entry. A slot's closure or
-    block depends only on the image and the slot index, and the encoding
-    only on the image, so two domains that race on either store equal
-    values; the races are benign and no lock is taken (test_engine's
-    [prepare] group runs cold values on two domains at once, getting
-    warm during the runs, against a sequential run). *)
+    ops table and the block table of {!run}'s straight-line blocks, both
+    made by {!prepare}. One value may back any number of machines, in
+    any order, on any domains at once, for the life of the process,
+    without one run being able to affect another: the fault-injection
+    engine keeps one per distinct victim and shares it across worker
+    domains (lib/inject's [Engine.prepared_victim]). It is not
+    immutable: each ops and effect slot starts as a stub that compiles
+    its instruction on first visit and stores the closure in the slot,
+    each block is built on its first entry, all for every later
+    instance and clone to reuse, and the image's binary encoding is made
+    when a machine first reads its code as data ({!Image.encoded}). A
+    slot's closure or block depends only on the image and the slot
+    index, and the encoding only on the image, so two domains that race
+    on either store equal values; the races are benign and no lock is
+    taken (test_engine's [prepare] group runs cold values on two domains
+    at once, building their blocks during the runs, against a sequential
+    run). *)
 
 val prepare : Pacstack_isa.Program.t -> prepared
-(** Builds the image; threaded ops are compiled later, on first visit,
-    and the code is encoded on its first data read. Raises
-    {!Pacstack_isa.Encode.Unencodable} for code the encoding cannot
-    hold, checked without encoding ({!Pacstack_isa.Encode.validate}).
-    Forces no minor collection and draws no randomness. *)
+(** Builds the image and empty ops and block tables; ops and blocks are
+    compiled later, on first visit, and the code is encoded on its first
+    data read. Raises {!Pacstack_isa.Encode.Unencodable} for code the
+    encoding cannot hold, checked without encoding
+    ({!Pacstack_isa.Encode.validate}). Forces no minor collection and
+    draws no randomness. *)
 
 val prepared_image : prepared -> Image.t
 (** The image every instance of the prepared program runs. *)
 
 val blocks_built : prepared -> int
 (** How many entry points have a straight-line block built so far: 0
-    until the program is warm, then one more for each entry index {!run}
-    first enters. The engine tests read it to check that the block path
-    runs. *)
+    after {!prepare}, then one more for each entry index {!run} first
+    enters, in any instance. The engine tests read it to check that the
+    block path runs. *)
 
 val instantiate :
   ?cfg:Pacstack_pa.Config.t ->
@@ -146,20 +146,21 @@ val run : ?fuel:int -> t -> outcome
     million); [run ~fuel:1] executes one. Raises [Invalid_argument] on a
     negative [fuel]. A halted machine stays halted.
 
-    Dispatches through the threaded-code engine: each instruction is
-    compiled, on its first visit, into a per-instruction closure
-    (register slots, cycle costs, mem_ops deltas, branch targets and obs
-    classification all resolved at compile time), and the per-step
-    translate/execute check is a page-granular cache invalidated by any
-    [Memory.map]/[unmap]/[protect]. Once the prepared program is warm
-    (see {!prepared}), [run] executes straight-line blocks: the
+    Executes straight-line blocks from the program's first step: the
     instructions from an entry point to the first branch, call, return,
     [svc], [hlt] or hook, within one code page, each block with one fuel
-    check, one execute check and one counter update. A block runs only
-    when the remaining fuel covers it, and a trap inside one leaves PC,
-    registers and counters at the trapping instruction. Observable
-    behaviour is bit-identical to {!Reference.run}, pinned by the
-    differential suite in test_engine.ml, on cold and on warm programs. *)
+    check, one execute check and one counter update. Each instruction is
+    compiled on its first visit (register slots, cycle costs, mem_ops
+    deltas, branch targets and obs classification all resolved at
+    compile time), and the execute check is a page-granular cache
+    invalidated by any [Memory.map]/[unmap]/[protect]. When the fuel
+    runs out inside a block, that much of the block runs and its
+    counters are added one instruction at a time; a trap inside one
+    leaves PC, registers and counters at the trapping instruction.
+    Observable behaviour is bit-identical to {!Reference.run}, pinned by
+    the differential suite in test_engine.ml, on a program's first
+    instance, which builds its blocks, and on later ones, which reuse
+    them. *)
 
 val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
 (** Like {!run}, but returns [None] as soon as [stop t] holds, with the
@@ -176,21 +177,22 @@ val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
     every instruction: it reads the instruction with
     [Image.fetch (image m) (pc m)].
 
-    A predicate may read anything and may write registers, flags and
-    mapped data memory. It must not change PC, [halted] or the page
-    table: the threaded engine resolves the next instruction when it
-    compiles one and chains compiled ops without re-reading PC between
-    straight-line instructions, so such a change would be seen by the
-    reference engine and missed by the threaded one. *)
+    Runs on the reference interpreter ({!Reference.run}'s engine), which
+    translates, checks and fetches the instruction at PC after the
+    predicate returns. So a predicate may read anything and write any
+    state: registers, flags and memory; PC, which moves the run to the
+    instruction there; and the page table, whose execute permission
+    that instruction's fetch then sees. A predicate that sets [halted]
+    and answers [false] still lets the instruction at its boundary run
+    (fuel permitting), and the next boundary reports [Halted]. *)
 
 (** The original fetch-then-match interpreter, kept verbatim as the
-    oracle for the threaded engine: same machine state, same traps, same
-    counters, one instruction dispatch at a time. The engines may be
-    interleaved freely on one machine — they share all state and differ
-    only in dispatch. *)
+    oracle for {!run}'s blocks: same machine state, same traps, same
+    counters, one instruction dispatch at a time ({!run_until} runs on
+    it too). The engines may be interleaved freely on one machine —
+    they share all state and differ only in dispatch. *)
 module Reference : sig
   val run : ?fuel:int -> t -> outcome
-  val run_until : ?fuel:int -> t -> stop:(t -> bool) -> outcome option
 end
 
 (** {1 Context save/restore (used by the kernel)} *)

@@ -1,11 +1,11 @@
 (* Differential suite pinning the threaded-code engine to the reference
-   interpreter.  [Machine.run]/[run_until] dispatch through per-image
-   compiled closures (machine.ml, "threaded-code compilation");
-   [Machine.Reference] is the original fetch-then-match loop kept as the
-   oracle.  Everything observable must be bit-identical across the two:
-   outcome, trap, every register, flags, pc, all counters, program
-   output, the full memory state (via [Memory.digest]) and the
-   per-instruction pc trace, recorded by a [run_until] observer.
+   interpreter.  [Machine.run] executes straight-line blocks of
+   per-image compiled closures (machine.ml, "threaded-code compilation"
+   and "straight-line blocks"); [Machine.Reference] is the original
+   fetch-then-match loop kept as the oracle, and [Machine.run_until]
+   runs on it.  Everything observable must be bit-identical across the
+   two: outcome, trap, every register, flags, pc, all counters, program
+   output and the full memory state (via [Memory.digest]).
 
    The suite also pins the execute-check invalidation: the threaded
    engine caches per-code-page execute permission keyed by
@@ -17,11 +17,11 @@
    [instantiate (prepare p)], and a prepared program backs any number
    of instances that must each run exactly like a fresh [load].
 
-   Finally it pins the straight-line blocks that [Machine.run] executes
-   once a prepared program is warm: the fuzz corpus on warm programs, a
-   trap in the middle of a block and fuel running out at every position
-   of a block. The [prepare] group's two-domain case gets its programs
-   warm while both domains run them. *)
+   Finally it pins the blocks themselves: the fuzz corpus on a second
+   instance, which reuses the blocks the first built, a trap in the
+   middle of a block and fuel running out at every position of a
+   block. The [prepare] group's two-domain case builds its programs'
+   blocks while both domains run them. *)
 
 module Machine = Pacstack_machine.Machine
 module Memory = Pacstack_machine.Memory
@@ -53,13 +53,9 @@ type snap = {
   flags : Pacstack_isa.Cond.flags;
   output : int64 list;
   mem_digest : int64;
-  trace_len : int;
-  trace_hash : int64;
 }
 
-let fnv h v = Int64.mul (Int64.logxor h v) 0x100000001b3L
-
-let snap_of m outcome ~trace_len ~trace_hash =
+let snap_of m outcome =
   {
     outcome;
     cycles = Machine.cycles m;
@@ -71,28 +67,11 @@ let snap_of m outcome ~trace_len ~trace_hash =
     flags = Machine.flags m;
     output = Machine.output m;
     mem_digest = Memory.digest (Machine.memory m);
-    trace_len;
-    trace_hash;
   }
 
-let fnv_basis = 0xcbf29ce484222325L
-
-(* [untilf] runs [m] under a pc-trace observer: a [run_until] predicate
-   that hashes pc at every instruction boundary and never stops. *)
-let observe untilf m =
-  let h = ref fnv_basis in
-  let n = ref 0 in
-  let stop m = incr n; h := fnv !h (Machine.pc m); false in
-  match untilf m ~stop with
-  | Some outcome -> snap_of m outcome ~trace_len:!n ~trace_hash:!h
-  | None -> Alcotest.fail "the observer stopped the run"
-
-(* A run with no predicate: [Machine.run]'s [stop == never] loop, a
-   separate branch of the threaded runner. *)
-let plain runf m = snap_of m (runf m) ~trace_len:0 ~trace_hash:fnv_basis
-
-let threaded_until m ~stop = Machine.run_until ~fuel m ~stop
-let reference_until m ~stop = Machine.Reference.run_until ~fuel m ~stop
+let plain runf m = snap_of m (runf m)
+let plain_threaded m = plain (Machine.run ~fuel) m
+let plain_reference m = plain (Machine.Reference.run ~fuel) m
 
 let outcome_equal a b =
   match a, b with
@@ -122,94 +101,77 @@ let check_same ~what a b =
   if a.flags <> b.flags then Alcotest.failf "%s: flags differ" what;
   if a.output <> b.output then Alcotest.failf "%s: output differs" what;
   if not (Int64.equal a.mem_digest b.mem_digest) then
-    Alcotest.failf "%s: memory digest %Lx vs %Lx" what a.mem_digest b.mem_digest;
-  if a.trace_len <> b.trace_len then
-    Alcotest.failf "%s: trace length %d vs %d" what a.trace_len b.trace_len;
-  if not (Int64.equal a.trace_hash b.trace_hash) then
-    Alcotest.failf "%s: pc-trace hash differs over %d steps" what a.trace_len
+    Alcotest.failf "%s: memory digest %Lx vs %Lx" what a.mem_digest b.mem_digest
 
 (* --- 200 fuzz programs x all registered schemes, full-run equivalence --------------- *)
 
+(* Each program's first instance, which builds its blocks as it runs
+   (the [blocks] group compares a second instance, which reuses them). *)
 let test_differential () =
   for seed = 0 to 199 do
     let ast = Driver.program_of_seed ~campaign_seed seed in
     List.iter
       (fun scheme ->
         let program = Compile.compile ~scheme ast in
-        let threaded = observe threaded_until (Machine.load program) in
-        let reference = observe reference_until (Machine.load program) in
-        let what =
-          Format.asprintf "seed %d / %a" seed Scheme.pp scheme
-        in
-        check_same ~what threaded reference;
-        check_same ~what:(what ^ " (plain run)")
-          (plain (fun m -> Machine.run ~fuel m) (Machine.load program))
-          { reference with trace_len = 0; trace_hash = fnv_basis })
+        let what = Format.asprintf "seed %d / %a" seed Scheme.pp scheme in
+        check_same ~what
+          (plain_threaded (Machine.load program))
+          (plain_reference (Machine.load program)))
       Scheme.all
   done
 
 (* --- lockstep: one-instruction runs on both engines --------------------- *)
 
+(* A one-instruction run of a block longer than one instruction runs
+   the first instruction of its body and pauses there. *)
 let test_step_lockstep () =
   for seed = 0 to 19 do
-    let program =
-      Compile.compile ~scheme:Scheme.pacstack
-        (Driver.program_of_seed ~campaign_seed seed)
-    in
-    let a = Machine.load program in
-    let b = Machine.load program in
-    let steps = ref 0 in
-    let continue = ref true in
-    while !continue && !steps < 5_000 do
-      incr steps;
-      let oa = Machine.run ~fuel:1 a in
-      let ob = Machine.Reference.run ~fuel:1 b in
-      if not (outcome_equal oa ob) then
-        Alcotest.failf "seed %d: %a vs %a at step %d" seed pp_outcome oa pp_outcome ob
-          !steps;
-      if not (Int64.equal (Machine.pc a) (Machine.pc b)) then
-        Alcotest.failf "seed %d: pc %Lx vs %Lx at step %d" seed (Machine.pc a)
-          (Machine.pc b) !steps;
-      if Machine.cycles a <> Machine.cycles b then
-        Alcotest.failf "seed %d: cycle divergence at step %d" seed !steps;
-      match oa with
-      | Machine.Out_of_fuel -> ()
-      | Machine.Halted _ | Machine.Faulted _ -> continue := false
-    done
+    let ast = Driver.program_of_seed ~campaign_seed seed in
+    List.iter
+      (fun scheme ->
+        let program = Compile.compile ~scheme ast in
+        let a = Machine.load program in
+        let b = Machine.load program in
+        let steps = ref 0 in
+        let continue = ref true in
+        while !continue && !steps < 5_000 do
+          incr steps;
+          let oa = Machine.run ~fuel:1 a in
+          let ob = Machine.Reference.run ~fuel:1 b in
+          let what = Format.asprintf "seed %d / %a at step %d" seed Scheme.pp scheme !steps in
+          if not (outcome_equal oa ob) then
+            Alcotest.failf "%s: %a vs %a" what pp_outcome oa pp_outcome ob;
+          if not (Int64.equal (Machine.pc a) (Machine.pc b)) then
+            Alcotest.failf "%s: pc %Lx vs %Lx" what (Machine.pc a) (Machine.pc b);
+          if Machine.cycles a <> Machine.cycles b then
+            Alcotest.failf "%s: cycle divergence" what;
+          match oa with
+          | Machine.Out_of_fuel -> ()
+          | Machine.Halted _ | Machine.Faulted _ -> continue := false
+        done)
+      Scheme.all
   done
 
-(* --- run_until: pause points and stop-call counts must agree ----------- *)
+(* --- run_until: a pause resumes identically on both engines ----------- *)
 
+(* [run_until] pauses a machine at its 700th instruction; [Machine.run]
+   and [Machine.Reference.run] then finish two such machines alike, from
+   the middle of whatever block the pause fell in. *)
 let test_run_until_pauses () =
   for seed = 0 to 19 do
     let program =
       Compile.compile ~scheme:Scheme.pacstack
         (Driver.program_of_seed ~campaign_seed seed)
     in
-    let run_one runf untilf =
+    let finish runf =
       let m = Machine.load program in
-      let calls = ref 0 in
-      let stop m = incr calls; Machine.instructions_retired m >= 700 in
-      let paused = untilf m ~stop in
-      let mid = (Machine.pc m, Machine.instructions_retired m, !calls) in
-      (* resume to the end with a plain run *)
-      let final = match paused with None -> Some (runf m) | some -> some in
-      (paused = None, mid, final)
+      match Machine.run_until ~fuel m ~stop:(fun m -> Machine.instructions_retired m >= 700) with
+      | None -> plain runf m
+      | Some outcome -> snap_of m outcome
     in
-    let pa, mida, fina =
-      run_one (fun m -> Machine.run ~fuel m) (Machine.run_until ~fuel)
-    in
-    let pb, midb, finb =
-      run_one
-        (fun m -> Machine.Reference.run ~fuel m)
-        (Machine.Reference.run_until ~fuel)
-    in
-    if pa <> pb then Alcotest.failf "seed %d: one engine paused, one did not" seed;
-    if mida <> midb then
-      Alcotest.failf "seed %d: pause state differs (pc/instret/stop-calls)" seed;
-    match fina, finb with
-    | Some oa, Some ob when outcome_equal oa ob -> ()
-    | _ -> Alcotest.failf "seed %d: final outcome differs after resume" seed
+    check_same ~what:(Printf.sprintf "seed %d: resumed" seed)
+      (finish (Machine.run ~fuel))
+      (finish (Machine.Reference.run ~fuel))
   done
 
 (* --- negative fuel ------------------------------------------------------- *)
@@ -218,12 +180,12 @@ let test_run_until_pauses () =
    refused, where it would otherwise never run out, and nothing runs.
    The program halts, so an engine that accepted the budget fails here
    rather than hanging. *)
-let rejects_negative_fuel run run_until () =
+let rejects_negative_fuel runs () =
   let m = Machine.load (Asm.parse ".entry main\n.func main\n  mov x0, #0\n  hlt\n.endfunc") in
   let refused = Invalid_argument "Machine.run: negative fuel" in
-  Alcotest.check_raises "run" refused (fun () -> ignore (run ~fuel:(-1) m));
-  Alcotest.check_raises "run_until" refused (fun () ->
-      ignore (run_until ~fuel:(-1) m ~stop:(fun _ -> false)));
+  List.iter
+    (fun (what, run) -> Alcotest.check_raises what refused (fun () -> run ~fuel:(-1) m))
+    runs;
   Alcotest.(check int) "nothing ran" 0 (Machine.instructions_retired m)
 
 (* --- execute-check invalidation --------------------------------------- *)
@@ -284,24 +246,18 @@ let test_unmap_mid_run () =
       Alcotest.(check int64) (name ^ ": faulting pc") page2 a
     | oc -> Alcotest.failf "%s: expected unmapped fault, got %a" name pp_outcome oc)
 
-(* Runs fresh instances of [prepared] under [run] until its block table
-   holds at least one block. A program's runs count towards its warm-up
-   together, so even a fuzz program that runs a few hundred steps gets
-   there. *)
+(* Runs one instance of [prepared] under [run], which builds the blocks
+   it enters, so that a later instance reuses them. *)
 let warm ~what prepared =
-  let runs = ref 0 in
-  while Machine.blocks_built prepared = 0 do
-    incr runs;
-    if !runs > 20_000 then Alcotest.failf "%s: no block built after %d runs" what !runs;
-    ignore (Machine.run ~fuel (Machine.instantiate prepared))
-  done
+  ignore (Machine.run ~fuel (Machine.instantiate prepared));
+  if Machine.blocks_built prepared = 0 then Alcotest.failf "%s: no block built" what
 
 let test_hook_protects_own_page () =
   (* a hook revokes execute on the page it runs in: the very next
      instruction must fault, on both engines, even though the run loop
-     never left [run] between the hook and the fault; on a warm program
-     the hook is a block's exit and the next block's execute check must
-     see the change *)
+     never left [run] between the hook and the fault; under [run] the
+     hook is a block's exit and the next block's execute check must see
+     the change, on a first instance and on one whose blocks exist *)
   let program =
     Program.make ~entry:"main"
       [
@@ -329,16 +285,14 @@ let test_hook_protects_own_page () =
   both_engines (fun name run -> check name run (Machine.load program));
   let prepared = Machine.prepare program in
   warm ~what:"hook program" prepared;
-  check "threaded, warm" (fun ~fuel m -> Machine.run ~fuel m) (Machine.instantiate prepared)
+  check "threaded, second instance" (fun ~fuel m -> Machine.run ~fuel m)
+    (Machine.instantiate prepared)
 
 (* --- straight-line blocks ------------------------------------------------- *)
 
-let plain_threaded m = plain (Machine.run ~fuel) m
-let plain_reference m = plain (Machine.Reference.run ~fuel) m
-
-(* Every fuzz program of the corpus, once its prepared value has its
-   block table, runs under [run] exactly like the reference: a fresh
-   instance then takes the block path from its first step. *)
+(* Every fuzz program of the corpus, on a second instance that reuses
+   the blocks the first built, runs under [run] exactly like the
+   reference. *)
 let test_differential_blocks () =
   for seed = 0 to 199 do
     let ast = Driver.program_of_seed ~campaign_seed seed in
@@ -357,7 +311,7 @@ let test_differential_blocks () =
    body stores, then loads through x3 with pre-index writeback: x3 is the
    stack pointer until x1 reaches 1024, when it becomes sp + 2^40, so the
    1,024th load traps in the middle of the block, after the writeback,
-   ~10,240 steps in: long after the program got warm. *)
+   ~10,240 steps in. *)
 let hot_loop =
   Asm.parse
     {|.entry main
@@ -383,9 +337,9 @@ loop:
 let hot_loop_ldr = Int64.add Image.code_base (Int64.of_int (4 * 9))
 
 (* A trap inside a block leaves PC at the trapping load, the writeback
-   done, and all three counters where the reference leaves them: on a
-   program that gets warm during the run, and on one warm from the
-   start. *)
+   done, and all three counters where the reference leaves them: on the
+   first instance, which builds the blocks, and on a second, which
+   reuses them. *)
 let test_trap_mid_block () =
   let prepared = Machine.prepare hot_loop in
   let reference = plain_reference (Machine.instantiate prepared) in
@@ -393,13 +347,13 @@ let test_trap_mid_block () =
   | Machine.Faulted _ -> ()
   | oc -> Alcotest.failf "the reference ended %a, not with a trap" pp_outcome oc);
   Alcotest.(check int64) "the reference traps at the load" hot_loop_ldr reference.pc;
-  check_same ~what:"warm during the run" (plain_threaded (Machine.instantiate prepared)) reference;
+  check_same ~what:"first instance" (plain_threaded (Machine.instantiate prepared)) reference;
   Alcotest.(check bool) "blocks built" true (Machine.blocks_built prepared > 0);
-  check_same ~what:"warm from the start" (plain_threaded (Machine.instantiate prepared)) reference
+  check_same ~what:"second instance" (plain_threaded (Machine.instantiate prepared)) reference
 
 (* Fuel that runs out inside a block stops at exactly the reference's
    instruction: every budget from 1 to three loop iterations, and across
-   three iterations ~5,000 steps in, on a warm program. *)
+   three iterations ~5,000 steps in, on instances whose blocks exist. *)
 let test_fuel_mid_block () =
   let prepared = Machine.prepare hot_loop in
   warm ~what:"hot loop" prepared;
@@ -413,8 +367,8 @@ let test_fuel_mid_block () =
       check_same ~what threaded reference)
     (List.init 33 (fun i -> i + 1) @ List.init 33 (fun i -> 5000 + i))
 
-(* A hot program takes the block path: one run of the hot loop, from a
-   cold prepared value, builds blocks. A build whose [run] never reaches
+(* [run] takes the block path: a prepared value holds no block, and one
+   run of the hot loop builds some. A build whose [run] never reaches
    the block runner fails here. *)
 let test_hot_program_builds_blocks () =
   let prepared = Machine.prepare hot_loop in
@@ -425,10 +379,10 @@ let test_hot_program_builds_blocks () =
 
 (* A register number outside X0-X30 names no slot of the register file,
    whose accesses skip the bounds check: [get] and [set] refuse it, and
-   so does running an instruction that names one, on both engines. The
-   program loops 5,000 times, so the instruction sits in a block after
-   the program got warm; with a load through an unmapped address just
-   before it, both engines trap at the load instead. *)
+   so does running an instruction that names one, on both engines. After
+   a loop of 5,000 iterations, the instruction ends the block that
+   follows; with a load through an unmapped address just before it, both
+   engines trap at the load instead. *)
 let test_register_range () =
   let m = Machine.load hot_loop in
   List.iter
@@ -487,7 +441,7 @@ let test_prepare_instantiate () =
       (fun scheme ->
         let program = Compile.compile ~scheme ast in
         let rng () = Rng.create (Int64.of_int seed) in
-        let run = observe threaded_until in
+        let run = plain_threaded in
         let loaded = run (Machine.load ~rng:(rng ()) program) in
         let prepared = Machine.prepare program in
         for i = 1 to 2 do
@@ -518,7 +472,7 @@ let self_modifying =
 let test_instances_isolated () =
   let prepared = Machine.prepare self_modifying in
   let boot () = Kernel.machine (Kernel.boot_prepared (Kernel.create (Rng.create 5L)) prepared) in
-  let run = observe threaded_until in
+  let run = plain_threaded in
   let m1 = boot () in
   let words, _ = Image.encoded (Machine.image m1) in
   let original =
@@ -564,8 +518,8 @@ let dangling ~call =
 let test_dangling_label () =
   let run_both program =
     let prepared = Machine.prepare program in
-    let threaded = observe threaded_until (Machine.instantiate prepared) in
-    let reference = observe reference_until (Machine.instantiate prepared) in
+    let threaded = plain_threaded (Machine.instantiate prepared) in
+    let reference = plain_reference (Machine.instantiate prepared) in
     check_same ~what:"dangling label" threaded reference;
     threaded
   in
@@ -649,11 +603,9 @@ let test_code_filled_on_first_read () =
 
 (* One cold prepared value backs machines on two domains at once, as
    the inject engine's victim memo does under [--workers 2]: both
-   domains start together on an unfilled ops table and race to fill its
-   slots. Each program also gets warm during the runs, so the domains
-   race to publish its block table and to fill its blocks and effects.
-   Every run equals a sequential run of a separately prepared copy,
-   state, counters and output alike. The sequential runs of the fuzz
+   domains start together on unfilled ops and block tables and race to
+   fill their slots. Every run equals a sequential run of a separately
+   prepared copy, state, counters and output alike. The sequential runs of the fuzz
    program and the victim halt; the hot loop's trap at its load, in the
    middle of a block. *)
 let test_prepared_across_domains () =
@@ -712,13 +664,14 @@ let () =
       ( "fuel",
         [
           Alcotest.test_case "threaded rejects negative fuel" `Quick
-            (rejects_negative_fuel
-               (fun ~fuel m -> Machine.run ~fuel m)
-               (fun ~fuel m ~stop -> Machine.run_until ~fuel m ~stop));
+            (rejects_negative_fuel [ ("run", fun ~fuel m -> ignore (Machine.run ~fuel m)) ]);
           Alcotest.test_case "reference rejects negative fuel" `Quick
             (rejects_negative_fuel
-               (fun ~fuel m -> Machine.Reference.run ~fuel m)
-               (fun ~fuel m ~stop -> Machine.Reference.run_until ~fuel m ~stop));
+               [
+                 ("Reference.run", fun ~fuel m -> ignore (Machine.Reference.run ~fuel m));
+                 ( "run_until",
+                   fun ~fuel m -> ignore (Machine.run_until ~fuel m ~stop:(fun _ -> false)) );
+               ]);
         ] );
       ( "invalidation",
         [

@@ -861,6 +861,39 @@ let test_debug_inspection () =
   | Machine.Halted 0 -> ()
   | _ -> Alcotest.fail "runs on to the halt"
 
+(* A predicate may write any state: [run_until] runs on the reference
+   interpreter, which fetches the instruction at PC after the predicate
+   returns. Each predicate acts at [helper]'s entry and answers false. *)
+let test_debug_predicate_writes () =
+  let at_helper_do f m =
+    if Int64.equal (Machine.pc m) (Option.get (Image.symbol (Machine.image m) "helper")) then f m;
+    false
+  in
+  (* moving PC to LR returns from [helper] before it runs *)
+  let m = debug_machine () in
+  let counter = Option.get (Image.symbol (Machine.image m) "counter") in
+  (match Machine.run_until m ~stop:(at_helper_do (fun m -> Machine.set_pc m (Machine.get m Reg.lr))) with
+  | Some (Machine.Halted 0) ->
+    Alcotest.(check (option int64)) "helper skipped" (Some 0L)
+      (Memory.peek64 (Machine.memory m) counter)
+  | _ -> Alcotest.fail "expected a halt");
+  (* revoking execute traps at the very fetch it precedes *)
+  let m = debug_machine () in
+  let revoke m =
+    Memory.protect (Machine.memory m) ~addr:Image.code_base ~size:Memory.page_size Memory.perm_r
+  in
+  (match Machine.run_until m ~stop:(at_helper_do revoke) with
+  | Some (Machine.Faulted (Trap.Permission (a, Trap.Execute))) ->
+    Alcotest.(check (option int64)) "at helper's entry" (Image.symbol (Machine.image m) "helper")
+      (Some a)
+  | _ -> Alcotest.fail "expected an execute fault");
+  (* halting lets the instruction at its boundary run: bl, then stp *)
+  let m = debug_machine () in
+  match Machine.run_until m ~stop:(at_helper_do (fun m -> Machine.set_halted m 7)) with
+  | Some (Machine.Halted 7) ->
+    Alcotest.(check int) "instructions" 2 (Machine.instructions_retired m)
+  | _ -> Alcotest.fail "expected the predicate's halt"
+
 (* --- Unwinder ------------------------------------------------------------------ *)
 
 let pacstack_chain_src =
@@ -1119,6 +1152,7 @@ let () =
           Alcotest.test_case "breakpoints" `Quick test_debug_breakpoints;
           Alcotest.test_case "watchpoints" `Quick test_debug_watchpoint;
           Alcotest.test_case "inspection" `Quick test_debug_inspection;
+          Alcotest.test_case "predicate writes" `Quick test_debug_predicate_writes;
         ] );
       ( "profile",
         [
